@@ -59,8 +59,6 @@ from .nlhs import (
     SeparableDecomposition,
     SourceSlot,
     build_percolation_line,
-    build_sep_unsteer_bilocal,
-    build_triangle_patterns,
     nlhs_to_separable_realization,
     reconstruct,
     separabilize_endpoint,

@@ -10,7 +10,7 @@ condition is always reported as Inconclusive, never as "steerable".
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -23,7 +23,7 @@ from .operators import (
     max_entry_distance,
     negativity,
 )
-from .measurements import POVM, computational_basis_povm, pauli_projective
+from .measurements import computational_basis_povm, pauli_projective
 from .network import (
     NetworkAssemblage,
     bilocal_assemblage,
@@ -32,7 +32,7 @@ from .network import (
     standard_assemblage,
     untrusted_input_to_outcome,
 )
-from .states import DEWParams, classical_correlated
+from .states import DEWParams
 from . import kernels
 
 TOL_OPT = 1e-6

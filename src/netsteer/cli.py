@@ -18,6 +18,7 @@ from pathlib import Path
 from .experiments import (
     AXIS_PRESETS,
     ExperimentReport,
+    SpecError,
     SweepSpec,
     run_activation,
     run_claims_demo,
@@ -34,10 +35,6 @@ from .nlhs_io import FixtureError
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, default=None, help="output file path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (NETSTEER_THREADS overrides)")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed for randomized sub-steps (reproducibility)")
 
 
 def _add_range(p: argparse.ArgumentParser, name: str, steps: int) -> None:
@@ -93,6 +90,14 @@ def _resolve_fixture(name: str) -> Path:
     raise FixtureError(f"fixture {name!r} not found on disk or among bundled ones")
 
 
+def _sweep_spec(args, **kwargs) -> SweepSpec:
+    return SweepSpec(
+        eta_range=(args.eta_min, args.eta_max, args.eta_steps),
+        omega_range=(args.omega_min, args.omega_max, args.omega_steps),
+        **kwargs,
+    )
+
+
 def _emit(report: ExperimentReport, args) -> None:
     if args.out is not None:
         if args.format == "csv":
@@ -115,22 +120,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify-swap":
-            spec = SweepSpec(
-                eta_range=(args.eta_min, args.eta_max, args.eta_steps),
-                omega_range=(args.omega_min, args.omega_max, args.omega_steps),
-                threads=args.threads,
-                seed=args.seed,
-            )
-            report = run_verify_swap(spec)
+            report = run_verify_swap(_sweep_spec(args))
         elif args.command == "activation":
-            spec = SweepSpec(
-                eta_range=(args.eta_min, args.eta_max, args.eta_steps),
-                omega_range=(args.omega_min, args.omega_max, args.omega_steps),
-                n_parties=args.n,
-                threads=args.threads,
-                seed=args.seed,
-                eta_boundary=args.eta_boundary,
-            )
+            spec = _sweep_spec(args, n_parties=args.n, eta_boundary=args.eta_boundary)
             report = run_activation(spec)
         elif args.command == "claims-demo":
             report = run_claims_demo(args.omega, args.axes)
@@ -147,7 +139,7 @@ def main(argv=None) -> int:
     except PipelinePreconditionError as exc:
         print(f"error: precondition not met: {exc}", file=sys.stderr)
         return 2
-    except (FixtureError, PatternError) as exc:
+    except (FixtureError, PatternError, SpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ModelNotFoundError as exc:

@@ -1,18 +1,15 @@
 """Named experiments behind the CLI: swap-identity verification, the
 activation sweep, the input-encoding pipeline demo, and NLHS fixture runs.
 
-Grid points are processed by an ordered worker pool, so output order always
-matches grid order regardless of scheduling.  The worker count comes from
---threads, overridable through the NETSTEER_THREADS environment variable.
+Records are listed in grid order.  Parameters are checked before any
+computation; an out-of-range one raises ``SpecError``.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,12 +17,8 @@ import numpy as np
 from .operators import NEG_CUTOFF, QOperator, max_entry_distance, negativity
 from .measurements import bell_swap_povm
 from .network import LinearNetwork, assemblage_element, line_assemblage
-from .states import DEWParams, dew
-from .certificates import (
-    PipelinePreconditionError,
-    claims_pipeline,
-    dew_unsteerable_both_ways,
-)
+from .states import DEWParams, dew, werner
+from .certificates import claims_pipeline, dew_unsteerable_both_ways
 from .nlhs import build_percolation_line, reconstruct
 from .nlhs_io import load_fixture, model_to_json
 
@@ -33,23 +26,25 @@ SWAP_TOL = 1e-10
 PIPELINE_TOL = 1e-12
 
 
+class SpecError(ValueError):
+    """Raised on an out-of-range experiment parameter."""
+
+
 @dataclass
 class SweepSpec:
     eta_range: tuple[float, float, int] = (0.0, 1.0, 21)
     omega_range: tuple[float, float, int] = (0.0, 1.0, 21)
     n_parties: int = 3
-    threads: int = 1
-    seed: int = 0
     eta_boundary: bool = False   # tie eta to (2/3)(1 - omega) along the sweep
 
     def __post_init__(self):
         for lo, hi, steps in (self.eta_range, self.omega_range):
             if steps < 1:
-                raise ValueError("steps must be >= 1")
+                raise SpecError(f"steps must be >= 1, got {steps}")
             if not (0.0 <= lo <= hi <= 1.0):
-                raise ValueError("ranges must sit inside [0, 1]")
+                raise SpecError(f"range ({lo}, {hi}) must satisfy 0 <= min <= max <= 1")
         if self.n_parties < 3:
-            raise ValueError("need at least three parties")
+            raise SpecError(f"need at least three parties, got {self.n_parties}")
 
     def etas(self) -> np.ndarray:
         lo, hi, steps = self.eta_range
@@ -71,21 +66,6 @@ class ExperimentReport:
     extra: dict = field(default_factory=dict)
 
 
-def _n_workers(requested: int) -> int:
-    env = os.environ.get("NETSTEER_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, requested)
-
-
-def _pool_map(fn, items, threads):
-    workers = _n_workers(threads)
-    if workers == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def swap_deviation(eta: float, omega: float) -> float:
     """Max-entry distance between the successful-swap element of two erased
     Werner sources and (eta^2/4) times the squared-visibility state."""
@@ -100,7 +80,7 @@ def swap_deviation(eta: float, omega: float) -> float:
 def run_verify_swap(spec: SweepSpec) -> ExperimentReport:
     start = time.perf_counter()
     grid = [(e, w) for e in spec.etas() for w in spec.omegas()]
-    devs = _pool_map(lambda p: swap_deviation(*p), grid, spec.threads)
+    devs = [swap_deviation(e, w) for e, w in grid]
     records = [
         {"eta": e, "omega": w, "deviation": d} for (e, w), d in zip(grid, devs)
     ]
@@ -144,9 +124,7 @@ def run_activation(spec: SweepSpec) -> ExperimentReport:
         grid = [((2.0 / 3.0) * (1.0 - w), w) for w in spec.omegas()]
     else:
         grid = [(e, w) for e in spec.etas() for w in spec.omegas()]
-    records = _pool_map(
-        lambda p: activation_point(spec.n_parties, p[0], p[1]), grid, spec.threads
-    )
+    records = [activation_point(spec.n_parties, e, w) for e, w in grid]
     activated = [
         r for r in records
         if r["network_steering"] and r["source_unsteerable"]
@@ -166,7 +144,6 @@ def run_activation(spec: SweepSpec) -> ExperimentReport:
         extra={
             "activation_points": len(activated),
             "swap_threshold": (1.0 / 3.0) ** (1.0 / (spec.n_parties - 1)),
-            "stated_threshold": (1.0 / 3.0) ** (1.0 / spec.n_parties),
         },
     )
 
@@ -178,8 +155,8 @@ AXIS_PRESETS = {
 
 
 def run_claims_demo(omega: float, axes_preset: str = "zx") -> ExperimentReport:
-    from .states import werner
-
+    if not (0.0 <= omega <= 1.0):
+        raise SpecError(f"omega must be in [0, 1], got {omega}")
     start = time.perf_counter()
     axes = AXIS_PRESETS[axes_preset]
     verdict, transcript = claims_pipeline(werner(omega), axes)

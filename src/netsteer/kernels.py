@@ -1,32 +1,12 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Sphere-search kernels for the erased-state unsteerability criterion.
 
-Set NETSTEER_NO_NUMBA=1 to force the numpy path (the benchmark in
-benchmarks/bench_kernels.py compares the two).  Everything else in the
-package is small dense linear algebra where jitting buys nothing.
+Plain vectorised numpy: a Fibonacci lattice of unit vectors, the criterion
+evaluated on it, and a shrinking-cap refinement around the best point.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_DISABLE = os.environ.get("NETSTEER_NO_NUMBA", "0").lower() in ("1", "true", "yes")
-
-if not _DISABLE:
-    try:
-        from numba import njit
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-        return lambda f: f
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -38,7 +18,12 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-def _criterion_values_numpy(a, t, eta, xs):
+def criterion_values(a, t, eta, xs):
+    """Erased-state unsteerability objective evaluated at unit vectors ``xs``."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    t = np.ascontiguousarray(t, dtype=np.float64)
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    eta = float(eta)
     ax = xs @ a
     tx = xs @ t.T
     return (
@@ -46,70 +31,6 @@ def _criterion_values_numpy(a, t, eta, xs):
         + 1.5 * eta * (1.0 + ax * ax)
         + np.sqrt(np.sum(tx * tx, axis=1))
     )
-
-
-@njit(cache=True)
-def _criterion_values_numba(a, t, eta, xs):
-    n = xs.shape[0]
-    out = np.empty(n)
-    for i in range(n):
-        ax = a[0] * xs[i, 0] + a[1] * xs[i, 1] + a[2] * xs[i, 2]
-        n2 = 0.0
-        for r in range(3):
-            tx = t[r, 0] * xs[i, 0] + t[r, 1] * xs[i, 1] + t[r, 2] * xs[i, 2]
-            n2 += tx * tx
-        out[i] = (
-            (1.0 - 3.0 * eta) * abs(ax)
-            + 1.5 * eta * (1.0 + ax * ax)
-            + np.sqrt(n2)
-        )
-    return out
-
-
-def criterion_values(a, t, eta, xs):
-    """Erased-state unsteerability objective evaluated at unit vectors ``xs``."""
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    t = np.ascontiguousarray(t, dtype=np.float64)
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    if NUMBA_ENABLED:
-        return _criterion_values_numba(a, t, float(eta), xs)
-    return _criterion_values_numpy(a, t, float(eta), xs)
-
-
-def _lhs_bound_numpy(axes, us):
-    proj = us @ axes.T                     # (n_points, m)
-    return np.max(np.sum(np.abs(proj), axis=1)) / axes.shape[0]
-
-
-@njit(cache=True)
-def _lhs_bound_numba(axes, us):
-    m = axes.shape[0]
-    best = 0.0
-    for i in range(us.shape[0]):
-        acc = 0.0
-        for k in range(m):
-            dot = (
-                axes[k, 0] * us[i, 0]
-                + axes[k, 1] * us[i, 1]
-                + axes[k, 2] * us[i, 2]
-            )
-            acc += abs(dot)
-        if acc > best:
-            best = acc
-    return best / m
-
-
-def lhs_bound_brute_force(axes, n_points: int = 10000) -> float:
-    """Brute-force LHS maximum of the linear witness over hidden qubit states.
-
-    Hidden states are discretised over a Fibonacci lattice of Bloch vectors;
-    deterministic sign responses reduce to the per-axis absolute value.
-    """
-    axes = np.ascontiguousarray(axes, dtype=np.float64)
-    us = fibonacci_sphere(n_points)
-    if NUMBA_ENABLED:
-        return float(_lhs_bound_numba(axes, us))
-    return float(_lhs_bound_numpy(axes, us))
 
 
 def sphere_maximize(a, t, eta, n_points: int = 2000) -> tuple[float, np.ndarray]:

@@ -16,14 +16,11 @@ from .operators import (
     PAULIS,
     QOperator,
     TOL_EQ,
+    apply_and_trace,
     basis_ket,
-    identity,
     is_psd,
-    partial_trace,
     projector,
-    tensor,
 )
-from .states import psi_minus
 
 
 class InvalidPOVMError(ValueError):
@@ -161,23 +158,8 @@ def induced_measurement(m: POVM, hidden_state: QOperator, side: str) -> POVM:
     side="left" traces the hidden state against the left factor, leaving a
     POVM on the right factor (and vice versa).  Completeness is inherited.
     """
-    if m.effects[0].nfactors != 2:
-        raise DimensionError("induced_measurement needs a two-factor POVM")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     plugged = 0 if side == "left" else 1
-    kept = 1 - plugged
-    if hidden_state.dim != m.dims[plugged]:
-        raise DimensionError(
-            f"hidden state dim {hidden_state.dim} != factor dim {m.dims[plugged]}"
-        )
-    eye = identity([m.dims[kept]])
-    effects = []
-    for e in m.effects:
-        if side == "left":
-            full = tensor(hidden_state, eye)
-        else:
-            full = tensor(eye, hidden_state)
-        prod = QOperator(e.matrix @ full.matrix, e.dims)
-        effects.append(partial_trace(prod, keep=[kept]))
+    effects = [apply_and_trace(e, hidden_state, plugged) for e in m.effects]
     return POVM(effects, outcome_labels=m.outcome_labels)

@@ -12,27 +12,19 @@ dimension at d^4 instead of d^(2(n-1)).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .operators import (
     DimensionError,
     QOperator,
-    TOL_EQ,
-    identity,
+    apply_and_trace,
     is_density,
     is_psd,
-    partial_trace,
-    tensor,
 )
-from .measurements import (
-    POVM,
-    computational_basis_povm,
-    input_encoded_measurement,
-)
+from .measurements import POVM, input_encoded_measurement
 from .states import classical_correlated
 
 
@@ -93,12 +85,6 @@ class NetworkAssemblage:
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "n_parties", n_parties)
 
-    def outcomes(self):
-        return list(self.elements.keys())
-
-    def element(self, outcome) -> QOperator:
-        return self.elements[outcome]
-
     def total(self) -> QOperator:
         ops = list(self.elements.values())
         acc = sum(op.matrix for op in ops)
@@ -128,44 +114,17 @@ def _step_right(t: QOperator, source: QOperator, effect: QOperator) -> QOperator
     return QOperator(out.reshape(a * d, a * d), (a, d))
 
 
-def _step_left(t: QOperator, source: QOperator, effect: QOperator) -> QOperator:
-    """Mirror of _step_right: absorb the previous source from the right."""
-    a, b = source.dims
-    c, d = t.dims
-    sm = source.matrix.reshape(a, b, a, b)
-    tm = t.matrix.reshape(c, d, c, d)
-    em = effect.matrix.reshape(b, c, b, c)
-    out = np.einsum("uvbc,abxu,cdvy->adxy", em, sm, tm, optimize=True)
-    return QOperator(out.reshape(a * d, a * d), (a, d))
-
-
-def line_assemblage(net: LinearNetwork, direction: str = "left") -> NetworkAssemblage:
-    """Network assemblage of a linear network with trusted endpoints.
-
-    ``direction`` picks the contraction order (left-to-right or
-    right-to-left); the result is order independent.
-    """
-    if direction not in ("left", "right"):
-        raise ValueError("direction must be 'left' or 'right'")
+def line_assemblage(net: LinearNetwork) -> NetworkAssemblage:
+    """Network assemblage of a linear network with trusted endpoints,
+    contracted left to right."""
     sources = net.sources
-    measurements = net.central_measurements
-    if direction == "left":
-        partial = {(): sources[0]}
-        for j, m in enumerate(measurements):
-            nxt = {}
-            for prefix, t in partial.items():
-                for label, effect in zip(m.outcome_labels, m.effects):
-                    nxt[prefix + (label,)] = _step_right(t, sources[j + 1], effect)
-            partial = nxt
-    else:
-        partial = {(): sources[-1]}
-        for j in range(len(measurements) - 1, -1, -1):
-            m = measurements[j]
-            nxt = {}
-            for suffix, t in partial.items():
-                for label, effect in zip(m.outcome_labels, m.effects):
-                    nxt[(label,) + suffix] = _step_left(t, sources[j], effect)
-            partial = nxt
+    partial = {(): sources[0]}
+    for j, m in enumerate(net.central_measurements):
+        nxt = {}
+        for prefix, t in partial.items():
+            for label, effect in zip(m.outcome_labels, m.effects):
+                nxt[prefix + (label,)] = _step_right(t, sources[j + 1], effect)
+        partial = nxt
     return NetworkAssemblage(partial, n_parties=net.n_parties)
 
 
@@ -191,26 +150,14 @@ def bilocal_assemblage(rho_ab: QOperator, rho_bc: QOperator, m: POVM) -> Network
 
 def standard_assemblage(rho: QOperator, measurements: Sequence[POVM], side: str = "left") -> dict:
     """Steered sub-normalised states {(a, x): Tr_side[(M_{a|x} (x) 1) rho]}."""
-    if rho.nfactors != 2:
-        raise DimensionError("state must carry two factors")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     measured = 0 if side == "left" else 1
-    kept = 1 - measured
-    out = {}
-    for x, povm in enumerate(measurements):
-        if povm.effects[0].dim != rho.dims[measured]:
-            raise DimensionError(
-                f"measurement {x} dim {povm.effects[0].dim} != factor {rho.dims[measured]}"
-            )
-        for label, effect in zip(povm.outcome_labels, povm.effects):
-            if side == "left":
-                full = tensor(effect, identity([rho.dims[1]]))
-            else:
-                full = tensor(identity([rho.dims[0]]), effect)
-            prod = QOperator(full.matrix @ rho.matrix, rho.dims)
-            out[(label, x)] = partial_trace(prod, keep=[kept])
-    return out
+    return {
+        (label, x): apply_and_trace(rho, effect, measured)
+        for x, povm in enumerate(measurements)
+        for label, effect in zip(povm.outcome_labels, povm.effects)
+    }
 
 
 def condition_on_trusted_measurement(
@@ -220,21 +167,11 @@ def condition_on_trusted_measurement(
     if endpoint not in ("left", "right"):
         raise ValueError("endpoint must be 'left' or 'right'")
     measured = 0 if endpoint == "left" else 1
-    kept = 1 - measured
-    out = {}
-    for outcome, op in asm.elements.items():
-        if m.effects[0].dim != op.dims[measured]:
-            raise DimensionError(
-                f"measurement dim {m.effects[0].dim} != endpoint dim {op.dims[measured]}"
-            )
-        for label, effect in zip(m.outcome_labels, m.effects):
-            if endpoint == "left":
-                full = tensor(effect, identity([op.dims[1]]))
-            else:
-                full = tensor(identity([op.dims[0]]), effect)
-            prod = QOperator(full.matrix @ op.matrix, op.dims)
-            out[(outcome, label)] = partial_trace(prod, keep=[kept])
-    return out
+    return {
+        (outcome, label): apply_and_trace(op, effect, measured)
+        for outcome, op in asm.elements.items()
+        for label, effect in zip(m.outcome_labels, m.effects)
+    }
 
 
 def lift_inputless_to_conditional(asm: dict) -> tuple[dict, dict]:
@@ -275,33 +212,3 @@ def untrusted_input_to_outcome(rho: QOperator, sub_povms: Sequence[POVM]) -> Lin
         source = classical_correlated(d)
     m = input_encoded_measurement(sub_povms, d)
     return LinearNetwork([source, rho], [m])
-
-
-def random_linear_network(rng: np.random.Generator, n_parties: int, max_dim: int = 3) -> LinearNetwork:
-    """Random line: Haar-ish random density sources, random projective-sum POVMs."""
-
-    def rand_density(d):
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        mat = g @ g.conj().T
-        return mat / np.trace(mat)
-
-    def rand_povm(dims, n_out=2):
-        d = int(np.prod(dims))
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        q, _ = np.linalg.qr(g)
-        # split eigenprojectors of a random unitary basis into n_out groups
-        effects = [np.zeros((d, d), dtype=complex) for _ in range(n_out)]
-        for i in range(d):
-            v = q[:, i]
-            effects[i % n_out] += np.outer(v, v.conj())
-        return POVM([QOperator(e, dims) for e in effects])
-
-    dims = [int(rng.integers(2, max_dim + 1)) for _ in range(n_parties)]
-    sources = []
-    for i in range(n_parties - 1):
-        pair = (dims[i], dims[i + 1])
-        sources.append(QOperator(rand_density(pair[0] * pair[1]), pair))
-    centrals = [
-        rand_povm((dims[i + 1], dims[i + 1])) for i in range(n_parties - 2)
-    ]
-    return LinearNetwork(sources, centrals)

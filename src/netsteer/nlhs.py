@@ -9,7 +9,6 @@ verdict: absence of a found model is not evidence of network steering.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -17,15 +16,12 @@ import numpy as np
 from scipy.optimize import nnls
 
 from .operators import (
-    DimensionError,
     QOperator,
     TOL_EQ,
+    apply_and_trace,
     basis_ket,
     is_density,
-    is_psd,
-    partial_trace,
     projector,
-    tensor,
 )
 from .measurements import (
     POVM,
@@ -38,7 +34,6 @@ from .network import (
     NetworkAssemblage,
     standard_assemblage,
 )
-from .states import psi_minus, werner
 
 RECONSTRUCTION_TOL = 1e-10
 
@@ -396,25 +391,6 @@ class SourceSlot:
                 self.provider = BruteForceLHSProvider()
 
 
-def build_sep_unsteer_bilocal(
-    sep: SeparableDecomposition, rho_bc: QOperator, m: POVM, lhs
-) -> NLHSModel:
-    """NLHS model for a separable first source and a second source that is
-    unsteerable toward the trusted right endpoint, for any fixed central
-    measurement."""
-    if sep.state().dims[1] != m.dims[0] or rho_bc.dims[0] != m.dims[1]:
-        raise DimensionError("measurement dims do not match the two sources")
-    povms = [induced_measurement(m, g, side="left") for g in sep.right_states]
-    data = lhs.find(rho_bc, povms, direction="right")
-    return NLHSModel(
-        source_dists=[sep.weights, data.dist],
-        responses=[data.response],          # resp[b, gamma, lambda]
-        left_states=sep.left_states,
-        right_states=data.states,
-        outcome_labels=[m.outcome_labels],
-    )
-
-
 def _lhv_behavior(rho: QOperator, left_povms, right_povms) -> np.ndarray:
     n_b = left_povms[0].n_outcomes
     n_c = right_povms[0].n_outcomes
@@ -427,112 +403,6 @@ def _lhv_behavior(rho: QOperator, left_povms, right_povms) -> np.ndarray:
                         np.kron(el.matrix, er.matrix) @ rho.matrix
                     ).real
     return behavior
-
-
-def build_triangle_patterns(pattern: str, slots, measurements) -> NLHSModel:
-    """Explicit NLHS constructions for the four-party line (unwrapped
-    triangle): SEP-LOC-SEP, UNS-SEP-UNS, SEP-UNS-UNS, UNS-UNS-SEP.
-
-    Each branch follows its own derivation chain (induced measurements,
-    then provider extraction, then assembly); the generic percolation
-    constructor provides an independent route for cross-checks.
-    """
-    slots = list(slots)
-    measurements = list(measurements)
-    if len(slots) != 3 or len(measurements) != 2:
-        raise PatternError("triangle patterns need three sources, two measurements")
-    m0, m1 = measurements
-    s0, s1, s2 = slots
-
-    if pattern == "SEP-LOC-SEP":
-        d0, d2 = s0.decomposition, s2.decomposition
-        if d0 is None or d2 is None:
-            raise PatternError("end slots need separable decompositions")
-        left_povms = [induced_measurement(m0, r, "left") for r in d0.right_states]
-        right_povms = [induced_measurement(m1, l, "right") for l in d2.left_states]
-        behavior = _lhv_behavior(s1.state, left_povms, right_povms)
-        try:
-            dist, resp_b, resp_c = solve_lhv(behavior)
-        except ModelNotFoundError as exc:
-            raise ModelNotFoundError(f"LOC slot 1: {exc}") from exc
-        return NLHSModel(
-            [d0.weights, dist, d2.weights],
-            [np.transpose(resp_b, (0, 1, 2)),              # [b, alpha, lam]
-             np.transpose(resp_c, (0, 2, 1))],             # [c, lam, beta]
-            d0.left_states,
-            d2.right_states,
-            outcome_labels=[m0.outcome_labels, m1.outcome_labels],
-        )
-
-    if pattern == "UNS-SEP-UNS":
-        d1 = s1.decomposition
-        if d1 is None:
-            raise PatternError("central slot needs a separable decomposition")
-        povms_left = [induced_measurement(m0, l, "right") for l in d1.left_states]
-        povms_right = [induced_measurement(m1, r, "left") for r in d1.right_states]
-        try:
-            data0 = s0.provider.find(s0.state, povms_left, direction="left")
-        except ModelNotFoundError as exc:
-            raise ModelNotFoundError(f"UNS slot 0: {exc}") from exc
-        try:
-            data2 = s2.provider.find(s2.state, povms_right, direction="right")
-        except ModelNotFoundError as exc:
-            raise ModelNotFoundError(f"UNS slot 2: {exc}") from exc
-        return NLHSModel(
-            [data0.dist, d1.weights, data2.dist],
-            [np.transpose(data0.response, (0, 2, 1)),      # [b, alpha, gamma]
-             data2.response],                              # [c, gamma, beta]
-            data0.states,
-            data2.states,
-            outcome_labels=[m0.outcome_labels, m1.outcome_labels],
-        )
-
-    if pattern == "SEP-UNS-UNS":
-        d0 = s0.decomposition
-        if d0 is None:
-            raise PatternError("first slot needs a separable decomposition")
-        povms0 = [induced_measurement(m0, r, "left") for r in d0.right_states]
-        try:
-            data1 = s1.provider.find(s1.state, povms0, direction="right")
-        except ModelNotFoundError as exc:
-            raise ModelNotFoundError(f"UNS slot 1: {exc}") from exc
-        povms1 = [induced_measurement(m1, g, "left") for g in data1.states]
-        try:
-            data2 = s2.provider.find(s2.state, povms1, direction="right")
-        except ModelNotFoundError as exc:
-            raise ModelNotFoundError(f"UNS slot 2: {exc}") from exc
-        return NLHSModel(
-            [d0.weights, data1.dist, data2.dist],
-            [data1.response, data2.response],
-            d0.left_states,
-            data2.states,
-            outcome_labels=[m0.outcome_labels, m1.outcome_labels],
-        )
-
-    if pattern == "UNS-UNS-SEP":
-        d2 = s2.decomposition
-        if d2 is None:
-            raise PatternError("last slot needs a separable decomposition")
-        povms1 = [induced_measurement(m1, l, "right") for l in d2.left_states]
-        try:
-            data1 = s1.provider.find(s1.state, povms1, direction="left")
-        except ModelNotFoundError as exc:
-            raise ModelNotFoundError(f"UNS slot 1: {exc}") from exc
-        povms0 = [induced_measurement(m0, g, "right") for g in data1.states]
-        try:
-            data0 = s0.provider.find(s0.state, povms0, direction="left")
-        except ModelNotFoundError as exc:
-            raise ModelNotFoundError(f"UNS slot 0: {exc}") from exc
-        return NLHSModel(
-            [data0.dist, data1.dist, d2.weights],
-            [np.transpose(data0.response, (0, 2, 1)),
-             np.transpose(data1.response, (0, 2, 1))],
-            data0.states,
-            d2.right_states,
-            outcome_labels=[m0.outcome_labels, m1.outcome_labels],
-        )
-
-    raise PatternError(f"unknown triangle pattern {pattern!r}")
 
 
 def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
@@ -696,16 +566,11 @@ def separabilize_endpoint(rho_ab: QOperator, m_a: POVM) -> tuple[QOperator, POVM
     and the party now measures in the flag basis; every downstream behaviour
     is unchanged.
     """
-    if m_a.effects[0].dim != rho_ab.dims[0]:
-        raise DimensionError(
-            f"measurement dim {m_a.effects[0].dim} != left factor {rho_ab.dims[0]}"
-        )
     n = m_a.n_outcomes
     d_b = rho_ab.dims[1]
     mat = np.zeros((n * d_b, n * d_b), dtype=complex)
     for a, effect in enumerate(m_a.effects):
-        full = np.kron(effect.matrix, np.eye(d_b))
-        steered = partial_trace(QOperator(full @ rho_ab.matrix, rho_ab.dims), keep=[1])
+        steered = apply_and_trace(rho_ab, effect, 0)
         mat[a * d_b:(a + 1) * d_b, a * d_b:(a + 1) * d_b] = steered.matrix
     rho_sep = QOperator(mat, (n, d_b))
     return rho_sep, computational_basis_povm(n)
@@ -785,33 +650,3 @@ def nlhs_to_separable_realization(model: NLHSModel) -> SeparableRealization:
 
     network = LinearNetwork(sources, measurements)
     return SeparableRealization(network, tuple(decompositions), tuple(certificates))
-
-
-def random_model(
-    rng: np.random.Generator,
-    n_parties: int = 4,
-    max_hidden: int = 3,
-    n_outcomes: int = 2,
-    endpoint_dim: int = 2,
-) -> NLHSModel:
-    """Random finite NLHS model for fuzzing soundness and round-trips."""
-
-    def rand_dist(k):
-        p = rng.random(k) + 0.1
-        return p / p.sum()
-
-    def rand_density(d):
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        mat = g @ g.conj().T
-        return QOperator(mat / np.trace(mat), [d])
-
-    n_src = n_parties - 1
-    sizes = [int(rng.integers(1, max_hidden + 1)) for _ in range(n_src)]
-    dists = [rand_dist(k) for k in sizes]
-    responses = []
-    for j in range(n_src - 1):
-        r = rng.random((n_outcomes, sizes[j], sizes[j + 1])) + 0.05
-        responses.append(r / r.sum(axis=0, keepdims=True))
-    lefts = [rand_density(endpoint_dim) for _ in range(sizes[0])]
-    rights = [rand_density(endpoint_dim) for _ in range(sizes[-1])]
-    return NLHSModel(dists, responses, lefts, rights)

@@ -24,12 +24,12 @@ provides one (classical_correlated always, werner for omega <= 1/3).
 from __future__ import annotations
 
 import json
-from typing import Sequence
 
 import numpy as np
 
 from .operators import QOperator
 from .measurements import POVM, bell_swap_povm, computational_basis_povm
+from .network import LinearNetwork
 from .states import classical_correlated, dew, DEWParams, werner
 from .nlhs import (
     NLHSModel,
@@ -137,12 +137,22 @@ def load_fixture(path) -> tuple[str, list[SourceSlot], list[POVM]]:
     pattern = list(doc["pattern"])
     if len(pattern) != len(doc["sources"]):
         raise FixtureError("one pattern tag per source required")
-    slots = []
-    for tag, src in zip(pattern, doc["sources"]):
-        state, dec = _build_source(src)
-        try:
-            slots.append(SourceSlot(tag, state, decomposition=dec))
-        except PatternError as exc:
-            raise FixtureError(str(exc)) from exc
-    measurements = [_build_measurement(m) for m in doc["measurements"]]
+    try:
+        sources = [_build_source(src) for src in doc["sources"]]
+        measurements = [_build_measurement(m) for m in doc["measurements"]]
+    except FixtureError:
+        raise
+    except (KeyError, ValueError) as exc:
+        raise FixtureError(f"malformed fixture entry: {exc!r}") from exc
+    try:
+        slots = [
+            SourceSlot(tag, state, decomposition=dec)
+            for tag, (state, dec) in zip(pattern, sources)
+        ]
+    except PatternError as exc:
+        raise FixtureError(str(exc)) from exc
+    try:
+        LinearNetwork([slot.state for slot in slots], measurements)
+    except ValueError as exc:
+        raise FixtureError(f"sources and measurements do not form a line: {exc}") from exc
     return doc.get("name", "fixture"), slots, measurements

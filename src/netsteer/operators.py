@@ -7,7 +7,7 @@ the numpy ``np.kron`` convention and is used consistently everywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -75,22 +75,6 @@ class QOperator:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def dagger(self) -> "QOperator":
-        return QOperator(self.matrix.conj().T, self.dims)
-
-    def regroup(self, groups: Sequence[Sequence[int]]) -> "QOperator":
-        """Reinterpret contiguous factor groups as single factors.
-
-        ``groups`` must partition ``range(nfactors)`` into contiguous,
-        increasing runs.  The matrix is untouched; only the dimension
-        bookkeeping changes (local tomography makes this a free operation).
-        """
-        flat = [i for g in groups for i in g]
-        if flat != list(range(self.nfactors)):
-            raise DimensionError(f"groups {groups} do not partition factors in order")
-        new_dims = [int(np.prod([self.dims[i] for i in g])) for g in groups]
-        return QOperator(self.matrix, new_dims)
-
     def __repr__(self):
         return f"QOperator(dim={self.dim}, dims={list(self.dims)})"
 
@@ -139,6 +123,29 @@ def partial_trace(op: QOperator, keep: Iterable[int]) -> QOperator:
     new_dims = [op.dims[i] for i in keep]
     side = int(np.prod(new_dims)) if new_dims else 1
     return QOperator(mat.reshape(side, side), new_dims or [1])
+
+
+def apply_and_trace(op: QOperator, local: QOperator, factor: int) -> QOperator:
+    """Tr_factor[(local (x) 1) op] for a two-factor ``op``.
+
+    ``local`` acts on factor ``factor`` (0 or 1), which is then traced out;
+    the result carries the other factor.  This is how an effect steers the
+    remaining party, and how a hidden state is plugged into one side of a
+    two-party effect (by cyclicity the order of ``local`` and ``op`` inside
+    the partial trace is immaterial).
+    """
+    if op.nfactors != 2:
+        raise DimensionError(f"apply_and_trace needs a two-factor operator, got {op.dims}")
+    if factor not in (0, 1):
+        raise DimensionError(f"factor must be 0 or 1, got {factor}")
+    if local.dim != op.dims[factor]:
+        raise DimensionError(f"local dim {local.dim} != factor dim {op.dims[factor]}")
+    t = op.matrix.reshape(op.dims + op.dims)
+    if factor == 0:
+        out = np.einsum("ik,kjil->jl", local.matrix, t)
+    else:
+        out = np.einsum("jl,ilkj->ik", local.matrix, t)
+    return QOperator(out, [op.dims[1 - factor]])
 
 
 def partial_transpose(op: QOperator, factors: Iterable[int]) -> QOperator:

@@ -5,6 +5,9 @@ sequential contraction under test."""
 import numpy as np
 import pytest
 
+from netsteer.measurements import POVM
+from netsteer.network import LinearNetwork
+from netsteer.nlhs import NLHSModel
 from netsteer.operators import QOperator, identity, partial_trace, tensor
 
 
@@ -58,3 +61,63 @@ def brute_force_assemblage(net):
         prod = QOperator(full.matrix @ big.matrix, big.dims)
         out[labels] = partial_trace(prod, keep=[0, 2 * n_src - 1])
     return out
+
+
+def random_linear_network(rng: np.random.Generator, n_parties: int, max_dim: int = 3) -> LinearNetwork:
+    """Random line: Haar-ish random density sources, random projective-sum POVMs."""
+
+    def rand_density(d):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        mat = g @ g.conj().T
+        return mat / np.trace(mat)
+
+    def rand_povm(dims, n_out=2):
+        d = int(np.prod(dims))
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        q, _ = np.linalg.qr(g)
+        # split eigenprojectors of a random unitary basis into n_out groups
+        effects = [np.zeros((d, d), dtype=complex) for _ in range(n_out)]
+        for i in range(d):
+            v = q[:, i]
+            effects[i % n_out] += np.outer(v, v.conj())
+        return POVM([QOperator(e, dims) for e in effects])
+
+    dims = [int(rng.integers(2, max_dim + 1)) for _ in range(n_parties)]
+    sources = []
+    for i in range(n_parties - 1):
+        pair = (dims[i], dims[i + 1])
+        sources.append(QOperator(rand_density(pair[0] * pair[1]), pair))
+    centrals = [
+        rand_povm((dims[i + 1], dims[i + 1])) for i in range(n_parties - 2)
+    ]
+    return LinearNetwork(sources, centrals)
+
+
+def random_model(
+    rng: np.random.Generator,
+    n_parties: int = 4,
+    max_hidden: int = 3,
+    n_outcomes: int = 2,
+    endpoint_dim: int = 2,
+) -> NLHSModel:
+    """Random finite NLHS model for fuzzing soundness and round-trips."""
+
+    def rand_dist(k):
+        p = rng.random(k) + 0.1
+        return p / p.sum()
+
+    def rand_density(d):
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        mat = g @ g.conj().T
+        return QOperator(mat / np.trace(mat), [d])
+
+    n_src = n_parties - 1
+    sizes = [int(rng.integers(1, max_hidden + 1)) for _ in range(n_src)]
+    dists = [rand_dist(k) for k in sizes]
+    responses = []
+    for j in range(n_src - 1):
+        r = rng.random((n_outcomes, sizes[j], sizes[j + 1])) + 0.05
+        responses.append(r / r.sum(axis=0, keepdims=True))
+    lefts = [rand_density(endpoint_dim) for _ in range(sizes[0])]
+    rights = [rand_density(endpoint_dim) for _ in range(sizes[-1])]
+    return NLHSModel(dists, responses, lefts, rights)

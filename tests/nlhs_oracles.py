@@ -1,0 +1,160 @@
+"""Hand-derived NLHS constructors kept as test oracles.
+
+Each function follows its own derivation chain (induced measurements, then
+provider extraction, then assembly) for one fixed pattern, independently of
+the generic percolation constructor ``netsteer.nlhs.build_percolation_line``
+that the tests check against them.
+"""
+
+import numpy as np
+
+from netsteer.measurements import POVM, induced_measurement
+from netsteer.nlhs import (
+    ModelNotFoundError,
+    NLHSModel,
+    PatternError,
+    SeparableDecomposition,
+    solve_lhv,
+)
+from netsteer.operators import DimensionError, QOperator
+
+
+def lhv_behavior(rho, left_povms, right_povms):
+    """p(b, c | x, y) of a two-party state under product measurements."""
+    n_b = left_povms[0].n_outcomes
+    n_c = right_povms[0].n_outcomes
+    out = np.zeros((n_b, n_c, len(left_povms), len(right_povms)))
+    for x, pl in enumerate(left_povms):
+        for y, pr in enumerate(right_povms):
+            for b, el in enumerate(pl.effects):
+                for c, er in enumerate(pr.effects):
+                    out[b, c, x, y] = np.trace(
+                        np.kron(el.matrix, er.matrix) @ rho.matrix
+                    ).real
+    return out
+
+
+def build_sep_unsteer_bilocal(
+    sep: SeparableDecomposition, rho_bc: QOperator, m: POVM, lhs
+) -> NLHSModel:
+    """NLHS model for a separable first source and a second source that is
+    unsteerable toward the trusted right endpoint, for any fixed central
+    measurement."""
+    if sep.state().dims[1] != m.dims[0] or rho_bc.dims[0] != m.dims[1]:
+        raise DimensionError("measurement dims do not match the two sources")
+    povms = [induced_measurement(m, g, side="left") for g in sep.right_states]
+    data = lhs.find(rho_bc, povms, direction="right")
+    return NLHSModel(
+        source_dists=[sep.weights, data.dist],
+        responses=[data.response],          # resp[b, gamma, lambda]
+        left_states=sep.left_states,
+        right_states=data.states,
+        outcome_labels=[m.outcome_labels],
+    )
+
+
+def build_triangle_patterns(pattern: str, slots, measurements) -> NLHSModel:
+    """Explicit NLHS constructions for the four-party line (unwrapped
+    triangle): SEP-LOC-SEP, UNS-SEP-UNS, SEP-UNS-UNS, UNS-UNS-SEP.
+
+    Each branch follows its own derivation chain (induced measurements,
+    then provider extraction, then assembly); the generic percolation
+    constructor provides an independent route for cross-checks.
+    """
+    slots = list(slots)
+    measurements = list(measurements)
+    if len(slots) != 3 or len(measurements) != 2:
+        raise PatternError("triangle patterns need three sources, two measurements")
+    m0, m1 = measurements
+    s0, s1, s2 = slots
+
+    if pattern == "SEP-LOC-SEP":
+        d0, d2 = s0.decomposition, s2.decomposition
+        if d0 is None or d2 is None:
+            raise PatternError("end slots need separable decompositions")
+        left_povms = [induced_measurement(m0, r, "left") for r in d0.right_states]
+        right_povms = [induced_measurement(m1, l, "right") for l in d2.left_states]
+        behavior = lhv_behavior(s1.state, left_povms, right_povms)
+        try:
+            dist, resp_b, resp_c = solve_lhv(behavior)
+        except ModelNotFoundError as exc:
+            raise ModelNotFoundError(f"LOC slot 1: {exc}") from exc
+        return NLHSModel(
+            [d0.weights, dist, d2.weights],
+            [np.transpose(resp_b, (0, 1, 2)),              # [b, alpha, lam]
+             np.transpose(resp_c, (0, 2, 1))],             # [c, lam, beta]
+            d0.left_states,
+            d2.right_states,
+            outcome_labels=[m0.outcome_labels, m1.outcome_labels],
+        )
+
+    if pattern == "UNS-SEP-UNS":
+        d1 = s1.decomposition
+        if d1 is None:
+            raise PatternError("central slot needs a separable decomposition")
+        povms_left = [induced_measurement(m0, l, "right") for l in d1.left_states]
+        povms_right = [induced_measurement(m1, r, "left") for r in d1.right_states]
+        try:
+            data0 = s0.provider.find(s0.state, povms_left, direction="left")
+        except ModelNotFoundError as exc:
+            raise ModelNotFoundError(f"UNS slot 0: {exc}") from exc
+        try:
+            data2 = s2.provider.find(s2.state, povms_right, direction="right")
+        except ModelNotFoundError as exc:
+            raise ModelNotFoundError(f"UNS slot 2: {exc}") from exc
+        return NLHSModel(
+            [data0.dist, d1.weights, data2.dist],
+            [np.transpose(data0.response, (0, 2, 1)),      # [b, alpha, gamma]
+             data2.response],                              # [c, gamma, beta]
+            data0.states,
+            data2.states,
+            outcome_labels=[m0.outcome_labels, m1.outcome_labels],
+        )
+
+    if pattern == "SEP-UNS-UNS":
+        d0 = s0.decomposition
+        if d0 is None:
+            raise PatternError("first slot needs a separable decomposition")
+        povms0 = [induced_measurement(m0, r, "left") for r in d0.right_states]
+        try:
+            data1 = s1.provider.find(s1.state, povms0, direction="right")
+        except ModelNotFoundError as exc:
+            raise ModelNotFoundError(f"UNS slot 1: {exc}") from exc
+        povms1 = [induced_measurement(m1, g, "left") for g in data1.states]
+        try:
+            data2 = s2.provider.find(s2.state, povms1, direction="right")
+        except ModelNotFoundError as exc:
+            raise ModelNotFoundError(f"UNS slot 2: {exc}") from exc
+        return NLHSModel(
+            [d0.weights, data1.dist, data2.dist],
+            [data1.response, data2.response],
+            d0.left_states,
+            data2.states,
+            outcome_labels=[m0.outcome_labels, m1.outcome_labels],
+        )
+
+    if pattern == "UNS-UNS-SEP":
+        d2 = s2.decomposition
+        if d2 is None:
+            raise PatternError("last slot needs a separable decomposition")
+        povms1 = [induced_measurement(m1, l, "right") for l in d2.left_states]
+        try:
+            data1 = s1.provider.find(s1.state, povms1, direction="left")
+        except ModelNotFoundError as exc:
+            raise ModelNotFoundError(f"UNS slot 1: {exc}") from exc
+        povms0 = [induced_measurement(m0, g, "right") for g in data1.states]
+        try:
+            data0 = s0.provider.find(s0.state, povms0, direction="left")
+        except ModelNotFoundError as exc:
+            raise ModelNotFoundError(f"UNS slot 0: {exc}") from exc
+        return NLHSModel(
+            [data0.dist, data1.dist, d2.weights],
+            [np.transpose(data0.response, (0, 2, 1)),
+             np.transpose(data1.response, (0, 2, 1))],
+            data0.states,
+            d2.right_states,
+            outcome_labels=[m0.outcome_labels, m1.outcome_labels],
+        )
+
+    raise PatternError(f"unknown triangle pattern {pattern!r}")
+

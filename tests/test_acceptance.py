@@ -24,11 +24,10 @@ from netsteer.experiments import (
     run_verify_swap,
 )
 from netsteer.measurements import pauli_projective
-from netsteer.network import line_assemblage, random_linear_network
+from netsteer.network import line_assemblage
 from netsteer.nlhs import (
     build_percolation_line,
     nlhs_to_separable_realization,
-    random_model,
     reconstruct,
     separabilize_endpoint,
 )
@@ -41,7 +40,7 @@ from netsteer.operators import (
 )
 from netsteer.states import werner
 
-from conftest import rand_density, rand_psd
+from conftest import rand_density, rand_psd, random_linear_network, random_model
 
 
 def _verdict(name, ok, detail):

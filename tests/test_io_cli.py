@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from netsteer.cli import main
-from netsteer.nlhs import random_model, reconstruct
+from netsteer.nlhs import reconstruct
 from netsteer.nlhs_io import (
     FixtureError,
     load_fixture,
@@ -16,6 +16,8 @@ from netsteer.nlhs_io import (
     save_model,
 )
 from netsteer.operators import max_entry_distance
+
+from conftest import random_model
 
 
 def fixture_path(name):
@@ -128,6 +130,42 @@ class TestCLI:
 
     def test_nlhs_unknown_fixture_exit_code(self):
         assert main(["nlhs", "--fixture", "does_not_exist"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["claims-demo", "--omega", "1.5"],
+            ["activation", "--n", "2"],
+            ["verify-swap", "--eta-steps", "0"],
+            ["activation", "--omega-min", "0.5", "--omega-max", "0.2"],
+        ],
+    )
+    def test_invalid_parameter_exit_code(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "sources,measurements",
+        [
+            # werner source without its omega
+            ([{"kind": "werner"}, {"kind": "classical_correlated", "d": 2}],
+             [{"kind": "bell_swap", "local_dim": 2}]),
+            # qubit sources joined by a qutrit-pair measurement
+            ([{"kind": "classical_correlated", "d": 2}] * 2,
+             [{"kind": "bell_swap", "local_dim": 3}]),
+        ],
+    )
+    def test_malformed_fixture_exit_code(self, tmp_path, capsys, sources, measurements):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({
+            "pattern": ["SEP", "SEP"],
+            "sources": sources,
+            "measurements": measurements,
+        }))
+        assert main(["nlhs", "--fixture", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_nlhs_realize(self):
         assert main(["nlhs", "--fixture", "sep_loc_sep", "--realize"]) == 0

@@ -1,19 +1,6 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
-import pytest
 
-from netsteer.kernels import (
-    NUMBA_ENABLED,
-    _criterion_values_numpy,
-    _lhs_bound_numpy,
-    criterion_values,
-    fibonacci_sphere,
-    lhs_bound_brute_force,
-    sphere_maximize,
-)
+from netsteer.kernels import criterion_values, fibonacci_sphere, sphere_maximize
 
 
 class TestFibonacciSphere:
@@ -47,43 +34,6 @@ class TestCriterionValues:
             )
             assert abs(vals[i] - expected) < 1e-12
 
-    @pytest.mark.skipif(not NUMBA_ENABLED, reason="numba path disabled")
-    def test_numba_matches_numpy(self, rng):
-        for _ in range(5):
-            a = rng.normal(size=3) * 0.3
-            t = rng.normal(size=(3, 3)) * 0.3
-            xs = fibonacci_sphere(200)
-            fast = criterion_values(a, t, 0.35, xs)
-            slow = _criterion_values_numpy(a, t, 0.35, xs)
-            assert np.max(np.abs(fast - slow)) < 1e-13
-
-
-class TestLHSBound:
-    def test_two_orthogonal_axes(self):
-        axes = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-        exact = np.sqrt(2) / 2
-        approx = lhs_bound_brute_force(axes, n_points=10000)
-        # lattice evaluation only visits feasible hidden states, so it
-        # lower-bounds the exact maximum and converges quadratically
-        assert approx <= exact + 1e-12
-        assert exact - approx < 2e-3
-
-    def test_three_orthogonal_axes(self):
-        axes = np.eye(3)
-        exact = np.sqrt(3) / 3
-        approx = lhs_bound_brute_force(axes, n_points=10000)
-        assert approx <= exact + 1e-12
-        assert exact - approx < 2e-3
-
-    @pytest.mark.skipif(not NUMBA_ENABLED, reason="numba path disabled")
-    def test_numba_matches_numpy(self, rng):
-        axes = rng.normal(size=(4, 3))
-        fast = lhs_bound_brute_force(axes, n_points=3000)
-        slow = _lhs_bound_numpy(
-            np.ascontiguousarray(axes), fibonacci_sphere(3000)
-        )
-        assert abs(fast - slow) < 1e-13
-
 
 class TestSphereMaximize:
     def test_isotropic_closed_form(self):
@@ -109,25 +59,3 @@ class TestSphereMaximize:
         raw = float(np.max(criterion_values(a, t, eta, xs)))
         val, _ = sphere_maximize(a, t, eta, n_points=2000)
         assert val >= raw - 1e-12
-
-
-class TestEnvFlag:
-    def test_numpy_fallback_selected_by_env(self):
-        code = (
-            "from netsteer import kernels; "
-            "import numpy as np; "
-            "print(kernels.NUMBA_ENABLED); "
-            "print(float(kernels.lhs_bound_brute_force("
-            "np.array([[0.,0.,1.],[1.,0.,0.]]), 2000)))"
-        )
-        env = dict(os.environ, NETSTEER_NO_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        lines = out.stdout.split()
-        assert lines[0] == "False"
-        here = lhs_bound_brute_force(
-            np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]]), 2000
-        )
-        assert abs(float(lines[1]) - here) < 1e-12

@@ -12,7 +12,6 @@ from netsteer.measurements import (
     pauli_projective,
 )
 from netsteer.operators import (
-    PAULI_Z,
     QOperator,
     identity,
     max_entry_distance,

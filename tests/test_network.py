@@ -14,20 +14,18 @@ from netsteer.network import (
     condition_on_trusted_measurement,
     lift_inputless_to_conditional,
     line_assemblage,
-    random_linear_network,
     standard_assemblage,
     untrusted_input_to_outcome,
 )
 from netsteer.operators import (
     PAULI_Z,
     QOperator,
-    identity,
     max_entry_distance,
     tensor,
 )
-from netsteer.states import classical_correlated, psi_minus, werner
+from netsteer.states import psi_minus, werner
 
-from conftest import brute_force_assemblage, rand_density
+from conftest import brute_force_assemblage, rand_density, random_linear_network
 
 
 class TestLinearNetworkValidation:
@@ -74,19 +72,6 @@ class TestLineAssemblage:
             assert asm.elements.keys() == oracle.keys()
             for k in oracle:
                 assert max_entry_distance(asm.elements[k], oracle[k]) < 1e-11
-
-    def test_direction_independent(self, rng):
-        for n in (3, 4, 5):
-            net = random_linear_network(rng, n, max_dim=3)
-            left = line_assemblage(net, direction="left")
-            right = line_assemblage(net, direction="right")
-            for k in left.elements:
-                assert max_entry_distance(left.elements[k], right.elements[k]) < 1e-11
-
-    def test_rejects_bad_direction(self, rng):
-        net = random_linear_network(rng, 3)
-        with pytest.raises(ValueError):
-            line_assemblage(net, direction="up")
 
     def test_assemblage_element_matches_full(self, rng):
         net = random_linear_network(rng, 4, max_dim=3)

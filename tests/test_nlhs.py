@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netsteer.measurements import POVM, bell_swap_povm, pauli_projective
+from netsteer.measurements import bell_swap_povm, pauli_projective
 from netsteer.network import LinearNetwork, line_assemblage
 from netsteer.nlhs import (
     BruteForceLHSProvider,
@@ -15,27 +15,23 @@ from netsteer.nlhs import (
     UNS_LEFT,
     UNS_RIGHT,
     build_percolation_line,
-    build_sep_unsteer_bilocal,
-    build_triangle_patterns,
     classical_correlated_decomposition,
     nlhs_to_separable_realization,
     product_decomposition,
-    random_model,
     reconstruct,
     separabilize_endpoint,
     solve_lhv,
     werner_separable_decomposition,
 )
 from netsteer.operators import (
-    QOperator,
     max_entry_distance,
     negativity,
-    partial_trace,
     tensor,
 )
 from netsteer.states import classical_correlated, werner
 
-from conftest import rand_density, rand_psd
+from conftest import rand_density, rand_psd, random_model
+from nlhs_oracles import build_sep_unsteer_bilocal, build_triangle_patterns, lhv_behavior
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
@@ -196,22 +192,9 @@ class TestProviders:
 
 
 class TestSolveLHV:
-    def _behavior(self, rho, left_povms, right_povms):
-        n_b = left_povms[0].n_outcomes
-        n_c = right_povms[0].n_outcomes
-        out = np.zeros((n_b, n_c, len(left_povms), len(right_povms)))
-        for x, pl in enumerate(left_povms):
-            for y, pr in enumerate(right_povms):
-                for b, el in enumerate(pl.effects):
-                    for c, er in enumerate(pr.effects):
-                        out[b, c, x, y] = np.trace(
-                            np.kron(el.matrix, er.matrix) @ rho.matrix
-                        ).real
-        return out
-
     def test_local_behaviour_decomposes(self):
         povms = [pauli_projective(Z), pauli_projective(X)]
-        behavior = self._behavior(werner(0.5), povms, povms)
+        behavior = lhv_behavior(werner(0.5), povms, povms)
         dist, resp_b, resp_c = solve_lhv(behavior)
         rebuilt = np.einsum("l,bxl,cyl->bcxy", dist, resp_b, resp_c)
         assert np.max(np.abs(rebuilt - behavior)) < 1e-10

@@ -11,6 +11,7 @@ from netsteer.operators import (
     NotHermitianError,
     NotPositiveError,
     QOperator,
+    apply_and_trace,
     basis_ket,
     hermitian_eigenvalues,
     identity,
@@ -52,17 +53,6 @@ class TestQOperator:
         assert op.trace() == 10.0
         assert op.dim == 4
         assert op.nfactors == 2
-
-    def test_regroup_merges_contiguous_factors(self):
-        op = identity([2, 3, 2])
-        merged = op.regroup([[0, 1], [2]])
-        assert merged.dims == (6, 2)
-        assert np.array_equal(merged.matrix, op.matrix)
-
-    def test_regroup_rejects_non_partition(self):
-        op = identity([2, 3, 2])
-        with pytest.raises(DimensionError):
-            op.regroup([[0, 2], [1]])
 
 
 class TestTensorAndPartials:
@@ -119,6 +109,41 @@ class TestTensorAndPartials:
         b = rand_psd(rng, [3])
         pt = partial_transpose(tensor(a, b), [1])
         assert np.allclose(pt.matrix, np.kron(a.matrix, b.matrix.T))
+
+
+class TestApplyAndTrace:
+    @staticmethod
+    def _rand_op(rng, dims):
+        d = int(np.prod(dims))
+        return QOperator(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), dims)
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (4, 2)])
+    @pytest.mark.parametrize("factor", [0, 1])
+    def test_matches_definition(self, rng, dims, factor):
+        for _ in range(3):
+            op = self._rand_op(rng, dims)
+            local = self._rand_op(rng, [dims[factor]])
+            eye = np.eye(dims[1 - factor])
+            full = np.kron(local.matrix, eye) if factor == 0 else np.kron(eye, local.matrix)
+            expected = partial_trace(QOperator(full @ op.matrix, dims), keep=[1 - factor])
+            # by cyclicity inside the partial trace the order does not matter
+            swapped = partial_trace(QOperator(op.matrix @ full, dims), keep=[1 - factor])
+            got = apply_and_trace(op, local, factor)
+            assert got.dims == (dims[1 - factor],)
+            assert max_entry_distance(got, expected) < 1e-12
+            assert max_entry_distance(got, swapped) < 1e-12
+
+    def test_rejects_local_dim_mismatch(self, rng):
+        op = self._rand_op(rng, (2, 3))
+        with pytest.raises(DimensionError):
+            apply_and_trace(op, self._rand_op(rng, [3]), 0)
+        with pytest.raises(DimensionError):
+            apply_and_trace(op, self._rand_op(rng, [2]), 1)
+
+    @pytest.mark.parametrize("dims", [(4,), (2, 2, 2)])
+    def test_rejects_non_bipartite_operator(self, rng, dims):
+        with pytest.raises(DimensionError):
+            apply_and_trace(self._rand_op(rng, dims), self._rand_op(rng, [dims[0]]), 0)
 
 
 class TestSpectra:
