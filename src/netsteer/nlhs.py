@@ -15,7 +15,9 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.optimize import nnls
 
+from .kernels import fibonacci_sphere
 from .operators import (
+    PAULIS,
     QOperator,
     TOL_EQ,
     apply_and_trace,
@@ -36,6 +38,8 @@ from .network import (
 )
 
 RECONSTRUCTION_TOL = 1e-10
+N_BLOCH = 26              # Fibonacci-grid qubit states added to the LHS candidates
+MAX_SYSTEM_ENTRIES = 2 ** 25   # rows x columns of the largest NNLS system built
 
 
 class ModelNotFoundError(RuntimeError):
@@ -111,7 +115,6 @@ class NLHSModel:
 
 def reconstruct(model: NLHSModel) -> NetworkAssemblage:
     """Assemble the (separable-by-construction) network assemblage."""
-    dims = (model.left_states[0].dims[0], model.right_states[0].dims[0])
     d_l, d_r = model.left_states[0].dim, model.right_states[0].dim
     elements = {}
     outcome_ranges = [range(r.shape[0]) for r in model.responses]
@@ -187,8 +190,6 @@ def werner_separable_decomposition(omega: float) -> SeparableDecomposition:
     lefts = []
     rights = []
     eye = np.eye(2, dtype=complex)
-    from .operators import PAULIS
-
     for s in PAULIS:
         plus = QOperator((eye + s) / 2, [2])
         minus = QOperator((eye - s) / 2, [2])
@@ -213,9 +214,45 @@ class LHSData:
     states: tuple[QOperator, ...]
 
 
-def _assemblage_from(rho: QOperator, povms: Sequence[POVM], direction: str) -> dict:
-    side = "left" if direction == "right" else "right"
-    return standard_assemblage(rho, povms, side=side)
+def _strategies(n_out: int, n_in: int) -> np.ndarray:
+    """0/1 table d[s, b, x] = [s(x) == b] of the deterministic strategies
+    s: inputs -> outcomes, in ``itertools.product(range(n_out), repeat=n_in)``
+    order."""
+    digits = np.indices((n_out,) * n_in).reshape(n_in, -1).T
+    return (digits[:, None, :] == np.arange(n_out)[:, None]).astype(float)
+
+
+def _check_size(rows: int, cols: int) -> None:
+    """Refuse, before it is built, a system the finite search cannot hold."""
+    if rows * cols > MAX_SYSTEM_ENTRIES:
+        raise ModelNotFoundError(
+            f"{rows} x {cols} system exceeds the search limit of "
+            f"{MAX_SYSTEM_ENTRIES} entries"
+        )
+
+
+def _nnls_weights(a_mat: np.ndarray, b_vec: np.ndarray, what: str) -> np.ndarray:
+    """Nonnegative w with a_mat @ w = b_vec within ``RECONSTRUCTION_TOL``."""
+    w, _ = nnls(a_mat, b_vec, maxiter=10 * a_mat.shape[1])
+    resid = np.max(np.abs(a_mat @ w - b_vec))
+    if resid > RECONSTRUCTION_TOL:
+        raise ModelNotFoundError(
+            f"{what} residual {resid:.3e} exceeds {RECONSTRUCTION_TOL:.1e}"
+        )
+    return w
+
+
+def _born(effects: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Re Tr(E S) over broadcast stacks of effect and state matrices."""
+    return np.trace(effects @ states, axis1=-2, axis2=-1).real
+
+
+def _real_rows(mats) -> np.ndarray:
+    """Each complex matrix of a stack as one real row: real part, then
+    imaginary part, both row-major."""
+    mats = np.asarray(mats)
+    flat = mats.reshape(mats.shape[:-2] + (-1,))
+    return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
 class SeparableLHSProvider:
@@ -231,125 +268,78 @@ class SeparableLHSProvider:
             raise ModelNotFoundError("decomposition does not reproduce the source")
         measured = dec.left_states if direction == "right" else dec.right_states
         kept = dec.right_states if direction == "right" else dec.left_states
-        n_out = povms[0].n_outcomes
-        resp = np.zeros((n_out, len(povms), len(dec.weights)))
-        for x, povm in enumerate(povms):
-            for b, effect in enumerate(povm.effects):
-                for g, s in enumerate(measured):
-                    resp[b, x, g] = np.trace(effect.matrix @ s.matrix).real
-        return LHSData(dec.weights, resp, kept)
+        effects = np.array([[e.matrix for e in povm.effects] for povm in povms])
+        resp = _born(effects[:, :, None], np.array([s.matrix for s in measured]))
+        return LHSData(dec.weights, resp.transpose(1, 0, 2), kept)
 
 
 class BruteForceLHSProvider:
     """Finite-behaviour search: deterministic response functions paired with
-    hidden states drawn from the steered states plus a coarse Bloch grid,
-    weights solved by nonnegative least squares.  Only reconstructions
-    within ``tol`` are accepted."""
+    hidden states drawn from the normalised steered states plus, for a qubit,
+    a fixed grid of ``N_BLOCH`` = 26 Fibonacci-sphere Bloch vectors; weights
+    solved by nonnegative least squares.  Only reconstructions within
+    ``RECONSTRUCTION_TOL`` are accepted.  A search whose system would exceed
+    ``MAX_SYSTEM_ENTRIES`` = 2**25 entries raises ``ModelNotFoundError``
+    before any of it is enumerated."""
 
-    def __init__(self, n_bloch: int = 26, tol: float = RECONSTRUCTION_TOL):
-        self.n_bloch = n_bloch
-        self.tol = tol
-
-    def _candidates(self, rho, povms, direction):
-        asm = _assemblage_from(rho, povms, direction)
+    def find(self, rho: QOperator, povms: Sequence[POVM], direction: str) -> LHSData:
+        side = "left" if direction == "right" else "right"
+        asm = standard_assemblage(rho, povms, side=side)
         cands = []
         for op in asm.values():
             tr = op.trace()
             if tr > 1e-9:
                 cands.append(QOperator(op.matrix / tr, op.dims))
-        kept_dim = cands[0].dim if cands else rho.dims[1 if direction == "right" else 0]
-        if kept_dim == 2:
-            from .kernels import fibonacci_sphere
-            from .operators import PAULIS
-
-            for u in fibonacci_sphere(self.n_bloch):
+        d = rho.dims[1 if direction == "right" else 0]
+        if d == 2:
+            for u in fibonacci_sphere(N_BLOCH):
                 obs = sum(c * s for c, s in zip(u, PAULIS))
                 cands.append(QOperator((np.eye(2) + obs) / 2, [2]))
-        return cands
-
-    def find(self, rho: QOperator, povms: Sequence[POVM], direction: str) -> LHSData:
-        asm = _assemblage_from(rho, povms, direction)
-        n_out = povms[0].n_outcomes
-        n_in = len(povms)
-        cands = self._candidates(rho, povms, direction)
-        strategies = list(itertools.product(range(n_out), repeat=n_in))
-        # unknowns: c[strategy, candidate] >= 0 with
-        #   sum_{D: D(x)=b} sum_j c[D,j] tau_j = sigma_{b|x}
-        d = cands[0].dim
-        n_eq_block = d * d * 2
-        rows = []
-        target = []
+        n_out, n_in, n_cand = povms[0].n_outcomes, len(povms), len(cands)
+        _check_size(n_in * n_out * 2 * d * d, n_out ** n_in * n_cand)
+        # unknowns: c[s, j] >= 0 with
+        #   sum_{s: s(x)=b} sum_j c[s, j] tau_j = sigma_{b|x}
+        # rows [x, b, entry of sigma_{b|x}], columns [s, j]
+        strat = _strategies(n_out, n_in)
+        tau = _real_rows([c.matrix for c in cands]).T
+        a_mat = np.zeros((n_in, n_out, len(tau), len(strat), n_cand))
         for x in range(n_in):
             for b in range(n_out):
-                sig = asm[(povms[x].outcome_labels[b], x)].matrix
-                target.append(np.concatenate([sig.real.ravel(), sig.imag.ravel()]))
-                row = np.zeros((n_eq_block, len(strategies) * len(cands)))
-                for si, strat in enumerate(strategies):
-                    if strat[x] != b:
-                        continue
-                    for j, tau in enumerate(cands):
-                        col = si * len(cands) + j
-                        row[:, col] = np.concatenate(
-                            [tau.matrix.real.ravel(), tau.matrix.imag.ravel()]
-                        )
-                rows.append(row)
-        a_mat = np.vstack(rows)
-        b_vec = np.concatenate(target)
-        c, _ = nnls(a_mat, b_vec, maxiter=10 * a_mat.shape[1])
-        resid = np.max(np.abs(a_mat @ c - b_vec))
-        if resid > self.tol:
-            raise ModelNotFoundError(f"NNLS residual {resid:.3e} exceeds {self.tol:.1e}")
-        weights = c.reshape(len(strategies), len(cands))
-        keep = np.argwhere(weights > 1e-14)
-        dist = np.array([weights[si, j] for si, j in keep])
-        states = tuple(cands[j] for _, j in keep)
-        resp = np.zeros((n_out, n_in, len(dist)))
-        for li, (si, _) in enumerate(keep):
-            for x in range(n_in):
-                resp[strategies[si][x], x, li] = 1.0
+                a_mat[x, b][:, strat[:, b, x] > 0] = tau[:, None, :]
+        sigma = _real_rows([op.matrix for op in asm.values()])
+        c = _nnls_weights(a_mat.reshape(sigma.size, -1), sigma.ravel(), "NNLS")
+        weights = c.reshape(len(strat), n_cand)
+        keep_s, keep_j = np.nonzero(weights > 1e-14)
+        dist = weights[keep_s, keep_j]
         total = dist.sum()
         if abs(total - 1.0) > 1e-8:
             raise ModelNotFoundError(f"weights sum to {total}, expected 1")
-        return LHSData(dist / total, resp, states)
+        resp = strat[keep_s].transpose(1, 2, 0)
+        return LHSData(dist / total, resp, tuple(cands[j] for j in keep_j))
 
 
-def solve_lhv(behavior: np.ndarray, tol: float = RECONSTRUCTION_TOL):
+def solve_lhv(behavior: np.ndarray):
     """Local-hidden-variable decomposition of p(b, c | x, y).
 
     ``behavior`` has shape (n_b, n_c, n_x, n_y).  Returns (dist over
     deterministic strategy pairs, left responses resp_b[b, x, l],
     right responses resp_c[c, y, l]).  Deterministic-vertex weights are
     found by nonnegative least squares; first-feasible tie-break is the
-    lowest lexicographic strategy index (nnls is deterministic).
+    lowest lexicographic strategy index (nnls is deterministic).  A system
+    over ``MAX_SYSTEM_ENTRIES`` raises ``ModelNotFoundError``.
     """
     n_b, n_c, n_x, n_y = behavior.shape
-    left = list(itertools.product(range(n_b), repeat=n_x))
-    right = list(itertools.product(range(n_c), repeat=n_y))
-    n_vert = len(left) * len(right)
-    a_mat = np.zeros((n_b * n_c * n_x * n_y, n_vert))
-    for vi, (dl, dr) in enumerate(itertools.product(left, right)):
-        for x in range(n_x):
-            for y in range(n_y):
-                idx = ((dl[x] * n_c + dr[y]) * n_x + x) * n_y + y
-                a_mat[idx, vi] = 1.0
-    # index layout matches a_mat: ((b * n_c + c) * n_x + x) * n_y + y
-    b_vec = behavior.reshape(-1)
-    q, _ = nnls(a_mat, b_vec, maxiter=10 * n_vert)
-    resid = np.max(np.abs(a_mat @ q - b_vec))
-    if resid > tol:
-        raise ModelNotFoundError(f"LHV residual {resid:.3e} exceeds {tol:.1e}")
-    keep = np.argwhere(q > 1e-14).ravel()
+    _check_size(behavior.size, n_b ** n_x * n_c ** n_y)
+    left = _strategies(n_b, n_x)
+    right = _strategies(n_c, n_y)
+    # rows ((b * n_c + c) * n_x + x) * n_y + y, columns l * len(right) + r
+    a_mat = np.einsum("lbx,rcy->bcxylr", left, right).reshape(behavior.size, -1)
+    q = _nnls_weights(a_mat, behavior.reshape(-1), "LHV")
+    keep = np.flatnonzero(q > 1e-14)
     dist = q[keep]
     dist = dist / dist.sum()
-    resp_b = np.zeros((n_b, n_x, len(keep)))
-    resp_c = np.zeros((n_c, n_y, len(keep)))
-    pairs = list(itertools.product(left, right))
-    for li, vi in enumerate(keep):
-        dl, dr = pairs[vi]
-        for x in range(n_x):
-            resp_b[dl[x], x, li] = 1.0
-        for y in range(n_y):
-            resp_c[dr[y], y, li] = 1.0
+    resp_b = left[keep // len(right)].transpose(1, 2, 0)
+    resp_c = right[keep % len(right)].transpose(1, 2, 0)
     return dist, resp_b, resp_c
 
 
@@ -392,17 +382,12 @@ class SourceSlot:
 
 
 def _lhv_behavior(rho: QOperator, left_povms, right_povms) -> np.ndarray:
-    n_b = left_povms[0].n_outcomes
-    n_c = right_povms[0].n_outcomes
-    behavior = np.zeros((n_b, n_c, len(left_povms), len(right_povms)))
-    for x, pl in enumerate(left_povms):
-        for y, pr in enumerate(right_povms):
-            for b, el in enumerate(pl.effects):
-                for c, er in enumerate(pr.effects):
-                    behavior[b, c, x, y] = np.trace(
-                        np.kron(el.matrix, er.matrix) @ rho.matrix
-                    ).real
-    return behavior
+    kron = np.array([
+        [[[np.kron(el.matrix, er.matrix) for er in pr.effects] for pr in right_povms]
+         for el in pl.effects]
+        for pl in left_povms
+    ])
+    return _born(kron, rho.matrix).transpose(1, 3, 0, 2)
 
 
 def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
@@ -423,22 +408,13 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
     if slots[-1].kind not in (SEP, UNS_RIGHT):
         raise PatternError("rightmost slot must be SEP or UNS_RIGHT (endpoint states)")
 
-    # each measurement j is consumed by exactly one resolver
-    consumer = []
+    # each measurement j is consumed by at most one resolver
     for j in range(n_src - 1):
-        left_claims = slots[j].kind in (UNS_LEFT, LOC)
-        right_claims = slots[j + 1].kind in (UNS_RIGHT, LOC)
-        if left_claims and right_claims:
+        if slots[j].kind in (UNS_LEFT, LOC) and slots[j + 1].kind in (UNS_RIGHT, LOC):
             raise PatternError(
                 f"measurement {j} claimed from both sides "
                 f"({slots[j].kind} vs {slots[j + 1].kind})"
             )
-        if left_claims:
-            consumer.append(("left", j))
-        elif right_claims:
-            consumer.append(("right", j + 1))
-        else:
-            consumer.append(("direct", None))
 
     dists: list = [None] * n_src
     left_states: list = [None] * n_src    # states provided on the slot's left factor
@@ -456,64 +432,34 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
 
     def try_resolve(i: int) -> bool:
         slot = slots[i]
-        if slot.kind == UNS_RIGHT:
-            if i == 0 or right_states[i - 1] is None:
-                return False
-            povms = [
-                induced_measurement(measurements[i - 1], r, "left")
-                for r in right_states[i - 1]
-            ]
-            try:
-                data = slot.provider.find(slot.state, povms, direction="right")
-            except ModelNotFoundError as exc:
-                raise ModelNotFoundError(f"UNS slot {i}: {exc}") from exc
-            dists[i] = data.dist
-            right_states[i] = data.states
-            responses[i - 1] = data.response          # [b, lam_{i-1}, lam_i]
-            transcript.append(f"slot {i}: UNS_RIGHT resolved via measurement {i - 1}")
-            return True
-        if slot.kind == UNS_LEFT:
-            if i == n_src - 1 or left_states[i + 1] is None:
-                return False
-            povms = [
-                induced_measurement(measurements[i], l, "right")
-                for l in left_states[i + 1]
-            ]
-            try:
-                data = slot.provider.find(slot.state, povms, direction="left")
-            except ModelNotFoundError as exc:
-                raise ModelNotFoundError(f"UNS slot {i}: {exc}") from exc
-            dists[i] = data.dist
-            left_states[i] = data.states
-            responses[i] = np.transpose(data.response, (0, 2, 1))
-            transcript.append(f"slot {i}: UNS_LEFT resolved via measurement {i}")
-            return True
-        if slot.kind == LOC:
-            if i == 0 or i == n_src - 1:
-                raise PatternError("LOC slot cannot sit at an endpoint")
-            if right_states[i - 1] is None or left_states[i + 1] is None:
-                return False
-            lp = [
-                induced_measurement(measurements[i - 1], r, "left")
-                for r in right_states[i - 1]
-            ]
-            rp = [
-                induced_measurement(measurements[i], l, "right")
-                for l in left_states[i + 1]
-            ]
-            behavior = _lhv_behavior(slot.state, lp, rp)
-            try:
-                dist, resp_b, resp_c = solve_lhv(behavior)
-            except ModelNotFoundError as exc:
-                raise ModelNotFoundError(f"LOC slot {i}: {exc}") from exc
-            dists[i] = dist
-            responses[i - 1] = np.transpose(resp_b, (0, 1, 2))
-            responses[i] = np.transpose(resp_c, (0, 2, 1))
-            transcript.append(
-                f"slot {i}: LOC resolved via measurements {i - 1} and {i}"
-            )
-            return True
-        return False
+        takes_left = slot.kind in (UNS_RIGHT, LOC)     # consumes measurement i - 1
+        takes_right = slot.kind in (UNS_LEFT, LOC)     # consumes measurement i
+        if (takes_left and right_states[i - 1] is None) or (
+            takes_right and left_states[i + 1] is None
+        ):
+            return False
+        lp = [induced_measurement(measurements[i - 1], r, "left")
+              for r in right_states[i - 1]] if takes_left else None
+        rp = [induced_measurement(measurements[i], l, "right")
+              for l in left_states[i + 1]] if takes_right else None
+        try:
+            if slot.kind == LOC:
+                dists[i], resp_b, resp_c = solve_lhv(_lhv_behavior(slot.state, lp, rp))
+            else:
+                direction = "right" if takes_left else "left"
+                data = slot.provider.find(slot.state, lp if takes_left else rp, direction)
+                dists[i], resp_b, resp_c = data.dist, data.response, data.response
+                (right_states if takes_left else left_states)[i] = data.states
+        except ModelNotFoundError as exc:
+            raise ModelNotFoundError(f"{slot.kind.split('_')[0]} slot {i}: {exc}") from exc
+        if takes_left:
+            responses[i - 1] = resp_b                             # [b, lam_{i-1}, lam_i]
+        if takes_right:
+            responses[i] = np.transpose(resp_c, (0, 2, 1))        # [c, lam_i, lam_{i+1}]
+        via = {UNS_RIGHT: f"measurement {i - 1}", UNS_LEFT: f"measurement {i}",
+               LOC: f"measurements {i - 1} and {i}"}[slot.kind]
+        transcript.append(f"slot {i}: {slot.kind} resolved via {via}")
+        return True
 
     pending = [i for i in range(n_src) if slots[i].kind != SEP]
     while pending:
@@ -528,21 +474,13 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
                 "(direction conflict or missing input)"
             )
 
-    for j, (mode, _) in enumerate(consumer):
-        if mode == "direct":
-            rs = right_states[j]
-            ls = left_states[j + 1]
-            if rs is None or ls is None:
-                raise PatternError(f"measurement {j} has no resolved neighbour states")
-            m = measurements[j]
-            resp = np.zeros((m.n_outcomes, len(rs), len(ls)))
-            for b, effect in enumerate(m.effects):
-                for a, r in enumerate(rs):
-                    for c, l in enumerate(ls):
-                        resp[b, a, c] = np.trace(
-                            effect.matrix @ np.kron(r.matrix, l.matrix)
-                        ).real
-            responses[j] = resp
+    # a measurement no slot consumed responds directly to its neighbour states
+    for j, m in enumerate(measurements):
+        if responses[j] is None:
+            states = np.array([[np.kron(r.matrix, l.matrix) for l in left_states[j + 1]]
+                               for r in right_states[j]])
+            effects = np.array([e.matrix for e in m.effects])
+            responses[j] = _born(effects[:, None, None], states)
             transcript.append(f"measurement {j}: direct response from neighbour states")
 
     model = NLHSModel(
@@ -553,7 +491,6 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
         outcome_labels=[m.outcome_labels for m in measurements],
     )
     return model, transcript
-
 
 # --------------------------------------------------------------------------
 # separabilisation transforms

@@ -131,19 +131,22 @@ def load_fixture(path) -> tuple[str, list[SourceSlot], list[POVM]]:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FixtureError(f"invalid JSON in {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise FixtureError("a fixture must be a JSON object")
     for key in ("pattern", "sources", "measurements"):
         if key not in doc:
             raise FixtureError(f"fixture missing {key!r}")
-    pattern = list(doc["pattern"])
-    if len(pattern) != len(doc["sources"]):
-        raise FixtureError("one pattern tag per source required")
     try:
+        pattern = list(doc["pattern"])
         sources = [_build_source(src) for src in doc["sources"]]
         measurements = [_build_measurement(m) for m in doc["measurements"]]
     except FixtureError:
         raise
-    except (KeyError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        # a missing key, an out-of-range value, or a value of the wrong JSON type
         raise FixtureError(f"malformed fixture entry: {exc!r}") from exc
+    if len(pattern) != len(sources):
+        raise FixtureError("one pattern tag per source required")
     try:
         slots = [
             SourceSlot(tag, state, decomposition=dec)

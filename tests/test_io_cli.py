@@ -154,6 +154,13 @@ class TestCLI:
             # qubit sources joined by a qutrit-pair measurement
             ([{"kind": "classical_correlated", "d": 2}] * 2,
              [{"kind": "bell_swap", "local_dim": 3}]),
+            # values of the wrong JSON type
+            ([{"kind": "werner", "omega": None}, {"kind": "classical_correlated", "d": 2}],
+             [{"kind": "bell_swap", "local_dim": 2}]),
+            ([1, {"kind": "classical_correlated", "d": 2}],
+             [{"kind": "bell_swap", "local_dim": 2}]),
+            ([{"kind": "classical_correlated", "d": 2}] * 2,
+             [{"kind": "bell_swap", "local_dim": [2]}]),
         ],
     )
     def test_malformed_fixture_exit_code(self, tmp_path, capsys, sources, measurements):
@@ -166,6 +173,43 @@ class TestCLI:
         assert main(["nlhs", "--fixture", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("document", ["5", "null"])
+    def test_non_object_fixture_exit_code(self, tmp_path, capsys, document):
+        path = tmp_path / "bad.json"
+        path.write_text(document)
+        assert main(["nlhs", "--fixture", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "pattern,sources,measurements,slot,reason",
+        [
+            # Werner(0.9) is steerable: the finite search finds no LHS model
+            (["SEP", "UNS_RIGHT"], [{"kind": "werner", "omega": 0.3}, {"kind": "werner", "omega": 0.9}],
+             [{"kind": "bell_swap", "local_dim": 2}], "UNS slot 1", "NNLS residual"),
+            # 4^10 strategies x 66 candidates x 320 rows
+            (["SEP", "UNS_RIGHT"], [{"kind": "werner", "omega": 0.3}, {"kind": "werner", "omega": 0.4}],
+             [{"kind": "computational", "d": 2}], "UNS slot 1", "search limit"),
+            # 4^10 x 2^2 LHV vertices x 160 rows
+            (["SEP", "LOC", "SEP"],
+             [{"kind": "werner", "omega": 0.3}, {"kind": "werner", "omega": 0.5},
+              {"kind": "classical_correlated", "d": 2}],
+             [{"kind": "computational", "d": 2}, {"kind": "bell_swap", "local_dim": 2}],
+             "LOC slot 1", "search limit"),
+        ],
+        ids=["steerable", "uns-over-limit", "loc-over-limit"],
+    )
+    def test_no_model_exit_code(self, tmp_path, capsys, pattern, sources, measurements,
+                                slot, reason):
+        path = tmp_path / "no_model.json"
+        path.write_text(json.dumps({
+            "pattern": pattern, "sources": sources, "measurements": measurements,
+        }))
+        assert main(["nlhs", "--fixture", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: no model found: {slot}: ") and reason in err
+        assert err.count("\n") == 1
 
     def test_nlhs_realize(self):
         assert main(["nlhs", "--fixture", "sep_loc_sep", "--realize"]) == 0

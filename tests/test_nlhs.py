@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ from nlhs_oracles import build_sep_unsteer_bilocal, build_triangle_patterns, lhv
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
+Y = (0.0, 1.0, 0.0)
 
 
 def _assemblage_deviation(model, net):
@@ -190,6 +193,20 @@ class TestProviders:
         with pytest.raises(ModelNotFoundError):
             BruteForceLHSProvider().find(werner(0.9), povms, "right")
 
+    @pytest.mark.parametrize("direction", ["right", "left"])
+    @pytest.mark.parametrize("axes", [(Z, X), (Z, X, Y)], ids=["zx", "zxy"])
+    def test_brute_force_both_directions(self, axes, direction):
+        povms = [pauli_projective(a) for a in axes]
+        data = BruteForceLHSProvider().find(werner(0.4), povms, direction)
+        self._check_lhs(data, werner(0.4), povms, direction)
+
+    def test_brute_force_refuses_oversized_search(self):
+        # 2^24 strategies x 74 candidates x 384 rows: refused before it is built
+        start = time.perf_counter()
+        with pytest.raises(ModelNotFoundError, match="search limit"):
+            BruteForceLHSProvider().find(werner(0.4), [pauli_projective(Z)] * 24, "right")
+        assert time.perf_counter() - start < 1.0
+
 
 class TestSolveLHV:
     def test_local_behaviour_decomposes(self):
@@ -211,6 +228,29 @@ class TestSolveLHV:
                             pr[b, c, x, y] = 0.5
         with pytest.raises(ModelNotFoundError):
             solve_lhv(pr)
+
+    def test_asymmetric_shapes(self):
+        # (n_b, n_c, n_x, n_y) = (2, 3, 3, 2): a swapped axis cannot rebuild it
+        rng = np.random.default_rng(11)
+        weights = rng.dirichlet(np.ones(5))
+        lefts = rng.integers(0, 2, size=(5, 3))
+        rights = rng.integers(0, 3, size=(5, 2))
+        behavior = np.zeros((2, 3, 3, 2))
+        for w, b_of_x, c_of_y in zip(weights, lefts, rights):
+            for x in range(3):
+                for y in range(2):
+                    behavior[b_of_x[x], c_of_y[y], x, y] += w
+        dist, resp_b, resp_c = solve_lhv(behavior)
+        assert resp_b.shape == (2, 3, len(dist))
+        assert resp_c.shape == (3, 2, len(dist))
+        rebuilt = np.einsum("l,bxl,cyl->bcxy", dist, resp_b, resp_c)
+        assert np.max(np.abs(rebuilt - behavior)) < 1e-10
+
+    def test_refuses_oversized_system(self):
+        start = time.perf_counter()
+        with pytest.raises(ModelNotFoundError, match="search limit"):
+            solve_lhv(np.full((2, 2, 30, 30), 0.25))
+        assert time.perf_counter() - start < 1.0
 
 
 class TestConstructors:
@@ -278,6 +318,18 @@ class TestConstructors:
         net = LinearNetwork([s.state for s in slots], ms)
         assert _assemblage_deviation(model, net) < 1e-10
         assert len(transcript) >= len(kinds)
+
+    @pytest.mark.parametrize(
+        "kinds", [(SEP, UNS_RIGHT, SEP), (SEP, SEP)], ids=["SEP-UNS-SEP", "SEP-SEP"]
+    )
+    def test_percolation_direct_response(self, kinds):
+        # the last measurement is consumed by no slot, so it responds directly
+        slots = _slots(kinds)
+        ms = [bell_swap_povm(2)] * (len(kinds) - 1)
+        model, transcript = build_percolation_line(slots, ms)
+        net = LinearNetwork([s.state for s in slots], ms)
+        assert _assemblage_deviation(model, net) < 1e-10
+        assert any("direct response" in line for line in transcript)
 
     def test_percolation_rejects_measurement_conflict(self):
         slots = _slots((UNS_LEFT, UNS_RIGHT))

@@ -1,0 +1,95 @@
+"""Write a byte-comparable snapshot of the CLI's outputs.
+
+    PYTHONPATH=src python3 tools/cli_snapshot.py OUTDIR
+
+Runs ``netsteer.cli.main`` in process for a fixed list of commands
+(``verify-swap``, three ``activation`` sweeps, ``claims-demo`` for both
+axis presets at four visibilities, and ``nlhs --realize --model-out`` on
+the bundled fixtures, the benchmark's Werner fixture and five extra
+fixtures written into OUTDIR).  For each command it writes the JSON
+report with sorted keys and without ``wall_time`` and ``inputs.fixture``,
+the ``--model-out`` file where there is one, and ``<name>.exit`` holding
+the exit code and stderr.  Two snapshots of the same outputs compare equal
+under ``diff -r``; the ``fixtures/`` subdirectory is input, not output.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from netsteer.cli import main
+
+REPO = Path(__file__).resolve().parent.parent
+
+BUNDLED = ("sep_loc_sep", "uns_sep_uns", "sep_uns_uns", "uns_uns_sep", "percolation_star_n6")
+
+CC2 = {"kind": "classical_correlated", "d": 2}
+SWAP2 = {"kind": "bell_swap", "local_dim": 2}
+COMP2 = {"kind": "computational", "d": 2}
+
+
+def _werner(omega):
+    return {"kind": "werner", "omega": omega}
+
+
+EXTRA_FIXTURES = {
+    "sep-uns-sep": (["SEP", "UNS_RIGHT", "SEP"], [_werner(0.3), _werner(0.4), CC2], [SWAP2, SWAP2]),
+    "uns-sep": (["UNS_LEFT", "SEP"], [_werner(0.4), _werner(0.3)], [SWAP2]),
+    "cc-comp-uns": (["SEP", "UNS_RIGHT"], [CC2, _werner(0.4)], [COMP2]),
+    "cc-loc-cc-comp": (["SEP", "LOC", "SEP"], [CC2, _werner(0.5), CC2], [COMP2, SWAP2]),
+    "sep-sep": (["SEP", "SEP"], [_werner(0.3), CC2], [SWAP2]),
+}
+
+
+def commands(outdir: Path) -> list[tuple[str, list[str]]]:
+    cmds = [
+        ("verify-swap", ["verify-swap"]),
+        ("activation-n3", ["activation", "--n", "3"]),
+        ("activation-n5", ["activation", "--n", "5", "--eta-boundary", "--omega-steps", "1001"]),
+        ("activation-n8", ["activation", "--n", "8", "--eta-boundary", "--omega-min", "0.80",
+                           "--omega-max", "0.95", "--omega-steps", "151"]),
+    ]
+    for axes in ("zx", "zxy"):
+        for omega in ("0.6", "0.75", "0.9", "1.0"):
+            cmds.append((f"claims-{axes}-{omega}", ["claims-demo", "--omega", omega, "--axes", axes]))
+    fixtures = [(name, name) for name in BUNDLED]
+    fixtures.append(("werner_sep_uns", str(REPO / "perfbench" / "fixtures" / "werner_sep_uns.json")))
+    fixture_dir = outdir / "fixtures"
+    fixture_dir.mkdir(parents=True, exist_ok=True)
+    for name, (pattern, sources, measurements) in EXTRA_FIXTURES.items():
+        path = fixture_dir / f"{name}.json"
+        path.write_text(json.dumps(
+            {"name": name, "pattern": pattern, "sources": sources, "measurements": measurements}
+        ))
+        fixtures.append((name, str(path)))
+    for name, fixture in fixtures:
+        model_out = outdir / f"nlhs-{name}.model.json"
+        cmds.append((f"nlhs-{name}", ["nlhs", "--fixture", fixture, "--realize",
+                                      "--model-out", str(model_out)]))
+    return cmds
+
+
+def run(outdir: Path) -> None:
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, argv in commands(outdir):
+        report = outdir / f"{name}.json"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv + ["--format", "json", "--out", str(report)])
+        (outdir / f"{name}.exit").write_text(f"{code}\n{err.getvalue()}")
+        if report.exists():
+            doc = json.loads(report.read_text())
+            doc.pop("wall_time", None)
+            doc.get("inputs", {}).pop("fixture", None)
+            report.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        print(f"{name}: exit {code}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        raise SystemExit("usage: cli_snapshot.py OUTDIR")
+    run(Path(sys.argv[1]))
