@@ -20,6 +20,7 @@ from .operators import (
     NEG_CUTOFF,
     PAULIS,
     QOperator,
+    TOL_CHECK,
     max_entry_distance,
     negativity,
 )
@@ -36,6 +37,7 @@ from .states import DEWParams
 from . import kernels
 
 TOL_OPT = 1e-6
+SPHERE_POINTS = 2000      # Fibonacci-lattice directions searched by erased_unsteerable
 
 CERTIFIED = "NetworkSteeringCertified"
 NLHS_EXHIBITED = "NLHSModelExhibited"
@@ -69,7 +71,7 @@ class BlochData:
         t = np.asarray(t, dtype=float)
         if a.shape != (3,) or t.shape != (3, 3):
             raise ValueError("need a 3-vector and a 3x3 matrix")
-        if np.linalg.norm(a) > 1 + 1e-9 or np.max(np.abs(t)) > 1 + 1e-9:
+        if np.linalg.norm(a) > 1 + TOL_CHECK or np.max(np.abs(t)) > 1 + TOL_CHECK:
             raise ValueError("Bloch data out of physical range")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "t", t)
@@ -122,21 +124,22 @@ def bloch_data(rho: QOperator) -> BlochData:
     return BlochData(a, t)
 
 
-def erased_unsteerable(b: BlochData, eta: float, n_points: int = 2000) -> tuple[bool, float]:
+def erased_unsteerable(b: BlochData, eta: float) -> tuple[bool, float]:
     """Sufficient unsteerability condition after one-sided erasure.
 
-    Maximises (1-3 eta)|a.x| + (3 eta/2)(1 + (a.x)^2) + ||Tx|| over unit
-    vectors x; a value <= 1 certifies unsteerability of the erased state
-    (from the erased side) for arbitrary measurements.  When a = 0 the
-    direction dependence collapses and the maximum is 3 eta/2 plus the
-    largest singular value of T, evaluated in closed form.
+    Maximises (1-3 eta)|a.x| + (3 eta/2)(1 + (a.x)^2) + ||Tx|| over the
+    ``SPHERE_POINTS`` Fibonacci-lattice unit vectors x; a value <= 1
+    certifies unsteerability of the erased state (from the erased side)
+    for arbitrary measurements.  When a = 0 the direction dependence
+    collapses and the maximum is 3 eta/2 plus the largest singular value
+    of T, evaluated in closed form.
     """
     if not (0.0 <= eta <= 1.0):
         raise ValueError(f"eta must be in [0,1], got {eta}")
     if np.linalg.norm(b.a) < 1e-12:
         value = 1.5 * eta + float(np.linalg.svd(b.t, compute_uv=False)[0])
     else:
-        value, _ = kernels.sphere_maximize(b.a, b.t, eta, n_points=n_points)
+        value, _ = kernels.sphere_maximize(b.a, b.t, eta, n_points=SPHERE_POINTS)
     return value <= 1.0 + TOL_OPT, float(value)
 
 

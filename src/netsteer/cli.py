@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.resources
+import json
 import sys
 from pathlib import Path
 
@@ -129,11 +130,6 @@ def main(argv=None) -> int:
         elif args.command == "nlhs":
             fixture = _resolve_fixture(args.fixture)
             report = run_nlhs(fixture, realize=args.realize)
-            if args.model_out is not None:
-                import json
-
-                with open(args.model_out, "w") as fh:
-                    json.dump(report.extra["model"], fh, indent=1)
         else:  # pragma: no cover
             raise AssertionError(args.command)
     except PipelinePreconditionError as exc:
@@ -145,7 +141,14 @@ def main(argv=None) -> int:
     except ModelNotFoundError as exc:
         print(f"error: no model found: {exc}", file=sys.stderr)
         return 3
-    _emit(report, args)
+    try:
+        if getattr(args, "model_out", None) is not None:
+            with open(args.model_out, "w") as fh:
+                json.dump(report.extra["model"], fh, indent=1)
+        _emit(report, args)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0 if report.ok else 1
 
 

@@ -19,11 +19,12 @@ from .measurements import bell_swap_povm
 from .network import LinearNetwork, assemblage_element, line_assemblage
 from .states import DEWParams, dew, werner
 from .certificates import claims_pipeline, dew_unsteerable_both_ways
-from .nlhs import build_percolation_line, reconstruct
+from .nlhs import build_percolation_line, nlhs_to_separable_realization, reconstruct
 from .nlhs_io import load_fixture, model_to_json
 
 SWAP_TOL = 1e-10
 PIPELINE_TOL = 1e-12
+_SWAP = bell_swap_povm(3)    # the qutrit-pair swap measurement of every sweep
 
 
 class SpecError(ValueError):
@@ -70,7 +71,7 @@ def swap_deviation(eta: float, omega: float) -> float:
     """Max-entry distance between the successful-swap element of two erased
     Werner sources and (eta^2/4) times the squared-visibility state."""
     src = dew(DEWParams(eta, omega))
-    net = LinearNetwork([src, src], [bell_swap_povm(3)])
+    net = LinearNetwork([src, src], [_SWAP])
     element = assemblage_element(net, (0,))
     target = dew(DEWParams(eta, omega * omega))
     expected = QOperator(eta * eta / 4.0 * target.matrix, target.dims)
@@ -102,7 +103,7 @@ def activation_point(n_parties: int, eta: float, omega: float) -> dict:
     n_src = n_parties - 1
     source_neg = negativity(src, [1])
     unsteerable = dew_unsteerable_both_ways(DEWParams(eta, omega))
-    net = LinearNetwork([src] * n_src, [bell_swap_povm(3)] * (n_src - 1))
+    net = LinearNetwork([src] * n_src, [_SWAP] * (n_src - 1))
     sigma0 = assemblage_element(net, (0,) * (n_src - 1))
     sigma0_neg = negativity(sigma0, [1]) if sigma0.trace() > NEG_CUTOFF else 0.0
     return {
@@ -188,8 +189,6 @@ def run_nlhs(fixture_path, realize: bool = False) -> ExperimentReport:
     extra = {"transcript": transcript, "model": model_to_json(model)}
     ok = dev <= 1e-10
     if realize:
-        from .nlhs import nlhs_to_separable_realization
-
         realization = nlhs_to_separable_realization(model)
         realized = line_assemblage(realization.network)
         rdev = max(

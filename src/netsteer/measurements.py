@@ -15,6 +15,7 @@ from .operators import (
     DimensionError,
     PAULIS,
     QOperator,
+    TOL_CHECK,
     TOL_EQ,
     apply_and_trace,
     basis_ket,
@@ -41,9 +42,8 @@ class POVM:
         dims = effects[0].dims
         if any(e.dims != dims for e in effects):
             raise DimensionError("all effects must share one DimList")
-        for e in effects:
-            if not is_psd(e, tol=1e-9):
-                raise InvalidPOVMError("effect is not positive semidefinite")
+        if not is_psd(*effects, tol=TOL_CHECK):
+            raise InvalidPOVMError("effect is not positive semidefinite")
         total = sum(e.matrix for e in effects)
         if np.max(np.abs(total - np.eye(effects[0].dim))) > TOL_EQ:
             raise InvalidPOVMError("effects do not sum to the identity")
@@ -84,11 +84,13 @@ class SeparableMeasurement:
         terms = tuple(tuple(pairs) for pairs in terms)
         if len(terms) != povm.n_outcomes:
             raise InvalidPOVMError("one term list per effect required")
-        for effect, pairs in zip(povm.effects, terms):
+        pairs = [pair for effect_pairs in terms for pair in effect_pairs]
+        if not (is_psd(*(left for left, _ in pairs), tol=TOL_CHECK)
+                and is_psd(*(right for _, right in pairs), tol=TOL_CHECK)):
+            raise InvalidPOVMError("decomposition factor not PSD")
+        for effect, effect_pairs in zip(povm.effects, terms):
             acc = np.zeros_like(effect.matrix)
-            for left, right in pairs:
-                if not (is_psd(left, tol=1e-9) and is_psd(right, tol=1e-9)):
-                    raise InvalidPOVMError("decomposition factor not PSD")
+            for left, right in effect_pairs:
                 acc += np.kron(left.matrix, right.matrix)
             if np.max(np.abs(acc - effect.matrix)) > TOL_EQ:
                 raise InvalidPOVMError("decomposition does not reproduce effect")
@@ -137,7 +139,7 @@ def input_encoded_measurement(sub_povms: Sequence[POVM], d: int) -> POVM:
 def pauli_projective(axis) -> POVM:
     """Dichotomic qubit measurement (I +/- axis . sigma)/2 along a unit axis."""
     axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,) or abs(np.linalg.norm(axis) - 1.0) > 1e-9:
+    if axis.shape != (3,) or abs(np.linalg.norm(axis) - 1.0) > TOL_CHECK:
         raise ValueError(f"axis must be a unit 3-vector, got {axis}")
     obs = sum(a * s for a, s in zip(axis, PAULIS))
     plus = QOperator((np.eye(2) + obs) / 2, [2])

@@ -20,6 +20,8 @@ import numpy as np
 from .operators import (
     DimensionError,
     QOperator,
+    TOL_CHECK,
+    TOL_NORM,
     apply_and_trace,
     is_density,
     is_psd,
@@ -42,11 +44,10 @@ class LinearNetwork:
             raise DimensionError(
                 f"{len(sources)} sources need {len(sources) - 1} central measurements"
             )
-        for s in sources:
-            if s.nfactors != 2:
-                raise DimensionError("every source must carry a two-factor DimList")
-            if not is_density(s, tol=1e-9):
-                raise ValueError("every source must be a density matrix")
+        if any(s.nfactors != 2 for s in sources):
+            raise DimensionError("every source must carry a two-factor DimList")
+        if not is_density(*sources, tol=TOL_CHECK):
+            raise ValueError("every source must be a density matrix")
         for i, m in enumerate(central):
             want = (sources[i].dims[1], sources[i + 1].dims[0])
             if m.dims != want:
@@ -75,13 +76,12 @@ class NetworkAssemblage:
     def __init__(self, elements: dict, n_parties: int):
         elements = dict(elements)
         total = sum(op.trace() for op in elements.values())
-        if abs(total - 1.0) > 1e-8:
+        if abs(total - 1.0) > TOL_NORM:
             raise ValueError(f"element traces sum to {total}, expected 1")
-        for op in elements.values():
-            if op.nfactors != 2:
-                raise DimensionError("elements must carry the two endpoint factors")
-            if not is_psd(op, tol=1e-9):
-                raise ValueError("assemblage element is not PSD")
+        if any(op.nfactors != 2 for op in elements.values()):
+            raise DimensionError("elements must carry the two endpoint factors")
+        if not is_psd(*elements.values(), tol=TOL_CHECK):
+            raise ValueError("assemblage element is not PSD")
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "n_parties", n_parties)
 
@@ -142,9 +142,8 @@ def assemblage_element(net: LinearNetwork, outcome) -> QOperator:
 def bilocal_assemblage(rho_ab: QOperator, rho_bc: QOperator, m: POVM) -> NetworkAssemblage:
     """Three-party entanglement-swapping assemblage (one element per outcome b)."""
     net = LinearNetwork([rho_ab, rho_bc], [m])
-    asm = line_assemblage(net)
     return NetworkAssemblage(
-        {b[0]: op for b, op in asm.elements.items()}, n_parties=3
+        {b: assemblage_element(net, (b,)) for b in m.outcome_labels}, n_parties=3
     )
 
 

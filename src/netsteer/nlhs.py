@@ -19,7 +19,9 @@ from .kernels import fibonacci_sphere
 from .operators import (
     PAULIS,
     QOperator,
+    TOL_CHECK,
     TOL_EQ,
+    TOL_NORM,
     apply_and_trace,
     basis_ket,
     is_density,
@@ -89,15 +91,14 @@ class NLHSModel:
             if r.shape[1:] != (len(source_dists[j]), len(source_dists[j + 1])):
                 raise ValueError(f"response table {j} has wrong hidden-variable shape")
             norm = r.sum(axis=0)
-            if np.any(np.abs(norm - 1) > 1e-8) or np.any(r < -1e-10):
+            if np.any(np.abs(norm - 1) > TOL_NORM) or np.any(r < -1e-10):
                 raise ValueError(f"response table {j} is not a conditional distribution")
         if len(left_states) != len(source_dists[0]):
             raise ValueError("one left endpoint state per first hidden value")
         if len(right_states) != len(source_dists[-1]):
             raise ValueError("one right endpoint state per last hidden value")
-        for s in left_states + right_states:
-            if not is_density(s, tol=1e-8):
-                raise ValueError("endpoint hidden states must be densities")
+        if not is_density(*left_states, *right_states, tol=TOL_NORM):
+            raise ValueError("endpoint hidden states must be densities")
         if outcome_labels is None:
             outcome_labels = tuple(tuple(range(r.shape[0])) for r in responses)
         else:
@@ -153,9 +154,8 @@ class SeparableDecomposition:
             raise ValueError("one (left, right) pair per weight required")
         if np.any(weights < -1e-12) or abs(weights.sum() - 1) > TOL_EQ:
             raise ValueError("weights must be a probability distribution")
-        for s in left_states + right_states:
-            if not is_density(s, tol=1e-8):
-                raise ValueError("decomposition states must be densities")
+        if not is_density(*left_states, *right_states, tol=TOL_NORM):
+            raise ValueError("decomposition states must be densities")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "left_states", left_states)
         object.__setattr__(self, "right_states", right_states)
@@ -264,7 +264,7 @@ class SeparableLHSProvider:
 
     def find(self, rho: QOperator, povms: Sequence[POVM], direction: str) -> LHSData:
         dec = self.decomposition
-        if np.max(np.abs(dec.state().matrix - rho.matrix)) > 1e-9:
+        if np.max(np.abs(dec.state().matrix - rho.matrix)) > TOL_CHECK:
             raise ModelNotFoundError("decomposition does not reproduce the source")
         measured = dec.left_states if direction == "right" else dec.right_states
         kept = dec.right_states if direction == "right" else dec.left_states
@@ -288,7 +288,7 @@ class BruteForceLHSProvider:
         cands = []
         for op in asm.values():
             tr = op.trace()
-            if tr > 1e-9:
+            if tr > TOL_CHECK:
                 cands.append(QOperator(op.matrix / tr, op.dims))
         d = rho.dims[1 if direction == "right" else 0]
         if d == 2:
@@ -312,7 +312,7 @@ class BruteForceLHSProvider:
         keep_s, keep_j = np.nonzero(weights > 1e-14)
         dist = weights[keep_s, keep_j]
         total = dist.sum()
-        if abs(total - 1.0) > 1e-8:
+        if abs(total - 1.0) > TOL_NORM:
             raise ModelNotFoundError(f"weights sum to {total}, expected 1")
         resp = strat[keep_s].transpose(1, 2, 0)
         return LHSData(dist / total, resp, tuple(cands[j] for j in keep_j))
@@ -358,27 +358,29 @@ SLOT_KINDS = (SEP, UNS_RIGHT, UNS_LEFT, LOC)
 class SourceSlot:
     """A source tagged with the structural assumption used to resolve it.
 
-    SEP slots require an explicit decomposition.  UNS slots use the given
-    LHS provider, defaulting to the trivial separable provider when a
-    decomposition is supplied and the brute-force one otherwise.  LOC slots
-    are resolved through the deterministic-strategy LHV solver.
+    SEP slots require an explicit decomposition.  UNS slots use the trivial
+    separable LHS provider when a decomposition is supplied and the
+    brute-force one otherwise.  LOC slots are resolved through the
+    deterministic-strategy LHV solver.
     """
 
     kind: str
     state: QOperator
     decomposition: Optional[SeparableDecomposition] = None
-    provider: object = None
 
     def __post_init__(self):
         if self.kind not in SLOT_KINDS:
             raise PatternError(f"unknown slot kind {self.kind!r}")
         if self.kind == SEP and self.decomposition is None:
             raise PatternError("SEP slot needs a SeparableDecomposition")
-        if self.kind in (UNS_RIGHT, UNS_LEFT) and self.provider is None:
-            if self.decomposition is not None:
-                self.provider = SeparableLHSProvider(self.decomposition)
-            else:
-                self.provider = BruteForceLHSProvider()
+
+    @property
+    def provider(self):
+        """LHS provider of an UNS slot (``None`` for other kinds)."""
+        if self.kind not in (UNS_RIGHT, UNS_LEFT):
+            return None
+        dec = self.decomposition
+        return BruteForceLHSProvider() if dec is None else SeparableLHSProvider(dec)
 
 
 def _lhv_behavior(rho: QOperator, left_povms, right_povms) -> np.ndarray:
@@ -532,58 +534,31 @@ def nlhs_to_separable_realization(model: NLHSModel) -> SeparableRealization:
     the model's response weights.
     """
     dists = model.source_dists
-    n_src = len(dists)
-    sizes = [len(p) for p in dists]
+    flags = {
+        size: [projector(basis_ket(i, size), [size]) for i in range(size)]
+        for size in {len(p) for p in dists}
+    }
+    decompositions = tuple(
+        SeparableDecomposition(
+            p,
+            model.left_states if i == 0 else flags[len(p)],
+            model.right_states if i == len(dists) - 1 else flags[len(p)],
+        )
+        for i, p in enumerate(dists)
+    )
 
-    def flag(i, size):
-        return projector(basis_ket(i, size), [size])
-
-    sources = []
-    decompositions = []
-
-    # left endpoint source: sigma_{lam} (x) |lam><lam|
-    w0 = dists[0]
-    lefts0 = model.left_states
-    rights0 = tuple(flag(i, sizes[0]) for i in range(sizes[0]))
-    dec0 = SeparableDecomposition(w0, lefts0, rights0)
-    sources.append(dec0.state())
-    decompositions.append(dec0)
-
-    for i in range(1, n_src - 1):
-        kets = tuple(flag(k, sizes[i]) for k in range(sizes[i]))
-        dec = SeparableDecomposition(dists[i], kets, kets)
-        sources.append(dec.state())
-        decompositions.append(dec)
-
-    wl = dists[-1]
-    leftsl = tuple(flag(i, sizes[-1]) for i in range(sizes[-1]))
-    decl = SeparableDecomposition(wl, leftsl, model.right_states)
-    sources.append(decl.state())
-    decompositions.append(decl)
-
-    measurements = []
     certificates = []
-    for j, resp in enumerate(model.responses):
-        dl, dr = sizes[j], sizes[j + 1]
-        effects = []
-        terms = []
-        for b in range(resp.shape[0]):
-            mat = np.zeros((dl * dr, dl * dr), dtype=complex)
-            pairs = []
-            for a in range(dl):
-                for c in range(dr):
-                    p = resp[b, a, c]
-                    if p <= 0.0:
-                        continue
-                    mat[a * dr + c, a * dr + c] = p
-                    pairs.append(
-                        (QOperator(p * flag(a, dl).matrix, [dl]), flag(c, dr))
-                    )
-            effects.append(QOperator(mat, (dl, dr)))
-            terms.append(pairs)
-        povm = POVM(effects, outcome_labels=model.outcome_labels[j])
-        measurements.append(povm)
-        certificates.append(SeparableMeasurement(povm, terms))
+    for resp, labels in zip(model.responses, model.outcome_labels):
+        fl, fr = flags[resp.shape[1]], flags[resp.shape[2]]
+        dims = (len(fl), len(fr))
+        effects = [QOperator(np.diag(np.where(r > 0.0, r, 0.0).ravel()), dims) for r in resp]
+        terms = [
+            [(QOperator(r[a, c] * fl[a].matrix, fl[a].dims), fr[c])
+             for a, c in zip(*np.nonzero(r > 0.0))]
+            for r in resp
+        ]
+        certificates.append(SeparableMeasurement(POVM(effects, outcome_labels=labels), terms))
 
-    network = LinearNetwork(sources, measurements)
-    return SeparableRealization(network, tuple(decompositions), tuple(certificates))
+    network = LinearNetwork([dec.state() for dec in decompositions],
+                            [cert.povm for cert in certificates])
+    return SeparableRealization(network, decompositions, tuple(certificates))

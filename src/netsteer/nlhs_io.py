@@ -27,8 +27,8 @@ import json
 
 import numpy as np
 
-from .operators import QOperator
-from .measurements import POVM, bell_swap_povm, computational_basis_povm
+from .operators import QOperator, basis_ket, projector
+from .measurements import POVM, bell_swap_povm
 from .network import LinearNetwork
 from .states import classical_correlated, dew, DEWParams, werner
 from .nlhs import (
@@ -118,9 +118,7 @@ def _build_measurement(doc: dict) -> POVM:
         return bell_swap_povm(int(doc.get("local_dim", 3)))
     if kind == "computational":
         d = int(doc["d"])
-        base = computational_basis_povm(d * d)
-        effects = [QOperator(e.matrix, [d, d]) for e in base.effects]
-        return POVM(effects, outcome_labels=base.outcome_labels)
+        return POVM([projector(basis_ket(i, d * d), [d, d]) for i in range(d * d)])
     raise FixtureError(f"unknown measurement kind {kind!r}")
 
 
@@ -131,6 +129,8 @@ def load_fixture(path) -> tuple[str, list[SourceSlot], list[POVM]]:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FixtureError(f"invalid JSON in {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FixtureError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise FixtureError("a fixture must be a JSON object")
     for key in ("pattern", "sources", "measurements"):

@@ -16,7 +16,10 @@ import numpy as np
 # precision leaves ample headroom.
 TOL_EQ = 1e-10       # operator equality (max absolute entry)
 TOL_HERM = 1e-9      # Hermiticity defect
+TOL_CHECK = 1e-9     # slack of input checks: PSD parts, density sources, unit axes, Bloch data
+TOL_NORM = 1e-8      # slack of normalisation: hidden states, responses, weights, trace sums
 NEG_CUTOFF = 1e-12   # eigenvalue cutoff below which we call something negative
+CHECK_BLOCK_BYTES = 2 ** 18   # matrix bytes per stacked eigendecomposition in is_psd
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -159,17 +162,21 @@ def partial_transpose(op: QOperator, factors: Iterable[int]) -> QOperator:
     return QOperator(t.transpose(axes).reshape(op.dim, op.dim), op.dims)
 
 
-def hermitian_eigenvalues(op: QOperator, tol: float = TOL_HERM) -> np.ndarray:
-    """Real eigenvalues in ascending order.
-
-    The input is checked Hermitian to ``tol`` and then explicitly
-    symmetrised, which stabilises the solver without masking real errors.
-    """
-    defect = np.max(np.abs(op.matrix - op.matrix.conj().T))
+def _spectra(mats: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+    """Ascending real eigenvalues of a matrix, or of each matrix of a
+    (k, d, d) stack.  The input is checked Hermitian to ``tol`` and then
+    explicitly symmetrised, which stabilises the solver without masking
+    real errors."""
+    adjoint = mats.conj().swapaxes(-1, -2)
+    defect = np.max(np.abs(mats - adjoint))
     if defect > tol:
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    herm = (op.matrix + op.matrix.conj().T) / 2
-    return np.linalg.eigvalsh(herm)
+    return np.linalg.eigvalsh((mats + adjoint) / 2)
+
+
+def hermitian_eigenvalues(op: QOperator, tol: float = TOL_HERM) -> np.ndarray:
+    """Real eigenvalues in ascending order (see ``_spectra``)."""
+    return _spectra(op.matrix, tol)
 
 
 def negativity(op: QOperator, transpose_factors: Iterable[int]) -> float:
@@ -186,16 +193,28 @@ def negativity(op: QOperator, transpose_factors: Iterable[int]) -> float:
     return float(-np.sum(pt_evs[pt_evs < -NEG_CUTOFF]))
 
 
-def is_psd(op: QOperator, tol: float = TOL_EQ) -> bool:
+def is_psd(*ops: QOperator, tol: float = TOL_EQ) -> bool:
+    """True iff every operator is Hermitian with no eigenvalue below -tol
+    (true for none).  Checked per stack of same-shape matrices, not per
+    operator; a stack holds at most ``CHECK_BLOCK_BYTES`` (or one matrix),
+    which bounds the check's memory whatever the number and size of parts."""
+    groups: dict = {}
+    for op in ops:
+        groups.setdefault(op.matrix.shape, []).append(op.matrix)
     try:
-        evs = hermitian_eigenvalues(op)
+        for mats in groups.values():
+            step = max(1, CHECK_BLOCK_BYTES // mats[0].nbytes)
+            for i in range(0, len(mats), step):
+                if not np.all(_spectra(np.stack(mats[i:i + step]))[:, 0] >= -tol):
+                    return False
     except NotHermitianError:
         return False
-    return bool(evs[0] >= -tol)
+    return True
 
 
-def is_density(op: QOperator, tol: float = TOL_EQ) -> bool:
-    return is_psd(op, tol) and abs(np.trace(op.matrix) - 1.0) <= tol
+def is_density(*ops: QOperator, tol: float = TOL_EQ) -> bool:
+    """``is_psd`` plus unit trace, each to ``tol``."""
+    return is_psd(*ops, tol=tol) and all(abs(np.trace(op.matrix) - 1.0) <= tol for op in ops)
 
 
 def op_equal(a: QOperator, b: QOperator, tol: float = TOL_EQ) -> bool:

@@ -103,18 +103,16 @@ def apply_channel(ch: Channel, op: QOperator, factor: int) -> QOperator:
         raise DimensionError(
             f"factor dim {op.dims[factor]} does not match channel input {ch.d_in}"
         )
-    d_left = int(np.prod(op.dims[:factor])) if factor else 1
-    d_right = int(np.prod(op.dims[factor + 1:])) if factor + 1 < op.nfactors else 1
+    d_left = int(np.prod(op.dims[:factor]))
+    d_right = int(np.prod(op.dims[factor + 1:]))
     out_dims = list(op.dims)
     out_dims[factor] = ch.d_out
-    d_out_tot = d_left * ch.d_out * d_right
-    acc = np.zeros((d_out_tot, d_out_tot), dtype=complex)
-    eye_l = np.eye(d_left)
-    eye_r = np.eye(d_right)
-    for k in ch.kraus:
-        full = np.kron(np.kron(eye_l, k), eye_r)
-        acc += full @ op.matrix @ full.conj().T
-    return QOperator(acc, out_dims)
+    t = op.matrix.reshape(d_left, ch.d_in, d_right, d_left, ch.d_in, d_right)
+    k = np.array(ch.kraus)
+    # sum_k (1 (x) K_k (x) 1) op (1 (x) K_k (x) 1)^dag on the factor's index pair
+    out = np.einsum("koi,aibcjd,kpj->aobcpd", k, t, k.conj())
+    side = d_left * ch.d_out * d_right
+    return QOperator(out.reshape(side, side), out_dims)
 
 
 def dew(params: DEWParams) -> QOperator:

@@ -182,6 +182,27 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind", ["directory", "undecodable"])
+    def test_unreadable_fixture_exit_code(self, tmp_path, capsys, kind):
+        path = tmp_path
+        if kind == "undecodable":
+            path = tmp_path / "bad.json"
+            path.write_bytes(b"\xff\xfe")
+        assert main(["nlhs", "--fixture", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["claims-demo", "--omega", "0.9", "--out"],
+         ["nlhs", "--fixture", "sep_loc_sep", "--model-out"]],
+        ids=["out", "model-out"],
+    )
+    def test_unwritable_output_exit_code(self, tmp_path, capsys, argv):
+        assert main(argv + [str(tmp_path / "missing" / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "pattern,sources,measurements,slot,reason",
         [

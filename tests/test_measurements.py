@@ -40,6 +40,20 @@ class TestPOVMValidation:
         with pytest.raises(InvalidPOVMError):
             POVM([e0, e1])
 
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_rejects_non_psd_effect_at(self, position):
+        bad = QOperator(np.diag([0.5, -0.1]), [2])
+        good = [QOperator(np.diag([0.5, 0.55]), [2]), QOperator(np.diag([0.0, 0.55]), [2])]
+        effects = [bad] + good if position == "first" else good + [bad]
+        with pytest.raises(InvalidPOVMError, match="positive semidefinite"):
+            POVM(effects)
+
+    def test_rejects_non_hermitian_effect(self):
+        e0 = QOperator(np.array([[0.5, 0.3], [0.0, 0.5]]), [2])
+        e1 = QOperator(np.array([[0.5, -0.3], [0.0, 0.5]]), [2])
+        with pytest.raises(InvalidPOVMError, match="positive semidefinite"):
+            POVM([e0, e1])
+
     def test_rejects_wrong_label_count(self):
         with pytest.raises(InvalidPOVMError):
             POVM([identity([2])], outcome_labels=("a", "b"))
@@ -150,6 +164,26 @@ class TestInduced:
             induced_measurement(bell_swap_povm(2), rand_density(rng, [3]), "left")
 
 
+def _diagonal_certificate():
+    """Two-outcome diagonal POVM on (2, 2) and a valid product certificate."""
+    e0 = QOperator(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
+    e1 = QOperator(np.eye(4) - e0.matrix, (2, 2))
+    p00 = projector(basis_ket(0, 2), [2])
+    p11 = projector(basis_ket(1, 2), [2])
+    return POVM([e0, e1]), [[(p00, p00)], [(p00, p11), (p11, identity([2]))]]
+
+
+def _split(pair, side):
+    """(l, r) as (2l, r) + (-l, r), or the same on the right: the sum is
+    unchanged but one factor is not PSD."""
+    left, right = pair
+    if side == "left":
+        return [(QOperator(2 * left.matrix, left.dims), right),
+                (QOperator(-left.matrix, left.dims), right)]
+    return [(left, QOperator(2 * right.matrix, right.dims)),
+            (left, QOperator(-right.matrix, right.dims))]
+
+
 class TestSeparableMeasurement:
     def test_valid_certificate(self):
         povm = computational_basis_povm(2)
@@ -175,3 +209,21 @@ class TestSeparableMeasurement:
         eye = identity([2])
         with pytest.raises(InvalidPOVMError):
             SeparableMeasurement(povm2, [[(eye, eye)], [(eye, eye)]])
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_rejects_non_psd_factor_at(self, side, position):
+        povm, terms = _diagonal_certificate()
+        SeparableMeasurement(povm, terms)
+        if position == "first":
+            terms[0] = _split(terms[0][0], side) + terms[0][1:]
+        else:
+            terms[-1] = terms[-1][:-1] + _split(terms[-1][-1], side)
+        with pytest.raises(InvalidPOVMError, match="factor not PSD"):
+            SeparableMeasurement(povm, terms)
+
+    def test_accepts_empty_terms_for_zero_effect(self):
+        zero = QOperator(np.zeros((4, 4)), (2, 2))
+        povm = POVM([identity([2, 2]), zero])
+        cert = SeparableMeasurement(povm, [[(identity([2]), identity([2]))], []])
+        assert cert.terms[1] == ()

@@ -18,6 +18,7 @@ from netsteer.network import (
     untrusted_input_to_outcome,
 )
 from netsteer.operators import (
+    CHECK_BLOCK_BYTES,
     PAULI_Z,
     QOperator,
     max_entry_distance,
@@ -45,6 +46,20 @@ class TestLinearNetworkValidation:
         bad = QOperator(np.eye(4), [2, 2])
         with pytest.raises(ValueError):
             LinearNetwork([bad, werner(0.5)], [bell_swap_povm(2)])
+
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_rejects_non_density_source_at(self, rng, position):
+        # sources of three shapes along one line: (2, 2), (2, 3), (3, 2)
+        dims = [(2, 2), (2, 3), (3, 2)]
+        sources = [rand_density(rng, d) for d in dims]
+        central = [bell_swap_povm(2), bell_swap_povm(3)]
+        LinearNetwork(sources, central)
+        j = 0 if position == "first" else -1
+        diag = np.zeros(int(np.prod(dims[j])))
+        diag[:2] = [1.5, -0.5]
+        sources[j] = QOperator(np.diag(diag), dims[j])
+        with pytest.raises(ValueError, match="density matrix"):
+            LinearNetwork(sources, central)
 
     def test_properties(self):
         net = LinearNetwork([werner(0.5)] * 3, [bell_swap_povm(2)] * 2)
@@ -113,6 +128,19 @@ class TestNetworkAssemblage:
         bad = QOperator(np.diag([1.0, -0.5, 0.0, 0.0]), (2, 2))
         with pytest.raises(ValueError):
             NetworkAssemblage({(0,): good, (1,): bad}, n_parties=3)
+
+
+    # 3 elements, or one more than fits in one stacked check of 4 x 4 matrices
+    @pytest.mark.parametrize("n", [3, CHECK_BLOCK_BYTES // 256 + 1])
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_rejects_non_psd_element_at(self, n, position):
+        good = QOperator(np.eye(4) / (4 * n), (2, 2))
+        elements = {(k,): good for k in range(n)}
+        NetworkAssemblage(elements, n_parties=3)
+        bad = QOperator(np.diag([1.0 / n + 0.5, -0.5, 0.0, 0.0]), (2, 2))
+        elements[(0,) if position == "first" else (n - 1,)] = bad
+        with pytest.raises(ValueError, match="not PSD"):
+            NetworkAssemblage(elements, n_parties=3)
 
 
 class TestBilocal:

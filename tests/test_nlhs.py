@@ -12,6 +12,7 @@ from netsteer.nlhs import (
     NLHSModel,
     PatternError,
     SEP,
+    SeparableDecomposition,
     SeparableLHSProvider,
     SourceSlot,
     UNS_LEFT,
@@ -26,6 +27,7 @@ from netsteer.nlhs import (
     werner_separable_decomposition,
 )
 from netsteer.operators import (
+    QOperator,
     max_entry_distance,
     negativity,
     tensor,
@@ -136,6 +138,17 @@ class TestNLHSModelValidation:
             )
 
 
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_rejects_non_density_state_at(self, rng, side, position):
+        dists = [np.full(3, 1 / 3), np.full(3, 1 / 3)]
+        states = {s: [rand_density(rng, [2]) for _ in range(3)] for s in ("left", "right")}
+        NLHSModel(dists, [np.ones((1, 3, 3))], states["left"], states["right"])
+        states[side][0 if position == "first" else -1] = QOperator(np.diag([1.5, -0.5]), [2])
+        with pytest.raises(ValueError, match="densities"):
+            NLHSModel(dists, [np.ones((1, 3, 3))], states["left"], states["right"])
+
+
 class TestDecompositions:
     @pytest.mark.parametrize("omega", [0.0, 0.2, 1 / 3])
     def test_werner_decomposition_reproduces_state(self, omega):
@@ -149,6 +162,16 @@ class TestDecompositions:
     def test_classical_correlated_decomposition(self):
         dec = classical_correlated_decomposition(3)
         assert max_entry_distance(dec.state(), classical_correlated(3)) < 1e-12
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_rejects_non_density_state_at(self, rng, side, position):
+        weights = np.full(3, 1 / 3)
+        states = {s: [rand_density(rng, [2]) for _ in range(3)] for s in ("left", "right")}
+        SeparableDecomposition(weights, states["left"], states["right"])
+        states[side][0 if position == "first" else -1] = QOperator(np.diag([1.5, -0.5]), [2])
+        with pytest.raises(ValueError, match="densities"):
+            SeparableDecomposition(weights, states["left"], states["right"])
 
     def test_product_decomposition(self, rng):
         a = rand_density(rng, [2])
@@ -206,6 +229,14 @@ class TestProviders:
         with pytest.raises(ModelNotFoundError, match="search limit"):
             BruteForceLHSProvider().find(werner(0.4), [pauli_projective(Z)] * 24, "right")
         assert time.perf_counter() - start < 1.0
+
+
+    def test_slot_provider_follows_decomposition(self):
+        dec = werner_separable_decomposition(0.3)
+        assert isinstance(SourceSlot(UNS_RIGHT, werner(0.3), dec).provider, SeparableLHSProvider)
+        assert isinstance(SourceSlot(UNS_LEFT, werner(0.4)).provider, BruteForceLHSProvider)
+        assert SourceSlot(SEP, werner(0.3), dec).provider is None
+        assert SourceSlot(LOC, werner(0.5)).provider is None
 
 
 class TestSolveLHV:

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netsteer.operators import (
+    CHECK_BLOCK_BYTES,
     NEG_CUTOFF,
     PAULI_X,
     PAULI_Z,
@@ -188,6 +189,38 @@ class TestPredicates:
     def test_is_density(self, rng):
         assert is_density(rand_density(rng, [3]))
         assert not is_density(identity([2]))
+
+    def test_is_psd_many(self, rng):
+        good = [rand_psd(rng, [2]) for _ in range(3)]
+        bad = QOperator(np.diag([1.0, -1.0]), [2])
+        non_hermitian = QOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), [2])
+        assert is_psd() and is_density()
+        assert is_psd(*good)
+        assert not is_psd(bad, *good)
+        assert not is_psd(*good, bad)
+        assert not is_psd(*good, non_hermitian)
+        assert is_psd(bad, tol=1.0)
+
+    def test_is_psd_mixed_shapes(self, rng):
+        assert is_psd(rand_psd(rng, [2]), rand_psd(rng, [3]), rand_psd(rng, [2]))
+        assert not is_psd(rand_psd(rng, [2]), QOperator(np.diag([1.0, 0.0, -1.0]), [3]))
+
+    @pytest.mark.parametrize("position", ["first", "block end", "block start", "last"])
+    @pytest.mark.parametrize("d", [2, 200])
+    def test_is_psd_checks_every_block(self, position, d):
+        step = max(1, CHECK_BLOCK_BYTES // identity([d]).matrix.nbytes)
+        ops = [identity([d])] * (2 * step + 1)
+        assert is_psd(*ops)
+        index = {"first": 0, "block end": step - 1, "block start": step, "last": 2 * step}
+        ops[index[position]] = QOperator(np.diag([1.0] * (d - 1) + [-1e-3]), [d])
+        assert not is_psd(*ops)
+
+    def test_is_density_many(self, rng):
+        rhos = [rand_density(rng, [2]), rand_density(rng, [3]), rand_density(rng, [2])]
+        assert is_density(*rhos)
+        assert not is_density(*rhos, identity([2]))                         # trace 2
+        assert not is_density(QOperator(np.diag([1.5, -0.5]), [2]), *rhos)  # not PSD
+        assert is_density(QOperator(np.diag([1.05, 0.0]), [2]), tol=0.1)
 
     def test_op_equal_requires_matching_dims(self):
         with pytest.raises(DimensionError):

@@ -121,6 +121,24 @@ class TestChannels:
         # the untouched factor's marginal is preserved
         assert max_entry_distance(partial_trace(out, keep=[0]), rho) < 1e-12
 
+    @pytest.mark.parametrize("factor", [0, 1, 2])
+    def test_apply_channel_matches_kraus_definition(self, rng, factor):
+        # sum_k (1 (x) K_k (x) 1) rho (1 (x) K_k (x) 1)^dag with Kraus
+        # operators cut from a random isometry, on each factor of a 3-factor state
+        dims = [2, 3, 2]
+        d_in, d_out, n_kraus = dims[factor], 4, 3
+        g = rng.normal(size=(n_kraus * d_out, d_in)) + 1j * rng.normal(size=(n_kraus * d_out, d_in))
+        iso, _ = np.linalg.qr(g)
+        kraus = [iso[k * d_out:(k + 1) * d_out] for k in range(n_kraus)]
+        rho = rand_density(rng, dims)
+        out = apply_channel(Channel(kraus), rho, factor)
+        eye_l = np.eye(int(np.prod(dims[:factor])))
+        eye_r = np.eye(int(np.prod(dims[factor + 1:])))
+        full = [np.kron(np.kron(eye_l, k), eye_r) for k in kraus]
+        expected = sum(f @ rho.matrix @ f.conj().T for f in full)
+        assert out.dims == tuple(dims[:factor] + [d_out] + dims[factor + 1:])
+        assert np.max(np.abs(out.matrix - expected)) < 1e-12
+
     def test_apply_channel_dim_mismatch(self, rng):
         with pytest.raises(ValueError):
             apply_channel(erasure_channel(0.5, 2), rand_density(rng, [3]), 0)

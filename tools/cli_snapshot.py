@@ -6,10 +6,11 @@ Runs ``netsteer.cli.main`` in process for a fixed list of commands
 (``verify-swap``, three ``activation`` sweeps, ``claims-demo`` for both
 axis presets at four visibilities, and ``nlhs --realize --model-out`` on
 the bundled fixtures, the benchmark's Werner fixture and five extra
-fixtures written into OUTDIR).  For each command it writes the JSON
-report with sorted keys and without ``wall_time`` and ``inputs.fixture``,
-the ``--model-out`` file where there is one, and ``<name>.exit`` holding
-the exit code and stderr.  Two snapshots of the same outputs compare equal
+fixtures written into OUTDIR).  Each command runs twice, once per output
+format.  For each command it writes the JSON report with sorted keys and
+without ``wall_time`` and ``inputs.fixture``, the CSV report as written
+(``<name>.csv``), the ``--model-out`` file where there is one, and
+``<name>.exit`` holding the exit code and stderr of both runs.  Two snapshots of the same outputs compare equal
 under ``diff -r``; the ``fixtures/`` subdirectory is input, not output.
 """
 
@@ -76,17 +77,20 @@ def commands(outdir: Path) -> list[tuple[str, list[str]]]:
 def run(outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, argv in commands(outdir):
+        status = []
+        for fmt in ("json", "csv"):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv + ["--format", fmt, "--out", str(outdir / f"{name}.{fmt}")])
+            status.append(f"{fmt} {code}\n{err.getvalue()}")
+        (outdir / f"{name}.exit").write_text("".join(status))
         report = outdir / f"{name}.json"
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv + ["--format", "json", "--out", str(report)])
-        (outdir / f"{name}.exit").write_text(f"{code}\n{err.getvalue()}")
         if report.exists():
             doc = json.loads(report.read_text())
             doc.pop("wall_time", None)
             doc.get("inputs", {}).pop("fixture", None)
             report.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        print(f"{name}: exit {code}")
+        print(f"{name}: " + ", ".join(line.split("\n")[0] for line in status))
 
 
 if __name__ == "__main__":
