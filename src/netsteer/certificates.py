@@ -21,6 +21,8 @@ from .operators import (
     PAULIS,
     QOperator,
     TOL_CHECK,
+    _blocks,
+    _negativities,
     max_entry_distance,
     negativity,
 )
@@ -80,20 +82,20 @@ class BlochData:
 def certify_network_steering(asm: NetworkAssemblage) -> Verdict:
     """Entanglement of any single element rules out an NLHS model.
 
-    Negativity is sufficient but not necessary, so the only negative answer
-    is Inconclusive.
+    Elements of trace below ``NEG_CUTOFF`` are skipped; the others get their
+    negativity across the endpoints from stacked spectra, in blocks of
+    elements with equal dims, and the first element of largest negativity is
+    reported.  Negativity is sufficient but not necessary, so the only
+    negative answer is Inconclusive.
     """
-    best_val = 0.0
-    best_outcome = None
-    for outcome, op in asm.elements.items():
-        if op.trace() < NEG_CUTOFF:
-            continue
-        val = negativity(op, transpose_factors=[1])
-        if val > best_val:
-            best_val = val
-            best_outcome = outcome
-    if best_val > NEG_CUTOFF:
-        return Verdict(CERTIFIED, {"negativity": best_val, "outcome": best_outcome})
+    live = {outcome: op for outcome, op in asm.elements.items() if op.trace() >= NEG_CUTOFF}
+    ops = list(live.values())
+    values = np.zeros(len(ops))
+    for block, stack in _blocks(ops):
+        values[block] = _negativities(stack, ops[block[0]].dims, [1])
+    if np.any(values > NEG_CUTOFF):
+        best = int(np.argmax(values))
+        return Verdict(CERTIFIED, {"negativity": float(values[best]), "outcome": list(live)[best]})
     return Verdict(INCONCLUSIVE)
 
 

@@ -11,8 +11,10 @@ Exit status is 0 iff every per-point identity check passed its tolerance.
 from __future__ import annotations
 
 import argparse
+import errno
 import importlib.resources
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -117,8 +119,34 @@ def _emit(report: ExperimentReport, args) -> None:
             print(f"  {key}: {val}")
 
 
+def _check_writable(path: Path) -> None:
+    """Raise the OSError that writing ``path`` would raise when it is a
+    directory or its parent is not a writable directory; creates and
+    truncates nothing."""
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    elif not os.access(path.parent, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
+
+
+def _write_error(exc: OSError) -> int:
+    print(f"error: cannot write output: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        for path in (args.out, getattr(args, "model_out", None)):
+            if path is not None:
+                _check_writable(path)
+    except OSError as exc:
+        return _write_error(exc)
     try:
         if args.command == "verify-swap":
             report = run_verify_swap(_sweep_spec(args))
@@ -147,8 +175,7 @@ def main(argv=None) -> int:
                 json.dump(report.extra["model"], fh, indent=1)
         _emit(report, args)
     except OSError as exc:
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-        return 2
+        return _write_error(exc)
     return 0 if report.ok else 1
 
 

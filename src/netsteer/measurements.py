@@ -65,7 +65,12 @@ class POVM:
         return len(self.effects)
 
     def effect(self, label) -> QOperator:
-        return self.effects[self.outcome_labels.index(label)]
+        try:
+            return self.effects[self.outcome_labels.index(label)]
+        except ValueError:
+            raise InvalidPOVMError(
+                f"unknown outcome label {label!r}; labels are {list(self.outcome_labels)}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -89,9 +94,12 @@ class SeparableMeasurement:
                 and is_psd(*(right for _, right in pairs), tol=TOL_CHECK)):
             raise InvalidPOVMError("decomposition factor not PSD")
         for effect, effect_pairs in zip(povm.effects, terms):
+            # sum_t left_t (x) right_t, as one einsum over the stacked pairs
             acc = np.zeros_like(effect.matrix)
-            for left, right in effect_pairs:
-                acc += np.kron(left.matrix, right.matrix)
+            if effect_pairs:
+                left = np.stack([left.matrix for left, _ in effect_pairs])
+                right = np.stack([right.matrix for _, right in effect_pairs])
+                acc = np.einsum("tij,tkl->ikjl", left, right, optimize=True).reshape(acc.shape)
             if np.max(np.abs(acc - effect.matrix)) > TOL_EQ:
                 raise InvalidPOVMError("decomposition does not reproduce effect")
         object.__setattr__(self, "povm", povm)

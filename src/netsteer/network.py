@@ -6,18 +6,25 @@ source i and the left factor of source i+1).  Outcome tuples are ordered
 little-endian by party index.
 
 Assemblage elements are computed by sequential pairwise contraction, never
-materialising the full tensor product of all sources, keeping the peak
-dimension at d^4 instead of d^(2(n-1)).
+materialising the full tensor product of all sources.  Each step absorbs
+the next source through one measurement for a whole stack of prefix
+elements and a stack of effects at once: one einsum per measurement, on a
+path planned once per factor-dimension tuple, run over blocks of prefixes
+of bounded size (``CHECK_BLOCK_BYTES``) so that a step's intermediates do
+not grow with the number of outcome branches.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .operators import (
+    CHECK_BLOCK_BYTES,
     DimensionError,
     QOperator,
     TOL_CHECK,
@@ -91,41 +98,71 @@ class NetworkAssemblage:
         return QOperator(acc, ops[0].dims)
 
 
-def _step_right(t: QOperator, source: QOperator, effect: QOperator) -> QOperator:
-    """Absorb the next source through one measurement effect.
+# trace over the measured pair (b, c):
+#   R[a d, a' d'] = sum_{b c b' c'} E[b c, b' c'] t[a b', a' b] s[c' d, c d']
+_STEP = "uvbc,abxu,cdvy->adxy"
+# the same for p prefixes t and k effects E, output in (prefix, effect) order
+_BATCHED_STEP = "kuvbc,pabxu,cdvy->pkadxy"
 
-    ``t`` has dims [left endpoint, open right factor]; the effect acts on
-    [open right factor, left factor of source].  Returns dims
-    [left endpoint, right factor of source].
 
-    Contracted index by index instead of through a Kronecker product, so
-    the peak intermediate stays quadratic in the factor dimensions even
-    when the hidden alphabets (and with them the source dimensions) of a
-    separable realisation grow large.
+@functools.lru_cache(maxsize=None)
+def _step_path(a: int, b: int, c: int, d: int) -> tuple:
+    """The einsum path of ``_STEP`` for one element of these factor dims."""
+    ops = (np.empty((b, c, b, c)), np.empty((a, b, a, b)), np.empty((c, d, c, d)))
+    return tuple(np.einsum_path(_STEP, *ops, optimize=True)[0])
+
+
+def _step(prefixes: np.ndarray, effects: Sequence[QOperator], source: QOperator) -> np.ndarray:
+    """Absorb the next source through each of a measurement's ``effects``.
+
+    ``prefixes`` is a (p, a, b, a, b) stack of elements with dims [left
+    endpoint, open right factor]; each effect acts on [open right factor,
+    left factor of ``source``].  Returns the (p * k, a, d, a, d) stack with
+    dims [left endpoint, right factor of source], prefix-major and
+    effect-minor.
+
+    The einsum path is the one planned for a single element (batched
+    shapes would pick another pairing and move the last bits of the
+    result) and is planned once per (a, b, c, d).  Contracted index by
+    index instead of through a Kronecker product, so the intermediates stay
+    quadratic in the factor dimensions even for the large flag dimensions
+    of a separable realisation.
     """
-    a, b = t.dims
+    p, a, b = prefixes.shape[:3]
     c, d = source.dims
-    tm = t.matrix.reshape(a, b, a, b)
+    k = len(effects)
+    em = np.stack([e.matrix for e in effects]).reshape(k, b, c, b, c)
     sm = source.matrix.reshape(c, d, c, d)
-    em = effect.matrix.reshape(b, c, b, c)
-    # trace over the measured pair (b, c):
-    #   R[a d, a' d'] = sum_{b c b' c'} E[b c, b' c'] t[a b', a' b] s[c' d, c d']
-    out = np.einsum("uvbc,abxu,cdvy->adxy", em, tm, sm, optimize=True)
-    return QOperator(out.reshape(a * d, a * d), (a, d))
+    path = _step_path(a, b, c, d)
+    out = np.empty((p, k, a, d, a, d), dtype=complex)
+    # output and largest intermediate per prefix: k (a max(c, d))^2 entries each
+    block = max(1, CHECK_BLOCK_BYTES // (2 * out.itemsize * k * (a * max(c, d)) ** 2))
+    for i in range(0, p, block):
+        np.einsum(_BATCHED_STEP, em, prefixes[i:i + block], sm, optimize=path,
+                  out=out[i:i + block])
+    return out.reshape(p * k, a, d, a, d)
+
+
+def _contract(net: LinearNetwork, choices: Sequence[Sequence[QOperator]]) -> np.ndarray:
+    """Elements for every combination of ``choices[j]``, effects of central
+    measurement j, as an (n, a d, a d) stack in ``itertools.product`` order."""
+    a, b = net.sources[0].dims
+    t = net.sources[0].matrix.reshape(1, a, b, a, b)
+    for effects, source in zip(choices, net.sources[1:]):
+        t = _step(t, effects, source)
+    side = a * net.sources[-1].dims[1]
+    return t.reshape(-1, side, side)
 
 
 def line_assemblage(net: LinearNetwork) -> NetworkAssemblage:
     """Network assemblage of a linear network with trusted endpoints,
-    contracted left to right."""
-    sources = net.sources
-    partial = {(): sources[0]}
-    for j, m in enumerate(net.central_measurements):
-        nxt = {}
-        for prefix, t in partial.items():
-            for label, effect in zip(m.outcome_labels, m.effects):
-                nxt[prefix + (label,)] = _step_right(t, sources[j + 1], effect)
-        partial = nxt
-    return NetworkAssemblage(partial, n_parties=net.n_parties)
+    contracted left to right, all outcomes of a measurement in one step."""
+    central = net.central_measurements
+    stack = _contract(net, [m.effects for m in central])
+    outcomes = itertools.product(*(m.outcome_labels for m in central))
+    dims = net.endpoint_dims
+    elements = {outcome: QOperator(mat, dims) for outcome, mat in zip(outcomes, stack)}
+    return NetworkAssemblage(elements, n_parties=net.n_parties)
 
 
 def assemblage_element(net: LinearNetwork, outcome) -> QOperator:
@@ -133,10 +170,8 @@ def assemblage_element(net: LinearNetwork, outcome) -> QOperator:
     outcome = tuple(outcome)
     if len(outcome) != len(net.central_measurements):
         raise DimensionError("one outcome label per central measurement required")
-    t = net.sources[0]
-    for j, (m, label) in enumerate(zip(net.central_measurements, outcome)):
-        t = _step_right(t, net.sources[j + 1], m.effect(label))
-    return t
+    choices = [[m.effect(label)] for m, label in zip(net.central_measurements, outcome)]
+    return QOperator(_contract(net, choices)[0], net.endpoint_dims)
 
 
 def bilocal_assemblage(rho_ab: QOperator, rho_bc: QOperator, m: POVM) -> NetworkAssemblage:

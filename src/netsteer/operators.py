@@ -7,6 +7,7 @@ the numpy ``np.kron`` convention and is used consistently everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -19,7 +20,7 @@ TOL_HERM = 1e-9      # Hermiticity defect
 TOL_CHECK = 1e-9     # slack of input checks: PSD parts, density sources, unit axes, Bloch data
 TOL_NORM = 1e-8      # slack of normalisation: hidden states, responses, weights, trace sums
 NEG_CUTOFF = 1e-12   # eigenvalue cutoff below which we call something negative
-CHECK_BLOCK_BYTES = 2 ** 18   # matrix bytes per stacked eigendecomposition in is_psd
+CHECK_BLOCK_BYTES = 2 ** 18   # bytes per stacked eigendecomposition or contraction block
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -58,7 +59,7 @@ class QOperator:
             raise DimensionError(f"matrix must be square, got shape {matrix.shape}")
         if any(d < 1 for d in dims):
             raise DimensionError(f"dimensions must be >= 1, got {dims}")
-        if int(np.prod(dims)) != matrix.shape[0]:
+        if math.prod(dims) != matrix.shape[0]:
             raise DimensionError(
                 f"product of dims {dims} != matrix side {matrix.shape[0]}"
             )
@@ -76,7 +77,7 @@ class QOperator:
         return len(self.dims)
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        return float(self.matrix.trace().real)
 
     def __repr__(self):
         return f"QOperator(dim={self.dim}, dims={list(self.dims)})"
@@ -151,15 +152,19 @@ def apply_and_trace(op: QOperator, local: QOperator, factor: int) -> QOperator:
     return QOperator(out, [op.dims[1 - factor]])
 
 
+def _transpose_factors(mats: np.ndarray, dims: tuple[int, ...], factors: list[int]) -> np.ndarray:
+    """Partial transpose of a matrix, or of each matrix of a (k, d, d) stack."""
+    lead = mats.shape[:-2]
+    k, n = len(dims), len(lead)
+    axes = list(range(n + 2 * k))
+    for f in factors:
+        axes[n + f], axes[n + k + f] = axes[n + k + f], axes[n + f]
+    return mats.reshape(lead + dims + dims).transpose(axes).reshape(mats.shape)
+
+
 def partial_transpose(op: QOperator, factors: Iterable[int]) -> QOperator:
     """Transpose the listed factors in place."""
-    factors = _check_factors(op, factors)
-    k = op.nfactors
-    t = op.matrix.reshape(op.dims + op.dims)
-    axes = list(range(2 * k))
-    for f in factors:
-        axes[f], axes[k + f] = axes[k + f], axes[f]
-    return QOperator(t.transpose(axes).reshape(op.dim, op.dim), op.dims)
+    return QOperator(_transpose_factors(op.matrix, op.dims, _check_factors(op, factors)), op.dims)
 
 
 def _spectra(mats: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
@@ -179,37 +184,58 @@ def hermitian_eigenvalues(op: QOperator, tol: float = TOL_HERM) -> np.ndarray:
     return _spectra(op.matrix, tol)
 
 
+def _negativities(mats: np.ndarray, dims: tuple[int, ...], factors: list[int]) -> np.ndarray:
+    """Negativity of each matrix of a (k, d, d) stack with factor dims
+    ``dims``: the sum of |eigenvalues below -NEG_CUTOFF| of its partial
+    transpose over ``factors``.  Raises NotPositiveError for the first
+    matrix with an eigenvalue below -NEG_CUTOFF * max(1, |largest|)."""
+    evs = _spectra(mats)
+    bad = evs[:, 0] < -NEG_CUTOFF * np.maximum(1.0, np.abs(evs[:, -1]))
+    if bad.any():
+        raise NotPositiveError(f"input has negative eigenvalue {evs[np.argmax(bad), 0]:.3e}")
+    pt = _spectra(_transpose_factors(mats, dims, factors))
+    # Summed row by row over the negative eigenvalues alone, as a single
+    # matrix would be, so the value does not depend on the stack; a row
+    # without any sums to -0.0, the negated empty sum.
+    out = np.full(len(mats), -0.0)
+    for i in np.flatnonzero(pt[:, 0] < -NEG_CUTOFF):
+        out[i] = -np.sum(pt[i][pt[i] < -NEG_CUTOFF])
+    return out
+
+
 def negativity(op: QOperator, transpose_factors: Iterable[int]) -> float:
     """Sum of |negative eigenvalues| of the partial transpose.
 
     A strictly positive value certifies entanglement across the bipartition
     (NPT implies entangled in any dimension); zero is inconclusive.
     """
-    evs = hermitian_eigenvalues(op)
-    if evs[0] < -NEG_CUTOFF * max(1.0, abs(evs[-1])):
-        raise NotPositiveError(f"input has negative eigenvalue {evs[0]:.3e}")
-    pt = partial_transpose(op, transpose_factors)
-    pt_evs = hermitian_eigenvalues(pt)
-    return float(-np.sum(pt_evs[pt_evs < -NEG_CUTOFF]))
+    factors = _check_factors(op, transpose_factors)
+    return float(_negativities(op.matrix[None], op.dims, factors)[0])
+
+
+def _blocks(ops: Sequence[QOperator]):
+    """Yield (indices, stack) covering ``ops``: the matrices of operators
+    with equal dims stacked in their order, at most ``CHECK_BLOCK_BYTES``
+    (or one matrix) a stack, which bounds the memory of a stacked
+    computation whatever the number and size of the operators."""
+    groups: dict = {}
+    for i, op in enumerate(ops):
+        groups.setdefault(op.dims, []).append(i)
+    for idx in groups.values():
+        step = max(1, CHECK_BLOCK_BYTES // ops[idx[0]].matrix.nbytes)
+        for i in range(0, len(idx), step):
+            block = idx[i:i + step]
+            yield block, np.stack([ops[j].matrix for j in block])
 
 
 def is_psd(*ops: QOperator, tol: float = TOL_EQ) -> bool:
     """True iff every operator is Hermitian with no eigenvalue below -tol
-    (true for none).  Checked per stack of same-shape matrices, not per
-    operator; a stack holds at most ``CHECK_BLOCK_BYTES`` (or one matrix),
-    which bounds the check's memory whatever the number and size of parts."""
-    groups: dict = {}
-    for op in ops:
-        groups.setdefault(op.matrix.shape, []).append(op.matrix)
+    (true for none).  Checked per stack of operators (``_blocks``), not
+    per operator."""
     try:
-        for mats in groups.values():
-            step = max(1, CHECK_BLOCK_BYTES // mats[0].nbytes)
-            for i in range(0, len(mats), step):
-                if not np.all(_spectra(np.stack(mats[i:i + step]))[:, 0] >= -tol):
-                    return False
+        return all(np.all(_spectra(stack)[:, 0] >= -tol) for _, stack in _blocks(ops))
     except NotHermitianError:
         return False
-    return True
 
 
 def is_density(*ops: QOperator, tol: float = TOL_EQ) -> bool:

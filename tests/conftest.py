@@ -63,15 +63,18 @@ def brute_force_assemblage(net):
     return out
 
 
-def random_linear_network(rng: np.random.Generator, n_parties: int, max_dim: int = 3) -> LinearNetwork:
-    """Random line: Haar-ish random density sources, random projective-sum POVMs."""
+def random_linear_network(
+    rng: np.random.Generator, n_parties: int, max_dim: int = 3, n_out: int = 2
+) -> LinearNetwork:
+    """Random line: Haar-ish random density sources, random projective-sum
+    POVMs with ``n_out`` outcomes."""
 
     def rand_density(d):
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         mat = g @ g.conj().T
         return mat / np.trace(mat)
 
-    def rand_povm(dims, n_out=2):
+    def rand_povm(dims):
         d = int(np.prod(dims))
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         q, _ = np.linalg.qr(g)

@@ -15,8 +15,17 @@ from netsteer.certificates import (
     linear_steering_witness,
 )
 from netsteer.measurements import bell_swap_povm, pauli_projective
-from netsteer.network import LinearNetwork, line_assemblage, standard_assemblage
-from netsteer.states import DEWParams, classical_correlated, dew, werner
+from netsteer.network import LinearNetwork, NetworkAssemblage, line_assemblage, standard_assemblage
+from netsteer.operators import (
+    CHECK_BLOCK_BYTES,
+    NEG_CUTOFF,
+    NotPositiveError,
+    QOperator,
+    negativity,
+)
+from netsteer.states import DEWParams, classical_correlated, dew, psi_minus, werner
+
+from conftest import random_linear_network
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
@@ -38,6 +47,107 @@ class TestCertify:
         verdict = certify_network_steering(line_assemblage(net))
         assert verdict.status == INCONCLUSIVE
         assert not verdict.certified
+
+
+def _certify_per_element(asm):
+    """The element-by-element definition: skip traces below NEG_CUTOFF,
+    keep the first element of largest negativity."""
+    best_val, best_outcome = 0.0, None
+    for outcome, op in asm.elements.items():
+        if op.trace() < NEG_CUTOFF:
+            continue
+        val = negativity(op, [1])
+        if val > best_val:
+            best_val, best_outcome = val, outcome
+    if best_val > NEG_CUTOFF:
+        return CERTIFIED, {"negativity": best_val, "outcome": best_outcome}
+    return INCONCLUSIVE, None
+
+
+def _normalised(mats, dims, keys):
+    total = sum(np.trace(m).real for m in mats)
+    return NetworkAssemblage(
+        {k: QOperator(m / total, d) for k, m, d in zip(keys, mats, dims)}, n_parties=3
+    )
+
+
+def _max_entangled(d):
+    v = np.eye(d).reshape(d * d) / np.sqrt(d)
+    return np.outer(v, v)
+
+
+class TestCertifyStacked:
+    """certify_network_steering on stacked spectra against the per-element
+    definition, on assemblages larger than one stacked block."""
+
+    @pytest.mark.parametrize("omega", [0.95, 0.86])
+    def test_dew_line_matches_per_element(self, omega):
+        # 1,024 elements of 9 x 9 (a block holds CHECK_BLOCK_BYTES // 1296)
+        n = 12
+        net = LinearNetwork([dew(DEWParams(0.9, omega))] * (n - 1), [bell_swap_povm(3)] * (n - 2))
+        asm = line_assemblage(net)
+        assert len(asm.elements) * 1296 > 2 * CHECK_BLOCK_BYTES
+        verdict = certify_network_steering(asm)
+        assert (verdict.status, verdict.witness) == _certify_per_element(asm)
+
+    def test_random_line_matches_per_element(self):
+        # 512 elements with endpoint dims up to 4
+        net = random_linear_network(np.random.default_rng(11), 11, max_dim=4)
+        asm = line_assemblage(net)
+        verdict = certify_network_steering(asm)
+        assert (verdict.status, verdict.witness) == _certify_per_element(asm)
+
+    def test_mixed_element_shapes(self):
+        # random pure states of dims (2, 3), (3, 2), (2, 2) interleaved; the
+        # first two share a matrix shape but not a partial transpose
+        rng = np.random.default_rng(5)
+        dims = [(2, 3), (3, 2), (2, 2)] * 20
+        mats = []
+        for d in dims:
+            v = rng.normal(size=d[0] * d[1]) + 1j * rng.normal(size=d[0] * d[1])
+            mats.append(np.outer(v, v.conj()) * rng.random())
+        asm = _normalised(mats, dims, [("k", i) for i in range(len(dims))])
+        verdict = certify_network_steering(asm)
+        assert verdict.certified
+        assert (verdict.status, verdict.witness) == _certify_per_element(asm)
+
+    # same block; different blocks (202 matrices of 9 x 9 per block)
+    @pytest.mark.parametrize("first,second", [(0, 1), (10, 240)])
+    def test_equal_maxima_give_first_key(self, first, second):
+        n = 250
+        mats = [np.eye(9) / 9] * n
+        mats[first] = mats[second] = _max_entangled(3)
+        keys = [(n - i,) for i in range(n)]        # dict order is not label order
+        asm = _normalised(mats, [(3, 3)] * n, keys)
+        verdict = certify_network_steering(asm)
+        assert verdict.witness["outcome"] == keys[first]
+        assert verdict.witness["negativity"] == negativity(asm.elements[keys[second]], [1])
+
+    # below the cutoff the non-PSD element is skipped; above it, it is checked
+    @pytest.mark.parametrize("trace,skipped", [(-1e-11, True), (1e-11, False)])
+    def test_skips_elements_below_cutoff_trace(self, trace, skipped):
+        tiny = QOperator(np.diag([trace + 5e-11, -5e-11, 0.0, 0.0]), (2, 2))
+        asm = NetworkAssemblage({(0,): psi_minus(), (1,): tiny}, n_parties=3)
+        if skipped:
+            verdict = certify_network_steering(asm)
+            assert verdict.witness == {"negativity": negativity(psi_minus(), [1]), "outcome": (0,)}
+        else:
+            with pytest.raises(NotPositiveError):
+                certify_network_steering(asm)
+
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_rejects_negative_eigenvalue_at(self, position):
+        # 300 elements of 9 x 9, so the last one sits in a later block;
+        # -1e-10 passes NetworkAssemblage (TOL_CHECK) but not the precondition
+        n = 300
+        mats = [np.eye(9) / (9 * n)] * n
+        bad = np.diag([1.0 / n + 1e-10, -1e-10] + [0.0] * 7)
+        mats[0 if position == "first" else n - 1] = bad
+        asm = NetworkAssemblage(
+            {(k,): QOperator(m, (3, 3)) for k, m in enumerate(mats)}, n_parties=3
+        )
+        with pytest.raises(NotPositiveError, match="negative eigenvalue -1.000e-10"):
+            certify_network_steering(asm)
 
 
 class TestBlochData:

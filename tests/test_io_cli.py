@@ -203,6 +203,36 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("target", ["missing-parent", "directory", "parent-is-file"])
+    @pytest.mark.parametrize(
+        "argv,runner",
+        [(["claims-demo", "--omega", "0.9", "--out"], "run_claims_demo"),
+         (["nlhs", "--fixture", "sep_loc_sep", "--model-out"], "run_nlhs")],
+        ids=["out", "model-out"],
+    )
+    def test_unwritable_output_rejected_before_running(self, tmp_path, capsys, monkeypatch,
+                                                       argv, runner, target):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(f"netsteer.cli.{runner}", refuse)
+        (tmp_path / "file").write_text("")
+        path = {"missing-parent": tmp_path / "missing" / "m.json",
+                "directory": tmp_path,
+                "parent-is-file": tmp_path / "file" / "m.json"}[target]
+        assert main(argv + [str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    def test_no_report_written_when_model_out_unwritable(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("netsteer.cli.run_nlhs", lambda *a, **k: pytest.fail("ran"))
+        report = tmp_path / "report.json"
+        argv = ["nlhs", "--fixture", "sep_loc_sep", "--out", str(report),
+                "--model-out", str(tmp_path / "missing" / "m.json")]
+        assert main(argv) == 2
+        assert not report.exists()
+
     @pytest.mark.parametrize(
         "pattern,sources,measurements,slot,reason",
         [

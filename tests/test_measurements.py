@@ -65,6 +65,15 @@ class TestPOVMValidation:
         )
         assert povm.effect("down").matrix[1, 1] == 1.0
 
+    @pytest.mark.parametrize("label", ["left", 0, None])
+    def test_effect_rejects_unknown_label(self, label):
+        povm = POVM(
+            [QOperator(np.diag([1.0, 0.0]), [2]), QOperator(np.diag([0.0, 1.0]), [2])],
+            outcome_labels=("up", "down"),
+        )
+        with pytest.raises(InvalidPOVMError, match=rf"label {label!r}.*\['up', 'down'\]"):
+            povm.effect(label)
+
 
 class TestBellSwap:
     def test_qubit_singlet_effect(self):
@@ -221,6 +230,29 @@ class TestSeparableMeasurement:
             terms[-1] = terms[-1][:-1] + _split(terms[-1][-1], side)
         with pytest.raises(InvalidPOVMError, match="factor not PSD"):
             SeparableMeasurement(povm, terms)
+
+    def test_valid_certificate_unequal_factor_dims(self):
+        # effects on (2, 3): |0><0| (x) diag(1, 0, 0) + |1><1| (x) diag(0, 1, 1)
+        # and its complement
+        p0, p1 = (projector(basis_ket(i, 2), [2]) for i in range(2))
+        a = QOperator(np.diag([1.0, 0.0, 0.0]), [3])
+        b = QOperator(np.diag([0.0, 1.0, 1.0]), [3])
+        e0 = QOperator(np.kron(p0.matrix, a.matrix) + np.kron(p1.matrix, b.matrix), (2, 3))
+        e1 = QOperator(np.eye(6) - e0.matrix, (2, 3))
+        povm = POVM([e0, e1])
+        SeparableMeasurement(povm, [[(p0, a), (p1, b)], [(p0, b), (p1, a)]])
+        with pytest.raises(InvalidPOVMError, match="does not reproduce"):
+            SeparableMeasurement(povm, [[(p0, b), (p1, a)], [(p0, a), (p1, b)]])
+
+    def test_rejects_swapped_factor_order(self):
+        # |0><0| (x) |1><1| is not |1><1| (x) |0><0|
+        p0, p1 = (projector(basis_ket(i, 2), [2]) for i in range(2))
+        e0 = QOperator(np.kron(p0.matrix, p1.matrix), (2, 2))
+        povm = POVM([e0, QOperator(np.eye(4) - e0.matrix, (2, 2))])
+        rest = [(p0, p0), (p1, identity([2]))]
+        SeparableMeasurement(povm, [[(p0, p1)], rest])
+        with pytest.raises(InvalidPOVMError, match="does not reproduce"):
+            SeparableMeasurement(povm, [[(p1, p0)], rest])
 
     def test_accepts_empty_terms_for_zero_effect(self):
         zero = QOperator(np.zeros((4, 4)), (2, 2))

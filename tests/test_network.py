@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from netsteer.measurements import (
+    POVM,
+    InvalidPOVMError,
     bell_swap_povm,
     computational_basis_povm,
     pauli_projective,
@@ -22,9 +24,10 @@ from netsteer.operators import (
     PAULI_Z,
     QOperator,
     max_entry_distance,
+    partial_trace,
     tensor,
 )
-from netsteer.states import psi_minus, werner
+from netsteer.states import DEWParams, dew, psi_minus, werner
 
 from conftest import brute_force_assemblage, rand_density, random_linear_network
 
@@ -88,6 +91,45 @@ class TestLineAssemblage:
             for k in oracle:
                 assert max_entry_distance(asm.elements[k], oracle[k]) < 1e-11
 
+    def test_matches_brute_force_oracle_three_outcomes(self):
+        # six parties, 3^4 = 81 outcome tuples; the oracle's key order is
+        # prefix-major (itertools.product), which the assemblage keeps
+        net = random_linear_network(np.random.default_rng(6), 6, max_dim=2, n_out=3)
+        asm = line_assemblage(net)
+        oracle = brute_force_assemblage(net)
+        assert list(asm.elements) == list(oracle)
+        for k in oracle:
+            assert max_entry_distance(asm.elements[k], oracle[k]) < 1e-11
+
+    def test_string_outcome_labels(self, rng):
+        swap = bell_swap_povm(2)
+        named = POVM(swap.effects, outcome_labels=("singlet", "rest"))
+        net = LinearNetwork([rand_density(rng, (2, 2)) for _ in range(3)], [named, named])
+        asm = line_assemblage(net)
+        oracle = brute_force_assemblage(net)
+        assert list(asm.elements) == [("singlet", "singlet"), ("singlet", "rest"),
+                                      ("rest", "singlet"), ("rest", "rest")]
+        for k in oracle:
+            assert max_entry_distance(asm.elements[k], oracle[k]) < 1e-12
+            assert max_entry_distance(assemblage_element(net, k), oracle[k]) < 1e-12
+
+    def test_endpoint_dims_differ_from_interior(self, rng):
+        # endpoints of dims 4 and 2 around qutrit interior parties
+        dims = [(4, 3), (3, 3), (3, 2)]
+        net = LinearNetwork([rand_density(rng, d) for d in dims], [bell_swap_povm(3)] * 2)
+        asm = line_assemblage(net)
+        oracle = brute_force_assemblage(net)
+        assert list(asm.elements) == list(oracle)
+        for k in oracle:
+            assert asm.elements[k].dims == (4, 2)
+            assert max_entry_distance(asm.elements[k], oracle[k]) < 1e-12
+            assert max_entry_distance(assemblage_element(net, k), oracle[k]) < 1e-12
+
+    def test_assemblage_element_rejects_unknown_label(self, rng):
+        net = random_linear_network(rng, 3)
+        with pytest.raises(InvalidPOVMError, match=r"label 5.*\[0, 1\]"):
+            assemblage_element(net, (5,))
+
     def test_assemblage_element_matches_full(self, rng):
         net = random_linear_network(rng, 4, max_dim=3)
         asm = line_assemblage(net)
@@ -115,6 +157,43 @@ class TestLineAssemblage:
             partial_trace(net.sources[-1], keep=[1]),
         )
         assert max_entry_distance(asm.total(), expected) < 1e-10
+
+
+class TestDEWLine:
+    """A 12-party line of doubly-erased Werner sources against closed forms."""
+
+    def test_twelve_party_closed_forms(self):
+        eta, omega, n = 0.9, 0.95, 12
+        src = dew(DEWParams(eta, omega))
+        net = LinearNetwork([src] * (n - 1), [bell_swap_povm(3)] * (n - 2))
+        asm = line_assemblage(net)
+        assert len(asm.elements) == 2 ** (n - 2)
+        # the last steps contract their 9 x 9 prefixes in several blocks
+        assert 2 ** (n - 3) * src.matrix.nbytes > 2 * CHECK_BLOCK_BYTES
+        # all swaps succeed: (eta^2/4)^(n-2) DEW(eta, omega^(n-1))
+        scale = (eta * eta / 4.0) ** (n - 2)
+        success = asm.elements[(0,) * (n - 2)]
+        expected = scale * dew(DEWParams(eta, omega ** (n - 1))).matrix
+        assert np.max(np.abs(success.matrix - expected)) < 1e-12 * scale
+        total = sum(op.trace() for op in asm.elements.values())
+        assert abs(total - 1.0) < 1e-12
+        marginals = tensor(partial_trace(src, keep=[0]), partial_trace(src, keep=[1]))
+        assert max_entry_distance(asm.total(), marginals) < 1e-12
+
+    def test_bitwise_equal_to_single_element_contraction(self):
+        # the reported DEW numbers come from these elements: batching the
+        # outcomes must not move a bit against contracting each element alone
+        src = dew(DEWParams(0.9, 0.95))
+        swap = bell_swap_povm(3)
+        net = LinearNetwork([src] * 5, [swap] * 4)
+        sm = src.matrix.reshape(3, 3, 3, 3)
+        for outcome, op in line_assemblage(net).elements.items():
+            t = sm
+            for label in outcome:
+                em = swap.effect(label).matrix.reshape(3, 3, 3, 3)
+                t = np.einsum("uvbc,abxu,cdvy->adxy", em, t, sm, optimize=True)
+            assert op.matrix.tobytes() == t.reshape(9, 9).tobytes()
+            assert assemblage_element(net, outcome).matrix.tobytes() == op.matrix.tobytes()
 
 
 class TestNetworkAssemblage:
