@@ -44,6 +44,22 @@ class POVM:
             raise DimensionError("all effects must share one DimList")
         if not is_psd(*effects, tol=TOL_CHECK):
             raise InvalidPOVMError("effect is not positive semidefinite")
+        self._complete(effects, outcome_labels)
+
+    @classmethod
+    def _of_diagonals(cls, diagonals, dims, outcome_labels=None) -> "POVM":
+        """POVM of the diagonal effects diag(d_b), one row d_b of
+        ``diagonals`` per outcome.  A diagonal matrix is PSD exactly when its
+        diagonal is non-negative, so no eigendecomposition is needed."""
+        diagonals = np.asarray(diagonals, dtype=float)
+        if np.any(diagonals < 0):
+            raise InvalidPOVMError("effect is not positive semidefinite")
+        povm = cls.__new__(cls)
+        povm._complete(tuple(QOperator(np.diag(d), dims) for d in diagonals), outcome_labels)
+        return povm
+
+    def _complete(self, effects: tuple[QOperator, ...], outcome_labels) -> None:
+        """Check completeness and the labels of PSD effects, then set the fields."""
         total = sum(e.matrix for e in effects)
         if np.max(np.abs(total - np.eye(effects[0].dim))) > TOL_EQ:
             raise InvalidPOVMError("effects do not sum to the identity")

@@ -115,22 +115,26 @@ class NLHSModel:
 
 
 def reconstruct(model: NLHSModel) -> NetworkAssemblage:
-    """Assemble the (separable-by-construction) network assemblage."""
-    d_l, d_r = model.left_states[0].dim, model.right_states[0].dim
-    elements = {}
-    outcome_ranges = [range(r.shape[0]) for r in model.responses]
-    for bs in itertools.product(*outcome_ranges):
-        w = np.diag(model.source_dists[0])
-        for j, b in enumerate(bs):
-            w = w @ model.responses[j][b] @ np.diag(model.source_dists[j + 1])
-        mat = np.zeros((d_l * d_r, d_l * d_r), dtype=complex)
-        for i, left in enumerate(model.left_states):
-            for k, right in enumerate(model.right_states):
-                if w[i, k] != 0.0:
-                    mat += w[i, k] * np.kron(left.matrix, right.matrix)
-        label = tuple(model.outcome_labels[j][b] for j, b in enumerate(bs))
-        elements[label] = QOperator(mat, (model.left_states[0].dims[0],
-                                          model.right_states[0].dims[0]))
+    """Assemble the (separable-by-construction) network assemblage.
+
+    Element ``bs`` is sum_{i,k} w_bs[i, k] L_i (x) R_k, where the chained
+    hidden weights are w_bs = diag(p_0) R_0[b_0] diag(p_1) ... diag(p_last);
+    all outcome tuples are computed as one stack, prefix-major like
+    ``itertools.product``.
+    """
+    w = np.diag(model.source_dists[0])[None]
+    for resp, p in zip(model.responses, model.source_dists[1:]):
+        w = (w[:, None] @ (resp * p)[None]).reshape(-1, w.shape[1], len(p))
+    lefts = np.array([s.matrix for s in model.left_states])
+    rights = np.array([s.matrix for s in model.right_states])
+    side = lefts.shape[1] * rights.shape[1]
+    mats = np.einsum("pik,iac,kbd->pabcd", w, lefts, rights, optimize=True)
+    dims = (model.left_states[0].dims[0], model.right_states[0].dims[0])
+    elements = {
+        label: QOperator(mat, dims)
+        for label, mat in zip(itertools.product(*model.outcome_labels),
+                              mats.reshape(len(w), side, side))
+    }
     return NetworkAssemblage(elements, n_parties=model.n_parties)
 
 
@@ -212,6 +216,7 @@ class LHSData:
     dist: np.ndarray
     response: np.ndarray          # shape (n_outcomes, n_inputs, n_lambda)
     states: tuple[QOperator, ...]
+    inputs_distinct: Optional[int] = None   # inputs the search solved for; None without a search
 
 
 def _strategies(n_out: int, n_in: int) -> np.ndarray:
@@ -220,6 +225,28 @@ def _strategies(n_out: int, n_in: int) -> np.ndarray:
     order."""
     digits = np.indices((n_out,) * n_in).reshape(n_in, -1).T
     return (digits[:, None, :] == np.arange(n_out)[:, None]).astype(float)
+
+
+def _distinct_inputs(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the first occurrence of each byte-for-byte distinct row of
+    a stack, and for every row the position of its representative among
+    them.  Merging exactly equal inputs is always sound: a model solved over
+    the representatives answers each duplicate as its representative."""
+    seen: dict[bytes, int] = {}
+    first, rep = [], []
+    for i, row in enumerate(rows):
+        j = seen.setdefault(np.ascontiguousarray(row).tobytes(), len(first))
+        if j == len(first):
+            first.append(i)
+        rep.append(j)
+    return np.array(first, dtype=int), np.array(rep, dtype=int)
+
+
+def _lhv_inputs(behavior: np.ndarray):
+    """``_distinct_inputs`` of the x-slices p(., . | x, .) and of the
+    y-slices p(., . | ., y) of a behaviour."""
+    return (_distinct_inputs(np.moveaxis(behavior, 2, 0)),
+            _distinct_inputs(np.moveaxis(behavior, 3, 0)))
 
 
 def _check_size(rows: int, cols: int) -> None:
@@ -278,35 +305,41 @@ class BruteForceLHSProvider:
     hidden states drawn from the normalised steered states plus, for a qubit,
     a fixed grid of ``N_BLOCH`` = 26 Fibonacci-sphere Bloch vectors; weights
     solved by nonnegative least squares.  Only reconstructions within
-    ``RECONSTRUCTION_TOL`` are accepted.  A search whose system would exceed
-    ``MAX_SYSTEM_ENTRIES`` = 2**25 entries raises ``ModelNotFoundError``
-    before any of it is enumerated."""
+    ``RECONSTRUCTION_TOL`` are accepted.  Inputs whose steered states
+    sigma_{.|x} are exactly equal are solved once, as one input.  A search
+    whose system, after that merge, would exceed ``MAX_SYSTEM_ENTRIES`` =
+    2**25 entries raises ``ModelNotFoundError`` before any of it is
+    enumerated."""
 
     def find(self, rho: QOperator, povms: Sequence[POVM], direction: str) -> LHSData:
         side = "left" if direction == "right" else "right"
-        asm = standard_assemblage(rho, povms, side=side)
+        n_out = povms[0].n_outcomes
+        asm = list(standard_assemblage(rho, povms, side=side).values())   # x-major
+        sigma = _real_rows([op.matrix for op in asm]).reshape(len(povms), n_out, -1)
+        first, rep = _distinct_inputs(sigma)
+        sigma = sigma[first]
         cands = []
-        for op in asm.values():
-            tr = op.trace()
-            if tr > TOL_CHECK:
-                cands.append(QOperator(op.matrix / tr, op.dims))
+        for x in first:
+            for op in asm[x * n_out:(x + 1) * n_out]:
+                tr = op.trace()
+                if tr > TOL_CHECK:
+                    cands.append(QOperator(op.matrix / tr, op.dims))
         d = rho.dims[1 if direction == "right" else 0]
         if d == 2:
             for u in fibonacci_sphere(N_BLOCH):
                 obs = sum(c * s for c, s in zip(u, PAULIS))
                 cands.append(QOperator((np.eye(2) + obs) / 2, [2]))
-        n_out, n_in, n_cand = povms[0].n_outcomes, len(povms), len(cands)
-        _check_size(n_in * n_out * 2 * d * d, n_out ** n_in * n_cand)
+        n_in, n_cand = len(first), len(cands)
+        _check_size(sigma.size, n_out ** n_in * n_cand)
         # unknowns: c[s, j] >= 0 with
         #   sum_{s: s(x)=b} sum_j c[s, j] tau_j = sigma_{b|x}
-        # rows [x, b, entry of sigma_{b|x}], columns [s, j]
+        # rows [x, b, entry of sigma_{b|x}], columns [s, j], x over the distinct inputs
         strat = _strategies(n_out, n_in)
         tau = _real_rows([c.matrix for c in cands]).T
         a_mat = np.zeros((n_in, n_out, len(tau), len(strat), n_cand))
         for x in range(n_in):
             for b in range(n_out):
                 a_mat[x, b][:, strat[:, b, x] > 0] = tau[:, None, :]
-        sigma = _real_rows([op.matrix for op in asm.values()])
         c = _nnls_weights(a_mat.reshape(sigma.size, -1), sigma.ravel(), "NNLS")
         weights = c.reshape(len(strat), n_cand)
         keep_s, keep_j = np.nonzero(weights > 1e-14)
@@ -314,8 +347,8 @@ class BruteForceLHSProvider:
         total = dist.sum()
         if abs(total - 1.0) > TOL_NORM:
             raise ModelNotFoundError(f"weights sum to {total}, expected 1")
-        resp = strat[keep_s].transpose(1, 2, 0)
-        return LHSData(dist / total, resp, tuple(cands[j] for j in keep_j))
+        resp = strat[keep_s][:, :, rep].transpose(1, 2, 0)
+        return LHSData(dist / total, resp, tuple(cands[j] for j in keep_j), n_in)
 
 
 def solve_lhv(behavior: np.ndarray):
@@ -323,23 +356,28 @@ def solve_lhv(behavior: np.ndarray):
 
     ``behavior`` has shape (n_b, n_c, n_x, n_y).  Returns (dist over
     deterministic strategy pairs, left responses resp_b[b, x, l],
-    right responses resp_c[c, y, l]).  Deterministic-vertex weights are
-    found by nonnegative least squares; first-feasible tie-break is the
-    lowest lexicographic strategy index (nnls is deterministic).  A system
-    over ``MAX_SYSTEM_ENTRIES`` raises ``ModelNotFoundError``.
+    right responses resp_c[c, y, l]).  x-inputs with exactly equal slices
+    p(., . | x, .), and likewise y-inputs, are solved once, as one input.
+    Deterministic-vertex weights are found by nonnegative least squares;
+    first-feasible tie-break is the lowest lexicographic strategy index
+    (nnls is deterministic).  A system over ``MAX_SYSTEM_ENTRIES`` after
+    that merge raises ``ModelNotFoundError``.
     """
-    n_b, n_c, n_x, n_y = behavior.shape
-    _check_size(behavior.size, n_b ** n_x * n_c ** n_y)
-    left = _strategies(n_b, n_x)
-    right = _strategies(n_c, n_y)
-    # rows ((b * n_c + c) * n_x + x) * n_y + y, columns l * len(right) + r
+    n_b, n_c = behavior.shape[:2]
+    (first_x, rep_x), (first_y, rep_y) = _lhv_inputs(behavior)
+    behavior = behavior[:, :, first_x][:, :, :, first_y]
+    _check_size(behavior.size, n_b ** len(first_x) * n_c ** len(first_y))
+    left = _strategies(n_b, len(first_x))
+    right = _strategies(n_c, len(first_y))
+    # rows ((b * n_c + c) * n_x + x) * n_y + y over the distinct x and y,
+    # columns l * len(right) + r
     a_mat = np.einsum("lbx,rcy->bcxylr", left, right).reshape(behavior.size, -1)
     q = _nnls_weights(a_mat, behavior.reshape(-1), "LHV")
     keep = np.flatnonzero(q > 1e-14)
     dist = q[keep]
     dist = dist / dist.sum()
-    resp_b = left[keep // len(right)].transpose(1, 2, 0)
-    resp_c = right[keep % len(right)].transpose(1, 2, 0)
+    resp_b = left[keep // len(right)][:, :, rep_x].transpose(1, 2, 0)
+    resp_c = right[keep % len(right)][:, :, rep_y].transpose(1, 2, 0)
     return dist, resp_b, resp_c
 
 
@@ -444,14 +482,22 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
               for r in right_states[i - 1]] if takes_left else None
         rp = [induced_measurement(measurements[i], l, "right")
               for l in left_states[i + 1]] if takes_right else None
+        distinct = ""
         try:
             if slot.kind == LOC:
-                dists[i], resp_b, resp_c = solve_lhv(_lhv_behavior(slot.state, lp, rp))
+                behavior = _lhv_behavior(slot.state, lp, rp)
+                dists[i], resp_b, resp_c = solve_lhv(behavior)
+                (xs, _), (ys, _) = _lhv_inputs(behavior)
+                distinct = (f" ({len(xs)} of {len(lp)} x-inputs and "
+                            f"{len(ys)} of {len(rp)} y-inputs distinct)")
             else:
                 direction = "right" if takes_left else "left"
-                data = slot.provider.find(slot.state, lp if takes_left else rp, direction)
+                inputs = lp if takes_left else rp
+                data = slot.provider.find(slot.state, inputs, direction)
                 dists[i], resp_b, resp_c = data.dist, data.response, data.response
                 (right_states if takes_left else left_states)[i] = data.states
+                if data.inputs_distinct is not None:
+                    distinct = f" ({data.inputs_distinct} of {len(inputs)} inputs distinct)"
         except ModelNotFoundError as exc:
             raise ModelNotFoundError(f"{slot.kind.split('_')[0]} slot {i}: {exc}") from exc
         if takes_left:
@@ -460,7 +506,7 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
             responses[i] = np.transpose(resp_c, (0, 2, 1))        # [c, lam_i, lam_{i+1}]
         via = {UNS_RIGHT: f"measurement {i - 1}", UNS_LEFT: f"measurement {i}",
                LOC: f"measurements {i - 1} and {i}"}[slot.kind]
-        transcript.append(f"slot {i}: {slot.kind} resolved via {via}")
+        transcript.append(f"slot {i}: {slot.kind} resolved via {via}{distinct}")
         return True
 
     pending = [i for i in range(n_src) if slots[i].kind != SEP]
@@ -550,14 +596,15 @@ def nlhs_to_separable_realization(model: NLHSModel) -> SeparableRealization:
     certificates = []
     for resp, labels in zip(model.responses, model.outcome_labels):
         fl, fr = flags[resp.shape[1]], flags[resp.shape[2]]
-        dims = (len(fl), len(fr))
-        effects = [QOperator(np.diag(np.where(r > 0.0, r, 0.0).ravel()), dims) for r in resp]
+        # diagonal effects from the checked model's non-negative responses
+        povm = POVM._of_diagonals(np.where(resp > 0.0, resp, 0.0).reshape(len(resp), -1),
+                                  (len(fl), len(fr)), labels)
         terms = [
             [(QOperator(r[a, c] * fl[a].matrix, fl[a].dims), fr[c])
              for a, c in zip(*np.nonzero(r > 0.0))]
             for r in resp
         ]
-        certificates.append(SeparableMeasurement(POVM(effects, outcome_labels=labels), terms))
+        certificates.append(SeparableMeasurement(povm, terms))
 
     network = LinearNetwork([dec.state() for dec in decompositions],
                             [cert.povm for cert in certificates])

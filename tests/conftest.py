@@ -8,7 +8,7 @@ import pytest
 from netsteer.measurements import POVM
 from netsteer.network import LinearNetwork
 from netsteer.nlhs import NLHSModel
-from netsteer.operators import QOperator, identity, partial_trace, tensor
+from netsteer.operators import QOperator, tensor
 
 
 @pytest.fixture
@@ -37,11 +37,13 @@ def rand_unit_vector(rng):
 
 def brute_force_assemblage(net):
     """Oracle for line_assemblage: materialise the full tensor product of
-    all sources and hit it with one big effect per outcome tuple.
+    all sources and contract it with the Kronecker product of the central
+    effects of each outcome tuple, one einsum per tuple.
 
     Exponential in the line length, which is fine at test scale, and
     structurally independent of the pairwise contraction it checks.
     """
+    import functools
     import itertools
 
     sources = net.sources
@@ -49,17 +51,19 @@ def brute_force_assemblage(net):
     big = sources[0]
     for s in sources[1:]:
         big = tensor(big, s)
-    n_src = len(sources)
+    d_l, d_r = sources[0].dims[0], sources[-1].dims[1]
+    mid = big.dim // (d_l * d_r)
+    # big[(a, m, z), (a', m', z')] with every interior factor flattened into m
+    full = big.matrix.reshape(d_l, mid, d_r, d_l, mid, d_r)
     out = {}
     ranges = [m.outcome_labels for m in measurements]
     for labels in itertools.product(*ranges):
-        ops = [identity([sources[0].dims[0]])]
-        for m, lab in zip(measurements, labels):
-            ops.append(m.effect(lab))
-        ops.append(identity([sources[-1].dims[1]]))
-        full = tensor(*ops)
-        prod = QOperator(full.matrix @ big.matrix, big.dims)
-        out[labels] = partial_trace(prod, keep=[0, 2 * n_src - 1])
+        effect = functools.reduce(
+            np.kron, [m.effect(lab).matrix for m, lab in zip(measurements, labels)]
+        )
+        # Tr_interior[(1 (x) effect (x) 1) big]
+        element = np.einsum("mn,anzbmy->azby", effect, full)
+        out[labels] = QOperator(element.reshape(d_l * d_r, d_l * d_r), (d_l, d_r))
     return out
 
 

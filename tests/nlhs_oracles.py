@@ -6,6 +6,8 @@ the generic percolation constructor ``netsteer.nlhs.build_percolation_line``
 that the tests check against them.
 """
 
+import itertools
+
 import numpy as np
 
 from netsteer.measurements import POVM, induced_measurement
@@ -17,6 +19,27 @@ from netsteer.nlhs import (
     solve_lhv,
 )
 from netsteer.operators import DimensionError, QOperator
+
+
+def reconstruct_kron_loop(model: NLHSModel) -> dict:
+    """Oracle for ``reconstruct``: chain the hidden weights of each outcome
+    tuple one matrix product at a time and sum the weighted Kronecker
+    products of the endpoint states term by term.  Returns label -> matrix."""
+    d_l, d_r = model.left_states[0].dim, model.right_states[0].dim
+    elements = {}
+    outcome_ranges = [range(r.shape[0]) for r in model.responses]
+    for bs in itertools.product(*outcome_ranges):
+        w = np.diag(model.source_dists[0])
+        for j, b in enumerate(bs):
+            w = w @ model.responses[j][b] @ np.diag(model.source_dists[j + 1])
+        mat = np.zeros((d_l * d_r, d_l * d_r), dtype=complex)
+        for i, left in enumerate(model.left_states):
+            for k, right in enumerate(model.right_states):
+                if w[i, k] != 0.0:
+                    mat += w[i, k] * np.kron(left.matrix, right.matrix)
+        label = tuple(model.outcome_labels[j][b] for j, b in enumerate(bs))
+        elements[label] = mat
+    return elements
 
 
 def lhv_behavior(rho, left_povms, right_povms):

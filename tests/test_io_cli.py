@@ -20,6 +20,18 @@ from netsteer.operators import max_entry_distance
 from conftest import random_model
 
 
+CC4 = {"kind": "classical_correlated", "d": 4}
+COMP4 = {"kind": "computational", "d": 4}
+WERNER_SEP = {"kind": "werner", "omega": 0.3}
+
+
+def _mixed(dims):
+    """Explicit maximally mixed source entry (no decomposition attached)."""
+    d = int(np.prod(dims))
+    return {"kind": "explicit",
+            "state": {"re": (np.eye(d) / d).tolist(), "im": np.zeros((d, d)).tolist(), "dims": dims}}
+
+
 def fixture_path(name):
     return importlib.resources.files("netsteer") / "fixtures" / f"{name}.json"
 
@@ -239,14 +251,10 @@ class TestCLI:
             # Werner(0.9) is steerable: the finite search finds no LHS model
             (["SEP", "UNS_RIGHT"], [{"kind": "werner", "omega": 0.3}, {"kind": "werner", "omega": 0.9}],
              [{"kind": "bell_swap", "local_dim": 2}], "UNS slot 1", "NNLS residual"),
-            # 4^10 strategies x 66 candidates x 320 rows
-            (["SEP", "UNS_RIGHT"], [{"kind": "werner", "omega": 0.3}, {"kind": "werner", "omega": 0.4}],
-             [{"kind": "computational", "d": 2}], "UNS slot 1", "search limit"),
-            # 4^10 x 2^2 LHV vertices x 160 rows
-            (["SEP", "LOC", "SEP"],
-             [{"kind": "werner", "omega": 0.3}, {"kind": "werner", "omega": 0.5},
-              {"kind": "classical_correlated", "d": 2}],
-             [{"kind": "computational", "d": 2}, {"kind": "bell_swap", "local_dim": 2}],
+            # 4 distinct inputs with 16 outcomes: 16^4 strategies x 42 candidates x 512 rows
+            (["SEP", "UNS_RIGHT"], [CC4, _mixed([4, 2])], [COMP4], "UNS slot 1", "search limit"),
+            # 4 distinct x- and 4 distinct y-inputs: 16^4 x 16^4 LHV vertices x 4096 rows
+            (["SEP", "LOC", "SEP"], [CC4, _mixed([4, 4]), CC4], [COMP4, COMP4],
              "LOC slot 1", "search limit"),
         ],
         ids=["steerable", "uns-over-limit", "loc-over-limit"],
@@ -261,6 +269,34 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith(f"error: no model found: {slot}: ") and reason in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "pattern,sources,measurements",
+        [
+            # 10 inputs, 3 distinct: 4^3 strategies instead of 4^10
+            (["SEP", "UNS_RIGHT"], [WERNER_SEP, {"kind": "werner", "omega": 0.4}],
+             [{"kind": "computational", "d": 2}]),
+            # 10 x-inputs, 3 distinct: 4^3 x 2^2 LHV vertices instead of 4^10 x 2^2
+            (["SEP", "LOC", "SEP"],
+             [WERNER_SEP, {"kind": "werner", "omega": 0.5}, {"kind": "classical_correlated", "d": 2}],
+             [{"kind": "computational", "d": 2}, {"kind": "bell_swap", "local_dim": 2}]),
+        ],
+        ids=["uns-comp", "loc-comp"],
+    )
+    def test_repeated_inputs_fit_search_limit(self, tmp_path, pattern, sources, measurements):
+        # over the search limit when every input is solved, within it once
+        # equal inputs are merged
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps({
+            "pattern": pattern, "sources": sources, "measurements": measurements,
+        }))
+        out = tmp_path / "report.json"
+        assert main(["nlhs", "--fixture", str(path), "--realize",
+                     "--format", "json", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["max_deviation"] <= 1e-10
+        assert report["realization_deviation"] <= 1e-10
+        assert "inputs distinct)" in " ".join(report["transcript"])
 
     def test_nlhs_realize(self):
         assert main(["nlhs", "--fixture", "sep_loc_sep", "--realize"]) == 0

@@ -34,6 +34,24 @@ class TestPOVMValidation:
         with pytest.raises(InvalidPOVMError):
             POVM([half])
 
+    def test_of_diagonals_matches_constructor(self):
+        diagonals = np.array([[0.25, 1.0, 0.0, 0.5], [0.75, 0.0, 1.0, 0.5]])
+        povm = POVM._of_diagonals(diagonals, (2, 2), ("a", "b"))
+        reference = POVM([QOperator(np.diag(d), (2, 2)) for d in diagonals], ("a", "b"))
+        assert povm.outcome_labels == reference.outcome_labels
+        for e, r in zip(povm.effects, reference.effects, strict=True):
+            assert np.array_equal(e.matrix, r.matrix) and e.dims == r.dims
+
+    @pytest.mark.parametrize(
+        "diagonals,message",
+        [([[0.5, 1.0], [0.4, 0.0]], "sum to the identity"),
+         ([[1.5, 1.0], [-0.5, 0.0]], "positive semidefinite")],
+        ids=["incomplete", "negative"],
+    )
+    def test_of_diagonals_rejects(self, diagonals, message):
+        with pytest.raises(InvalidPOVMError, match=message):
+            POVM._of_diagonals(diagonals, [2])
+
     def test_rejects_non_psd_effect(self):
         e0 = QOperator(np.diag([1.5, -0.5]), [2])
         e1 = QOperator(np.diag([-0.5, 1.5]), [2])

@@ -1,13 +1,16 @@
+import importlib.resources
 import time
 
 import numpy as np
 import pytest
 
-from netsteer.measurements import bell_swap_povm, pauli_projective
-from netsteer.network import LinearNetwork, line_assemblage
+from netsteer.kernels import fibonacci_sphere
+from netsteer.measurements import POVM, bell_swap_povm, pauli_projective
+from netsteer.network import LinearNetwork, line_assemblage, standard_assemblage
 from netsteer.nlhs import (
     BruteForceLHSProvider,
     LOC,
+    RECONSTRUCTION_TOL,
     ModelNotFoundError,
     NLHSModel,
     PatternError,
@@ -17,6 +20,8 @@ from netsteer.nlhs import (
     SourceSlot,
     UNS_LEFT,
     UNS_RIGHT,
+    _distinct_inputs,
+    _lhv_inputs,
     build_percolation_line,
     classical_correlated_decomposition,
     nlhs_to_separable_realization,
@@ -26,6 +31,7 @@ from netsteer.nlhs import (
     solve_lhv,
     werner_separable_decomposition,
 )
+from netsteer.nlhs_io import load_fixture
 from netsteer.operators import (
     QOperator,
     max_entry_distance,
@@ -35,7 +41,12 @@ from netsteer.operators import (
 from netsteer.states import classical_correlated, werner
 
 from conftest import rand_density, rand_psd, random_model
-from nlhs_oracles import build_sep_unsteer_bilocal, build_triangle_patterns, lhv_behavior
+from nlhs_oracles import (
+    build_sep_unsteer_bilocal,
+    build_triangle_patterns,
+    lhv_behavior,
+    reconstruct_kron_loop,
+)
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
@@ -149,6 +160,33 @@ class TestNLHSModelValidation:
             NLHSModel(dists, [np.ones((1, 3, 3))], states["left"], states["right"])
 
 
+BUNDLED = ("sep_loc_sep", "uns_sep_uns", "sep_uns_uns", "uns_uns_sep", "percolation_star_n6")
+
+
+class TestReconstruct:
+    def _check(self, model):
+        rebuilt = reconstruct(model)
+        oracle = reconstruct_kron_loop(model)
+        assert list(rebuilt.elements) == list(oracle)
+        for k, mat in oracle.items():
+            assert np.max(np.abs(rebuilt.elements[k].matrix - mat)) < 1e-14
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_matches_kron_loop_on_fixture(self, name):
+        path = importlib.resources.files("netsteer") / "fixtures" / f"{name}.json"
+        _, slots, measurements = load_fixture(path)
+        self._check(build_percolation_line(slots, measurements)[0])
+
+    def test_matches_kron_loop_on_random_models(self):
+        rng = np.random.default_rng(2025)
+        for n_parties in (2, 3, 4, 5, 6):
+            for n_outcomes in (1, 2, 3):
+                model = random_model(rng, n_parties=n_parties, max_hidden=4,
+                                     n_outcomes=n_outcomes,
+                                     endpoint_dim=int(rng.integers(1, 4)))
+                self._check(model)
+
+
 class TestDecompositions:
     @pytest.mark.parametrize("omega", [0.0, 0.2, 1 / 3])
     def test_werner_decomposition_reproduces_state(self, omega):
@@ -224,12 +262,45 @@ class TestProviders:
         self._check_lhs(data, werner(0.4), povms, direction)
 
     def test_brute_force_refuses_oversized_search(self):
-        # 2^24 strategies x 74 candidates x 384 rows: refused before it is built
+        # 24 distinct axes stay 24 inputs after the merge of equal inputs:
+        # 2^24 strategies x 74 candidates x 384 rows, refused before it is built
+        povms = [pauli_projective(u) for u in fibonacci_sphere(24)]
         start = time.perf_counter()
         with pytest.raises(ModelNotFoundError, match="search limit"):
-            BruteForceLHSProvider().find(werner(0.4), [pauli_projective(Z)] * 24, "right")
+            BruteForceLHSProvider().find(werner(0.4), povms, "right")
         assert time.perf_counter() - start < 1.0
 
+
+    @pytest.mark.parametrize(
+        "axes,reps",
+        [((Z, Z, X), (0, 0, 1)), ((Z, X, X), (0, 1, 1)), ((Z, X, Z, Y, X, Z), (0, 1, 0, 2, 1, 0))],
+        ids=["first", "last", "interleaved"],
+    )
+    @pytest.mark.parametrize("direction", ["right", "left"])
+    def test_brute_force_merges_repeated_inputs(self, axes, reps, direction):
+        rho = werner(0.4)
+        povms = [pauli_projective(a) for a in axes]
+        data = BruteForceLHSProvider().find(rho, povms, direction)
+        assert data.inputs_distinct == max(reps) + 1
+        assert data.response.shape[:2] == (2, len(axes))
+        for x, r in enumerate(reps):
+            # a duplicate answers exactly as its representative, the first occurrence
+            assert np.array_equal(data.response[:, x], data.response[:, reps.index(r)])
+        side = "left" if direction == "right" else "right"
+        asm = standard_assemblage(rho, povms, side=side)
+        for (b, x), op in asm.items():
+            rebuilt = np.einsum("l,l,lij->ij", data.dist, data.response[b, x],
+                                np.array([s.matrix for s in data.states]))
+            assert np.max(np.abs(rebuilt - op.matrix)) <= RECONSTRUCTION_TOL
+
+    def test_brute_force_keeps_inputs_one_ulp_apart(self):
+        # Tr_A[(E (x) 1) 1/4] = Tr(E)/4 exactly, so the steered states of the
+        # two inputs differ in one entry by one ulp
+        bumped = np.diag([np.nextafter(1.0, 2.0), 0.0])
+        z_bumped = POVM([QOperator(bumped, [2]), pauli_projective(Z).effects[1]])
+        mixed = QOperator(np.eye(4) / 4, [2, 2])
+        data = BruteForceLHSProvider().find(mixed, [pauli_projective(Z), z_bumped], "right")
+        assert data.inputs_distinct == 2
 
     def test_slot_provider_follows_decomposition(self):
         dec = werner_separable_decomposition(0.3)
@@ -278,10 +349,51 @@ class TestSolveLHV:
         assert np.max(np.abs(rebuilt - behavior)) < 1e-10
 
     def test_refuses_oversized_system(self):
+        # a random behaviour keeps all 30 x- and 30 y-inputs distinct
+        rng = np.random.default_rng(30)
+        behavior = rng.random((2, 2, 30, 30))
+        behavior /= behavior.sum(axis=(0, 1))
         start = time.perf_counter()
         with pytest.raises(ModelNotFoundError, match="search limit"):
-            solve_lhv(np.full((2, 2, 30, 30), 0.25))
+            solve_lhv(behavior)
         assert time.perf_counter() - start < 1.0
+
+
+    @pytest.mark.parametrize(
+        "x_axes,y_axes",
+        [((Z, Z, X), (X, Z)), ((Z, X), (Z, X, X)), ((Z, X, Z, Y, X), (X, Z, X, Y, Z))],
+        ids=["first", "last", "interleaved"],
+    )
+    def test_merges_repeated_inputs(self, x_axes, y_axes):
+        behavior = lhv_behavior(werner(0.5), [pauli_projective(a) for a in x_axes],
+                                [pauli_projective(a) for a in y_axes])
+        dist, resp_b, resp_c = solve_lhv(behavior)
+        assert resp_b.shape[1] == len(x_axes) and resp_c.shape[1] == len(y_axes)
+        for axes, resp in ((x_axes, resp_b), (y_axes, resp_c)):
+            for x, a in enumerate(axes):
+                assert np.array_equal(resp[:, x], resp[:, axes.index(a)])
+        rebuilt = np.einsum("l,bxl,cyl->bcxy", dist, resp_b, resp_c)
+        assert np.max(np.abs(rebuilt - behavior)) <= RECONSTRUCTION_TOL
+
+    def test_keeps_inputs_one_ulp_apart(self):
+        behavior = lhv_behavior(werner(0.5), [pauli_projective(Z)] * 2, [pauli_projective(X)] * 2)
+        assert [len(first) for first, _ in _lhv_inputs(behavior)] == [1, 1]
+        behavior[0, 0, 1, 1] = np.nextafter(behavior[0, 0, 1, 1], 1.0)
+        assert [len(first) for first, _ in _lhv_inputs(behavior)] == [2, 2]
+
+
+class TestDistinctInputs:
+    def test_first_occurrences_and_representatives(self):
+        rows = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [5.0, 6.0], [3.0, 4.0]])
+        first, rep = _distinct_inputs(rows)
+        assert first.tolist() == [0, 1, 3]
+        assert rep.tolist() == [0, 1, 0, 2, 1]
+        assert np.array_equal(rows[first][rep], rows)
+
+    def test_one_ulp_is_distinct(self):
+        rows = np.zeros((2, 3, 3), dtype=complex)
+        rows[1, 2, 0] = np.nextafter(0.0, 1.0) * 1j
+        assert _distinct_inputs(rows)[0].tolist() == [0, 1]
 
 
 class TestConstructors:
