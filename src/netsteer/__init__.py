@@ -9,9 +9,6 @@ from .operators import (
     is_psd,
     max_entry_distance,
     negativity,
-    op_equal,
-    partial_trace,
-    partial_transpose,
     tensor,
 )
 from .states import (

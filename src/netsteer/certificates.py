@@ -21,10 +21,8 @@ from .operators import (
     PAULIS,
     QOperator,
     TOL_CHECK,
-    _blocks,
     _negativities,
     max_entry_distance,
-    negativity,
 )
 from .measurements import computational_basis_povm, pauli_projective
 from .network import (
@@ -83,19 +81,16 @@ def certify_network_steering(asm: NetworkAssemblage) -> Verdict:
     """Entanglement of any single element rules out an NLHS model.
 
     Elements of trace below ``NEG_CUTOFF`` are skipped; the others get their
-    negativity across the endpoints from stacked spectra, in blocks of
-    elements with equal dims, and the first element of largest negativity is
-    reported.  Negativity is sufficient but not necessary, so the only
-    negative answer is Inconclusive.
+    negativity across the endpoints from stacked spectra, and the first
+    element of largest negativity is reported.  Negativity is sufficient but
+    not necessary, so the only negative answer is Inconclusive.
     """
-    live = {outcome: op for outcome, op in asm.elements.items() if op.trace() >= NEG_CUTOFF}
-    ops = list(live.values())
-    values = np.zeros(len(ops))
-    for block, stack in _blocks(ops):
-        values[block] = _negativities(stack, ops[block[0]].dims, [1])
+    live = np.flatnonzero(np.trace(asm.matrices, axis1=1, axis2=2).real >= NEG_CUTOFF)
+    values = _negativities(asm.matrices[live], asm.dims, [1])
     if np.any(values > NEG_CUTOFF):
         best = int(np.argmax(values))
-        return Verdict(CERTIFIED, {"negativity": float(values[best]), "outcome": list(live)[best]})
+        return Verdict(CERTIFIED, {"negativity": float(values[best]),
+                                   "outcome": asm.outcomes[live[best]]})
     return Verdict(INCONCLUSIVE)
 
 
@@ -212,16 +207,15 @@ def claims_pipeline(rho_steerable: QOperator, axes: Sequence) -> tuple[Verdict, 
     asm = bilocal_assemblage(net.sources[0], net.sources[1], net.central_measurements[0])
 
     # block identity: sigma_b = sum_x (1/d) |x><x| (x) sigma_{b|x}
-    block_dev = 0.0
-    for b in asm.elements:
-        expected = np.zeros((2 * d, 2 * d), dtype=complex)
+    expected = np.zeros_like(asm.matrices)
+    for k, b in enumerate(asm.outcomes):
         for x in range(d):
-            expected[2 * x:2 * x + 2, 2 * x:2 * x + 2] = direct[(b, x)].matrix / d
-        block_dev = max(block_dev, float(np.max(np.abs(asm.elements[b].matrix - expected))))
+            expected[k, 2 * x:2 * x + 2, 2 * x:2 * x + 2] = direct[(b, x)].matrix / d
+    block_dev = float(np.max(np.abs(asm.matrices - expected)))
 
-    separable_elements = all(
-        negativity(op, [1]) <= NEG_CUTOFF for op in asm.elements.values() if op.trace() > NEG_CUTOFF
-    )
+    live = np.trace(asm.matrices, axis1=1, axis2=2).real > NEG_CUTOFF
+    separable_elements = bool(np.all(_negativities(asm.matrices[live], asm.dims, [1])
+                                     <= NEG_CUTOFF))
 
     conditioned = condition_on_trusted_measurement(asm, computational_basis_povm(d), "left")
     flat = {(b, x): op for ((b, x), op) in conditioned.items()}

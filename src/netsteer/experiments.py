@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import NEG_CUTOFF, QOperator, max_entry_distance, negativity
+from .operators import NEG_CUTOFF, DimensionError, QOperator, max_entry_distance, negativity
 from .measurements import bell_swap_povm
-from .network import LinearNetwork, assemblage_element, line_assemblage
+from .network import LinearNetwork, NetworkAssemblage, assemblage_element, line_assemblage
 from .states import DEWParams, dew, werner
 from .certificates import claims_pipeline, dew_unsteerable_both_ways
 from .nlhs import build_percolation_line, nlhs_to_separable_realization, reconstruct
@@ -175,27 +175,26 @@ def run_claims_demo(omega: float, axes_preset: str = "zx") -> ExperimentReport:
     )
 
 
+def _stack_distance(a: NetworkAssemblage, b: NetworkAssemblage) -> float:
+    """Largest entry distance between two assemblages over the same outcomes."""
+    if (a.outcomes, a.dims) != (b.outcomes, b.dims):
+        raise DimensionError("assemblages differ in outcomes or endpoint dims")
+    return float(np.max(np.abs(a.matrices - b.matrices)))
+
+
 def run_nlhs(fixture_path, realize: bool = False) -> ExperimentReport:
     start = time.perf_counter()
-    name, slots, measurements = load_fixture(fixture_path)
-    model, transcript = build_percolation_line(slots, measurements)
-    net = LinearNetwork([s.state for s in slots], measurements)
+    name, slots, net = load_fixture(fixture_path)
+    model, transcript = build_percolation_line(slots, net.central_measurements)
     quantum = line_assemblage(net)
     rebuilt = reconstruct(model)
-    dev = max(
-        max_entry_distance(rebuilt.elements[k], quantum.elements[k])
-        for k in quantum.elements
-    )
+    dev = _stack_distance(rebuilt, quantum)
     extra = {"transcript": transcript, "model": model_to_json(model)}
     ok = dev <= 1e-10
     if realize:
         realization = nlhs_to_separable_realization(model)
-        realized = line_assemblage(realization.network)
-        rdev = max(
-            max_entry_distance(realized.elements[k], rebuilt.elements[k])
-            for k in rebuilt.elements
-        )
-        extra["realization_deviation"] = float(rdev)
+        rdev = _stack_distance(line_assemblage(realization.network), rebuilt)
+        extra["realization_deviation"] = rdev
         ok = ok and rdev <= 1e-10
         dev = max(dev, rdev)
     return ExperimentReport(

@@ -18,20 +18,22 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .operators import (
-    CHECK_BLOCK_BYTES,
     DimensionError,
     QOperator,
     TOL_CHECK,
     TOL_NORM,
+    _all_psd,
+    _apply_and_trace,
+    _blocks,
     apply_and_trace,
     is_density,
-    is_psd,
 )
 from .measurements import POVM, input_encoded_measurement
 from .states import classical_correlated
@@ -75,27 +77,44 @@ class LinearNetwork:
 
 @dataclass(frozen=True)
 class NetworkAssemblage:
-    """Map from central-outcome tuple to a sub-normalised endpoint operator."""
+    """The family {sigma_b} of sub-normalised endpoint operators, one per
+    central-outcome tuple b, held as one stack: ``matrices[k]`` is the
+    element of ``outcomes[k]`` on the endpoint factors ``dims``."""
 
-    elements: dict
+    matrices: np.ndarray
+    outcomes: tuple
+    dims: tuple[int, int]
     n_parties: int
 
-    def __init__(self, elements: dict, n_parties: int):
-        elements = dict(elements)
-        total = sum(op.trace() for op in elements.values())
+    def __init__(self, matrices, outcomes, dims: Sequence[int], n_parties: int):
+        matrices = np.array(matrices, dtype=complex)
+        outcomes = tuple(outcomes)
+        dims = tuple(int(d) for d in dims)
+        side = math.prod(dims)
+        if len(dims) != 2 or min(dims) < 1 or matrices.shape != (len(outcomes), side, side):
+            raise DimensionError(
+                f"{len(outcomes)} outcomes need a ({len(outcomes)}, d, d) stack on two "
+                f"endpoint dims of product d, got shape {matrices.shape} and dims {dims}"
+            )
+        if len(set(outcomes)) != len(outcomes):
+            raise ValueError("outcome keys must be distinct")
+        total = float(np.trace(matrices, axis1=1, axis2=2).real.sum())
         if abs(total - 1.0) > TOL_NORM:
             raise ValueError(f"element traces sum to {total}, expected 1")
-        if any(op.nfactors != 2 for op in elements.values()):
-            raise DimensionError("elements must carry the two endpoint factors")
-        if not is_psd(*elements.values(), tol=TOL_CHECK):
+        if not _all_psd(matrices, TOL_CHECK):
             raise ValueError("assemblage element is not PSD")
-        object.__setattr__(self, "elements", elements)
+        matrices.flags.writeable = False
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "n_parties", n_parties)
 
-    def total(self) -> QOperator:
-        ops = list(self.elements.values())
-        acc = sum(op.matrix for op in ops)
-        return QOperator(acc, ops[0].dims)
+    @property
+    def elements(self) -> dict:
+        """{outcome: QOperator} in outcome order, built on each access from
+        copies of the rows, so changing it leaves the assemblage unchanged."""
+        return {outcome: QOperator(mat, self.dims)
+                for outcome, mat in zip(self.outcomes, self.matrices)}
 
 
 # trace over the measured pair (b, c):
@@ -136,10 +155,8 @@ def _step(prefixes: np.ndarray, effects: Sequence[QOperator], source: QOperator)
     path = _step_path(a, b, c, d)
     out = np.empty((p, k, a, d, a, d), dtype=complex)
     # output and largest intermediate per prefix: k (a max(c, d))^2 entries each
-    block = max(1, CHECK_BLOCK_BYTES // (2 * out.itemsize * k * (a * max(c, d)) ** 2))
-    for i in range(0, p, block):
-        np.einsum(_BATCHED_STEP, em, prefixes[i:i + block], sm, optimize=path,
-                  out=out[i:i + block])
+    for block in _blocks(p, 2 * out.itemsize * k * (a * max(c, d)) ** 2):
+        np.einsum(_BATCHED_STEP, em, prefixes[block], sm, optimize=path, out=out[block])
     return out.reshape(p * k, a, d, a, d)
 
 
@@ -158,11 +175,12 @@ def line_assemblage(net: LinearNetwork) -> NetworkAssemblage:
     """Network assemblage of a linear network with trusted endpoints,
     contracted left to right, all outcomes of a measurement in one step."""
     central = net.central_measurements
-    stack = _contract(net, [m.effects for m in central])
-    outcomes = itertools.product(*(m.outcome_labels for m in central))
-    dims = net.endpoint_dims
-    elements = {outcome: QOperator(mat, dims) for outcome, mat in zip(outcomes, stack)}
-    return NetworkAssemblage(elements, n_parties=net.n_parties)
+    return NetworkAssemblage(
+        _contract(net, [m.effects for m in central]),
+        itertools.product(*(m.outcome_labels for m in central)),
+        net.endpoint_dims,
+        net.n_parties,
+    )
 
 
 def assemblage_element(net: LinearNetwork, outcome) -> QOperator:
@@ -175,11 +193,10 @@ def assemblage_element(net: LinearNetwork, outcome) -> QOperator:
 
 
 def bilocal_assemblage(rho_ab: QOperator, rho_bc: QOperator, m: POVM) -> NetworkAssemblage:
-    """Three-party entanglement-swapping assemblage (one element per outcome b)."""
+    """Three-party entanglement-swapping assemblage, keyed by the outcome b
+    itself rather than by a one-label tuple."""
     net = LinearNetwork([rho_ab, rho_bc], [m])
-    return NetworkAssemblage(
-        {b: assemblage_element(net, (b,)) for b in m.outcome_labels}, n_parties=3
-    )
+    return NetworkAssemblage(_contract(net, [m.effects]), m.outcome_labels, net.endpoint_dims, 3)
 
 
 def standard_assemblage(rho: QOperator, measurements: Sequence[POVM], side: str = "left") -> dict:
@@ -201,9 +218,12 @@ def condition_on_trusted_measurement(
     if endpoint not in ("left", "right"):
         raise ValueError("endpoint must be 'left' or 'right'")
     measured = 0 if endpoint == "left" else 1
+    if m.effects[0].dim != asm.dims[measured]:
+        raise DimensionError(f"effect dim {m.effects[0].dim} != endpoint dim {asm.dims[measured]}")
+    kept = [asm.dims[1 - measured]]
     return {
-        (outcome, label): apply_and_trace(op, effect, measured)
-        for outcome, op in asm.elements.items()
+        (outcome, label): QOperator(_apply_and_trace(mat, asm.dims, effect.matrix, measured), kept)
+        for outcome, mat in zip(asm.outcomes, asm.matrices)
         for label, effect in zip(m.outcome_labels, m.effects)
     }
 

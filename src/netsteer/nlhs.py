@@ -41,7 +41,13 @@ from .network import (
 
 RECONSTRUCTION_TOL = 1e-10
 N_BLOCH = 26              # Fibonacci-grid qubit states added to the LHS candidates
-MAX_SYSTEM_ENTRIES = 2 ** 25   # rows x columns of the largest NNLS system built
+# Rows x columns of the largest NNLS system built: 2**25 float64 entries,
+# 256 MiB.  It bounds the system's size, not its solve time: a LOC slot on a
+# maximally mixed (4, 2) source between classical_correlated d=4 and d=2
+# sources, through computational d=4 and bell_swap 2, builds a 128 x 131,072
+# system, half the limit, and its one nnls call runs for about 12 s on one
+# core of an Intel Xeon (scipy 1.17).
+MAX_SYSTEM_ENTRIES = 2 ** 25
 
 
 class ModelNotFoundError(RuntimeError):
@@ -130,12 +136,8 @@ def reconstruct(model: NLHSModel) -> NetworkAssemblage:
     side = lefts.shape[1] * rights.shape[1]
     mats = np.einsum("pik,iac,kbd->pabcd", w, lefts, rights, optimize=True)
     dims = (model.left_states[0].dims[0], model.right_states[0].dims[0])
-    elements = {
-        label: QOperator(mat, dims)
-        for label, mat in zip(itertools.product(*model.outcome_labels),
-                              mats.reshape(len(w), side, side))
-    }
-    return NetworkAssemblage(elements, n_parties=model.n_parties)
+    return NetworkAssemblage(mats.reshape(len(w), side, side),
+                             itertools.product(*model.outcome_labels), dims, model.n_parties)
 
 
 # --------------------------------------------------------------------------
@@ -170,10 +172,6 @@ class SeparableDecomposition:
             for w, l, r in zip(self.weights, self.left_states, self.right_states)
         )
         return QOperator(acc, self.left_states[0].dims + self.right_states[0].dims)
-
-
-def product_decomposition(left: QOperator, right: QOperator) -> SeparableDecomposition:
-    return SeparableDecomposition([1.0], [left], [right])
 
 
 def classical_correlated_decomposition(d: int) -> SeparableDecomposition:
@@ -309,7 +307,9 @@ class BruteForceLHSProvider:
     sigma_{.|x} are exactly equal are solved once, as one input.  A search
     whose system, after that merge, would exceed ``MAX_SYSTEM_ENTRIES`` =
     2**25 entries raises ``ModelNotFoundError`` before any of it is
-    enumerated."""
+    enumerated.  The limit bounds the system's size (256 MiB), not its
+    solve time, which can run to seconds below it (see
+    ``MAX_SYSTEM_ENTRIES``)."""
 
     def find(self, rho: QOperator, povms: Sequence[POVM], direction: str) -> LHSData:
         side = "left" if direction == "right" else "right"
@@ -361,7 +361,9 @@ def solve_lhv(behavior: np.ndarray):
     Deterministic-vertex weights are found by nonnegative least squares;
     first-feasible tie-break is the lowest lexicographic strategy index
     (nnls is deterministic).  A system over ``MAX_SYSTEM_ENTRIES`` after
-    that merge raises ``ModelNotFoundError``.
+    that merge raises ``ModelNotFoundError``.  The limit bounds the size,
+    not the solve time: the 128 x 131,072 system of the example at
+    ``MAX_SYSTEM_ENTRIES`` passes it and takes seconds to solve.
     """
     n_b, n_c = behavior.shape[:2]
     (first_x, rep_x), (first_y, rep_y) = _lhv_inputs(behavior)

@@ -122,8 +122,9 @@ def _build_measurement(doc: dict) -> POVM:
     raise FixtureError(f"unknown measurement kind {kind!r}")
 
 
-def load_fixture(path) -> tuple[str, list[SourceSlot], list[POVM]]:
-    """Parse a fixture document into slots and measurements."""
+def load_fixture(path) -> tuple[str, list[SourceSlot], LinearNetwork]:
+    """Parse a fixture document into its name, its slots and the validated
+    line of their states; the measurements are ``net.central_measurements``."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -155,7 +156,7 @@ def load_fixture(path) -> tuple[str, list[SourceSlot], list[POVM]]:
     except PatternError as exc:
         raise FixtureError(str(exc)) from exc
     try:
-        LinearNetwork([slot.state for slot in slots], measurements)
+        net = LinearNetwork([slot.state for slot in slots], measurements)
     except ValueError as exc:
         raise FixtureError(f"sources and measurements do not form a line: {exc}") from exc
-    return doc.get("name", "fixture"), slots, measurements
+    return doc.get("name", "fixture"), slots, net

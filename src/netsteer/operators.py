@@ -115,20 +115,6 @@ def _check_factors(op: QOperator, factors: Iterable[int]) -> list[int]:
     return factors
 
 
-def partial_trace(op: QOperator, keep: Iterable[int]) -> QOperator:
-    """Trace out every factor not in ``keep``, preserving factor order."""
-    keep = _check_factors(op, keep)
-    k = op.nfactors
-    t = op.matrix.reshape(op.dims + op.dims)
-    row = list(range(k))
-    col = [i if i not in keep else k + i for i in range(k)]
-    out = [i for i in keep] + [k + i for i in keep]
-    mat = np.einsum(t, row + col, out)
-    new_dims = [op.dims[i] for i in keep]
-    side = int(np.prod(new_dims)) if new_dims else 1
-    return QOperator(mat.reshape(side, side), new_dims or [1])
-
-
 def apply_and_trace(op: QOperator, local: QOperator, factor: int) -> QOperator:
     """Tr_factor[(local (x) 1) op] for a two-factor ``op``.
 
@@ -144,12 +130,17 @@ def apply_and_trace(op: QOperator, local: QOperator, factor: int) -> QOperator:
         raise DimensionError(f"factor must be 0 or 1, got {factor}")
     if local.dim != op.dims[factor]:
         raise DimensionError(f"local dim {local.dim} != factor dim {op.dims[factor]}")
-    t = op.matrix.reshape(op.dims + op.dims)
-    if factor == 0:
-        out = np.einsum("ik,kjil->jl", local.matrix, t)
-    else:
-        out = np.einsum("jl,ilkj->ik", local.matrix, t)
+    out = _apply_and_trace(op.matrix, op.dims, local.matrix, factor)
     return QOperator(out, [op.dims[1 - factor]])
+
+
+def _apply_and_trace(mat: np.ndarray, dims: tuple[int, int], local: np.ndarray,
+                     factor: int) -> np.ndarray:
+    """``apply_and_trace`` on bare matrices, for callers that checked the dims."""
+    t = mat.reshape(dims + dims)
+    if factor == 0:
+        return np.einsum("ik,kjil->jl", local, t)
+    return np.einsum("jl,ilkj->ik", local, t)
 
 
 def _transpose_factors(mats: np.ndarray, dims: tuple[int, ...], factors: list[int]) -> np.ndarray:
@@ -160,11 +151,6 @@ def _transpose_factors(mats: np.ndarray, dims: tuple[int, ...], factors: list[in
     for f in factors:
         axes[n + f], axes[n + k + f] = axes[n + k + f], axes[n + f]
     return mats.reshape(lead + dims + dims).transpose(axes).reshape(mats.shape)
-
-
-def partial_transpose(op: QOperator, factors: Iterable[int]) -> QOperator:
-    """Transpose the listed factors in place."""
-    return QOperator(_transpose_factors(op.matrix, op.dims, _check_factors(op, factors)), op.dims)
 
 
 def _spectra(mats: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
@@ -185,21 +171,23 @@ def hermitian_eigenvalues(op: QOperator, tol: float = TOL_HERM) -> np.ndarray:
 
 
 def _negativities(mats: np.ndarray, dims: tuple[int, ...], factors: list[int]) -> np.ndarray:
-    """Negativity of each matrix of a (k, d, d) stack with factor dims
-    ``dims``: the sum of |eigenvalues below -NEG_CUTOFF| of its partial
-    transpose over ``factors``.  Raises NotPositiveError for the first
-    matrix with an eigenvalue below -NEG_CUTOFF * max(1, |largest|)."""
-    evs = _spectra(mats)
-    bad = evs[:, 0] < -NEG_CUTOFF * np.maximum(1.0, np.abs(evs[:, -1]))
-    if bad.any():
-        raise NotPositiveError(f"input has negative eigenvalue {evs[np.argmax(bad), 0]:.3e}")
-    pt = _spectra(_transpose_factors(mats, dims, factors))
-    # Summed row by row over the negative eigenvalues alone, as a single
-    # matrix would be, so the value does not depend on the stack; a row
-    # without any sums to -0.0, the negated empty sum.
+    """Negativity of each matrix of a non-empty (k, d, d) stack with factor
+    dims ``dims``: the sum of |eigenvalues below -NEG_CUTOFF| of its partial
+    transpose over ``factors``, from stacked spectra, one ``_blocks`` block
+    at a time.  Raises NotPositiveError for the first matrix with an
+    eigenvalue below -NEG_CUTOFF * max(1, |largest|)."""
     out = np.full(len(mats), -0.0)
-    for i in np.flatnonzero(pt[:, 0] < -NEG_CUTOFF):
-        out[i] = -np.sum(pt[i][pt[i] < -NEG_CUTOFF])
+    for block in _blocks(len(mats), mats[0].nbytes):
+        evs = _spectra(mats[block])
+        bad = evs[:, 0] < -NEG_CUTOFF * np.maximum(1.0, np.abs(evs[:, -1]))
+        if bad.any():
+            raise NotPositiveError(f"input has negative eigenvalue {evs[np.argmax(bad), 0]:.3e}")
+        pt = _spectra(_transpose_factors(mats[block], dims, factors))
+        # Summed row by row over the negative eigenvalues alone, as a single
+        # matrix would be, so the value does not depend on the stack; a row
+        # without any sums to -0.0, the negated empty sum.
+        for i in np.flatnonzero(pt[:, 0] < -NEG_CUTOFF):
+            out[block.start + i] = -np.sum(pt[i][pt[i] < -NEG_CUTOFF])
     return out
 
 
@@ -213,41 +201,39 @@ def negativity(op: QOperator, transpose_factors: Iterable[int]) -> float:
     return float(_negativities(op.matrix[None], op.dims, factors)[0])
 
 
-def _blocks(ops: Sequence[QOperator]):
-    """Yield (indices, stack) covering ``ops``: the matrices of operators
-    with equal dims stacked in their order, at most ``CHECK_BLOCK_BYTES``
-    (or one matrix) a stack, which bounds the memory of a stacked
-    computation whatever the number and size of the operators."""
-    groups: dict = {}
-    for i, op in enumerate(ops):
-        groups.setdefault(op.dims, []).append(i)
-    for idx in groups.values():
-        step = max(1, CHECK_BLOCK_BYTES // ops[idx[0]].matrix.nbytes)
-        for i in range(0, len(idx), step):
-            block = idx[i:i + step]
-            yield block, np.stack([ops[j].matrix for j in block])
+def _blocks(n: int, item_bytes: int) -> list[slice]:
+    """Slices covering ``range(n)``, each of at most ``CHECK_BLOCK_BYTES``
+    (or one item) of items of ``item_bytes`` bytes: every stacked check,
+    spectrum and contraction step runs one block at a time, so its memory
+    stays bounded whatever the number and size of the items."""
+    step = max(1, CHECK_BLOCK_BYTES // item_bytes)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _all_psd(mats, tol: float) -> bool:
+    """True iff every matrix of ``mats``, a non-empty (k, d, d) array or
+    list of equal-shape matrices, is Hermitian with no eigenvalue below
+    -tol; one stacked eigendecomposition per ``_blocks`` block."""
+    try:
+        return all(np.all(_spectra(np.asarray(mats[block]))[:, 0] >= -tol)
+                   for block in _blocks(len(mats), mats[0].nbytes))
+    except NotHermitianError:
+        return False
 
 
 def is_psd(*ops: QOperator, tol: float = TOL_EQ) -> bool:
     """True iff every operator is Hermitian with no eigenvalue below -tol
-    (true for none).  Checked per stack of operators (``_blocks``), not
-    per operator."""
-    try:
-        return all(np.all(_spectra(stack)[:, 0] >= -tol) for _, stack in _blocks(ops))
-    except NotHermitianError:
-        return False
+    (true for none).  The matrices of operators with equal dims are checked
+    as stacks (``_all_psd``), not one by one."""
+    groups: dict = {}
+    for op in ops:
+        groups.setdefault(op.dims, []).append(op.matrix)
+    return all(_all_psd(mats, tol) for mats in groups.values())
 
 
 def is_density(*ops: QOperator, tol: float = TOL_EQ) -> bool:
     """``is_psd`` plus unit trace, each to ``tol``."""
     return is_psd(*ops, tol=tol) and all(abs(np.trace(op.matrix) - 1.0) <= tol for op in ops)
-
-
-def op_equal(a: QOperator, b: QOperator, tol: float = TOL_EQ) -> bool:
-    """Max-absolute-entry comparison.  Dims must match exactly."""
-    if a.dims != b.dims:
-        raise DimensionError(f"dims mismatch: {a.dims} vs {b.dims}")
-    return bool(np.max(np.abs(a.matrix - b.matrix)) <= tol)
 
 
 def max_entry_distance(a: QOperator, b: QOperator) -> float:

@@ -1,14 +1,15 @@
 """Shared helpers for the test suite: random operators with reproducible
-generators and a brute-force assemblage oracle that never uses the
-sequential contraction under test."""
+generators, a partial-trace oracle, a dict-to-stack assemblage builder and
+a brute-force assemblage oracle that never uses the sequential contraction
+under test."""
 
 import numpy as np
 import pytest
 
 from netsteer.measurements import POVM
-from netsteer.network import LinearNetwork
+from netsteer.network import LinearNetwork, NetworkAssemblage
 from netsteer.nlhs import NLHSModel
-from netsteer.operators import QOperator, tensor
+from netsteer.operators import DimensionError, QOperator, tensor
 
 
 @pytest.fixture
@@ -33,6 +34,28 @@ def rand_psd(rng, dims):
 def rand_unit_vector(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def partial_trace(op, keep):
+    """Trace out every factor of ``op`` not in ``keep``, preserving factor
+    order; one einsum over the factor-indexed tensor."""
+    keep = sorted(set(int(f) for f in keep))
+    k = op.nfactors
+    if any(f < 0 or f >= k for f in keep):
+        raise DimensionError(f"factor indices {keep} out of range for dims {op.dims}")
+    t = op.matrix.reshape(op.dims + op.dims)
+    col = [i if i not in keep else k + i for i in range(k)]
+    mat = np.einsum(t, list(range(k)) + col, keep + [k + i for i in keep])
+    dims = [op.dims[i] for i in keep] or [1]
+    side = int(np.prod(dims))
+    return QOperator(mat.reshape(side, side), dims)
+
+
+def assemblage_of(elements, n_parties=3):
+    """NetworkAssemblage of an {outcome: QOperator} dict, through the stack
+    constructor, in the dict's order."""
+    ops = list(elements.values())
+    return NetworkAssemblage([op.matrix for op in ops], elements, ops[0].dims, n_parties)
 
 
 def brute_force_assemblage(net):

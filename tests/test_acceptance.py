@@ -33,14 +33,14 @@ from netsteer.nlhs import (
 )
 from netsteer.nlhs_io import load_fixture
 from netsteer.operators import (
+    QOperator,
     max_entry_distance,
     negativity,
-    partial_trace,
     tensor,
 )
 from netsteer.states import werner
 
-from conftest import rand_density, rand_psd, random_linear_network, random_model
+from conftest import partial_trace, rand_density, rand_psd, random_linear_network, random_model
 
 
 def _verdict(name, ok, detail):
@@ -144,14 +144,11 @@ FIXTURES = [
 def test_criterion_5_nlhs_constructors():
     import importlib.resources
 
-    from netsteer.network import LinearNetwork
-
     worst = 0.0
     for name in FIXTURES:
         path = importlib.resources.files("netsteer") / "fixtures" / f"{name}.json"
-        _, slots, measurements = load_fixture(path)
-        model, _ = build_percolation_line(slots, measurements)
-        net = LinearNetwork([s.state for s in slots], measurements)
+        _, slots, net = load_fixture(path)
+        model, _ = build_percolation_line(slots, net.central_measurements)
         quantum = line_assemblage(net)
         rebuilt = reconstruct(model)
         dev = max(
@@ -227,7 +224,8 @@ def test_criterion_7_product_marginal():
             partial_trace(net.sources[0], keep=[0]),
             partial_trace(net.sources[-1], keep=[1]),
         )
-        worst = max(worst, max_entry_distance(asm.total(), expected))
+        total = QOperator(asm.matrices.sum(axis=0), asm.dims)
+        worst = max(worst, max_entry_distance(total, expected))
     ok = worst <= 1e-10
     _verdict(
         "7 product marginal",

@@ -15,7 +15,7 @@ from netsteer.certificates import (
     linear_steering_witness,
 )
 from netsteer.measurements import bell_swap_povm, pauli_projective
-from netsteer.network import LinearNetwork, NetworkAssemblage, line_assemblage, standard_assemblage
+from netsteer.network import LinearNetwork, line_assemblage, standard_assemblage
 from netsteer.operators import (
     CHECK_BLOCK_BYTES,
     NEG_CUTOFF,
@@ -25,7 +25,7 @@ from netsteer.operators import (
 )
 from netsteer.states import DEWParams, classical_correlated, dew, psi_minus, werner
 
-from conftest import random_linear_network
+from conftest import assemblage_of, random_linear_network
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
@@ -66,9 +66,7 @@ def _certify_per_element(asm):
 
 def _normalised(mats, dims, keys):
     total = sum(np.trace(m).real for m in mats)
-    return NetworkAssemblage(
-        {k: QOperator(m / total, d) for k, m, d in zip(keys, mats, dims)}, n_parties=3
-    )
+    return assemblage_of({k: QOperator(m / total, dims) for k, m in zip(keys, mats)})
 
 
 def _max_entangled(d):
@@ -97,20 +95,6 @@ class TestCertifyStacked:
         verdict = certify_network_steering(asm)
         assert (verdict.status, verdict.witness) == _certify_per_element(asm)
 
-    def test_mixed_element_shapes(self):
-        # random pure states of dims (2, 3), (3, 2), (2, 2) interleaved; the
-        # first two share a matrix shape but not a partial transpose
-        rng = np.random.default_rng(5)
-        dims = [(2, 3), (3, 2), (2, 2)] * 20
-        mats = []
-        for d in dims:
-            v = rng.normal(size=d[0] * d[1]) + 1j * rng.normal(size=d[0] * d[1])
-            mats.append(np.outer(v, v.conj()) * rng.random())
-        asm = _normalised(mats, dims, [("k", i) for i in range(len(dims))])
-        verdict = certify_network_steering(asm)
-        assert verdict.certified
-        assert (verdict.status, verdict.witness) == _certify_per_element(asm)
-
     # same block; different blocks (202 matrices of 9 x 9 per block)
     @pytest.mark.parametrize("first,second", [(0, 1), (10, 240)])
     def test_equal_maxima_give_first_key(self, first, second):
@@ -118,7 +102,7 @@ class TestCertifyStacked:
         mats = [np.eye(9) / 9] * n
         mats[first] = mats[second] = _max_entangled(3)
         keys = [(n - i,) for i in range(n)]        # dict order is not label order
-        asm = _normalised(mats, [(3, 3)] * n, keys)
+        asm = _normalised(mats, (3, 3), keys)
         verdict = certify_network_steering(asm)
         assert verdict.witness["outcome"] == keys[first]
         assert verdict.witness["negativity"] == negativity(asm.elements[keys[second]], [1])
@@ -127,7 +111,7 @@ class TestCertifyStacked:
     @pytest.mark.parametrize("trace,skipped", [(-1e-11, True), (1e-11, False)])
     def test_skips_elements_below_cutoff_trace(self, trace, skipped):
         tiny = QOperator(np.diag([trace + 5e-11, -5e-11, 0.0, 0.0]), (2, 2))
-        asm = NetworkAssemblage({(0,): psi_minus(), (1,): tiny}, n_parties=3)
+        asm = assemblage_of({(0,): psi_minus(), (1,): tiny})
         if skipped:
             verdict = certify_network_steering(asm)
             assert verdict.witness == {"negativity": negativity(psi_minus(), [1]), "outcome": (0,)}
@@ -143,9 +127,7 @@ class TestCertifyStacked:
         mats = [np.eye(9) / (9 * n)] * n
         bad = np.diag([1.0 / n + 1e-10, -1e-10] + [0.0] * 7)
         mats[0 if position == "first" else n - 1] = bad
-        asm = NetworkAssemblage(
-            {(k,): QOperator(m, (3, 3)) for k, m in enumerate(mats)}, n_parties=3
-        )
+        asm = assemblage_of({(k,): QOperator(m, (3, 3)) for k, m in enumerate(mats)})
         with pytest.raises(NotPositiveError, match="negative eigenvalue -1.000e-10"):
             certify_network_steering(asm)
 

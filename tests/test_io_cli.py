@@ -75,8 +75,8 @@ class TestFixtures:
         ],
     )
     def test_bundled_fixtures_load(self, name):
-        label, slots, measurements = load_fixture(fixture_path(name))
-        assert len(measurements) == len(slots) - 1
+        label, slots, net = load_fixture(fixture_path(name))
+        assert len(net.central_measurements) == len(slots) - 1
         for slot in slots:
             assert abs(slot.state.trace() - 1.0) < 1e-10
 

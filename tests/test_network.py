@@ -22,14 +22,20 @@ from netsteer.network import (
 from netsteer.operators import (
     CHECK_BLOCK_BYTES,
     PAULI_Z,
+    DimensionError,
     QOperator,
     max_entry_distance,
-    partial_trace,
     tensor,
 )
 from netsteer.states import DEWParams, dew, psi_minus, werner
 
-from conftest import brute_force_assemblage, rand_density, random_linear_network
+from conftest import (
+    assemblage_of,
+    brute_force_assemblage,
+    partial_trace,
+    rand_density,
+    random_linear_network,
+)
 
 
 class TestLinearNetworkValidation:
@@ -148,15 +154,13 @@ class TestLineAssemblage:
         assert abs(total - 1.0) < 1e-10
 
     def test_product_marginal(self, rng):
-        from netsteer.operators import partial_trace
-
         net = random_linear_network(rng, 4, max_dim=3)
         asm = line_assemblage(net)
         expected = tensor(
             partial_trace(net.sources[0], keep=[0]),
             partial_trace(net.sources[-1], keep=[1]),
         )
-        assert max_entry_distance(asm.total(), expected) < 1e-10
+        assert np.max(np.abs(asm.matrices.sum(axis=0) - expected.matrix)) < 1e-10
 
 
 class TestDEWLine:
@@ -178,7 +182,7 @@ class TestDEWLine:
         total = sum(op.trace() for op in asm.elements.values())
         assert abs(total - 1.0) < 1e-12
         marginals = tensor(partial_trace(src, keep=[0]), partial_trace(src, keep=[1]))
-        assert max_entry_distance(asm.total(), marginals) < 1e-12
+        assert np.max(np.abs(asm.matrices.sum(axis=0) - marginals.matrix)) < 1e-12
 
     def test_bitwise_equal_to_single_element_contraction(self):
         # the reported DEW numbers come from these elements: batching the
@@ -200,26 +204,64 @@ class TestNetworkAssemblage:
     def test_rejects_unnormalised(self):
         op = QOperator(np.eye(4) / 2, (2, 2))
         with pytest.raises(ValueError):
-            NetworkAssemblage({(0,): op, (1,): op}, n_parties=3)
+            assemblage_of({(0,): op, (1,): op})
 
     def test_rejects_non_psd_element(self):
         good = QOperator(np.eye(4) / 8, (2, 2))
         bad = QOperator(np.diag([1.0, -0.5, 0.0, 0.0]), (2, 2))
         with pytest.raises(ValueError):
-            NetworkAssemblage({(0,): good, (1,): bad}, n_parties=3)
-
+            assemblage_of({(0,): good, (1,): bad})
 
     # 3 elements, or one more than fits in one stacked check of 4 x 4 matrices
     @pytest.mark.parametrize("n", [3, CHECK_BLOCK_BYTES // 256 + 1])
     @pytest.mark.parametrize("position", ["first", "last"])
     def test_rejects_non_psd_element_at(self, n, position):
-        good = QOperator(np.eye(4) / (4 * n), (2, 2))
-        elements = {(k,): good for k in range(n)}
-        NetworkAssemblage(elements, n_parties=3)
-        bad = QOperator(np.diag([1.0 / n + 0.5, -0.5, 0.0, 0.0]), (2, 2))
-        elements[(0,) if position == "first" else (n - 1,)] = bad
+        mats = np.array([np.eye(4) / (4 * n)] * n)
+        keys = [(k,) for k in range(n)]
+        NetworkAssemblage(mats, keys, (2, 2), 3)
+        mats[0 if position == "first" else -1] = np.diag([1.0 / n + 0.5, -0.5, 0.0, 0.0])
         with pytest.raises(ValueError, match="not PSD"):
-            NetworkAssemblage(elements, n_parties=3)
+            NetworkAssemblage(mats, keys, (2, 2), 3)
+
+    def test_rejects_stack_length_other_than_outcome_count(self):
+        mats = np.array([np.eye(4) / 8] * 2)
+        with pytest.raises(DimensionError, match="3 outcomes"):
+            NetworkAssemblage(mats, [(0,), (1,), (2,)], (2, 2), 3)
+
+    def test_rejects_repeated_outcome_keys(self):
+        mats = np.array([np.eye(4) / 8] * 2)
+        with pytest.raises(ValueError, match="distinct"):
+            NetworkAssemblage(mats, [(0,), (0,)], (2, 2), 3)
+
+    def test_rejects_dims_other_than_matrix_side(self):
+        mats = np.array([np.eye(4) / 8] * 2)
+        with pytest.raises(DimensionError, match=r"\(2, 3\)"):
+            NetworkAssemblage(mats, [(0,), (1,)], (2, 3), 3)
+
+    def test_matrices_are_a_read_only_copy(self):
+        mats = np.array([np.eye(4) / 8] * 2)
+        asm = NetworkAssemblage(mats, [(0,), (1,)], (2, 2), 3)
+        assert not asm.matrices.flags.writeable
+        with pytest.raises(ValueError):
+            asm.matrices[0, 0, 0] = 1.0
+        mats[0, 0, 0] = 1.0
+        assert asm.matrices[0, 0, 0] == 1 / 8
+
+    def test_elements_are_rows_in_outcome_order(self, rng):
+        net = random_linear_network(rng, 4, max_dim=3)
+        asm = line_assemblage(net)
+        before = asm.matrices.tobytes()
+        elements = asm.elements
+        assert list(elements) == list(asm.outcomes)
+        for op, row in zip(elements.values(), asm.matrices):
+            assert op.dims == asm.dims
+            assert op.matrix.tobytes() == row.tobytes()
+        # changing what elements handed out leaves the assemblage as it was
+        op = elements.pop(asm.outcomes[0])
+        op.matrix.flags.writeable = True
+        op.matrix[:] = 7.0
+        assert asm.matrices.tobytes() == before
+        assert list(asm.elements) == list(asm.outcomes)
 
 
 class TestBilocal:
@@ -270,13 +312,16 @@ class TestConditioningAndLifting:
         total = sum(op.trace() for op in cond.values())
         assert abs(total - 1.0) < 1e-10
 
+    def test_conditioning_rejects_effect_of_other_dim(self, rng):
+        asm = line_assemblage(LinearNetwork([rand_density(rng, (2, 2))] * 2, [bell_swap_povm(2)]))
+        with pytest.raises(DimensionError, match="effect dim 3 != endpoint dim 2"):
+            condition_on_trusted_measurement(asm, computational_basis_povm(3), "right")
+
     def test_lift_recovers_uniform_inputs(self):
         subs = [pauli_projective((0, 0, 1)), pauli_projective((1, 0, 0))]
         net = untrusted_input_to_outcome(werner(0.8), subs)
         asm = line_assemblage(net)
-        flat_asm = NetworkAssemblage(
-            {b[0]: op for b, op in asm.elements.items()}, n_parties=3
-        )
+        flat_asm = assemblage_of({b[0]: op for b, op in asm.elements.items()})
         cond = condition_on_trusted_measurement(
             flat_asm, computational_basis_povm(2), "left"
         )

@@ -25,7 +25,6 @@ from netsteer.nlhs import (
     build_percolation_line,
     classical_correlated_decomposition,
     nlhs_to_separable_realization,
-    product_decomposition,
     reconstruct,
     separabilize_endpoint,
     solve_lhv,
@@ -174,8 +173,8 @@ class TestReconstruct:
     @pytest.mark.parametrize("name", BUNDLED)
     def test_matches_kron_loop_on_fixture(self, name):
         path = importlib.resources.files("netsteer") / "fixtures" / f"{name}.json"
-        _, slots, measurements = load_fixture(path)
-        self._check(build_percolation_line(slots, measurements)[0])
+        _, slots, net = load_fixture(path)
+        self._check(build_percolation_line(slots, net.central_measurements)[0])
 
     def test_matches_kron_loop_on_random_models(self):
         rng = np.random.default_rng(2025)
@@ -214,7 +213,7 @@ class TestDecompositions:
     def test_product_decomposition(self, rng):
         a = rand_density(rng, [2])
         b = rand_density(rng, [3])
-        dec = product_decomposition(a, b)
+        dec = SeparableDecomposition([1.0], [a], [b])
         assert max_entry_distance(dec.state(), tensor(a, b)) < 1e-12
 
 

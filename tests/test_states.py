@@ -6,7 +6,6 @@ from netsteer.operators import (
     hermitian_eigenvalues,
     is_density,
     max_entry_distance,
-    partial_trace,
     tensor,
 )
 from netsteer.states import (
@@ -20,7 +19,7 @@ from netsteer.states import (
     werner,
 )
 
-from conftest import rand_density
+from conftest import partial_trace, rand_density
 
 
 def dew_block_oracle(eta, omega):
