@@ -3,13 +3,10 @@ networks with trusted endpoints and independent sources."""
 
 from .operators import (
     QOperator,
-    hermitian_eigenvalues,
-    identity,
     is_density,
     is_psd,
     max_entry_distance,
     negativity,
-    tensor,
 )
 from .states import (
     Channel,
@@ -34,7 +31,6 @@ from .network import (
     LinearNetwork,
     NetworkAssemblage,
     assemblage_element,
-    bilocal_assemblage,
     condition_on_trusted_measurement,
     lift_inputless_to_conditional,
     line_assemblage,

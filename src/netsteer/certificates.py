@@ -22,14 +22,13 @@ from .operators import (
     QOperator,
     TOL_CHECK,
     _negativities,
-    max_entry_distance,
 )
 from .measurements import computational_basis_povm, pauli_projective
 from .network import (
     NetworkAssemblage,
-    bilocal_assemblage,
     condition_on_trusted_measurement,
     lift_inputless_to_conditional,
+    line_assemblage,
     standard_assemblage,
     untrusted_input_to_outcome,
 )
@@ -40,7 +39,6 @@ TOL_OPT = 1e-6
 SPHERE_POINTS = 2000      # Fibonacci-lattice directions searched by erased_unsteerable
 
 CERTIFIED = "NetworkSteeringCertified"
-NLHS_EXHIBITED = "NLHSModelExhibited"
 INCONCLUSIVE = "Inconclusive"
 
 
@@ -77,20 +75,31 @@ class BlochData:
         object.__setattr__(self, "t", t)
 
 
+def _endpoint_negativities(mats: np.ndarray, dims: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Negativity across the endpoints of each matrix of a (k, d, d) stack
+    on ``dims``, and whether it certifies entanglement (exceeds
+    ``NEG_CUTOFF``).  A matrix of trace at most ``NEG_CUTOFF`` is skipped
+    with +0.0; an evaluated one without negative eigenvalue reads -0.0."""
+    live = np.trace(mats, axis1=1, axis2=2).real > NEG_CUTOFF
+    values = np.zeros(len(mats))
+    if live.any():
+        values[live] = _negativities(mats[live], dims, [1])
+    return values, values > NEG_CUTOFF
+
+
 def certify_network_steering(asm: NetworkAssemblage) -> Verdict:
     """Entanglement of any single element rules out an NLHS model.
 
-    Elements of trace below ``NEG_CUTOFF`` are skipped; the others get their
-    negativity across the endpoints from stacked spectra, and the first
-    element of largest negativity is reported.  Negativity is sufficient but
-    not necessary, so the only negative answer is Inconclusive.
+    The elements' negativities come from ``_endpoint_negativities``, and the
+    first element of largest negativity is reported.  Negativity is
+    sufficient but not necessary, so the only negative answer is
+    Inconclusive.
     """
-    live = np.flatnonzero(np.trace(asm.matrices, axis1=1, axis2=2).real >= NEG_CUTOFF)
-    values = _negativities(asm.matrices[live], asm.dims, [1])
-    if np.any(values > NEG_CUTOFF):
+    values, entangled = _endpoint_negativities(asm.matrices, asm.dims)
+    if entangled.any():
         best = int(np.argmax(values))
         return Verdict(CERTIFIED, {"negativity": float(values[best]),
-                                   "outcome": asm.outcomes[live[best]]})
+                                   "outcome": asm.outcomes[best]})
     return Verdict(INCONCLUSIVE)
 
 
@@ -148,15 +157,14 @@ def dew_unsteerable_both_ways(p: DEWParams) -> bool:
     of unsteerability, and swap symmetry of the state covers the reverse
     direction with the same computation.
     """
-    if p.eta <= 1e-14:
-        return True
     werner_bloch = BlochData(np.zeros(3), -p.omega * np.eye(3))
     ok, _ = erased_unsteerable(werner_bloch, p.eta)
     return ok
 
 
-def linear_steering_witness(asm: dict, axes: Sequence) -> tuple[float, float, bool]:
-    """Linear witness for a standard assemblage from dichotomic axes.
+def linear_steering_witness(asm: np.ndarray, axes: Sequence) -> tuple[float, float, bool]:
+    """Linear witness for a (2, m, 2, 2) standard assemblage of m dichotomic
+    qubit measurements along ``axes``.
 
     value = (1/m) |sum_k tr((sigma_{0|k} - sigma_{1|k}) v_k . sigma)|;
     the LHS bound is the exact maximum over deterministic sign patterns,
@@ -164,15 +172,14 @@ def linear_steering_witness(asm: dict, axes: Sequence) -> tuple[float, float, bo
     """
     axes = [np.asarray(v, dtype=float) for v in axes]
     m = len(axes)
+    if asm.shape[:2] != (2, m):
+        raise ValueError(f"witness needs dichotomic outcomes for {m} inputs, got shape {asm.shape}")
+    if asm.shape[2:] != (2, 2):
+        raise DimensionError("witness needs qubit steered states")
     acc = 0.0
     for k, v in enumerate(axes):
-        if (0, k) not in asm or (1, k) not in asm:
-            raise ValueError(f"assemblage missing dichotomic outcomes for input {k}")
-        diff = asm[(0, k)].matrix - asm[(1, k)].matrix
-        if diff.shape != (2, 2):
-            raise DimensionError("witness needs qubit steered states")
         obs = sum(c * s for c, s in zip(v, PAULIS))
-        acc += np.trace(diff @ obs).real
+        acc += np.trace((asm[0, k] - asm[1, k]) @ obs).real
     value = abs(acc) / m
     bound = max(
         np.linalg.norm(sum(s * v for s, v in zip(signs, axes)))
@@ -203,27 +210,20 @@ def claims_pipeline(rho_steerable: QOperator, axes: Sequence) -> tuple[Verdict, 
             f"witness value {value:.6f} does not exceed LHS bound {bound:.6f}"
         )
 
-    net = untrusted_input_to_outcome(rho_steerable, sub_povms)
-    asm = bilocal_assemblage(net.sources[0], net.sources[1], net.central_measurements[0])
+    asm = line_assemblage(untrusted_input_to_outcome(rho_steerable, sub_povms))
 
     # block identity: sigma_b = sum_x (1/d) |x><x| (x) sigma_{b|x}
     expected = np.zeros_like(asm.matrices)
-    for k, b in enumerate(asm.outcomes):
-        for x in range(d):
-            expected[k, 2 * x:2 * x + 2, 2 * x:2 * x + 2] = direct[(b, x)].matrix / d
+    for x in range(d):
+        expected[:, 2 * x:2 * x + 2, 2 * x:2 * x + 2] = direct[:, x] / d
     block_dev = float(np.max(np.abs(asm.matrices - expected)))
 
-    live = np.trace(asm.matrices, axis1=1, axis2=2).real > NEG_CUTOFF
-    separable_elements = bool(np.all(_negativities(asm.matrices[live], asm.dims, [1])
-                                     <= NEG_CUTOFF))
+    separable_elements = not _endpoint_negativities(asm.matrices, asm.dims)[1].any()
 
     conditioned = condition_on_trusted_measurement(asm, computational_basis_povm(d), "left")
-    flat = {(b, x): op for ((b, x), op) in conditioned.items()}
-    p, cond = lift_inputless_to_conditional(flat)
-    round_trip_dev = max(
-        max_entry_distance(cond[(b, x)], direct[(b, x)]) for (b, x) in direct
-    )
-    p_dev = max(abs(px - 1.0 / d) for px in p.values())
+    p, cond = lift_inputless_to_conditional(conditioned)
+    round_trip_dev = float(np.max(np.abs(cond - direct)))
+    p_dev = float(np.max(np.abs(p - 1.0 / d)))
     value2, bound2, violated2 = linear_steering_witness(cond, axes)
 
     transcript = {

@@ -5,7 +5,8 @@
     netsteer claims-demo  --omega 0.9 --out demo.json
     netsteer nlhs         --fixture sep_loc_sep --realize --out report.json
 
-Exit status is 0 iff every per-point identity check passed its tolerance.
+Exit status is 0 iff every per-point identity check passed its tolerance;
+a numeric check failing inside a computation exits 1 with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .experiments import (
 from .certificates import PipelinePreconditionError
 from .nlhs import ModelNotFoundError, PatternError
 from .nlhs_io import FixtureError
+from .operators import NotHermitianError, NotPositiveError
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -169,6 +171,9 @@ def main(argv=None) -> int:
     except ModelNotFoundError as exc:
         print(f"error: no model found: {exc}", file=sys.stderr)
         return 3
+    except (NotHermitianError, NotPositiveError) as exc:
+        print(f"error: numeric check failed: {exc}", file=sys.stderr)
+        return 1
     try:
         if getattr(args, "model_out", None) is not None:
             with open(args.model_out, "w") as fh:

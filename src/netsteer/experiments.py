@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import NEG_CUTOFF, DimensionError, QOperator, max_entry_distance, negativity
+from .operators import DimensionError, QOperator, max_entry_distance
 from .measurements import bell_swap_povm
 from .network import LinearNetwork, NetworkAssemblage, assemblage_element, line_assemblage
 from .states import DEWParams, dew, werner
-from .certificates import claims_pipeline, dew_unsteerable_both_ways
+from .certificates import _endpoint_negativities, claims_pipeline, dew_unsteerable_both_ways
 from .nlhs import build_percolation_line, nlhs_to_separable_realization, reconstruct
 from .nlhs_io import load_fixture, model_to_json
 
@@ -101,21 +101,20 @@ def activation_point(n_parties: int, eta: float, omega: float) -> dict:
     network-steering certificate on the all-successful-swaps element."""
     src = dew(DEWParams(eta, omega))
     n_src = n_parties - 1
-    source_neg = negativity(src, [1])
     unsteerable = dew_unsteerable_both_ways(DEWParams(eta, omega))
     net = LinearNetwork([src] * n_src, [_SWAP] * (n_src - 1))
     sigma0 = assemblage_element(net, (0,) * (n_src - 1))
-    sigma0_neg = negativity(sigma0, [1]) if sigma0.trace() > NEG_CUTOFF else 0.0
+    negs, entangled = _endpoint_negativities(np.stack([src.matrix, sigma0.matrix]), src.dims)
     return {
         "n": n_parties,
         "eta": eta,
         "omega": omega,
-        "source_negativity": float(source_neg),
+        "source_negativity": float(negs[0]),
         "source_unsteerable": bool(unsteerable),
         "swap_visibility": float(omega ** (n_parties - 1)),
         "success_prob": float(sigma0.trace()),
-        "sigma0_negativity": float(sigma0_neg),
-        "network_steering": bool(sigma0_neg > NEG_CUTOFF),
+        "sigma0_negativity": float(negs[1]),
+        "network_steering": bool(entangled[1]),
     }
 
 
@@ -126,10 +125,10 @@ def run_activation(spec: SweepSpec) -> ExperimentReport:
     else:
         grid = [(e, w) for e in spec.etas() for w in spec.omegas()]
     records = [activation_point(spec.n_parties, e, w) for e, w in grid]
+    # a reported negativity is a signed zero or above the certifying cutoff
     activated = [
         r for r in records
-        if r["network_steering"] and r["source_unsteerable"]
-        and r["source_negativity"] > NEG_CUTOFF
+        if r["network_steering"] and r["source_unsteerable"] and r["source_negativity"] > 0
     ]
     return ExperimentReport(
         name="activation",

@@ -192,60 +192,51 @@ def assemblage_element(net: LinearNetwork, outcome) -> QOperator:
     return QOperator(_contract(net, choices)[0], net.endpoint_dims)
 
 
-def bilocal_assemblage(rho_ab: QOperator, rho_bc: QOperator, m: POVM) -> NetworkAssemblage:
-    """Three-party entanglement-swapping assemblage, keyed by the outcome b
-    itself rather than by a one-label tuple."""
-    net = LinearNetwork([rho_ab, rho_bc], [m])
-    return NetworkAssemblage(_contract(net, [m.effects]), m.outcome_labels, net.endpoint_dims, 3)
-
-
-def standard_assemblage(rho: QOperator, measurements: Sequence[POVM], side: str = "left") -> dict:
-    """Steered sub-normalised states {(a, x): Tr_side[(M_{a|x} (x) 1) rho]}."""
+def standard_assemblage(rho: QOperator, measurements: Sequence[POVM],
+                        side: str = "left") -> np.ndarray:
+    """Steered sub-normalised states sigma[a, x] = Tr_side[(M_{a|x} (x) 1) rho]
+    of the a-th effect of the x-th measurement, as an (outcomes, inputs,
+    d, d) stack; the measurements must have equal outcome counts."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    if len({m.n_outcomes for m in measurements}) != 1:
+        raise DimensionError("a standard assemblage needs measurements of equal outcome counts")
     measured = 0 if side == "left" else 1
-    return {
-        (label, x): apply_and_trace(rho, effect, measured)
-        for x, povm in enumerate(measurements)
-        for label, effect in zip(povm.outcome_labels, povm.effects)
-    }
+    return np.array([
+        [apply_and_trace(rho, effect, measured).matrix for effect in effects]
+        for effects in zip(*(m.effects for m in measurements))
+    ])
 
 
 def condition_on_trusted_measurement(
     asm: NetworkAssemblage, m: POVM, endpoint: str = "left"
-) -> dict:
-    """Measure one trusted endpoint of every element: {(b_tuple, x): operator}."""
+) -> np.ndarray:
+    """Measure one trusted endpoint of every element: the (K, J, d, d) stack
+    whose [k, j] is the element of ``asm.outcomes[k]`` conditioned on
+    ``m.outcome_labels[j]``, on the other endpoint."""
     if endpoint not in ("left", "right"):
         raise ValueError("endpoint must be 'left' or 'right'")
     measured = 0 if endpoint == "left" else 1
     if m.effects[0].dim != asm.dims[measured]:
         raise DimensionError(f"effect dim {m.effects[0].dim} != endpoint dim {asm.dims[measured]}")
-    kept = [asm.dims[1 - measured]]
-    return {
-        (outcome, label): QOperator(_apply_and_trace(mat, asm.dims, effect.matrix, measured), kept)
-        for outcome, mat in zip(asm.outcomes, asm.matrices)
-        for label, effect in zip(m.outcome_labels, m.effects)
-    }
+    return np.array([
+        [_apply_and_trace(mat, asm.dims, effect.matrix, measured) for effect in m.effects]
+        for mat in asm.matrices
+    ])
 
 
-def lift_inputless_to_conditional(asm: dict) -> tuple[dict, dict]:
-    """Split an inputless assemblage {(a, x): op} into p(x) and {(a, x): op/p(x)}.
+def lift_inputless_to_conditional(asm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split an inputless (outcomes, inputs, d, d) assemblage sigma[a, x]
+    into the vector p(x) and the stack sigma[a, x] / p(x).
 
     A vanishing p(x) is an error: the conditional assemblage is undefined
     there and silently skipping would hide a degenerate encoding.
     """
-    xs = sorted({x for (_, x) in asm.keys()})
-    p = {}
-    cond = {}
-    for x in xs:
-        px = sum(op.trace() for (a, x2), op in asm.items() if x2 == x)
-        if px <= 1e-14:
-            raise ValueError(f"p(x)={px} for x={x}; conditioning undefined")
-        p[x] = px
-        for (a, x2), op in asm.items():
-            if x2 == x:
-                cond[(a, x)] = QOperator(op.matrix / px, op.dims)
-    return p, cond
+    p = np.trace(asm, axis1=2, axis2=3).real.sum(axis=0)
+    if np.any(p <= 1e-14):
+        x = int(np.argmax(p <= 1e-14))
+        raise ValueError(f"p(x)={p[x]} for x={x}; conditioning undefined")
+    return p, asm / p[:, None, None]
 
 
 def untrusted_input_to_outcome(rho: QOperator, sub_povms: Sequence[POVM]) -> LinearNetwork:

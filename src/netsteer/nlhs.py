@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import nnls
 
 from .kernels import fibonacci_sphere
@@ -22,7 +23,6 @@ from .operators import (
     TOL_CHECK,
     TOL_EQ,
     TOL_NORM,
-    apply_and_trace,
     basis_ket,
     is_density,
     projector,
@@ -314,17 +314,17 @@ class BruteForceLHSProvider:
     def find(self, rho: QOperator, povms: Sequence[POVM], direction: str) -> LHSData:
         side = "left" if direction == "right" else "right"
         n_out = povms[0].n_outcomes
-        asm = list(standard_assemblage(rho, povms, side=side).values())   # x-major
-        sigma = _real_rows([op.matrix for op in asm]).reshape(len(povms), n_out, -1)
+        steered = standard_assemblage(rho, povms, side=side).swapaxes(0, 1)   # [x, b]
+        sigma = _real_rows(steered)
         first, rep = _distinct_inputs(sigma)
         sigma = sigma[first]
+        d = rho.dims[1 if direction == "right" else 0]
         cands = []
         for x in first:
-            for op in asm[x * n_out:(x + 1) * n_out]:
-                tr = op.trace()
+            for mat in steered[x]:
+                tr = float(mat.trace().real)
                 if tr > TOL_CHECK:
-                    cands.append(QOperator(op.matrix / tr, op.dims))
-        d = rho.dims[1 if direction == "right" else 0]
+                    cands.append(QOperator(mat / tr, [d]))
         if d == 2:
             for u in fibonacci_sphere(N_BLOCH):
                 obs = sum(c * s for c, s in zip(u, PAULIS))
@@ -554,12 +554,8 @@ def separabilize_endpoint(rho_ab: QOperator, m_a: POVM) -> tuple[QOperator, POVM
     is unchanged.
     """
     n = m_a.n_outcomes
-    d_b = rho_ab.dims[1]
-    mat = np.zeros((n * d_b, n * d_b), dtype=complex)
-    for a, effect in enumerate(m_a.effects):
-        steered = apply_and_trace(rho_ab, effect, 0)
-        mat[a * d_b:(a + 1) * d_b, a * d_b:(a + 1) * d_b] = steered.matrix
-    rho_sep = QOperator(mat, (n, d_b))
+    rho_sep = QOperator(block_diag(*standard_assemblage(rho_ab, [m_a], "left")[:, 0]),
+                        (n, rho_ab.dims[1]))
     return rho_sep, computational_basis_povm(n)
 
 

@@ -1,4 +1,5 @@
-"""Dense complex-operator kernel: tensor algebra, partial operations, spectra.
+"""Dense complex-operator kernel: factor-tagged operators, apply-and-trace,
+partial transposes, stacked PSD checks, spectra and negativity.
 
 Convention: tensor factors are combined with a row-major Kronecker product,
 so the *first* factor occupies the most significant index block.  This is
@@ -83,11 +84,6 @@ class QOperator:
         return f"QOperator(dim={self.dim}, dims={list(self.dims)})"
 
 
-def identity(dims: Sequence[int]) -> QOperator:
-    d = int(np.prod(list(dims)))
-    return QOperator(np.eye(d, dtype=complex), dims)
-
-
 def basis_ket(i: int, d: int) -> np.ndarray:
     v = np.zeros(d, dtype=complex)
     v[i] = 1.0
@@ -97,14 +93,6 @@ def basis_ket(i: int, d: int) -> np.ndarray:
 def projector(vec: np.ndarray, dims: Sequence[int]) -> QOperator:
     vec = np.asarray(vec, dtype=complex)
     return QOperator(np.outer(vec, vec.conj()), dims)
-
-
-def tensor(a: QOperator, b: QOperator, *rest: QOperator) -> QOperator:
-    """Kronecker product; dims are concatenated."""
-    out = QOperator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
-    for r in rest:
-        out = QOperator(np.kron(out.matrix, r.matrix), out.dims + r.dims)
-    return out
 
 
 def _check_factors(op: QOperator, factors: Iterable[int]) -> list[int]:
@@ -163,11 +151,6 @@ def _spectra(mats: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     if defect > tol:
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}")
     return np.linalg.eigvalsh((mats + adjoint) / 2)
-
-
-def hermitian_eigenvalues(op: QOperator, tol: float = TOL_HERM) -> np.ndarray:
-    """Real eigenvalues in ascending order (see ``_spectra``)."""
-    return _spectra(op.matrix, tol)
 
 
 def _negativities(mats: np.ndarray, dims: tuple[int, ...], factors: list[int]) -> np.ndarray:

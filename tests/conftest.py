@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: random operators with reproducible
-generators, a partial-trace oracle, a dict-to-stack assemblage builder and
-a brute-force assemblage oracle that never uses the sequential contraction
-under test."""
+generators, the identity, tensor-product, spectrum and partial-trace
+oracles, a dict-to-stack assemblage builder and a brute-force assemblage
+oracle that never uses the sequential contraction under test."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ import pytest
 from netsteer.measurements import POVM
 from netsteer.network import LinearNetwork, NetworkAssemblage
 from netsteer.nlhs import NLHSModel
-from netsteer.operators import DimensionError, QOperator, tensor
+from netsteer.operators import DimensionError, QOperator, TOL_HERM, _spectra
 
 
 @pytest.fixture
@@ -34,6 +34,24 @@ def rand_psd(rng, dims):
 def rand_unit_vector(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)
+
+
+def identity(dims):
+    d = int(np.prod(list(dims)))
+    return QOperator(np.eye(d, dtype=complex), dims)
+
+
+def tensor(a, b, *rest):
+    """Kronecker product; dims are concatenated."""
+    out = QOperator(np.kron(a.matrix, b.matrix), a.dims + b.dims)
+    for r in rest:
+        out = QOperator(np.kron(out.matrix, r.matrix), out.dims + r.dims)
+    return out
+
+
+def hermitian_eigenvalues(op, tol=TOL_HERM):
+    """Real eigenvalues in ascending order (see ``operators._spectra``)."""
+    return _spectra(op.matrix, tol)
 
 
 def partial_trace(op, keep):

@@ -36,11 +36,17 @@ from netsteer.operators import (
     QOperator,
     max_entry_distance,
     negativity,
-    tensor,
 )
 from netsteer.states import werner
 
-from conftest import partial_trace, rand_density, rand_psd, random_linear_network, random_model
+from conftest import (
+    partial_trace,
+    rand_density,
+    rand_psd,
+    random_linear_network,
+    random_model,
+    tensor,
+)
 
 
 def _verdict(name, ok, detail):

@@ -19,6 +19,7 @@ from netsteer.network import LinearNetwork, line_assemblage, standard_assemblage
 from netsteer.operators import (
     CHECK_BLOCK_BYTES,
     NEG_CUTOFF,
+    DimensionError,
     NotPositiveError,
     QOperator,
     negativity,
@@ -50,11 +51,11 @@ class TestCertify:
 
 
 def _certify_per_element(asm):
-    """The element-by-element definition: skip traces below NEG_CUTOFF,
+    """The element-by-element definition: skip traces up to NEG_CUTOFF,
     keep the first element of largest negativity."""
     best_val, best_outcome = 0.0, None
     for outcome, op in asm.elements.items():
-        if op.trace() < NEG_CUTOFF:
+        if op.trace() <= NEG_CUTOFF:
             continue
         val = negativity(op, [1])
         if val > best_val:
@@ -183,7 +184,7 @@ class TestErasedUnsteerable:
             erased_unsteerable(BlochData(np.zeros(3), np.eye(3) * 0.5), 1.5)
 
     def test_dew_boundary(self):
-        for omega in (0.0, 0.3, 0.9):
+        for omega in (0.0, 0.3, 0.9, 1.0):     # eta_star = 0 at omega = 1
             eta_star = (2 / 3) * (1 - omega)
             assert dew_unsteerable_both_ways(DEWParams(eta_star, omega))
             if eta_star + 1e-3 <= 1.0:
@@ -225,8 +226,12 @@ class TestWitness:
         assert not violated
 
     def test_missing_outcomes_rejected(self):
-        with pytest.raises(ValueError):
-            linear_steering_witness({}, [Z])
+        with pytest.raises(ValueError, match="dichotomic outcomes"):
+            linear_steering_witness(np.zeros((1, 1, 2, 2), dtype=complex), [Z])     # one outcome
+        with pytest.raises(ValueError, match="dichotomic outcomes"):
+            linear_steering_witness(np.zeros((2, 1, 2, 2), dtype=complex), [Z, X])  # one input
+        with pytest.raises(DimensionError, match="qubit"):
+            linear_steering_witness(np.zeros((2, 1, 3, 3), dtype=complex), [Z])
 
 
 class TestClaimsPipeline:

@@ -15,7 +15,7 @@ from netsteer.nlhs_io import (
     model_to_json,
     save_model,
 )
-from netsteer.operators import max_entry_distance
+from netsteer.operators import NotHermitianError, NotPositiveError, max_entry_distance
 
 from conftest import random_model
 
@@ -236,6 +236,20 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+    @pytest.mark.parametrize("error", [NotPositiveError, NotHermitianError])
+    def test_numeric_failure_exit_code(self, tmp_path, capsys, monkeypatch, error):
+        message = "input has negative eigenvalue -1.000e-03"
+
+        def fail(*args, **kwargs):
+            raise error(message)
+
+        monkeypatch.setattr("netsteer.cli.run_activation", fail)
+        assert main(["activation", "--out", str(tmp_path / "r.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: numeric check failed: {message}\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_report_written_when_model_out_unwritable(self, tmp_path, monkeypatch):
         monkeypatch.setattr("netsteer.cli.run_nlhs", lambda *a, **k: pytest.fail("ran"))

@@ -13,14 +13,13 @@ from netsteer.measurements import (
 )
 from netsteer.operators import (
     QOperator,
-    identity,
     max_entry_distance,
     projector,
     basis_ket,
 )
 from netsteer.states import psi_minus
 
-from conftest import rand_density
+from conftest import identity, rand_density
 
 
 class TestPOVMValidation:

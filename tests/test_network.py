@@ -12,7 +12,6 @@ from netsteer.network import (
     LinearNetwork,
     NetworkAssemblage,
     assemblage_element,
-    bilocal_assemblage,
     condition_on_trusted_measurement,
     lift_inputless_to_conditional,
     line_assemblage,
@@ -24,8 +23,8 @@ from netsteer.operators import (
     PAULI_Z,
     DimensionError,
     QOperator,
+    apply_and_trace,
     max_entry_distance,
-    tensor,
 )
 from netsteer.states import DEWParams, dew, psi_minus, werner
 
@@ -34,7 +33,9 @@ from conftest import (
     brute_force_assemblage,
     partial_trace,
     rand_density,
+    rand_unit_vector,
     random_linear_network,
+    tensor,
 )
 
 
@@ -266,13 +267,17 @@ class TestNetworkAssemblage:
 
 class TestBilocal:
     def test_matches_line(self, rng):
+        # the swapping line of two sources, keyed by one-label tuples (b,)
         a = rand_density(rng, (2, 2))
         b = rand_density(rng, (2, 2))
         m = bell_swap_povm(2)
-        asm = bilocal_assemblage(a, b, m)
-        line = line_assemblage(LinearNetwork([a, b], [m]))
-        for lab in (0, 1):
-            assert max_entry_distance(asm.elements[lab], line.elements[(lab,)]) == 0
+        net = LinearNetwork([a, b], [m])
+        asm = line_assemblage(net)
+        assert asm.outcomes == tuple((lab,) for lab in m.outcome_labels)
+        assert (asm.dims, asm.n_parties) == ((2, 2), 3)
+        oracle = brute_force_assemblage(net)
+        for outcome, mat in zip(asm.outcomes, asm.matrices):
+            assert np.max(np.abs(mat - oracle[outcome].matrix)) < 1e-12
 
 
 class TestStandardAssemblage:
@@ -282,15 +287,26 @@ class TestStandardAssemblage:
         asm = standard_assemblage(
             werner(omega), [pauli_projective((0, 0, 1))], side="left"
         )
+        assert asm.shape == (2, 1, 2, 2)
         expected = (np.eye(2) - omega * PAULI_Z) / 4
-        assert np.max(np.abs(asm[(0, 0)].matrix - expected)) < 1e-12
-        assert np.max(np.abs(asm[(1, 0)].matrix - (np.eye(2) + omega * PAULI_Z) / 4)) < 1e-12
+        assert np.max(np.abs(asm[0, 0] - expected)) < 1e-12
+        assert np.max(np.abs(asm[1, 0] - (np.eye(2) + omega * PAULI_Z) / 4)) < 1e-12
+
+    @pytest.mark.parametrize("side,measured", [("left", 0), ("right", 1)])
+    def test_rows_are_per_effect_apply_and_trace(self, rng, side, measured):
+        rho = rand_density(rng, (2, 3) if side == "left" else (3, 2))
+        povms = [pauli_projective(rand_unit_vector(rng)) for _ in range(3)]
+        asm = standard_assemblage(rho, povms, side)
+        assert asm.shape == (2, 3, 3, 3)
+        for x, povm in enumerate(povms):
+            for a, effect in enumerate(povm.effects):
+                row = apply_and_trace(rho, effect, measured).matrix
+                assert asm[a, x].tobytes() == row.tobytes()
 
     def test_sides_agree_for_symmetric_state(self):
         asm_l = standard_assemblage(werner(0.6), [pauli_projective((0, 0, 1))], "left")
         asm_r = standard_assemblage(werner(0.6), [pauli_projective((0, 0, 1))], "right")
-        for k in asm_l:
-            assert max_entry_distance(asm_l[k], asm_r[k]) < 1e-12
+        assert np.max(np.abs(asm_l - asm_r)) < 1e-12
 
     def test_rejects_bad_side(self):
         with pytest.raises(ValueError):
@@ -300,17 +316,34 @@ class TestStandardAssemblage:
         with pytest.raises(ValueError):
             standard_assemblage(werner(0.5), [computational_basis_povm(3)], "left")
 
+    def test_rejects_unequal_outcome_counts(self):
+        rho = QOperator(np.eye(9) / 9, (3, 3))
+        povms = [computational_basis_povm(3), POVM([QOperator(np.eye(3), [3])])]
+        with pytest.raises(DimensionError, match="equal outcome counts"):
+            standard_assemblage(rho, povms, "left")
+
 
 class TestConditioningAndLifting:
     def test_conditioning_traces_correctly(self, rng):
         net = random_linear_network(rng, 3, max_dim=2)
         asm = line_assemblage(net)
-        d = asm.elements[next(iter(asm.elements))].dims[0]
         cond = condition_on_trusted_measurement(
-            asm, computational_basis_povm(d), "left"
+            asm, computational_basis_povm(asm.dims[0]), "left"
         )
-        total = sum(op.trace() for op in cond.values())
-        assert abs(total - 1.0) < 1e-10
+        assert cond.shape == (len(asm.outcomes), asm.dims[0], asm.dims[1], asm.dims[1])
+        assert abs(np.trace(cond, axis1=2, axis2=3).real.sum() - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("endpoint,measured", [("left", 0), ("right", 1)])
+    def test_rows_are_per_effect_apply_and_trace(self, rng, endpoint, measured):
+        net = random_linear_network(rng, 4, max_dim=3)
+        asm = line_assemblage(net)
+        m = computational_basis_povm(asm.dims[measured])
+        cond = condition_on_trusted_measurement(asm, m, endpoint)
+        assert cond.shape[:2] == (len(asm.outcomes), m.n_outcomes)
+        for k, op in enumerate(asm.elements.values()):
+            for j, effect in enumerate(m.effects):
+                row = apply_and_trace(op, effect, measured).matrix
+                assert cond[k, j].tobytes() == row.tobytes()
 
     def test_conditioning_rejects_effect_of_other_dim(self, rng):
         asm = line_assemblage(LinearNetwork([rand_density(rng, (2, 2))] * 2, [bell_swap_povm(2)]))
@@ -321,26 +354,18 @@ class TestConditioningAndLifting:
         subs = [pauli_projective((0, 0, 1)), pauli_projective((1, 0, 0))]
         net = untrusted_input_to_outcome(werner(0.8), subs)
         asm = line_assemblage(net)
-        flat_asm = assemblage_of({b[0]: op for b, op in asm.elements.items()})
-        cond = condition_on_trusted_measurement(
-            flat_asm, computational_basis_povm(2), "left"
-        )
-        p, lifted = lift_inputless_to_conditional(
-            {(b, x): op for ((b, x), op) in cond.items()}
-        )
+        cond = condition_on_trusted_measurement(asm, computational_basis_povm(2), "left")
+        p, lifted = lift_inputless_to_conditional(cond)
         direct = standard_assemblage(werner(0.8), subs, side="left")
-        for x, px in p.items():
-            assert abs(px - 0.5) < 1e-12
-        for k in direct:
-            assert max_entry_distance(lifted[k], direct[k]) < 1e-12
+        assert np.max(np.abs(p - 0.5)) < 1e-12
+        assert lifted.shape == direct.shape
+        assert np.max(np.abs(lifted - direct)) < 1e-12
 
     def test_lift_rejects_zero_probability_input(self):
-        zero = QOperator(np.zeros((2, 2)), [2])
-        full = QOperator(np.eye(2) / 2, [2])
-        with pytest.raises(ValueError):
-            lift_inputless_to_conditional(
-                {(0, 0): full, (1, 0): full, (0, 1): zero, (1, 1): zero}
-            )
+        full = np.eye(2) / 2
+        asm = np.array([[full, np.zeros((2, 2))], [full, np.zeros((2, 2))]], dtype=complex)
+        with pytest.raises(ValueError, match="x=1"):
+            lift_inputless_to_conditional(asm)
 
     def test_untrusted_input_single_povm(self):
         net = untrusted_input_to_outcome(werner(0.8), [pauli_projective((0, 0, 1))])

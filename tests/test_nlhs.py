@@ -35,11 +35,10 @@ from netsteer.operators import (
     QOperator,
     max_entry_distance,
     negativity,
-    tensor,
 )
 from netsteer.states import classical_correlated, werner
 
-from conftest import rand_density, rand_psd, random_model
+from conftest import rand_density, rand_psd, random_model, tensor
 from nlhs_oracles import (
     build_sep_unsteer_bilocal,
     build_triangle_patterns,
@@ -220,16 +219,14 @@ class TestDecompositions:
 class TestProviders:
     def _check_lhs(self, data, rho, povms, direction):
         side = "left" if direction == "right" else "right"
-        from netsteer.network import standard_assemblage
-
         asm = standard_assemblage(rho, povms, side=side)
-        for x, povm in enumerate(povms):
-            for b, label in enumerate(povm.outcome_labels):
-                rebuilt = sum(
-                    data.dist[l] * data.response[b, x, l] * data.states[l].matrix
-                    for l in range(len(data.dist))
-                )
-                assert np.max(np.abs(rebuilt - asm[(label, x)].matrix)) < 1e-9
+        assert asm.shape[:2] == data.response.shape[:2]
+        for b, x in np.ndindex(asm.shape[:2]):
+            rebuilt = sum(
+                data.dist[l] * data.response[b, x, l] * data.states[l].matrix
+                for l in range(len(data.dist))
+            )
+            assert np.max(np.abs(rebuilt - asm[b, x])) < 1e-9
 
     def test_separable_provider(self):
         dec = werner_separable_decomposition(0.3)
@@ -287,10 +284,9 @@ class TestProviders:
             assert np.array_equal(data.response[:, x], data.response[:, reps.index(r)])
         side = "left" if direction == "right" else "right"
         asm = standard_assemblage(rho, povms, side=side)
-        for (b, x), op in asm.items():
-            rebuilt = np.einsum("l,l,lij->ij", data.dist, data.response[b, x],
-                                np.array([s.matrix for s in data.states]))
-            assert np.max(np.abs(rebuilt - op.matrix)) <= RECONSTRUCTION_TOL
+        rebuilt = np.einsum("l,bxl,lij->bxij", data.dist, data.response,
+                            np.array([s.matrix for s in data.states]))
+        assert np.max(np.abs(rebuilt - asm)) <= RECONSTRUCTION_TOL
 
     def test_brute_force_keeps_inputs_one_ulp_apart(self):
         # Tr_A[(E (x) 1) 1/4] = Tr(E)/4 exactly, so the steered states of the

@@ -14,19 +14,16 @@ from netsteer.operators import (
     QOperator,
     apply_and_trace,
     basis_ket,
-    hermitian_eigenvalues,
-    identity,
     is_density,
     is_psd,
     max_entry_distance,
     negativity,
     projector,
-    tensor,
     _transpose_factors,
 )
 from netsteer.states import werner
 
-from conftest import partial_trace, rand_density, rand_psd
+from conftest import hermitian_eigenvalues, identity, partial_trace, rand_density, rand_psd, tensor
 
 
 class TestQOperator:

@@ -3,10 +3,8 @@ import pytest
 
 from netsteer.operators import (
     QOperator,
-    hermitian_eigenvalues,
     is_density,
     max_entry_distance,
-    tensor,
 )
 from netsteer.states import (
     Channel,
@@ -19,7 +17,7 @@ from netsteer.states import (
     werner,
 )
 
-from conftest import partial_trace, rand_density
+from conftest import hermitian_eigenvalues, partial_trace, rand_density, tensor
 
 
 def dew_block_oracle(eta, omega):
