@@ -172,6 +172,8 @@ def linear_steering_witness(asm: np.ndarray, axes: Sequence) -> tuple[float, flo
     """
     axes = [np.asarray(v, dtype=float) for v in axes]
     m = len(axes)
+    if m == 0:
+        raise ValueError("the witness needs at least one measurement")
     if asm.shape[:2] != (2, m):
         raise ValueError(f"witness needs dichotomic outcomes for {m} inputs, got shape {asm.shape}")
     if asm.shape[2:] != (2, 2):

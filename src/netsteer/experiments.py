@@ -19,7 +19,8 @@ from .measurements import bell_swap_povm
 from .network import LinearNetwork, NetworkAssemblage, assemblage_element, line_assemblage
 from .states import DEWParams, dew, werner
 from .certificates import _endpoint_negativities, claims_pipeline, dew_unsteerable_both_ways
-from .nlhs import build_percolation_line, nlhs_to_separable_realization, reconstruct
+from .nlhs import (RECONSTRUCTION_TOL, build_percolation_line, nlhs_to_separable_realization,
+                   reconstruct)
 from .nlhs_io import load_fixture, model_to_json
 
 SWAP_TOL = 1e-10
@@ -189,12 +190,12 @@ def run_nlhs(fixture_path, realize: bool = False) -> ExperimentReport:
     rebuilt = reconstruct(model)
     dev = _stack_distance(rebuilt, quantum)
     extra = {"transcript": transcript, "model": model_to_json(model)}
-    ok = dev <= 1e-10
+    ok = dev <= RECONSTRUCTION_TOL
     if realize:
         realization = nlhs_to_separable_realization(model)
         rdev = _stack_distance(line_assemblage(realization.network), rebuilt)
         extra["realization_deviation"] = rdev
-        ok = ok and rdev <= 1e-10
+        ok = ok and rdev <= RECONSTRUCTION_TOL
         dev = max(dev, rdev)
     return ExperimentReport(
         name=f"nlhs:{name}",

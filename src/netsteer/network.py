@@ -84,9 +84,8 @@ class NetworkAssemblage:
     matrices: np.ndarray
     outcomes: tuple
     dims: tuple[int, int]
-    n_parties: int
 
-    def __init__(self, matrices, outcomes, dims: Sequence[int], n_parties: int):
+    def __init__(self, matrices, outcomes, dims: Sequence[int]):
         matrices = np.array(matrices, dtype=complex)
         outcomes = tuple(outcomes)
         dims = tuple(int(d) for d in dims)
@@ -107,7 +106,6 @@ class NetworkAssemblage:
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "n_parties", n_parties)
 
     @property
     def elements(self) -> dict:
@@ -179,7 +177,6 @@ def line_assemblage(net: LinearNetwork) -> NetworkAssemblage:
         _contract(net, [m.effects for m in central]),
         itertools.product(*(m.outcome_labels for m in central)),
         net.endpoint_dims,
-        net.n_parties,
     )
 
 
@@ -199,6 +196,8 @@ def standard_assemblage(rho: QOperator, measurements: Sequence[POVM],
     d, d) stack; the measurements must have equal outcome counts."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    if not measurements:
+        raise ValueError("a standard assemblage needs at least one measurement")
     if len({m.n_outcomes for m in measurements}) != 1:
         raise DimensionError("a standard assemblage needs measurements of equal outcome counts")
     measured = 0 if side == "left" else 1

@@ -59,8 +59,8 @@ class ModelNotFoundError(RuntimeError):
 
 
 class PatternError(ValueError):
-    """The requested slot pattern cannot be resolved (direction conflict,
-    unresolvable dependency, or an untagged endpoint)."""
+    """The requested slot pattern cannot be resolved (bad slot, wrong
+    measurement count, bad endpoint, or a measurement claimed twice)."""
 
 
 # --------------------------------------------------------------------------
@@ -137,7 +137,7 @@ def reconstruct(model: NLHSModel) -> NetworkAssemblage:
     mats = np.einsum("pik,iac,kbd->pabcd", w, lefts, rights, optimize=True)
     dims = (model.left_states[0].dims[0], model.right_states[0].dims[0])
     return NetworkAssemblage(mats.reshape(len(w), side, side),
-                             itertools.product(*model.outcome_labels), dims, model.n_parties)
+                             itertools.product(*model.outcome_labels), dims)
 
 
 # --------------------------------------------------------------------------
@@ -438,7 +438,10 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
     Separable slots resolve immediately and feed effective inputs to their
     neighbours; unsteerable slots consume the measurement on their input
     side and pass hidden states onward; local slots consume both adjacent
-    measurements.  Returns the model and the resolution transcript.
+    measurements.  The order is fixed: SEP slots ascending, UNS_LEFT slots
+    right to left, UNS_RIGHT and LOC slots left to right, then a direct
+    response for each measurement no slot consumed.  Returns the model and
+    the resolution transcript.
     """
     slots = list(slots)
     measurements = list(measurements)
@@ -472,14 +475,15 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
             right_states[i] = dec.right_states
             transcript.append(f"slot {i}: SEP resolved from decomposition")
 
-    def try_resolve(i: int) -> bool:
+    # The checks above give UNS_LEFT a SEP or UNS_LEFT right neighbour, UNS_RIGHT
+    # and LOC a SEP or UNS_RIGHT left one, and LOC a SEP or UNS_LEFT right one,
+    # so each sweep reaches a slot after the neighbours whose states it needs.
+    schedule = ([i for i in reversed(range(n_src)) if slots[i].kind == UNS_LEFT]
+                + [i for i in range(n_src) if slots[i].kind in (UNS_RIGHT, LOC)])
+    for i in schedule:
         slot = slots[i]
         takes_left = slot.kind in (UNS_RIGHT, LOC)     # consumes measurement i - 1
         takes_right = slot.kind in (UNS_LEFT, LOC)     # consumes measurement i
-        if (takes_left and right_states[i - 1] is None) or (
-            takes_right and left_states[i + 1] is None
-        ):
-            return False
         lp = [induced_measurement(measurements[i - 1], r, "left")
               for r in right_states[i - 1]] if takes_left else None
         rp = [induced_measurement(measurements[i], l, "right")
@@ -509,20 +513,6 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
         via = {UNS_RIGHT: f"measurement {i - 1}", UNS_LEFT: f"measurement {i}",
                LOC: f"measurements {i - 1} and {i}"}[slot.kind]
         transcript.append(f"slot {i}: {slot.kind} resolved via {via}{distinct}")
-        return True
-
-    pending = [i for i in range(n_src) if slots[i].kind != SEP]
-    while pending:
-        progressed = False
-        for i in list(pending):
-            if try_resolve(i):
-                pending.remove(i)
-                progressed = True
-        if not progressed:
-            raise PatternError(
-                f"pattern not resolvable; stuck at slots {pending} "
-                "(direction conflict or missing input)"
-            )
 
     # a measurement no slot consumed responds directly to its neighbour states
     for j, m in enumerate(measurements):
@@ -533,13 +523,8 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
             responses[j] = _born(effects[:, None, None], states)
             transcript.append(f"measurement {j}: direct response from neighbour states")
 
-    model = NLHSModel(
-        dists,
-        responses,
-        left_states[0],
-        right_states[-1],
-        outcome_labels=[m.outcome_labels for m in measurements],
-    )
+    model = NLHSModel(dists, responses, left_states[0], right_states[-1],
+                      outcome_labels=[m.outcome_labels for m in measurements])
     return model, transcript
 
 # --------------------------------------------------------------------------

@@ -69,11 +69,11 @@ def partial_trace(op, keep):
     return QOperator(mat.reshape(side, side), dims)
 
 
-def assemblage_of(elements, n_parties=3):
+def assemblage_of(elements):
     """NetworkAssemblage of an {outcome: QOperator} dict, through the stack
     constructor, in the dict's order."""
     ops = list(elements.values())
-    return NetworkAssemblage([op.matrix for op in ops], elements, ops[0].dims, n_parties)
+    return NetworkAssemblage([op.matrix for op in ops], elements, ops[0].dims)
 
 
 def brute_force_assemblage(net):

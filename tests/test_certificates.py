@@ -233,6 +233,10 @@ class TestWitness:
         with pytest.raises(DimensionError, match="qubit"):
             linear_steering_witness(np.zeros((2, 1, 3, 3), dtype=complex), [Z])
 
+    def test_rejects_no_measurements(self):
+        with pytest.raises(ValueError, match="at least one measurement"):
+            linear_steering_witness(np.zeros((2, 0, 2, 2), dtype=complex), [])
+
 
 class TestClaimsPipeline:
     def test_certifies_steerable_werner(self):
@@ -252,6 +256,10 @@ class TestClaimsPipeline:
     def test_rejects_wrong_dims(self):
         with pytest.raises(ValueError):
             claims_pipeline(classical_correlated(3), [Z, X])
+
+    def test_rejects_no_axes(self):
+        with pytest.raises(ValueError, match="at least one measurement"):
+            claims_pipeline(werner(0.8), [])
 
     def test_three_axis_threshold(self):
         # with three orthogonal axes the LHS bound drops to 1/sqrt(3)

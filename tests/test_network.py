@@ -219,29 +219,29 @@ class TestNetworkAssemblage:
     def test_rejects_non_psd_element_at(self, n, position):
         mats = np.array([np.eye(4) / (4 * n)] * n)
         keys = [(k,) for k in range(n)]
-        NetworkAssemblage(mats, keys, (2, 2), 3)
+        NetworkAssemblage(mats, keys, (2, 2))
         mats[0 if position == "first" else -1] = np.diag([1.0 / n + 0.5, -0.5, 0.0, 0.0])
         with pytest.raises(ValueError, match="not PSD"):
-            NetworkAssemblage(mats, keys, (2, 2), 3)
+            NetworkAssemblage(mats, keys, (2, 2))
 
     def test_rejects_stack_length_other_than_outcome_count(self):
         mats = np.array([np.eye(4) / 8] * 2)
         with pytest.raises(DimensionError, match="3 outcomes"):
-            NetworkAssemblage(mats, [(0,), (1,), (2,)], (2, 2), 3)
+            NetworkAssemblage(mats, [(0,), (1,), (2,)], (2, 2))
 
     def test_rejects_repeated_outcome_keys(self):
         mats = np.array([np.eye(4) / 8] * 2)
         with pytest.raises(ValueError, match="distinct"):
-            NetworkAssemblage(mats, [(0,), (0,)], (2, 2), 3)
+            NetworkAssemblage(mats, [(0,), (0,)], (2, 2))
 
     def test_rejects_dims_other_than_matrix_side(self):
         mats = np.array([np.eye(4) / 8] * 2)
         with pytest.raises(DimensionError, match=r"\(2, 3\)"):
-            NetworkAssemblage(mats, [(0,), (1,)], (2, 3), 3)
+            NetworkAssemblage(mats, [(0,), (1,)], (2, 3))
 
     def test_matrices_are_a_read_only_copy(self):
         mats = np.array([np.eye(4) / 8] * 2)
-        asm = NetworkAssemblage(mats, [(0,), (1,)], (2, 2), 3)
+        asm = NetworkAssemblage(mats, [(0,), (1,)], (2, 2))
         assert not asm.matrices.flags.writeable
         with pytest.raises(ValueError):
             asm.matrices[0, 0, 0] = 1.0
@@ -274,7 +274,7 @@ class TestBilocal:
         net = LinearNetwork([a, b], [m])
         asm = line_assemblage(net)
         assert asm.outcomes == tuple((lab,) for lab in m.outcome_labels)
-        assert (asm.dims, asm.n_parties) == ((2, 2), 3)
+        assert asm.dims == (2, 2)
         oracle = brute_force_assemblage(net)
         for outcome, mat in zip(asm.outcomes, asm.matrices):
             assert np.max(np.abs(mat - oracle[outcome].matrix)) < 1e-12
@@ -321,6 +321,10 @@ class TestStandardAssemblage:
         povms = [computational_basis_povm(3), POVM([QOperator(np.eye(3), [3])])]
         with pytest.raises(DimensionError, match="equal outcome counts"):
             standard_assemblage(rho, povms, "left")
+
+    def test_rejects_no_measurements(self):
+        with pytest.raises(ValueError, match="at least one measurement"):
+            standard_assemblage(werner(0.5), [], "left")
 
 
 class TestConditioningAndLifting:

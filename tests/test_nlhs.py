@@ -1,4 +1,5 @@
 import importlib.resources
+import itertools
 import time
 
 import numpy as np
@@ -483,6 +484,95 @@ class TestConstructors:
             build_percolation_line(
                 _slots((SEP, UNS_LEFT)), [bell_swap_povm(2)]
             )
+
+
+BUNDLED_TRANSCRIPTS = {
+    "sep_loc_sep": [
+        "slot 0: SEP resolved from decomposition",
+        "slot 2: SEP resolved from decomposition",
+        "slot 1: LOC resolved via measurements 0 and 1 "
+        "(2 of 2 x-inputs and 2 of 2 y-inputs distinct)",
+    ],
+    "uns_sep_uns": [
+        "slot 1: SEP resolved from decomposition",
+        "slot 0: UNS_LEFT resolved via measurement 0",
+        "slot 2: UNS_RIGHT resolved via measurement 1",
+    ],
+    "sep_uns_uns": [
+        "slot 0: SEP resolved from decomposition",
+        "slot 1: UNS_RIGHT resolved via measurement 0",
+        "slot 2: UNS_RIGHT resolved via measurement 1",
+    ],
+    "uns_uns_sep": [
+        "slot 2: SEP resolved from decomposition",
+        "slot 1: UNS_LEFT resolved via measurement 1",
+        "slot 0: UNS_LEFT resolved via measurement 0",
+    ],
+    "percolation_star_n6": [
+        "slot 1: SEP resolved from decomposition",
+        "slot 4: SEP resolved from decomposition",
+        "slot 0: UNS_LEFT resolved via measurement 0",
+        "slot 2: UNS_RIGHT resolved via measurement 1",
+        "slot 3: LOC resolved via measurements 2 and 3 "
+        "(3 of 10 x-inputs and 2 of 2 y-inputs distinct)",
+    ],
+}
+
+
+def _valid_pattern(kinds):
+    """The pattern rules, stated independently of the constructor: endpoint
+    slots that give endpoint states, and no measurement claimed from both
+    sides."""
+    claims_right = (UNS_LEFT, LOC)
+    claims_left = (UNS_RIGHT, LOC)
+    return (kinds[0] in (SEP, UNS_LEFT) and kinds[-1] in (SEP, UNS_RIGHT)
+            and not any(a in claims_right and b in claims_left
+                        for a, b in zip(kinds, kinds[1:])))
+
+
+class TestResolutionSchedule:
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_transcripts(self, name):
+        path = importlib.resources.files("netsteer") / "fixtures" / f"{name}.json"
+        _, slots, net = load_fixture(path)
+        _, transcript = build_percolation_line(slots, net.central_measurements)
+        assert transcript == BUNDLED_TRANSCRIPTS[name]
+
+    def test_uns_left_sweep_precedes_uns_right(self):
+        slots = _slots((UNS_LEFT, UNS_LEFT, SEP, UNS_RIGHT))
+        _, transcript = build_percolation_line(slots, [bell_swap_povm(2)] * 3)
+        assert transcript == [
+            "slot 2: SEP resolved from decomposition",
+            "slot 1: UNS_LEFT resolved via measurement 1",
+            "slot 0: UNS_LEFT resolved via measurement 0",
+            "slot 3: UNS_RIGHT resolved via measurement 2",
+        ]
+
+    def test_every_pattern_of_two_to_five_sources(self):
+        cc = classical_correlated_decomposition(2)
+        w = werner_separable_decomposition(0.3)
+        slot = {SEP: (cc.state(), cc), LOC: (cc.state(), cc),
+                UNS_LEFT: (werner(0.3), w), UNS_RIGHT: (werner(0.3), w)}
+        m = bell_swap_povm(2)
+        valid = invalid = 0
+        for n_src in range(2, 6):
+            for kinds in itertools.product((SEP, UNS_RIGHT, UNS_LEFT, LOC), repeat=n_src):
+                slots = [SourceSlot(k, *slot[k]) for k in kinds]
+                ms = [m] * (n_src - 1)
+                if not _valid_pattern(kinds):
+                    with pytest.raises(PatternError):
+                        build_percolation_line(slots, ms)
+                    invalid += 1
+                    continue
+                model, transcript = build_percolation_line(slots, ms)
+                quantum = line_assemblage(LinearNetwork([s.state for s in slots], ms))
+                rebuilt = reconstruct(model)
+                assert (rebuilt.outcomes, rebuilt.dims) == (quantum.outcomes, quantum.dims)
+                assert np.max(np.abs(rebuilt.matrices - quantum.matrices)) <= 1e-10, kinds
+                resolved = [line.split(":")[0] for line in transcript if line.startswith("slot")]
+                assert sorted(resolved) == [f"slot {i}" for i in range(n_src)], kinds
+                valid += 1
+        assert (valid, invalid) == (120, 1240)
 
 
 class TestSoundness:

@@ -5,7 +5,7 @@
 Runs ``netsteer.cli.main`` in process for a fixed list of commands
 (``verify-swap``, three ``activation`` sweeps, ``claims-demo`` for both
 axis presets at four visibilities, and ``nlhs --realize --model-out`` on
-the bundled fixtures, the benchmark's Werner fixture and seven extra
+the bundled fixtures, the benchmark's Werner fixture and eight extra
 fixtures written into OUTDIR).  Each command runs twice, once per output
 format.  For each command it writes the JSON report with sorted keys and
 without ``wall_time`` and ``inputs.fixture``, the CSV report as written
@@ -46,6 +46,9 @@ EXTRA_FIXTURES = {
     # over the search limit unless equal inputs are merged (10 inputs, 3 distinct)
     "werner-comp-uns": (["SEP", "UNS_RIGHT"], [_werner(0.3), _werner(0.4)], [COMP2]),
     "werner-loc-cc-comp": (["SEP", "LOC", "SEP"], [_werner(0.3), _werner(0.5), CC2], [COMP2, SWAP2]),
+    # two UNS_LEFT slots left of an UNS_RIGHT one: the transcript shows the resolution order
+    "uns-uns-sep-uns": (["UNS_LEFT", "UNS_LEFT", "SEP", "UNS_RIGHT"],
+                        [_werner(0.3), _werner(0.3), CC2, _werner(0.4)], [SWAP2] * 3),
 }
 
 
