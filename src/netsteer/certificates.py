@@ -155,11 +155,17 @@ def dew_unsteerable_both_ways(p: DEWParams) -> bool:
     One direction comes from the erased-state criterion on the underlying
     Werner state; the second erasure is absorbed by channel monotonicity
     of unsteerability, and swap symmetry of the state covers the reverse
-    direction with the same computation.
+    direction with the same computation.  Evaluated by ``_dew_unsteerable``.
     """
-    werner_bloch = BlochData(np.zeros(3), -p.omega * np.eye(3))
-    ok, _ = erased_unsteerable(werner_bloch, p.eta)
-    return ok
+    return bool(_dew_unsteerable(p.eta, p.omega))
+
+
+def _dew_unsteerable(etas, omegas):
+    """``dew_unsteerable_both_ways`` of survival probabilities and
+    visibilities in [0, 1], elementwise over arrays: ``erased_unsteerable``
+    on the Werner Bloch data (0, -omega I) in its a = 0 closed form, whose
+    value 3 eta / 2 + omega is at most 1 (to ``TOL_OPT``)."""
+    return 1.5 * etas + omegas <= 1.0 + TOL_OPT
 
 
 def linear_steering_witness(asm: np.ndarray, axes: Sequence) -> tuple[float, float, bool]:

@@ -1,7 +1,9 @@
 """Named experiments behind the CLI: swap-identity verification, the
 activation sweep, the input-encoding pipeline demo, and NLHS fixture runs.
 
-Records are listed in grid order.  Parameters are checked before any
+Records are listed in grid order.  The two sweeps build, check, contract
+and certify their grid one ``_blocks`` block of points at a time, each
+step on the stack of the block.  Parameters are checked before any
 computation; an out-of-range one raises ``SpecError``.
 """
 
@@ -14,18 +16,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import DimensionError, QOperator, max_entry_distance
+from .operators import TOL_CHECK, DimensionError, _all_density, _blocks
 from .measurements import bell_swap_povm
-from .network import LinearNetwork, NetworkAssemblage, assemblage_element, line_assemblage
-from .states import DEWParams, dew, werner
-from .certificates import _endpoint_negativities, claims_pipeline, dew_unsteerable_both_ways
+from .network import NetworkAssemblage, _contract, line_assemblage
+from .states import _dew_stack, werner
+from .certificates import _dew_unsteerable, _endpoint_negativities, claims_pipeline
 from .nlhs import (RECONSTRUCTION_TOL, build_percolation_line, nlhs_to_separable_realization,
                    reconstruct)
 from .nlhs_io import load_fixture, model_to_json
 
 SWAP_TOL = 1e-10
 PIPELINE_TOL = 1e-12
-_SWAP = bell_swap_povm(3)    # the qutrit-pair swap measurement of every sweep
+_SUCCESS = bell_swap_povm(3).effect(0)   # successful swap of the qutrit pairs of every sweep
 
 
 class SpecError(ValueError):
@@ -68,64 +70,87 @@ class ExperimentReport:
     extra: dict = field(default_factory=dict)
 
 
-def swap_deviation(eta: float, omega: float) -> float:
-    """Max-entry distance between the successful-swap element of two erased
-    Werner sources and (eta^2/4) times the squared-visibility state."""
-    src = dew(DEWParams(eta, omega))
-    net = LinearNetwork([src, src], [_SWAP])
-    element = assemblage_element(net, (0,))
-    target = dew(DEWParams(eta, omega * omega))
-    expected = QOperator(eta * eta / 4.0 * target.matrix, target.dims)
-    return max_entry_distance(element, expected)
+def _grid_blocks(n: int) -> list[slice]:
+    """``_blocks`` of n grid points, each point holding its 9 x 9 complex
+    source and element, so a sweep's memory does not grow with its grid."""
+    return _blocks(n, 2 * 81 * 16)
+
+
+def _sources(etas: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """The DEW sources of a block of grid points as (G, 3, 3, 3, 3) tensors,
+    checked to be density matrices as ``LinearNetwork`` checks a line's."""
+    mats = _dew_stack(etas, omegas)
+    if not _all_density(mats, TOL_CHECK):
+        raise ValueError("every source must be a density matrix")
+    return mats.reshape(-1, 3, 3, 3, 3)
+
+
+def _swap_deviations(etas: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """Max-entry distance, per grid point, between the successful-swap
+    element of two erased Werner sources and (eta^2/4) times the
+    squared-visibility state."""
+    src = _sources(etas, omegas)
+    element = _contract([src, src], [[_SUCCESS]])
+    expected = (etas * etas / 4.0)[:, None, None] * _dew_stack(etas, omegas * omegas)
+    return np.max(np.abs(element - expected), axis=(1, 2))
 
 
 def run_verify_swap(spec: SweepSpec) -> ExperimentReport:
     start = time.perf_counter()
-    grid = [(e, w) for e in spec.etas() for w in spec.omegas()]
-    devs = [swap_deviation(e, w) for e, w in grid]
+    etas, omegas = (g.ravel() for g in np.meshgrid(spec.etas(), spec.omegas(), indexing="ij"))
+    devs = np.concatenate([_swap_deviations(etas[b], omegas[b]) for b in _grid_blocks(len(etas))])
     records = [
-        {"eta": e, "omega": w, "deviation": d} for (e, w), d in zip(grid, devs)
+        {"eta": e, "omega": w, "deviation": d}
+        for e, w, d in zip(etas.tolist(), omegas.tolist(), devs.tolist())
     ]
-    max_dev = max(devs)
     return ExperimentReport(
         name="verify-swap",
         inputs={"eta_range": spec.eta_range, "omega_range": spec.omega_range},
         records=records,
-        ok=max_dev <= SWAP_TOL,
-        max_deviation=float(max_dev),
+        # numpy's max and comparison propagate a NaN deviation, wherever it is
+        ok=bool(np.all(devs <= SWAP_TOL)),
+        max_deviation=float(np.max(devs)),
         wall_time=time.perf_counter() - start,
     )
 
 
-def activation_point(n_parties: int, eta: float, omega: float) -> dict:
-    """One grid point of the activation sweep: source certificates plus the
-    network-steering certificate on the all-successful-swaps element."""
-    src = dew(DEWParams(eta, omega))
+def _activation_columns(n_parties: int, etas: np.ndarray, omegas: np.ndarray) -> dict:
+    """The record fields of a block of activation grid points, one array
+    per field in record order: source certificates plus the
+    network-steering certificate on the all-successful-swaps element of
+    each point's line."""
     n_src = n_parties - 1
-    unsteerable = dew_unsteerable_both_ways(DEWParams(eta, omega))
-    net = LinearNetwork([src] * n_src, [_SWAP] * (n_src - 1))
-    sigma0 = assemblage_element(net, (0,) * (n_src - 1))
-    negs, entangled = _endpoint_negativities(np.stack([src.matrix, sigma0.matrix]), src.dims)
+    src = _sources(etas, omegas)
+    sigma0 = _contract([src] * n_src, [[_SUCCESS]] * (n_src - 1))
+    g = len(etas)
+    negs, entangled = _endpoint_negativities(np.concatenate([src.reshape(g, 9, 9), sigma0]),
+                                             (3, 3))
     return {
-        "n": n_parties,
-        "eta": eta,
-        "omega": omega,
-        "source_negativity": float(negs[0]),
-        "source_unsteerable": bool(unsteerable),
-        "swap_visibility": float(omega ** (n_parties - 1)),
-        "success_prob": float(sigma0.trace()),
-        "sigma0_negativity": float(negs[1]),
-        "network_steering": bool(entangled[1]),
+        "n": np.full(g, n_parties),
+        "eta": etas,
+        "omega": omegas,
+        "source_negativity": negs[:g],
+        "source_unsteerable": _dew_unsteerable(etas, omegas),
+        # a scalar power per point: numpy's array power rounds differently
+        "swap_visibility": np.array([w ** (n_parties - 1) for w in omegas.tolist()]),
+        "success_prob": np.trace(sigma0, axis1=1, axis2=2).real,
+        "sigma0_negativity": negs[g:],
+        "network_steering": entangled[g:],
     }
 
 
 def run_activation(spec: SweepSpec) -> ExperimentReport:
     start = time.perf_counter()
     if spec.eta_boundary:
-        grid = [((2.0 / 3.0) * (1.0 - w), w) for w in spec.omegas()]
+        omegas = spec.omegas()
+        etas = (2.0 / 3.0) * (1.0 - omegas)
     else:
-        grid = [(e, w) for e in spec.etas() for w in spec.omegas()]
-    records = [activation_point(spec.n_parties, e, w) for e, w in grid]
+        etas, omegas = (g.ravel() for g in np.meshgrid(spec.etas(), spec.omegas(), indexing="ij"))
+    blocks = [_activation_columns(spec.n_parties, etas[b], omegas[b])
+              for b in _grid_blocks(len(etas))]
+    # plain Python ints, floats and bools, as the CSV and JSON writers expect
+    columns = {key: np.concatenate([c[key] for c in blocks]).tolist() for key in blocks[0]}
+    records = [dict(zip(columns, row)) for row in zip(*columns.values())]
     # a reported negativity is a signed zero or above the certifying cutoff
     activated = [
         r for r in records

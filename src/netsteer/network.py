@@ -118,8 +118,9 @@ class NetworkAssemblage:
 # trace over the measured pair (b, c):
 #   R[a d, a' d'] = sum_{b c b' c'} E[b c, b' c'] t[a b', a' b] s[c' d, c d']
 _STEP = "uvbc,abxu,cdvy->adxy"
-# the same for p prefixes t and k effects E, output in (prefix, effect) order
-_BATCHED_STEP = "kuvbc,pabxu,cdvy->pkadxy"
+# the same for k effects E and a stack of prefixes t, output in (prefix,
+# effect) order; s is one source for every prefix or a stack of one per prefix
+_BATCHED_STEP = "kuvbc,...abxu,...cdvy->...kadxy"
 
 
 @functools.lru_cache(maxsize=None)
@@ -129,14 +130,16 @@ def _step_path(a: int, b: int, c: int, d: int) -> tuple:
     return tuple(np.einsum_path(_STEP, *ops, optimize=True)[0])
 
 
-def _step(prefixes: np.ndarray, effects: Sequence[QOperator], source: QOperator) -> np.ndarray:
+def _step(prefixes: np.ndarray, effects: Sequence[QOperator], source: np.ndarray) -> np.ndarray:
     """Absorb the next source through each of a measurement's ``effects``.
 
     ``prefixes`` is a (p, a, b, a, b) stack of elements with dims [left
     endpoint, open right factor]; each effect acts on [open right factor,
-    left factor of ``source``].  Returns the (p * k, a, d, a, d) stack with
-    dims [left endpoint, right factor of source], prefix-major and
-    effect-minor.
+    left factor of the source].  ``source`` is one (c, d, c, d) source
+    tensor absorbed into every prefix, or a (p, c, d, c, d) stack whose row
+    i is absorbed into prefix i (a grid of lines, one per row).  Returns
+    the (p * k, a, d, a, d) stack with dims [left endpoint, right factor of
+    the source], prefix-major and effect-minor.
 
     The einsum path is the one planned for a single element (batched
     shapes would pick another pairing and move the last bits of the
@@ -146,27 +149,38 @@ def _step(prefixes: np.ndarray, effects: Sequence[QOperator], source: QOperator)
     of a separable realisation.
     """
     p, a, b = prefixes.shape[:3]
-    c, d = source.dims
+    c, d = source.shape[-4:-2]
     k = len(effects)
     em = np.stack([e.matrix for e in effects]).reshape(k, b, c, b, c)
-    sm = source.matrix.reshape(c, d, c, d)
     path = _step_path(a, b, c, d)
+    per_prefix = source.ndim == 5
     out = np.empty((p, k, a, d, a, d), dtype=complex)
     # output and largest intermediate per prefix: k (a max(c, d))^2 entries each
     for block in _blocks(p, 2 * out.itemsize * k * (a * max(c, d)) ** 2):
-        np.einsum(_BATCHED_STEP, em, prefixes[block], sm, optimize=path, out=out[block])
+        np.einsum(_BATCHED_STEP, em, prefixes[block], source[block] if per_prefix else source,
+                  optimize=path, out=out[block])
     return out.reshape(p * k, a, d, a, d)
 
 
-def _contract(net: LinearNetwork, choices: Sequence[Sequence[QOperator]]) -> np.ndarray:
+def _contract(sources: Sequence[np.ndarray], choices: Sequence[Sequence[QOperator]]) -> np.ndarray:
     """Elements for every combination of ``choices[j]``, effects of central
-    measurement j, as an (n, a d, a d) stack in ``itertools.product`` order."""
-    a, b = net.sources[0].dims
-    t = net.sources[0].matrix.reshape(1, a, b, a, b)
-    for effects, source in zip(choices, net.sources[1:]):
+    measurement j, of the line whose source i is the (c, d, c, d) tensor
+    ``sources[i]``, as an (n, a d, a d) stack in ``itertools.product`` order.
+
+    Grid form: every source may instead be a (G, c, d, c, d) stack, row g
+    the source of line g; with one effect per choice, row g of the result
+    is then the element of line g.
+    """
+    t = sources[0].reshape((-1,) + sources[0].shape[-4:])
+    for effects, source in zip(choices, sources[1:]):
         t = _step(t, effects, source)
-    side = a * net.sources[-1].dims[1]
+    side = t.shape[1] * t.shape[2]
     return t.reshape(-1, side, side)
+
+
+def _tensors(net: LinearNetwork) -> list[np.ndarray]:
+    """The sources of ``net`` as (c, d, c, d) tensors."""
+    return [s.matrix.reshape(s.dims * 2) for s in net.sources]
 
 
 def line_assemblage(net: LinearNetwork) -> NetworkAssemblage:
@@ -174,7 +188,7 @@ def line_assemblage(net: LinearNetwork) -> NetworkAssemblage:
     contracted left to right, all outcomes of a measurement in one step."""
     central = net.central_measurements
     return NetworkAssemblage(
-        _contract(net, [m.effects for m in central]),
+        _contract(_tensors(net), [m.effects for m in central]),
         itertools.product(*(m.outcome_labels for m in central)),
         net.endpoint_dims,
     )
@@ -186,7 +200,7 @@ def assemblage_element(net: LinearNetwork, outcome) -> QOperator:
     if len(outcome) != len(net.central_measurements):
         raise DimensionError("one outcome label per central measurement required")
     choices = [[m.effect(label)] for m, label in zip(net.central_measurements, outcome)]
-    return QOperator(_contract(net, choices)[0], net.endpoint_dims)
+    return QOperator(_contract(_tensors(net), choices)[0], net.endpoint_dims)
 
 
 def standard_assemblage(rho: QOperator, measurements: Sequence[POVM],

@@ -204,19 +204,30 @@ def _all_psd(mats, tol: float) -> bool:
         return False
 
 
+def _all_density(mats, tol: float) -> bool:
+    """``_all_psd`` plus unit trace of every matrix, each to ``tol``."""
+    return _all_psd(mats, tol) and bool(
+        np.all(np.abs(np.trace(np.asarray(mats), axis1=-2, axis2=-1) - 1.0) <= tol))
+
+
+def _by_dims(ops: Sequence[QOperator]) -> list[list[np.ndarray]]:
+    """The matrices of ``ops`` grouped by dims, to be checked as stacks."""
+    groups: dict = {}
+    for op in ops:
+        groups.setdefault(op.dims, []).append(op.matrix)
+    return list(groups.values())
+
+
 def is_psd(*ops: QOperator, tol: float = TOL_EQ) -> bool:
     """True iff every operator is Hermitian with no eigenvalue below -tol
     (true for none).  The matrices of operators with equal dims are checked
     as stacks (``_all_psd``), not one by one."""
-    groups: dict = {}
-    for op in ops:
-        groups.setdefault(op.dims, []).append(op.matrix)
-    return all(_all_psd(mats, tol) for mats in groups.values())
+    return all(_all_psd(mats, tol) for mats in _by_dims(ops))
 
 
 def is_density(*ops: QOperator, tol: float = TOL_EQ) -> bool:
-    """``is_psd`` plus unit trace, each to ``tol``."""
-    return is_psd(*ops, tol=tol) and all(abs(np.trace(op.matrix) - 1.0) <= tol for op in ops)
+    """``is_psd`` plus unit trace, each to ``tol`` (``_all_density``)."""
+    return all(_all_density(mats, tol) for mats in _by_dims(ops))
 
 
 def max_entry_distance(a: QOperator, b: QOperator) -> float:

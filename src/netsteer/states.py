@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,8 +73,13 @@ def werner(omega: float) -> QOperator:
     """Two-qubit Werner state: omega * singlet + (1 - omega) * I/4."""
     if not (0.0 <= omega <= 1.0):
         raise ValueError(f"omega must be in [0,1], got {omega}")
-    mat = omega * psi_minus().matrix + (1 - omega) * np.eye(4) / 4
-    return QOperator(mat, [2, 2])
+    return QOperator(_werner_mix(omega), [2, 2])
+
+
+def _werner_mix(omegas) -> np.ndarray:
+    """The Werner matrix of a visibility, or the (G, 4, 4) stack of an array of G."""
+    w = np.asarray(omegas)[..., None, None]
+    return w * psi_minus().matrix + (1 - w) * np.eye(4) / 4
 
 
 def erasure_channel(eta: float, d_in: int = 2) -> Channel:
@@ -85,14 +91,40 @@ def erasure_channel(eta: float, d_in: int = 2) -> Channel:
         raise ValueError(f"eta must be in [0,1], got {eta}")
     if d_in < 1:
         raise DimensionError("d_in must be >= 1")
+    return Channel(_erasure_kraus(eta, d_in))
+
+
+def _erasure_kraus(etas, d_in: int) -> np.ndarray:
+    """The (d_in + 1, d_out, d_in) Kraus operators of the erasure channel of
+    a survival probability, or their (G, d_in + 1, d_out, d_in) stack for an
+    array of G: sqrt(eta) times the embedding, then sqrt(1 - eta) times the
+    map of each basis state to the loss flag."""
     d_out = d_in + 1
     embed = np.zeros((d_out, d_in), dtype=complex)
     embed[:d_in, :] = np.eye(d_in)
-    ops = [np.sqrt(eta) * embed]
     flag = basis_ket(d_in, d_out)
-    for i in range(d_in):
-        ops.append(np.sqrt(1 - eta) * np.outer(flag, basis_ket(i, d_in).conj()))
-    return Channel(ops)
+    losses = [np.outer(flag, basis_ket(i, d_in).conj()) for i in range(d_in)]
+    etas = np.asarray(etas)[..., None, None]
+    return np.stack([np.sqrt(etas) * embed] + [np.sqrt(1 - etas) * loss for loss in losses],
+                    axis=-3)
+
+
+# sum_k (1 (x) K_k (x) 1) op (1 (x) K_k (x) 1)^dag on the factor's index pair,
+# per row of a leading grid index
+_KRAUS = "...koi,...aibcjd,...kpj->...aobcpd"
+
+
+def _apply_kraus(kraus: np.ndarray, mats: np.ndarray, dims: tuple, factor: int) -> np.ndarray:
+    """``apply_channel`` on bare arrays: the (..., K, d_out, d_in) Kraus
+    operators applied to factor ``factor`` of the (..., D, D) matrices on
+    ``dims``, for callers that checked the dims."""
+    d_out, d_in = kraus.shape[-2:]
+    d_left = math.prod(dims[:factor])
+    d_right = math.prod(dims[factor + 1:])
+    lead = mats.shape[:-2]
+    t = mats.reshape(lead + (d_left, d_in, d_right, d_left, d_in, d_right))
+    side = d_left * d_out * d_right
+    return np.einsum(_KRAUS, kraus, t, kraus.conj()).reshape(lead + (side, side))
 
 
 def apply_channel(ch: Channel, op: QOperator, factor: int) -> QOperator:
@@ -103,27 +135,27 @@ def apply_channel(ch: Channel, op: QOperator, factor: int) -> QOperator:
         raise DimensionError(
             f"factor dim {op.dims[factor]} does not match channel input {ch.d_in}"
         )
-    d_left = int(np.prod(op.dims[:factor]))
-    d_right = int(np.prod(op.dims[factor + 1:]))
     out_dims = list(op.dims)
     out_dims[factor] = ch.d_out
-    t = op.matrix.reshape(d_left, ch.d_in, d_right, d_left, ch.d_in, d_right)
-    k = np.array(ch.kraus)
-    # sum_k (1 (x) K_k (x) 1) op (1 (x) K_k (x) 1)^dag on the factor's index pair
-    out = np.einsum("koi,aibcjd,kpj->aobcpd", k, t, k.conj())
-    side = d_left * ch.d_out * d_right
-    return QOperator(out.reshape(side, side), out_dims)
+    return QOperator(_apply_kraus(np.array(ch.kraus), op.matrix, op.dims, factor), out_dims)
 
 
 def dew(params: DEWParams) -> QOperator:
-    """Doubly-erased Werner state on a qutrit pair.
+    """Doubly-erased Werner state on a qutrit pair: one row of ``_dew_stack``.
 
     Built by pushing the Werner state through the erasure channel on both
     sides; the closed-form block expansion is used as a test oracle only.
     """
-    ch = erasure_channel(params.eta, 2)
-    out = apply_channel(ch, werner(params.omega), 0)
-    return apply_channel(ch, out, 1)
+    return QOperator(_dew_stack(np.array([params.eta]), np.array([params.omega]))[0], [3, 3])
+
+
+def _dew_stack(etas: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+    """The (G, 9, 9) doubly-erased Werner states of G survival probabilities
+    and G visibilities (in range, unchecked): the Werner mix of each
+    visibility, erased on both sides with the Kraus operators of its eta."""
+    kraus = _erasure_kraus(etas, 2)
+    mats = _apply_kraus(kraus, _werner_mix(omegas), (2, 2), 0)
+    return _apply_kraus(kraus, mats, (3, 2), 1)
 
 
 def classical_correlated(d: int) -> QOperator:

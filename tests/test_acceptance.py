@@ -19,7 +19,7 @@ from netsteer.certificates import (
 )
 from netsteer.experiments import (
     SweepSpec,
-    activation_point,
+    run_activation,
     run_claims_demo,
     run_verify_swap,
 )
@@ -95,11 +95,10 @@ def test_criterion_3_activation_region():
     ok = True
     for n in (3, 4, 5):
         thr = (1 / 3) ** (1 / (n - 1))
-        omegas = np.arange(round(thr, 3) - 0.05, round(thr, 3) + 0.05 + step / 2, step)
+        window = (round(thr, 3) - 0.05, round(thr, 3) + 0.05, 101)   # steps of 1e-3
+        report = run_activation(SweepSpec(omega_range=window, n_parties=n, eta_boundary=True))
         certified = []
-        for w in omegas:
-            eta = (2 / 3) * (1 - w)
-            rec = activation_point(n, eta, w)
+        for rec in report.records:
             if rec["network_steering"]:
                 certified.append(rec)
                 # inside the certified region every source must be both

@@ -12,6 +12,7 @@ from netsteer.network import (
     LinearNetwork,
     NetworkAssemblage,
     assemblage_element,
+    _contract,
     condition_on_trusted_measurement,
     lift_inputless_to_conditional,
     line_assemblage,
@@ -33,6 +34,7 @@ from conftest import (
     brute_force_assemblage,
     partial_trace,
     rand_density,
+    rand_psd,
     rand_unit_vector,
     random_linear_network,
     tensor,
@@ -162,6 +164,27 @@ class TestLineAssemblage:
             partial_trace(net.sources[-1], keep=[1]),
         )
         assert np.max(np.abs(asm.matrices.sum(axis=0) - expected.matrix)) < 1e-10
+
+
+class TestGridContraction:
+    """The grid form of ``_contract``: G lines of equal dims, each with its
+    own sources, contracted through one effect per measurement."""
+
+    # one block, and blocks of two lines (2,048 bytes per line at the widest step)
+    @pytest.mark.parametrize("block_bytes", [CHECK_BLOCK_BYTES, 4096])
+    def test_rows_equal_each_line_alone(self, rng, monkeypatch, block_bytes):
+        monkeypatch.setattr("netsteer.operators.CHECK_BLOCK_BYTES", block_bytes)
+        dims, n_lines = [2, 3, 4, 2, 3], 40
+        pairs = list(zip(dims, dims[1:]))
+        lines = [[rand_density(rng, pair) for pair in pairs] for _ in range(n_lines)]
+        choices = [[rand_psd(rng, (d, d))] for d in dims[1:-1]]
+        stacks = [np.stack([line[i].matrix for line in lines]).reshape((n_lines,) + pair * 2)
+                  for i, pair in enumerate(pairs)]
+        grid = _contract(stacks, choices)
+        assert grid.shape == (n_lines, 6, 6)
+        for row, line in zip(grid, lines):
+            alone = _contract([s.matrix.reshape(s.dims * 2) for s in line], choices)
+            assert row.tobytes() == alone[0].tobytes()
 
 
 class TestDEWLine:

@@ -3,7 +3,8 @@
     PYTHONPATH=src python3 tools/cli_snapshot.py OUTDIR
 
 Runs ``netsteer.cli.main`` in process for a fixed list of commands
-(``verify-swap``, three ``activation`` sweeps, ``claims-demo`` for both
+(``verify-swap``, three ``activation`` sweeps, a one-point ``verify-swap``
+and a one-point 12-party ``activation``, ``claims-demo`` for both
 axis presets at four visibilities, and ``nlhs --realize --model-out`` on
 the bundled fixtures, the benchmark's Werner fixture and eight extra
 fixtures written into OUTDIR).  Each command runs twice, once per output
@@ -59,6 +60,13 @@ def commands(outdir: Path) -> list[tuple[str, list[str]]]:
         ("activation-n5", ["activation", "--n", "5", "--eta-boundary", "--omega-steps", "1001"]),
         ("activation-n8", ["activation", "--n", "8", "--eta-boundary", "--omega-min", "0.80",
                            "--omega-max", "0.95", "--omega-steps", "151"]),
+        # one-point grids, the second on a long line
+        ("verify-swap-single", ["verify-swap", "--eta-min", "0.5", "--eta-max", "0.5",
+                                "--eta-steps", "1", "--omega-min", "0.9", "--omega-max", "0.9",
+                                "--omega-steps", "1"]),
+        ("activation-n12-single", ["activation", "--n", "12", "--eta-boundary",
+                                   "--omega-min", "0.95", "--omega-max", "0.95",
+                                   "--omega-steps", "1"]),
     ]
     for axes in ("zx", "zxy"):
         for omega in ("0.6", "0.75", "0.9", "1.0"):
