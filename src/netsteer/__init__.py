@@ -5,16 +5,12 @@ from .operators import (
     QOperator,
     is_density,
     is_psd,
-    max_entry_distance,
     negativity,
 )
 from .states import (
-    Channel,
     DEWParams,
-    apply_channel,
     classical_correlated,
     dew,
-    erasure_channel,
     psi_minus,
     werner,
 )
@@ -30,7 +26,6 @@ from .measurements import (
 from .network import (
     LinearNetwork,
     NetworkAssemblage,
-    assemblage_element,
     condition_on_trusted_measurement,
     lift_inputless_to_conditional,
     line_assemblage,

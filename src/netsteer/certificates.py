@@ -33,10 +33,8 @@ from .network import (
     untrusted_input_to_outcome,
 )
 from .states import DEWParams
-from . import kernels
 
 TOL_OPT = 1e-6
-SPHERE_POINTS = 2000      # Fibonacci-lattice directions searched by erased_unsteerable
 
 CERTIFIED = "NetworkSteeringCertified"
 INCONCLUSIVE = "Inconclusive"
@@ -75,27 +73,30 @@ class BlochData:
         object.__setattr__(self, "t", t)
 
 
-def _endpoint_negativities(mats: np.ndarray, dims: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _endpoint_negativities(mats: np.ndarray, dims: tuple,
+                           extremes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Negativity across the endpoints of each matrix of a (k, d, d) stack
-    on ``dims``, and whether it certifies entanglement (exceeds
+    on ``dims``, whose (k, 2) smallest and largest eigenvalues are
+    ``extremes``, and whether it certifies entanglement (exceeds
     ``NEG_CUTOFF``).  A matrix of trace at most ``NEG_CUTOFF`` is skipped
     with +0.0; an evaluated one without negative eigenvalue reads -0.0."""
     live = np.trace(mats, axis1=1, axis2=2).real > NEG_CUTOFF
     values = np.zeros(len(mats))
     if live.any():
-        values[live] = _negativities(mats[live], dims, [1])
+        values[live] = _negativities(mats[live], dims, [1], extremes[live])
     return values, values > NEG_CUTOFF
 
 
 def certify_network_steering(asm: NetworkAssemblage) -> Verdict:
     """Entanglement of any single element rules out an NLHS model.
 
-    The elements' negativities come from ``_endpoint_negativities``, and the
-    first element of largest negativity is reported.  Negativity is
-    sufficient but not necessary, so the only negative answer is
-    Inconclusive.
+    The elements' negativities come from ``_endpoint_negativities``, whose
+    positivity precondition reads the eigenvalue extremes the assemblage
+    kept from its own PSD check, and the first element of largest
+    negativity is reported.  Negativity is sufficient but not necessary,
+    so the only negative answer is Inconclusive.
     """
-    values, entangled = _endpoint_negativities(asm.matrices, asm.dims)
+    values, entangled = _endpoint_negativities(asm.matrices, asm.dims, asm.extremes)
     if entangled.any():
         best = int(np.argmax(values))
         return Verdict(CERTIFIED, {"negativity": float(values[best]),
@@ -133,19 +134,19 @@ def bloch_data(rho: QOperator) -> BlochData:
 def erased_unsteerable(b: BlochData, eta: float) -> tuple[bool, float]:
     """Sufficient unsteerability condition after one-sided erasure.
 
-    Maximises (1-3 eta)|a.x| + (3 eta/2)(1 + (a.x)^2) + ||Tx|| over the
-    ``SPHERE_POINTS`` Fibonacci-lattice unit vectors x; a value <= 1
-    certifies unsteerability of the erased state (from the erased side)
-    for arbitrary measurements.  When a = 0 the direction dependence
-    collapses and the maximum is 3 eta/2 plus the largest singular value
-    of T, evaluated in closed form.
+    The erased state is unsteerable from the erased side, for arbitrary
+    measurements, if (1-3 eta)|a.x| + (3 eta/2)(1 + (a.x)^2) + ||Tx|| is at
+    most 1 for every unit vector x.  The returned value is a closed-form
+    upper bound on that maximum: the objective depends on x through
+    t = |a.x| in [0, |a|], convexly, so its t-part peaks at an end of that
+    interval, and ||Tx|| is at most the largest singular value of T.  At
+    a = 0 the bound is the maximum, 3 eta/2 + sigma_max(T).
     """
     if not (0.0 <= eta <= 1.0):
         raise ValueError(f"eta must be in [0,1], got {eta}")
-    if np.linalg.norm(b.a) < 1e-12:
-        value = 1.5 * eta + float(np.linalg.svd(b.t, compute_uv=False)[0])
-    else:
-        value, _ = kernels.sphere_maximize(b.a, b.t, eta, n_points=SPHERE_POINTS)
+    a = float(np.linalg.norm(b.a))
+    value = (max(1.5 * eta, (1.0 - 3.0 * eta) * a + 1.5 * eta * (1.0 + a * a))
+             + float(np.linalg.svd(b.t, compute_uv=False)[0]))
     return value <= 1.0 + TOL_OPT, float(value)
 
 
@@ -226,7 +227,7 @@ def claims_pipeline(rho_steerable: QOperator, axes: Sequence) -> tuple[Verdict, 
         expected[:, 2 * x:2 * x + 2, 2 * x:2 * x + 2] = direct[:, x] / d
     block_dev = float(np.max(np.abs(asm.matrices - expected)))
 
-    separable_elements = not _endpoint_negativities(asm.matrices, asm.dims)[1].any()
+    separable_elements = not _endpoint_negativities(asm.matrices, asm.dims, asm.extremes)[1].any()
 
     conditioned = condition_on_trusted_measurement(asm, computational_basis_povm(d), "left")
     p, cond = lift_inputless_to_conditional(conditioned)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import TOL_CHECK, DimensionError, _all_density, _blocks
+from .operators import TOL_CHECK, DimensionError, _blocks, _density_extremes, _extremes
 from .measurements import bell_swap_povm
 from .network import NetworkAssemblage, _contract, line_assemblage
 from .states import _dew_stack, werner
@@ -76,20 +76,22 @@ def _grid_blocks(n: int) -> list[slice]:
     return _blocks(n, 2 * 81 * 16)
 
 
-def _sources(etas: np.ndarray, omegas: np.ndarray) -> np.ndarray:
+def _sources(etas: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The DEW sources of a block of grid points as (G, 3, 3, 3, 3) tensors,
-    checked to be density matrices as ``LinearNetwork`` checks a line's."""
+    checked to be density matrices as ``LinearNetwork`` checks a line's,
+    and the (G, 2) eigenvalue extremes of that check."""
     mats = _dew_stack(etas, omegas)
-    if not _all_density(mats, TOL_CHECK):
+    extremes = _density_extremes(mats, TOL_CHECK)
+    if extremes is None:
         raise ValueError("every source must be a density matrix")
-    return mats.reshape(-1, 3, 3, 3, 3)
+    return mats.reshape(-1, 3, 3, 3, 3), extremes
 
 
 def _swap_deviations(etas: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """Max-entry distance, per grid point, between the successful-swap
     element of two erased Werner sources and (eta^2/4) times the
     squared-visibility state."""
-    src = _sources(etas, omegas)
+    src, _ = _sources(etas, omegas)
     element = _contract([src, src], [[_SUCCESS]])
     expected = (etas * etas / 4.0)[:, None, None] * _dew_stack(etas, omegas * omegas)
     return np.max(np.abs(element - expected), axis=(1, 2))
@@ -120,11 +122,12 @@ def _activation_columns(n_parties: int, etas: np.ndarray, omegas: np.ndarray) ->
     network-steering certificate on the all-successful-swaps element of
     each point's line."""
     n_src = n_parties - 1
-    src = _sources(etas, omegas)
+    src, src_extremes = _sources(etas, omegas)
     sigma0 = _contract([src] * n_src, [[_SUCCESS]] * (n_src - 1))
     g = len(etas)
-    negs, entangled = _endpoint_negativities(np.concatenate([src.reshape(g, 9, 9), sigma0]),
-                                             (3, 3))
+    mats = np.concatenate([src.reshape(g, 9, 9), sigma0])
+    extremes = np.concatenate([src_extremes, _extremes(sigma0)])
+    negs, entangled = _endpoint_negativities(mats, (3, 3), extremes)
     return {
         "n": np.full(g, n_parties),
         "eta": etas,

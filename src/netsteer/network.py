@@ -29,9 +29,9 @@ from .operators import (
     QOperator,
     TOL_CHECK,
     TOL_NORM,
-    _all_psd,
     _apply_and_trace,
     _blocks,
+    _psd_extremes,
     apply_and_trace,
     is_density,
 )
@@ -79,11 +79,14 @@ class LinearNetwork:
 class NetworkAssemblage:
     """The family {sigma_b} of sub-normalised endpoint operators, one per
     central-outcome tuple b, held as one stack: ``matrices[k]`` is the
-    element of ``outcomes[k]`` on the endpoint factors ``dims``."""
+    element of ``outcomes[k]`` on the endpoint factors ``dims``, and
+    ``extremes[k]`` its smallest and largest eigenvalue, kept from the PSD
+    check for the negativity precondition."""
 
     matrices: np.ndarray
     outcomes: tuple
     dims: tuple[int, int]
+    extremes: np.ndarray
 
     def __init__(self, matrices, outcomes, dims: Sequence[int]):
         matrices = np.array(matrices, dtype=complex)
@@ -100,12 +103,15 @@ class NetworkAssemblage:
         total = float(np.trace(matrices, axis1=1, axis2=2).real.sum())
         if abs(total - 1.0) > TOL_NORM:
             raise ValueError(f"element traces sum to {total}, expected 1")
-        if not _all_psd(matrices, TOL_CHECK):
+        extremes = _psd_extremes(matrices, TOL_CHECK)
+        if extremes is None:
             raise ValueError("assemblage element is not PSD")
         matrices.flags.writeable = False
+        extremes.flags.writeable = False
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "extremes", extremes)
 
     @property
     def elements(self) -> dict:
@@ -192,15 +198,6 @@ def line_assemblage(net: LinearNetwork) -> NetworkAssemblage:
         itertools.product(*(m.outcome_labels for m in central)),
         net.endpoint_dims,
     )
-
-
-def assemblage_element(net: LinearNetwork, outcome) -> QOperator:
-    """Single assemblage element without materialising the other outcomes."""
-    outcome = tuple(outcome)
-    if len(outcome) != len(net.central_measurements):
-        raise DimensionError("one outcome label per central measurement required")
-    choices = [[m.effect(label)] for m, label in zip(net.central_measurements, outcome)]
-    return QOperator(_contract(_tensors(net), choices)[0], net.endpoint_dims)
 
 
 def standard_assemblage(rho: QOperator, measurements: Sequence[POVM],

@@ -16,7 +16,6 @@ import numpy as np
 from scipy.linalg import block_diag
 from scipy.optimize import nnls
 
-from .kernels import fibonacci_sphere
 from .operators import (
     PAULIS,
     QOperator,
@@ -296,6 +295,15 @@ class SeparableLHSProvider:
         effects = np.array([[e.matrix for e in povm.effects] for povm in povms])
         resp = _born(effects[:, :, None], np.array([s.matrix for s in measured]))
         return LHSData(dec.weights, resp.transpose(1, 0, 2), kept)
+
+
+def fibonacci_sphere(n: int) -> np.ndarray:
+    """Deterministic quasi-uniform unit vectors, shape (n, 3)."""
+    i = np.arange(n, dtype=np.float64)
+    phi = np.pi * (3.0 - np.sqrt(5.0)) * i
+    z = 1.0 - 2.0 * (i + 0.5) / n
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
 class BruteForceLHSProvider:

@@ -153,18 +153,19 @@ def _spectra(mats: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     return np.linalg.eigvalsh((mats + adjoint) / 2)
 
 
-def _negativities(mats: np.ndarray, dims: tuple[int, ...], factors: list[int]) -> np.ndarray:
+def _negativities(mats: np.ndarray, dims: tuple[int, ...], factors: list[int],
+                  extremes: np.ndarray) -> np.ndarray:
     """Negativity of each matrix of a non-empty (k, d, d) stack with factor
     dims ``dims``: the sum of |eigenvalues below -NEG_CUTOFF| of its partial
     transpose over ``factors``, from stacked spectra, one ``_blocks`` block
-    at a time.  Raises NotPositiveError for the first matrix with an
-    eigenvalue below -NEG_CUTOFF * max(1, |largest|)."""
+    at a time.  ``extremes`` holds the (k, 2) smallest and largest
+    eigenvalue of each matrix (``_extremes``); raises NotPositiveError for
+    the first matrix with an eigenvalue below -NEG_CUTOFF * max(1, |largest|)."""
+    bad = extremes[:, 0] < -NEG_CUTOFF * np.maximum(1.0, np.abs(extremes[:, 1]))
+    if bad.any():
+        raise NotPositiveError(f"input has negative eigenvalue {extremes[np.argmax(bad), 0]:.3e}")
     out = np.full(len(mats), -0.0)
     for block in _blocks(len(mats), mats[0].nbytes):
-        evs = _spectra(mats[block])
-        bad = evs[:, 0] < -NEG_CUTOFF * np.maximum(1.0, np.abs(evs[:, -1]))
-        if bad.any():
-            raise NotPositiveError(f"input has negative eigenvalue {evs[np.argmax(bad), 0]:.3e}")
         pt = _spectra(_transpose_factors(mats[block], dims, factors))
         # Summed row by row over the negative eigenvalues alone, as a single
         # matrix would be, so the value does not depend on the stack; a row
@@ -181,7 +182,8 @@ def negativity(op: QOperator, transpose_factors: Iterable[int]) -> float:
     (NPT implies entangled in any dimension); zero is inconclusive.
     """
     factors = _check_factors(op, transpose_factors)
-    return float(_negativities(op.matrix[None], op.dims, factors)[0])
+    mats = op.matrix[None]
+    return float(_negativities(mats, op.dims, factors, _extremes(mats))[0])
 
 
 def _blocks(n: int, item_bytes: int) -> list[slice]:
@@ -193,21 +195,34 @@ def _blocks(n: int, item_bytes: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
-def _all_psd(mats, tol: float) -> bool:
-    """True iff every matrix of ``mats``, a non-empty (k, d, d) array or
-    list of equal-shape matrices, is Hermitian with no eigenvalue below
-    -tol; one stacked eigendecomposition per ``_blocks`` block."""
+def _extremes(mats) -> np.ndarray:
+    """The smallest and largest eigenvalue of each matrix of ``mats``, a
+    non-empty (k, d, d) array or list of equal-shape matrices, as a (k, 2)
+    array: the ends of its ``_spectra``, one stacked eigendecomposition per
+    ``_blocks`` block.  A row does not depend on the stack or block it sits
+    in, as ``eigvalsh`` runs matrix by matrix."""
+    return np.concatenate([_spectra(np.asarray(mats[block]))[:, [0, -1]]
+                           for block in _blocks(len(mats), mats[0].nbytes)])
+
+
+def _psd_extremes(mats, tol: float) -> np.ndarray | None:
+    """``_extremes`` of ``mats`` if every matrix is Hermitian with no
+    eigenvalue below -tol, else None."""
     try:
-        return all(np.all(_spectra(np.asarray(mats[block]))[:, 0] >= -tol)
-                   for block in _blocks(len(mats), mats[0].nbytes))
+        extremes = _extremes(mats)
     except NotHermitianError:
-        return False
+        return None
+    return extremes if extremes[:, 0].min() >= -tol else None
 
 
-def _all_density(mats, tol: float) -> bool:
-    """``_all_psd`` plus unit trace of every matrix, each to ``tol``."""
-    return _all_psd(mats, tol) and bool(
-        np.all(np.abs(np.trace(np.asarray(mats), axis1=-2, axis2=-1) - 1.0) <= tol))
+def _density_extremes(mats, tol: float) -> np.ndarray | None:
+    """``_psd_extremes`` of ``mats`` if every matrix also has unit trace to
+    ``tol``, else None."""
+    extremes = _psd_extremes(mats, tol)
+    if extremes is None:
+        return None
+    traces = np.trace(np.asarray(mats), axis1=-2, axis2=-1)
+    return extremes if np.abs(traces - 1.0).max() <= tol else None
 
 
 def _by_dims(ops: Sequence[QOperator]) -> list[list[np.ndarray]]:
@@ -221,16 +236,10 @@ def _by_dims(ops: Sequence[QOperator]) -> list[list[np.ndarray]]:
 def is_psd(*ops: QOperator, tol: float = TOL_EQ) -> bool:
     """True iff every operator is Hermitian with no eigenvalue below -tol
     (true for none).  The matrices of operators with equal dims are checked
-    as stacks (``_all_psd``), not one by one."""
-    return all(_all_psd(mats, tol) for mats in _by_dims(ops))
+    as stacks (``_psd_extremes``), not one by one."""
+    return all(_psd_extremes(mats, tol) is not None for mats in _by_dims(ops))
 
 
 def is_density(*ops: QOperator, tol: float = TOL_EQ) -> bool:
-    """``is_psd`` plus unit trace, each to ``tol`` (``_all_density``)."""
-    return all(_all_density(mats, tol) for mats in _by_dims(ops))
-
-
-def max_entry_distance(a: QOperator, b: QOperator) -> float:
-    if a.dims != b.dims:
-        raise DimensionError(f"dims mismatch: {a.dims} vs {b.dims}")
-    return float(np.max(np.abs(a.matrix - b.matrix)))
+    """``is_psd`` plus unit trace, each to ``tol`` (``_density_extremes``)."""
+    return all(_density_extremes(mats, tol) is not None for mats in _by_dims(ops))

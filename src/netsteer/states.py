@@ -10,7 +10,6 @@ import numpy as np
 from .operators import (
     DimensionError,
     QOperator,
-    TOL_EQ,
     basis_ket,
     projector,
 )
@@ -28,37 +27,6 @@ class DEWParams:
             raise ValueError(f"eta must be in [0,1], got {self.eta}")
         if not (0.0 <= self.omega <= 1.0):
             raise ValueError(f"omega must be in [0,1], got {self.omega}")
-
-
-@dataclass(frozen=True)
-class Channel:
-    """A completely positive trace-preserving map given by Kraus operators.
-
-    All Kraus operators share the shape (d_out, d_in); trace preservation
-    (sum of K^dag K equal to the identity) is validated at construction.
-    """
-
-    kraus: tuple[np.ndarray, ...]
-
-    def __init__(self, kraus):
-        kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
-        if not kraus:
-            raise ValueError("at least one Kraus operator required")
-        shape = kraus[0].shape
-        if any(k.shape != shape for k in kraus):
-            raise DimensionError("all Kraus operators must share one shape")
-        acc = sum(k.conj().T @ k for k in kraus)
-        if np.max(np.abs(acc - np.eye(shape[1]))) > TOL_EQ:
-            raise ValueError("Kraus operators do not sum to the identity")
-        object.__setattr__(self, "kraus", kraus)
-
-    @property
-    def d_in(self) -> int:
-        return self.kraus[0].shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.kraus[0].shape[0]
 
 
 def psi_minus() -> QOperator:
@@ -82,18 +50,6 @@ def _werner_mix(omegas) -> np.ndarray:
     return w * psi_minus().matrix + (1 - w) * np.eye(4) / 4
 
 
-def erasure_channel(eta: float, d_in: int = 2) -> Channel:
-    """Erasure with survival probability ``eta``.
-
-    Maps dimension d_in to d_in + 1; basis index d_in is the loss flag.
-    """
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError(f"eta must be in [0,1], got {eta}")
-    if d_in < 1:
-        raise DimensionError("d_in must be >= 1")
-    return Channel(_erasure_kraus(eta, d_in))
-
-
 def _erasure_kraus(etas, d_in: int) -> np.ndarray:
     """The (d_in + 1, d_out, d_in) Kraus operators of the erasure channel of
     a survival probability, or their (G, d_in + 1, d_out, d_in) stack for an
@@ -115,7 +71,7 @@ _KRAUS = "...koi,...aibcjd,...kpj->...aobcpd"
 
 
 def _apply_kraus(kraus: np.ndarray, mats: np.ndarray, dims: tuple, factor: int) -> np.ndarray:
-    """``apply_channel`` on bare arrays: the (..., K, d_out, d_in) Kraus
+    """A channel on one tensor factor: the (..., K, d_out, d_in) Kraus
     operators applied to factor ``factor`` of the (..., D, D) matrices on
     ``dims``, for callers that checked the dims."""
     d_out, d_in = kraus.shape[-2:]
@@ -125,19 +81,6 @@ def _apply_kraus(kraus: np.ndarray, mats: np.ndarray, dims: tuple, factor: int) 
     t = mats.reshape(lead + (d_left, d_in, d_right, d_left, d_in, d_right))
     side = d_left * d_out * d_right
     return np.einsum(_KRAUS, kraus, t, kraus.conj()).reshape(lead + (side, side))
-
-
-def apply_channel(ch: Channel, op: QOperator, factor: int) -> QOperator:
-    """Apply a channel to one tensor factor; the dims entry is updated."""
-    if factor < 0 or factor >= op.nfactors:
-        raise DimensionError(f"factor {factor} out of range for dims {op.dims}")
-    if op.dims[factor] != ch.d_in:
-        raise DimensionError(
-            f"factor dim {op.dims[factor]} does not match channel input {ch.d_in}"
-        )
-    out_dims = list(op.dims)
-    out_dims[factor] = ch.d_out
-    return QOperator(_apply_kraus(np.array(ch.kraus), op.matrix, op.dims, factor), out_dims)
 
 
 def dew(params: DEWParams) -> QOperator:

@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: random operators with reproducible
-generators, the identity, tensor-product, spectrum and partial-trace
-oracles, a dict-to-stack assemblage builder and a brute-force assemblage
-oracle that never uses the sequential contraction under test."""
+generators, the identity, tensor-product, entry-distance, spectrum and
+partial-trace oracles, a dict-to-stack assemblage builder and a brute-force
+assemblage oracle that never uses the sequential contraction under test."""
 
 import numpy as np
 import pytest
@@ -47,6 +47,13 @@ def tensor(a, b, *rest):
     for r in rest:
         out = QOperator(np.kron(out.matrix, r.matrix), out.dims + r.dims)
     return out
+
+
+def max_entry_distance(a, b):
+    """Largest entry distance between two operators on the same dims."""
+    if a.dims != b.dims:
+        raise DimensionError(f"dims mismatch: {a.dims} vs {b.dims}")
+    return float(np.max(np.abs(a.matrix - b.matrix)))
 
 
 def hermitian_eigenvalues(op, tol=TOL_HERM):

@@ -1,21 +1,93 @@
-"""Per-point oracles of the grid sweeps.
+"""Per-point oracles of the grid sweeps, and the channel and single-element
+helpers they are built from.
 
 ``run_verify_swap`` and ``run_activation`` build, contract and certify one
 block of grid points at a time.  These are the one-point computations they
 replace, kept as references: each builds its own ``LinearNetwork`` of DEW
-sources (pushed through the erasure channel one factor at a time), contracts
-one element with ``assemblage_element`` and certifies it on its own.
+sources (pushed through the erasure channel one factor at a time, with this
+module's own Kraus einsum), contracts one element with ``assemblage_element``
+and certifies it on its own.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from netsteer.certificates import BlochData, _endpoint_negativities, erased_unsteerable
 from netsteer.measurements import bell_swap_povm
-from netsteer.network import LinearNetwork, assemblage_element
-from netsteer.operators import QOperator, max_entry_distance
-from netsteer.states import apply_channel, erasure_channel, werner
+from netsteer.network import LinearNetwork, _contract, _tensors
+from netsteer.operators import DimensionError, QOperator, TOL_EQ, _extremes, basis_ket
+from netsteer.states import werner
+
+from conftest import max_entry_distance
 
 SWAP = bell_swap_povm(3)
+
+
+@dataclass(frozen=True)
+class Channel:
+    """A completely positive trace-preserving map given by Kraus operators.
+
+    All Kraus operators share the shape (d_out, d_in); trace preservation
+    (sum of K^dag K equal to the identity) is validated at construction.
+    """
+
+    kraus: tuple
+
+    def __init__(self, kraus):
+        kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
+        if not kraus:
+            raise ValueError("at least one Kraus operator required")
+        shape = kraus[0].shape
+        if any(k.shape != shape for k in kraus):
+            raise DimensionError("all Kraus operators must share one shape")
+        acc = sum(k.conj().T @ k for k in kraus)
+        if np.max(np.abs(acc - np.eye(shape[1]))) > TOL_EQ:
+            raise ValueError("Kraus operators do not sum to the identity")
+        object.__setattr__(self, "kraus", kraus)
+
+
+def erasure_channel(eta, d_in=2):
+    """Erasure with survival probability ``eta``: d_in -> d_in + 1, basis
+    index d_in being the loss flag."""
+    if not (0.0 <= eta <= 1.0):
+        raise ValueError(f"eta must be in [0,1], got {eta}")
+    d_out = d_in + 1
+    embed = np.zeros((d_out, d_in), dtype=complex)
+    embed[:d_in, :] = np.eye(d_in)
+    flag = basis_ket(d_in, d_out)
+    losses = [np.outer(flag, basis_ket(i, d_in).conj()) for i in range(d_in)]
+    return Channel([np.sqrt(eta) * embed] + [np.sqrt(1 - eta) * loss for loss in losses])
+
+
+def apply_channel(ch, op, factor):
+    """sum_k (1 (x) K_k (x) 1) op (1 (x) K_k (x) 1)^dag on one tensor
+    factor; the dims entry is updated."""
+    if factor < 0 or factor >= op.nfactors:
+        raise DimensionError(f"factor {factor} out of range for dims {op.dims}")
+    kraus = np.array(ch.kraus)
+    d_out, d_in = kraus.shape[-2:]
+    if op.dims[factor] != d_in:
+        raise DimensionError(f"factor dim {op.dims[factor]} does not match channel input {d_in}")
+    d_left = math.prod(op.dims[:factor])
+    d_right = math.prod(op.dims[factor + 1:])
+    t = op.matrix.reshape(d_left, d_in, d_right, d_left, d_in, d_right)
+    side = d_left * d_out * d_right
+    out = np.einsum("...koi,...aibcjd,...kpj->...aobcpd", kraus, t, kraus.conj())
+    dims = list(op.dims)
+    dims[factor] = d_out
+    return QOperator(out.reshape(side, side), dims)
+
+
+def assemblage_element(net, outcome):
+    """Single assemblage element of ``net`` without materialising the other
+    outcomes: one effect per central measurement through ``_contract``."""
+    outcome = tuple(outcome)
+    if len(outcome) != len(net.central_measurements):
+        raise DimensionError("one outcome label per central measurement required")
+    choices = [[m.effect(label)] for m, label in zip(net.central_measurements, outcome)]
+    return QOperator(_contract(_tensors(net), choices)[0], net.endpoint_dims)
 
 
 def dew_channels(eta, omega):
@@ -43,7 +115,8 @@ def activation_point(n_parties, eta, omega):
     unsteerable, _ = erased_unsteerable(BlochData(np.zeros(3), -omega * np.eye(3)), eta)
     net = LinearNetwork([src] * n_src, [SWAP] * (n_src - 1))
     sigma0 = assemblage_element(net, (0,) * (n_src - 1))
-    negs, entangled = _endpoint_negativities(np.stack([src.matrix, sigma0.matrix]), src.dims)
+    mats = np.stack([src.matrix, sigma0.matrix])
+    negs, entangled = _endpoint_negativities(mats, src.dims, _extremes(mats))
     return {
         "n": n_parties,
         "eta": eta,

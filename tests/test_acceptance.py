@@ -34,12 +34,12 @@ from netsteer.nlhs import (
 from netsteer.nlhs_io import load_fixture
 from netsteer.operators import (
     QOperator,
-    max_entry_distance,
     negativity,
 )
 from netsteer.states import werner
 
 from conftest import (
+    max_entry_distance,
     partial_trace,
     rand_density,
     rand_psd,

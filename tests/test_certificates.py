@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -15,16 +17,19 @@ from netsteer.certificates import (
     linear_steering_witness,
 )
 from netsteer.measurements import bell_swap_povm, pauli_projective
-from netsteer.network import LinearNetwork, line_assemblage, standard_assemblage
+from netsteer.experiments import SweepSpec, run_activation
+from netsteer.network import LinearNetwork, _contract, line_assemblage, standard_assemblage
 from netsteer.operators import (
     CHECK_BLOCK_BYTES,
     NEG_CUTOFF,
     DimensionError,
     NotPositiveError,
     QOperator,
+    _spectra,
+    _transpose_factors,
     negativity,
 )
-from netsteer.states import DEWParams, classical_correlated, dew, psi_minus, werner
+from netsteer.states import DEWParams, _dew_stack, classical_correlated, dew, psi_minus, werner
 
 from conftest import assemblage_of, random_linear_network
 
@@ -131,6 +136,110 @@ class TestCertifyStacked:
         asm = assemblage_of({(k,): QOperator(m, (3, 3)) for k, m in enumerate(mats)})
         with pytest.raises(NotPositiveError, match="negative eigenvalue -1.000e-10"):
             certify_network_steering(asm)
+
+
+def _certify_from_scratch(asm):
+    """certify_network_steering with every element eigendecomposed on its
+    own, for its positivity precondition and for its partial transpose."""
+    best = None
+    for outcome, mat in zip(asm.outcomes, asm.matrices):
+        if np.trace(mat).real <= NEG_CUTOFF:
+            continue
+        evs = _spectra(mat)
+        if evs[0] < -NEG_CUTOFF * max(1.0, abs(evs[-1])):
+            raise NotPositiveError(f"input has negative eigenvalue {evs[0]:.3e}")
+        pt = _spectra(_transpose_factors(mat, asm.dims, [1]))
+        value = -np.sum(pt[pt < -NEG_CUTOFF]) if pt[0] < -NEG_CUTOFF else -0.0
+        if value > NEG_CUTOFF and (best is None or value > best[0]):
+            best = (value, outcome)
+    if best is None:
+        return INCONCLUSIVE, None
+    return CERTIFIED, {"negativity": float(best[0]), "outcome": best[1]}
+
+
+def _symmetrised(mats):
+    """The matrices ``_spectra`` hands to ``eigvalsh``, one bytes key each."""
+    return [((m + m.conj().T) / 2).tobytes() for m in mats]
+
+
+@pytest.fixture
+def eigvalsh_inputs(monkeypatch):
+    """Every matrix passed to ``np.linalg.eigvalsh``, counted by its bytes."""
+    seen = Counter()
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        seen.update(m.tobytes() for m in np.reshape(a, (-1,) + np.shape(a)[-2:]))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return seen
+
+
+def _dew_line(omega):
+    return LinearNetwork([dew(DEWParams(0.9, omega))] * 12, [bell_swap_povm(3)] * 11)
+
+
+def _random_lines():
+    for seed in range(20):
+        rng = np.random.default_rng(100 + seed)
+        yield random_linear_network(rng, int(rng.integers(3, 8)), max_dim=4)
+
+
+class TestOneSpectrumPerCheck:
+    """The negativity precondition reads the extremes of the assemblage's own
+    PSD check: each element is eigendecomposed once for that check and once
+    for its partial transpose, and the verdict is the one of eigendecomposing
+    each element from scratch."""
+
+    @staticmethod
+    def _assert_matches_from_scratch_oracle(asm):
+        verdict = certify_network_steering(asm)
+        status, witness = _certify_from_scratch(asm)
+        assert verdict.status == status
+        assert (verdict.witness is None) == (witness is None)
+        if witness is not None:
+            assert verdict.witness["outcome"] == witness["outcome"]
+            assert (np.float64(verdict.witness["negativity"]).tobytes()
+                    == np.float64(witness["negativity"]).tobytes())
+
+    @pytest.mark.parametrize("omega", [0.95, 0.86])
+    def test_dew_line_matches_from_scratch_oracle(self, omega):
+        self._assert_matches_from_scratch_oracle(line_assemblage(_dew_line(omega)))
+
+    def test_random_lines_match_from_scratch_oracle(self):
+        for net in _random_lines():
+            self._assert_matches_from_scratch_oracle(line_assemblage(net))
+
+    @pytest.mark.parametrize("omega", [0.95, 0.86])
+    def test_each_element_eigendecomposed_twice(self, omega, eigvalsh_inputs):
+        net = _dew_line(omega)
+        eigvalsh_inputs.clear()     # the sources' and POVMs' own checks
+        certify_network_steering(line_assemblage(net))
+        seen = Counter(eigvalsh_inputs)
+        mats = _contract([s.matrix.reshape(s.dims * 2) for s in net.sources],
+                         [m.effects for m in net.central_measurements])
+        assert np.all(np.trace(mats, axis1=1, axis2=2).real > NEG_CUTOFF)   # none skipped
+        transposed = _transpose_factors(mats, (3, 3), [1])
+        assert seen == Counter(_symmetrised(mats)) + Counter(_symmetrised(transposed))
+
+    def test_each_activation_source_eigendecomposed_twice(self, eigvalsh_inputs):
+        # 301 points: three sweep blocks
+        spec = SweepSpec(omega_range=(0.0, 1.0, 301), n_parties=5, eta_boundary=True)
+        run_activation(spec)
+        seen = Counter(eigvalsh_inputs)
+        omegas = spec.omegas()
+        sources = _dew_stack((2.0 / 3.0) * (1.0 - omegas), omegas)
+        tensors = sources.reshape(-1, 3, 3, 3, 3)
+        sigma0 = _contract([tensors] * 4, [[bell_swap_povm(3).effect(0)]] * 3)
+        live = sigma0[np.trace(sigma0, axis1=1, axis2=2).real > NEG_CUTOFF]
+        # sources: density check and partial transpose; sigma0: its extremes,
+        # and its partial transpose where its trace is above the cutoff
+        expected = (Counter(_symmetrised(sources))
+                    + Counter(_symmetrised(_transpose_factors(sources, (3, 3), [1])))
+                    + Counter(_symmetrised(sigma0))
+                    + Counter(_symmetrised(_transpose_factors(live, (3, 3), [1]))))
+        assert seen == expected
 
 
 class TestBlochData:

@@ -15,9 +15,9 @@ from netsteer.nlhs_io import (
     model_to_json,
     save_model,
 )
-from netsteer.operators import NotHermitianError, NotPositiveError, max_entry_distance
+from netsteer.operators import NotHermitianError, NotPositiveError
 
-from conftest import random_model
+from conftest import max_entry_distance, random_model
 
 
 CC4 = {"kind": "classical_correlated", "d": 4}

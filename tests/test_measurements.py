@@ -13,13 +13,12 @@ from netsteer.measurements import (
 )
 from netsteer.operators import (
     QOperator,
-    max_entry_distance,
     projector,
     basis_ket,
 )
 from netsteer.states import psi_minus
 
-from conftest import identity, rand_density
+from conftest import identity, max_entry_distance, rand_density
 
 
 class TestPOVMValidation:

@@ -11,7 +11,6 @@ from netsteer.measurements import (
 from netsteer.network import (
     LinearNetwork,
     NetworkAssemblage,
-    assemblage_element,
     _contract,
     condition_on_trusted_measurement,
     lift_inputless_to_conditional,
@@ -24,14 +23,15 @@ from netsteer.operators import (
     PAULI_Z,
     DimensionError,
     QOperator,
+    _spectra,
     apply_and_trace,
-    max_entry_distance,
 )
 from netsteer.states import DEWParams, dew, psi_minus, werner
 
 from conftest import (
     assemblage_of,
     brute_force_assemblage,
+    max_entry_distance,
     partial_trace,
     rand_density,
     rand_psd,
@@ -39,6 +39,7 @@ from conftest import (
     random_linear_network,
     tensor,
 )
+from sweep_oracles import assemblage_element
 
 
 class TestLinearNetworkValidation:
@@ -286,6 +287,31 @@ class TestNetworkAssemblage:
         op.matrix[:] = 7.0
         assert asm.matrices.tobytes() == before
         assert list(asm.elements) == list(asm.outcomes)
+
+
+def _assert_extremes_of_rows(asm):
+    """The stored extremes are read-only and, row by row, the ends of the
+    spectrum of that element alone."""
+    assert asm.extremes.shape == (len(asm.outcomes), 2)
+    assert not asm.extremes.flags.writeable
+    with pytest.raises(ValueError):
+        asm.extremes[0, 0] = 1.0
+    for row, extremes in zip(asm.matrices, asm.extremes):
+        assert extremes.tobytes() == _spectra(row)[[0, -1]].tobytes()
+
+
+class TestStoredExtremes:
+    # 2,048 elements of 9 x 9, across blocks of CHECK_BLOCK_BYTES // 1296
+    @pytest.mark.parametrize("omega", [0.95, 0.86])
+    def test_dew_line(self, omega):
+        net = LinearNetwork([dew(DEWParams(0.9, omega))] * 12, [bell_swap_povm(3)] * 11)
+        _assert_extremes_of_rows(line_assemblage(net))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mixed_dimension_line(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_linear_network(rng, int(rng.integers(3, 8)), max_dim=4)
+        _assert_extremes_of_rows(line_assemblage(net))
 
 
 class TestBilocal:

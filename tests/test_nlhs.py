@@ -5,7 +5,6 @@ import time
 import numpy as np
 import pytest
 
-from netsteer.kernels import fibonacci_sphere
 from netsteer.measurements import POVM, bell_swap_povm, pauli_projective
 from netsteer.network import LinearNetwork, line_assemblage, standard_assemblage
 from netsteer.nlhs import (
@@ -25,6 +24,7 @@ from netsteer.nlhs import (
     _lhv_inputs,
     build_percolation_line,
     classical_correlated_decomposition,
+    fibonacci_sphere,
     nlhs_to_separable_realization,
     reconstruct,
     separabilize_endpoint,
@@ -34,12 +34,11 @@ from netsteer.nlhs import (
 from netsteer.nlhs_io import load_fixture
 from netsteer.operators import (
     QOperator,
-    max_entry_distance,
     negativity,
 )
 from netsteer.states import classical_correlated, werner
 
-from conftest import rand_density, rand_psd, random_model, tensor
+from conftest import max_entry_distance, rand_density, rand_psd, random_model, tensor
 from nlhs_oracles import (
     build_sep_unsteer_bilocal,
     build_triangle_patterns,

@@ -16,14 +16,14 @@ from netsteer.operators import (
     basis_ket,
     is_density,
     is_psd,
-    max_entry_distance,
     negativity,
     projector,
     _transpose_factors,
 )
 from netsteer.states import werner
 
-from conftest import hermitian_eigenvalues, identity, partial_trace, rand_density, rand_psd, tensor
+from conftest import (hermitian_eigenvalues, identity, max_entry_distance, partial_trace, rand_density,
+                      rand_psd, tensor)
 
 
 class TestQOperator:

@@ -4,20 +4,17 @@ import pytest
 from netsteer.operators import (
     QOperator,
     is_density,
-    max_entry_distance,
 )
 from netsteer.states import (
-    Channel,
     DEWParams,
-    apply_channel,
     classical_correlated,
     dew,
-    erasure_channel,
     psi_minus,
     werner,
 )
 
-from conftest import hermitian_eigenvalues, partial_trace, rand_density, tensor
+from conftest import hermitian_eigenvalues, max_entry_distance, partial_trace, rand_density, tensor
+from sweep_oracles import Channel, apply_channel, dew_channels, erasure_channel
 
 
 def dew_block_oracle(eta, omega):
@@ -147,6 +144,13 @@ class TestDEW:
     def test_matches_block_oracle(self, eta, omega):
         state = dew(DEWParams(eta, omega))
         assert max_entry_distance(state, dew_block_oracle(eta, omega)) < 1e-12
+
+    @pytest.mark.parametrize("eta", [0.0, 0.25, 0.9, 1.0])
+    @pytest.mark.parametrize("omega", [0.0, 1 / 3, 0.7, 1.0])
+    def test_matches_channel_oracle_bit_for_bit(self, eta, omega):
+        # the sweep oracles build their sources through the channel oracle
+        state = dew(DEWParams(eta, omega))
+        assert state.matrix.tobytes() == dew_channels(eta, omega).matrix.tobytes()
 
     def test_is_density(self):
         assert is_density(dew(DEWParams(0.4, 0.8)))
