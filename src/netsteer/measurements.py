@@ -17,7 +17,9 @@ from .operators import (
     QOperator,
     TOL_CHECK,
     TOL_EQ,
-    apply_and_trace,
+    _apply_and_trace,
+    _psd_extremes,
+    _square_stack,
     basis_ket,
     is_psd,
     projector,
@@ -93,31 +95,31 @@ class POVM:
 class SeparableMeasurement:
     """A POVM together with an explicit tensor-decomposition certificate.
 
-    Each effect carries a list of (left, right) PSD factor pairs whose
-    tensor sum reproduces it.  Separability detection being hard in
-    general, the certificate is stored, never searched for.
+    Each effect carries a (left, right) pair of equally long (t, d, d)
+    stacks of PSD factors on the POVM's two factors, whose tensor sum
+    sum_t left[t] (x) right[t] reproduces it.  Separability detection being
+    hard in general, the certificate is stored, never searched for.
     """
 
     povm: POVM
-    terms: tuple[tuple[tuple[QOperator, QOperator], ...], ...]
+    terms: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def __init__(self, povm: POVM, terms):
-        terms = tuple(tuple(pairs) for pairs in terms)
+        terms = tuple((_square_stack(left, "left factors"), _square_stack(right, "right factors"))
+                      for left, right in terms)
         if len(terms) != povm.n_outcomes:
             raise InvalidPOVMError("one term list per effect required")
-        pairs = [pair for effect_pairs in terms for pair in effect_pairs]
-        if not (is_psd(*(left for left, _ in pairs), tol=TOL_CHECK)
-                and is_psd(*(right for _, right in pairs), tol=TOL_CHECK)):
-            raise InvalidPOVMError("decomposition factor not PSD")
-        for effect, effect_pairs in zip(povm.effects, terms):
+        want = tuple((d, d) for d in povm.dims)
+        if any((l.shape[1:], r.shape[1:]) != want or len(l) != len(r) for l, r in terms):
+            raise DimensionError(f"each effect needs equally many factors on {povm.dims}")
+        for effect, (left, right) in zip(povm.effects, terms):
             # sum_t left_t (x) right_t, as one einsum over the stacked pairs
-            acc = np.zeros_like(effect.matrix)
-            if effect_pairs:
-                left = np.stack([left.matrix for left, _ in effect_pairs])
-                right = np.stack([right.matrix for _, right in effect_pairs])
-                acc = np.einsum("tij,tkl->ikjl", left, right, optimize=True).reshape(acc.shape)
+            acc = np.einsum("tij,tkl->ikjl", left, right, optimize=True).reshape(effect.dim, -1)
             if np.max(np.abs(acc - effect.matrix)) > TOL_EQ:
                 raise InvalidPOVMError("decomposition does not reproduce effect")
+        # not all empty: the effects sum to the identity, so one has factors
+        if any(_psd_extremes(np.concatenate(side), TOL_CHECK) is None for side in zip(*terms)):
+            raise InvalidPOVMError("decomposition factor not PSD")
         object.__setattr__(self, "povm", povm)
         object.__setattr__(self, "terms", terms)
 
@@ -178,8 +180,8 @@ def computational_basis_povm(d: int) -> POVM:
     )
 
 
-def induced_measurement(m: POVM, hidden_state: QOperator, side: str) -> POVM:
-    """Plug a hidden state into one factor of a two-factor POVM.
+def induced_measurement(m: POVM, hidden_state: np.ndarray, side: str) -> POVM:
+    """Plug a (d, d) hidden-state matrix into one factor of a two-factor POVM.
 
     side="left" traces the hidden state against the left factor, leaving a
     POVM on the right factor (and vice versa).  Completeness is inherited.
@@ -187,5 +189,9 @@ def induced_measurement(m: POVM, hidden_state: QOperator, side: str) -> POVM:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     plugged = 0 if side == "left" else 1
-    effects = [apply_and_trace(e, hidden_state, plugged) for e in m.effects]
-    return POVM(effects, outcome_labels=m.outcome_labels)
+    if len(m.dims) != 2 or np.shape(hidden_state) != (m.dims[plugged],) * 2:
+        raise DimensionError(f"a hidden state of shape {np.shape(hidden_state)} "
+                             f"does not fit factor {plugged} of {m.dims}")
+    kept = [m.dims[1 - plugged]]
+    return POVM([QOperator(_apply_and_trace(e.matrix, m.dims, hidden_state, plugged), kept)
+                 for e in m.effects], outcome_labels=m.outcome_labels)

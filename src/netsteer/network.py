@@ -32,7 +32,6 @@ from .operators import (
     _apply_and_trace,
     _blocks,
     _psd_extremes,
-    apply_and_trace,
     is_density,
 )
 from .measurements import POVM, input_encoded_measurement
@@ -212,8 +211,10 @@ def standard_assemblage(rho: QOperator, measurements: Sequence[POVM],
     if len({m.n_outcomes for m in measurements}) != 1:
         raise DimensionError("a standard assemblage needs measurements of equal outcome counts")
     measured = 0 if side == "left" else 1
+    if rho.nfactors != 2 or any(m.effects[0].dim != rho.dims[measured] for m in measurements):
+        raise DimensionError(f"effects must act on factor {measured} of a two-factor {rho.dims}")
     return np.array([
-        [apply_and_trace(rho, effect, measured).matrix for effect in effects]
+        [_apply_and_trace(rho.matrix, rho.dims, effect.matrix, measured) for effect in effects]
         for effects in zip(*(m.effects for m in measurements))
     ])
 

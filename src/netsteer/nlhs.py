@@ -22,9 +22,9 @@ from .operators import (
     TOL_CHECK,
     TOL_EQ,
     TOL_NORM,
-    basis_ket,
-    is_density,
-    projector,
+    _density_extremes,
+    _kron,
+    _square_stack,
 )
 from .measurements import (
     POVM,
@@ -73,20 +73,22 @@ class NLHSModel:
 
     responses[j][b, lam_j, lam_{j+1}] is the response of the central party
     sitting between sources j and j+1; outcome axis b is indexed by
-    ``outcome_labels[j]``.
+    ``outcome_labels[j]``.  ``left_states[i]`` (``right_states[k]``) is the
+    endpoint state for hidden value i of the first (k of the last) source:
+    read-only (k, d, d) stacks.
     """
 
     source_dists: tuple[np.ndarray, ...]
     responses: tuple[np.ndarray, ...]
-    left_states: tuple[QOperator, ...]
-    right_states: tuple[QOperator, ...]
+    left_states: np.ndarray
+    right_states: np.ndarray
     outcome_labels: tuple[tuple, ...]
 
     def __init__(self, source_dists, responses, left_states, right_states, outcome_labels=None):
         source_dists = tuple(np.asarray(p, dtype=float) for p in source_dists)
         responses = tuple(np.asarray(r, dtype=float) for r in responses)
-        left_states = tuple(left_states)
-        right_states = tuple(right_states)
+        left_states = _square_stack(left_states, "left endpoint states")
+        right_states = _square_stack(right_states, "right endpoint states")
         if len(responses) != len(source_dists) - 1:
             raise ValueError("need one response table per central party")
         for p in source_dists:
@@ -102,12 +104,13 @@ class NLHSModel:
             raise ValueError("one left endpoint state per first hidden value")
         if len(right_states) != len(source_dists[-1]):
             raise ValueError("one right endpoint state per last hidden value")
-        if not is_density(*left_states, *right_states, tol=TOL_NORM):
+        if not _densities(left_states, right_states):
             raise ValueError("endpoint hidden states must be densities")
         if outcome_labels is None:
-            outcome_labels = tuple(tuple(range(r.shape[0])) for r in responses)
-        else:
-            outcome_labels = tuple(tuple(l) for l in outcome_labels)
+            outcome_labels = [range(len(r)) for r in responses]
+        outcome_labels = tuple(tuple(l) for l in outcome_labels)
+        if [(len(l), len(set(l))) for l in outcome_labels] != [(len(r),) * 2 for r in responses]:
+            raise ValueError("need one distinct outcome label per outcome of each response table")
         object.__setattr__(self, "source_dists", source_dists)
         object.__setattr__(self, "responses", responses)
         object.__setattr__(self, "left_states", left_states)
@@ -117,6 +120,11 @@ class NLHSModel:
     @property
     def n_parties(self) -> int:
         return len(self.source_dists) + 1
+
+
+def _densities(*stacks: np.ndarray) -> bool:
+    """True iff every matrix of every non-empty stack is a density to ``TOL_NORM``."""
+    return all(_density_extremes(s, TOL_NORM) is not None for s in stacks)
 
 
 def reconstruct(model: NLHSModel) -> NetworkAssemblage:
@@ -130,13 +138,10 @@ def reconstruct(model: NLHSModel) -> NetworkAssemblage:
     w = np.diag(model.source_dists[0])[None]
     for resp, p in zip(model.responses, model.source_dists[1:]):
         w = (w[:, None] @ (resp * p)[None]).reshape(-1, w.shape[1], len(p))
-    lefts = np.array([s.matrix for s in model.left_states])
-    rights = np.array([s.matrix for s in model.right_states])
-    side = lefts.shape[1] * rights.shape[1]
-    mats = np.einsum("pik,iac,kbd->pabcd", w, lefts, rights, optimize=True)
-    dims = (model.left_states[0].dims[0], model.right_states[0].dims[0])
+    mats = np.einsum("pik,iac,kbd->pabcd", w, model.left_states, model.right_states, optimize=True)
+    side = mats.shape[1] * mats.shape[2]
     return NetworkAssemblage(mats.reshape(len(w), side, side),
-                             itertools.product(*model.outcome_labels), dims)
+                             itertools.product(*model.outcome_labels), mats.shape[1:3])
 
 
 # --------------------------------------------------------------------------
@@ -145,37 +150,40 @@ def reconstruct(model: NLHSModel) -> NetworkAssemblage:
 
 @dataclass(frozen=True)
 class SeparableDecomposition:
-    """Explicit convex decomposition sum_g p(g) L_g (x) R_g of a source."""
+    """Explicit convex decomposition sum_g p(g) L_g (x) R_g of a source,
+    with the L_g and R_g held as read-only (k, d, d) stacks."""
 
     weights: np.ndarray
-    left_states: tuple[QOperator, ...]
-    right_states: tuple[QOperator, ...]
+    left_states: np.ndarray
+    right_states: np.ndarray
 
     def __init__(self, weights, left_states, right_states):
         weights = np.asarray(weights, dtype=float)
-        left_states = tuple(left_states)
-        right_states = tuple(right_states)
+        left_states = _square_stack(left_states, "left states")
+        right_states = _square_stack(right_states, "right states")
         if not (len(weights) == len(left_states) == len(right_states)):
             raise ValueError("one (left, right) pair per weight required")
         if np.any(weights < -1e-12) or abs(weights.sum() - 1) > TOL_EQ:
             raise ValueError("weights must be a probability distribution")
-        if not is_density(*left_states, *right_states, tol=TOL_NORM):
+        if not _densities(left_states, right_states):
             raise ValueError("decomposition states must be densities")
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "left_states", left_states)
         object.__setattr__(self, "right_states", right_states)
 
     def state(self) -> QOperator:
-        acc = sum(
-            w * np.kron(l.matrix, r.matrix)
-            for w, l, r in zip(self.weights, self.left_states, self.right_states)
-        )
-        return QOperator(acc, self.left_states[0].dims + self.right_states[0].dims)
+        # the weighted products in one stack, summed term by term in order
+        terms = self.weights[:, None, None] * _kron(self.left_states, self.right_states)
+        return QOperator(sum(terms), (self.left_states.shape[1], self.right_states.shape[1]))
+
+
+def _flags(n: int) -> np.ndarray:
+    """The (n, n, n) stack of flag projectors |a><a|."""
+    return np.eye(n)[:, :, None] * np.eye(n)[:, None, :]
 
 
 def classical_correlated_decomposition(d: int) -> SeparableDecomposition:
-    kets = [projector(basis_ket(x, d), [d]) for x in range(d)]
-    return SeparableDecomposition(np.full(d, 1.0 / d), kets, kets)
+    return SeparableDecomposition(np.full(d, 1.0 / d), _flags(d), _flags(d))
 
 
 def werner_separable_decomposition(omega: float) -> SeparableDecomposition:
@@ -187,32 +195,21 @@ def werner_separable_decomposition(omega: float) -> SeparableDecomposition:
     """
     if omega > 1.0 / 3.0 + 1e-12:
         raise ValueError("Werner state is entangled for omega > 1/3")
-    weights = []
-    lefts = []
-    rights = []
     eye = np.eye(2, dtype=complex)
-    for s in PAULIS:
-        plus = QOperator((eye + s) / 2, [2])
-        minus = QOperator((eye - s) / 2, [2])
-        for l, r in ((plus, minus), (minus, plus)):
-            weights.append(3 * omega / 6)
-            lefts.append(l)
-            rights.append(r)
-    for i in range(2):
-        for j in range(2):
-            weights.append((1 - 3 * omega) / 4)
-            lefts.append(projector(basis_ket(i, 2), [2]))
-            rights.append(projector(basis_ket(j, 2), [2]))
-    return SeparableDecomposition(weights, lefts, rights)
+    # (P+, P-) and (P-, P+) for the eigenprojectors of each Pauli, then |i><i| (x) |j><j|
+    pairs = [((eye + s) / 2, (eye - s) / 2) for s in PAULIS]
+    lefts = [m for plus, minus in pairs for m in (plus, minus)] + list(_flags(2)[[0, 0, 1, 1]])
+    rights = [m for plus, minus in pairs for m in (minus, plus)] + list(_flags(2)[[0, 1, 0, 1]])
+    return SeparableDecomposition([3 * omega / 6] * 6 + [(1 - 3 * omega) / 4] * 4, lefts, rights)
 
 
 @dataclass(frozen=True)
 class LHSData:
-    """A concrete LHS model: sigma_{b|x} = sum_l p(l) resp[b, x, l] state_l."""
+    """A concrete LHS model: sigma_{b|x} = sum_l p(l) resp[b, x, l] states[l]."""
 
     dist: np.ndarray
     response: np.ndarray          # shape (n_outcomes, n_inputs, n_lambda)
-    states: tuple[QOperator, ...]
+    states: np.ndarray            # read-only (n_lambda, d, d) stack
     inputs_distinct: Optional[int] = None   # inputs the search solved for; None without a search
 
 
@@ -271,10 +268,21 @@ def _born(effects: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.trace(effects @ states, axis1=-2, axis2=-1).real
 
 
-def _real_rows(mats) -> np.ndarray:
+def _effect_stack(povms) -> np.ndarray:
+    """The effects of ``povms`` as an (inputs, outcomes, d, d) stack."""
+    return np.array([[e.matrix for e in povm.effects] for povm in povms])
+
+
+def _measured_factor(direction: str) -> int:
+    """The factor an LHS search measures: 0 for hidden states sent "right", 1 for "left"."""
+    if direction not in ("left", "right"):
+        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
+    return 0 if direction == "right" else 1
+
+
+def _real_rows(mats: np.ndarray) -> np.ndarray:
     """Each complex matrix of a stack as one real row: real part, then
     imaginary part, both row-major."""
-    mats = np.asarray(mats)
     flat = mats.reshape(mats.shape[:-2] + (-1,))
     return np.concatenate([flat.real, flat.imag], axis=-1)
 
@@ -287,14 +295,12 @@ class SeparableLHSProvider:
         self.decomposition = decomposition
 
     def find(self, rho: QOperator, povms: Sequence[POVM], direction: str) -> LHSData:
-        dec = self.decomposition
+        dec, measured = self.decomposition, _measured_factor(direction)
+        stacks = (dec.left_states, dec.right_states)
         if np.max(np.abs(dec.state().matrix - rho.matrix)) > TOL_CHECK:
             raise ModelNotFoundError("decomposition does not reproduce the source")
-        measured = dec.left_states if direction == "right" else dec.right_states
-        kept = dec.right_states if direction == "right" else dec.left_states
-        effects = np.array([[e.matrix for e in povm.effects] for povm in povms])
-        resp = _born(effects[:, :, None], np.array([s.matrix for s in measured]))
-        return LHSData(dec.weights, resp.transpose(1, 0, 2), kept)
+        resp = _born(_effect_stack(povms)[:, :, None], stacks[measured])
+        return LHSData(dec.weights, resp.transpose(1, 0, 2), stacks[1 - measured])
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -320,30 +326,27 @@ class BruteForceLHSProvider:
     ``MAX_SYSTEM_ENTRIES``)."""
 
     def find(self, rho: QOperator, povms: Sequence[POVM], direction: str) -> LHSData:
-        side = "left" if direction == "right" else "right"
+        measured = _measured_factor(direction)
         n_out = povms[0].n_outcomes
-        steered = standard_assemblage(rho, povms, side=side).swapaxes(0, 1)   # [x, b]
+        steered = standard_assemblage(rho, povms, ("left", "right")[measured]).swapaxes(0, 1)
         sigma = _real_rows(steered)
         first, rep = _distinct_inputs(sigma)
         sigma = sigma[first]
-        d = rho.dims[1 if direction == "right" else 0]
-        cands = []
-        for x in first:
-            for mat in steered[x]:
-                tr = float(mat.trace().real)
-                if tr > TOL_CHECK:
-                    cands.append(QOperator(mat / tr, [d]))
-        if d == 2:
-            for u in fibonacci_sphere(N_BLOCH):
-                obs = sum(c * s for c, s in zip(u, PAULIS))
-                cands.append(QOperator((np.eye(2) + obs) / 2, [2]))
+        # the normalised steered states of the distinct inputs, then the qubit grid
+        mats = steered[first].reshape((-1,) + steered.shape[2:])
+        traces = np.trace(mats, axis1=1, axis2=2).real
+        cands = list(mats[traces > TOL_CHECK] / traces[traces > TOL_CHECK, None, None])
+        if rho.dims[1 - measured] == 2:
+            cands += [(np.eye(2) + sum(c * s for c, s in zip(u, PAULIS))) / 2
+                      for u in fibonacci_sphere(N_BLOCH)]
+        cands = np.array(cands)
         n_in, n_cand = len(first), len(cands)
         _check_size(sigma.size, n_out ** n_in * n_cand)
         # unknowns: c[s, j] >= 0 with
         #   sum_{s: s(x)=b} sum_j c[s, j] tau_j = sigma_{b|x}
         # rows [x, b, entry of sigma_{b|x}], columns [s, j], x over the distinct inputs
         strat = _strategies(n_out, n_in)
-        tau = _real_rows([c.matrix for c in cands]).T
+        tau = _real_rows(cands).T
         a_mat = np.zeros((n_in, n_out, len(tau), len(strat), n_cand))
         for x in range(n_in):
             for b in range(n_out):
@@ -356,7 +359,7 @@ class BruteForceLHSProvider:
         if abs(total - 1.0) > TOL_NORM:
             raise ModelNotFoundError(f"weights sum to {total}, expected 1")
         resp = strat[keep_s][:, :, rep].transpose(1, 2, 0)
-        return LHSData(dist / total, resp, tuple(cands[j] for j in keep_j), n_in)
+        return LHSData(dist / total, resp, _square_stack(cands[keep_j], "hidden states"), n_in)
 
 
 def solve_lhv(behavior: np.ndarray):
@@ -432,12 +435,9 @@ class SourceSlot:
 
 
 def _lhv_behavior(rho: QOperator, left_povms, right_povms) -> np.ndarray:
-    kron = np.array([
-        [[[np.kron(el.matrix, er.matrix) for er in pr.effects] for pr in right_povms]
-         for el in pl.effects]
-        for pl in left_povms
-    ])
-    return _born(kron, rho.matrix).transpose(1, 3, 0, 2)
+    """p(b, c | x, y) = Tr[(E_{b|x} (x) F_{c|y}) rho] of product measurements."""
+    left, right = _effect_stack(left_povms), _effect_stack(right_povms)
+    return _born(_kron(left[:, :, None, None], right), rho.matrix).transpose(1, 3, 0, 2)
 
 
 def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
@@ -479,8 +479,7 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
         if slot.kind == SEP:
             dec = slot.decomposition
             dists[i] = dec.weights
-            left_states[i] = dec.left_states
-            right_states[i] = dec.right_states
+            left_states[i], right_states[i] = dec.left_states, dec.right_states
             transcript.append(f"slot {i}: SEP resolved from decomposition")
 
     # The checks above give UNS_LEFT a SEP or UNS_LEFT right neighbour, UNS_RIGHT
@@ -525,10 +524,8 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
     # a measurement no slot consumed responds directly to its neighbour states
     for j, m in enumerate(measurements):
         if responses[j] is None:
-            states = np.array([[np.kron(r.matrix, l.matrix) for l in left_states[j + 1]]
-                               for r in right_states[j]])
-            effects = np.array([e.matrix for e in m.effects])
-            responses[j] = _born(effects[:, None, None], states)
+            states = _kron(right_states[j][:, None], left_states[j + 1])   # [r, l]
+            responses[j] = _born(_effect_stack([m])[0][:, None, None], states)
             transcript.append(f"measurement {j}: direct response from neighbour states")
 
     model = NLHSModel(dists, responses, left_states[0], right_states[-1],
@@ -570,31 +567,21 @@ def nlhs_to_separable_realization(model: NLHSModel) -> SeparableRealization:
     flags; every central measurement is diagonal in the flag basis with
     the model's response weights.
     """
-    dists = model.source_dists
-    flags = {
-        size: [projector(basis_ket(i, size), [size]) for i in range(size)]
-        for size in {len(p) for p in dists}
-    }
+    last = len(model.source_dists) - 1
     decompositions = tuple(
-        SeparableDecomposition(
-            p,
-            model.left_states if i == 0 else flags[len(p)],
-            model.right_states if i == len(dists) - 1 else flags[len(p)],
-        )
-        for i, p in enumerate(dists)
+        SeparableDecomposition(p, model.left_states if i == 0 else _flags(len(p)),
+                               model.right_states if i == last else _flags(len(p)))
+        for i, p in enumerate(model.source_dists)
     )
 
     certificates = []
     for resp, labels in zip(model.responses, model.outcome_labels):
-        fl, fr = flags[resp.shape[1]], flags[resp.shape[2]]
-        # diagonal effects from the checked model's non-negative responses
-        povm = POVM._of_diagonals(np.where(resp > 0.0, resp, 0.0).reshape(len(resp), -1),
-                                  (len(fl), len(fr)), labels)
-        terms = [
-            [(QOperator(r[a, c] * fl[a].matrix, fl[a].dims), fr[c])
-             for a, c in zip(*np.nonzero(r > 0.0))]
-            for r in resp
-        ]
+        # diagonal effects from the checked model's non-negative responses; effect b
+        # is sum_a |a><a| (x) diag(resp[b, a, :]), one term per left flag
+        diagonals = np.where(resp > 0.0, resp, 0.0)
+        povm = POVM._of_diagonals(diagonals.reshape(len(resp), -1), resp.shape[1:], labels)
+        flags, eye = _flags(resp.shape[1]), np.eye(resp.shape[2])
+        terms = [(flags, r[:, :, None] * eye) for r in diagonals]
         certificates.append(SeparableMeasurement(povm, terms))
 
     network = LinearNetwork([dec.state() for dec in decompositions],

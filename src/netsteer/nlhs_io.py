@@ -52,14 +52,18 @@ def _matrix_from_json(doc: dict) -> np.ndarray:
     return np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
 
 
-def _state_to_json(op: QOperator) -> dict:
-    doc = _matrix_to_json(op.matrix)
-    doc["dims"] = list(op.dims)
-    return doc
+def _hidden_states_to_json(stack: np.ndarray) -> list:
+    return [dict(_matrix_to_json(mat), dims=[len(mat)]) for mat in stack]
 
 
-def _state_from_json(doc: dict) -> QOperator:
-    return QOperator(_matrix_from_json(doc), doc["dims"])
+def _hidden_states_from_json(docs) -> list:
+    """The matrices of hidden-state entries, each of which must have dims [d]."""
+    mats = [_matrix_from_json(doc) for doc in docs]
+    for doc, mat in zip(docs, mats):
+        if list(doc["dims"]) != [len(mat)]:
+            raise ValueError(f"a hidden state of side {len(mat)} needs dims "
+                             f"[{len(mat)}], got {doc['dims']}")
+    return mats
 
 
 def model_to_json(model: NLHSModel) -> dict:
@@ -68,8 +72,8 @@ def model_to_json(model: NLHSModel) -> dict:
         "source_dists": [p.tolist() for p in model.source_dists],
         "responses": [r.tolist() for r in model.responses],
         "outcome_labels": [list(l) for l in model.outcome_labels],
-        "left_states": [_state_to_json(s) for s in model.left_states],
-        "right_states": [_state_to_json(s) for s in model.right_states],
+        "left_states": _hidden_states_to_json(model.left_states),
+        "right_states": _hidden_states_to_json(model.right_states),
     }
 
 
@@ -77,8 +81,8 @@ def model_from_json(doc: dict) -> NLHSModel:
     return NLHSModel(
         source_dists=[np.asarray(p) for p in doc["source_dists"]],
         responses=[np.asarray(r) for r in doc["responses"]],
-        left_states=[_state_from_json(s) for s in doc["left_states"]],
-        right_states=[_state_from_json(s) for s in doc["right_states"]],
+        left_states=_hidden_states_from_json(doc["left_states"]),
+        right_states=_hidden_states_from_json(doc["right_states"]),
         outcome_labels=[tuple(l) for l in doc["outcome_labels"]],
     )
 
@@ -108,7 +112,7 @@ def _build_source(doc: dict):
     if kind == "dew":
         return dew(DEWParams(float(doc["eta"]), float(doc["omega"]))), None
     if kind == "explicit":
-        return _state_from_json(doc["state"]), None
+        return QOperator(_matrix_from_json(doc["state"]), doc["state"]["dims"]), None
     raise FixtureError(f"unknown source kind {kind!r}")
 
 

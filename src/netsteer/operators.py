@@ -103,32 +103,33 @@ def _check_factors(op: QOperator, factors: Iterable[int]) -> list[int]:
     return factors
 
 
-def apply_and_trace(op: QOperator, local: QOperator, factor: int) -> QOperator:
-    """Tr_factor[(local (x) 1) op] for a two-factor ``op``.
-
-    ``local`` acts on factor ``factor`` (0 or 1), which is then traced out;
-    the result carries the other factor.  This is how an effect steers the
-    remaining party, and how a hidden state is plugged into one side of a
-    two-party effect (by cyclicity the order of ``local`` and ``op`` inside
-    the partial trace is immaterial).
-    """
-    if op.nfactors != 2:
-        raise DimensionError(f"apply_and_trace needs a two-factor operator, got {op.dims}")
-    if factor not in (0, 1):
-        raise DimensionError(f"factor must be 0 or 1, got {factor}")
-    if local.dim != op.dims[factor]:
-        raise DimensionError(f"local dim {local.dim} != factor dim {op.dims[factor]}")
-    out = _apply_and_trace(op.matrix, op.dims, local.matrix, factor)
-    return QOperator(out, [op.dims[1 - factor]])
-
-
 def _apply_and_trace(mat: np.ndarray, dims: tuple[int, int], local: np.ndarray,
                      factor: int) -> np.ndarray:
-    """``apply_and_trace`` on bare matrices, for callers that checked the dims."""
+    """Tr_factor[(local (x) 1) mat] for a matrix on two factors of dims ``dims``:
+    ``local`` acts on factor ``factor`` (0 or 1), which is then traced out.
+    This is how an effect steers the remaining party, and how a hidden state
+    is plugged into one side of a two-party effect (by cyclicity the order
+    inside the partial trace is immaterial).  Callers check the dims."""
     t = mat.reshape(dims + dims)
     if factor == 0:
         return np.einsum("ik,kjil->jl", local, t)
     return np.einsum("jl,ilkj->ik", local, t)
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker products a (x) b of broadcast stacks of square matrices,
+    each entry the one product ``np.kron`` forms for it."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (a.shape[-1] * b.shape[-1],) * 2)
+
+
+def _square_stack(mats, what: str) -> np.ndarray:
+    """``mats`` as a read-only (k, d, d) complex stack."""
+    stack = np.array(mats, dtype=complex)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+        raise DimensionError(f"{what} must form a (k, d, d) stack, got shape {stack.shape}")
+    stack.flags.writeable = False
+    return stack
 
 
 def _transpose_factors(mats: np.ndarray, dims: tuple[int, ...], factors: list[int]) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: random operators with reproducible
-generators, the identity, tensor-product, entry-distance, spectrum and
-partial-trace oracles, a dict-to-stack assemblage builder and a brute-force
-assemblage oracle that never uses the sequential contraction under test."""
+generators, the identity, tensor-product, entry-distance, spectrum,
+apply-and-trace and partial-trace oracles, an assemblage made from an
+{outcome: operator} dict, and a brute-force assemblage oracle that never
+uses the sequential contraction under test."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from netsteer.measurements import POVM
 from netsteer.network import LinearNetwork, NetworkAssemblage
 from netsteer.nlhs import NLHSModel
-from netsteer.operators import DimensionError, QOperator, TOL_HERM, _spectra
+from netsteer.operators import DimensionError, QOperator, TOL_HERM, _apply_and_trace, _spectra
 
 
 @pytest.fixture
@@ -59,6 +60,19 @@ def max_entry_distance(a, b):
 def hermitian_eigenvalues(op, tol=TOL_HERM):
     """Real eigenvalues in ascending order (see ``operators._spectra``)."""
     return _spectra(op.matrix, tol)
+
+
+def apply_and_trace(op, local, factor):
+    """Tr_factor[(local (x) 1) op] for a two-factor ``op``, as a QOperator on
+    the other factor: ``operators._apply_and_trace`` on checked operators."""
+    if op.nfactors != 2:
+        raise DimensionError(f"apply_and_trace needs a two-factor operator, got {op.dims}")
+    if factor not in (0, 1):
+        raise DimensionError(f"factor must be 0 or 1, got {factor}")
+    if local.dim != op.dims[factor]:
+        raise DimensionError(f"local dim {local.dim} != factor dim {op.dims[factor]}")
+    out = _apply_and_trace(op.matrix, op.dims, local.matrix, factor)
+    return QOperator(out, [op.dims[1 - factor]])
 
 
 def partial_trace(op, keep):
@@ -164,7 +178,7 @@ def random_model(
     def rand_density(d):
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         mat = g @ g.conj().T
-        return QOperator(mat / np.trace(mat), [d])
+        return mat / np.trace(mat)
 
     n_src = n_parties - 1
     sizes = [int(rng.integers(1, max_hidden + 1)) for _ in range(n_src)]

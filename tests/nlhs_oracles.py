@@ -1,9 +1,15 @@
 """Hand-derived NLHS constructors kept as test oracles.
 
-Each function follows its own derivation chain (induced measurements, then
-provider extraction, then assembly) for one fixed pattern, independently of
-the generic percolation constructor ``netsteer.nlhs.build_percolation_line``
-that the tests check against them.
+Each constructor follows its own derivation chain (induced measurements,
+then provider extraction, then assembly) for one fixed pattern,
+independently of the generic percolation constructor
+``netsteer.nlhs.build_percolation_line`` that the tests check against them.
+
+The Kronecker oracles are the nested ``np.kron`` loops that the stacked
+code replaced: a decomposition's state as the Python sum of its weighted
+products, the product-measurement behaviour of a LOC slot and the direct
+response of a measurement no slot consumes.  The stacked code forms the
+same products in the same order, so it must match them bit for bit.
 """
 
 import itertools
@@ -25,7 +31,7 @@ def reconstruct_kron_loop(model: NLHSModel) -> dict:
     """Oracle for ``reconstruct``: chain the hidden weights of each outcome
     tuple one matrix product at a time and sum the weighted Kronecker
     products of the endpoint states term by term.  Returns label -> matrix."""
-    d_l, d_r = model.left_states[0].dim, model.right_states[0].dim
+    d_l, d_r = len(model.left_states[0]), len(model.right_states[0])
     elements = {}
     outcome_ranges = [range(r.shape[0]) for r in model.responses]
     for bs in itertools.product(*outcome_ranges):
@@ -36,10 +42,36 @@ def reconstruct_kron_loop(model: NLHSModel) -> dict:
         for i, left in enumerate(model.left_states):
             for k, right in enumerate(model.right_states):
                 if w[i, k] != 0.0:
-                    mat += w[i, k] * np.kron(left.matrix, right.matrix)
+                    mat += w[i, k] * np.kron(left, right)
         label = tuple(model.outcome_labels[j][b] for j, b in enumerate(bs))
         elements[label] = mat
     return elements
+
+
+def decomposition_state_sum(dec: SeparableDecomposition) -> np.ndarray:
+    """Oracle for ``SeparableDecomposition.state``: the Python sum of the
+    weighted Kronecker products, one term at a time."""
+    return sum(w * np.kron(l, r) for w, l, r in zip(dec.weights, dec.left_states, dec.right_states))
+
+
+def lhv_behavior_kron(rho, left_povms, right_povms):
+    """Oracle for ``nlhs._lhv_behavior``: every product effect E (x) F built
+    by ``np.kron`` in nested loops, then Re Tr over the stack."""
+    kron = np.array([
+        [[[np.kron(el.matrix, er.matrix) for er in pr.effects] for pr in right_povms]
+         for el in pl.effects]
+        for pl in left_povms
+    ])
+    return np.trace(kron @ rho.matrix, axis1=-2, axis2=-1).real.transpose(1, 3, 0, 2)
+
+
+def direct_response_kron(m: POVM, rights, lefts):
+    """Oracle for a direct response: resp[b, r, l] = Re Tr[E_b (R_r (x) L_l)]
+    for the right states R of one source and the left states L of the next,
+    every product built by ``np.kron`` in nested loops."""
+    states = np.array([[np.kron(r, l) for l in lefts] for r in rights])
+    effects = np.array([e.matrix for e in m.effects])
+    return np.trace(effects[:, None, None] @ states, axis1=-2, axis2=-1).real
 
 
 def lhv_behavior(rho, left_povms, right_povms):

@@ -1,3 +1,4 @@
+import copy
 import csv
 import importlib.resources
 import json
@@ -56,6 +57,16 @@ class TestModelIO:
         b = reconstruct(back)
         for k in a.elements:
             assert max_entry_distance(a.elements[k], b.elements[k]) < 1e-12
+
+    def test_rejects_hidden_state_dims_other_than_its_side(self):
+        doc = model_to_json(random_model(np.random.default_rng(8), n_parties=3, endpoint_dim=4))
+        assert doc["left_states"][0]["dims"] == [4]
+        model_from_json(doc)
+        for dims in ([2, 2], [4, 1], [2], []):
+            bad = copy.deepcopy(doc)
+            bad["right_states"][-1]["dims"] = dims
+            with pytest.raises(ValueError, match="dims"):
+                model_from_json(bad)
 
     def test_json_is_plain_data(self):
         rng = np.random.default_rng(7)
@@ -139,6 +150,8 @@ class TestCLI:
         assert rc == 0
         model = load_model(model_out)
         assert model.n_parties == 4
+        # the reader keeps every bit the writer wrote
+        assert json.dumps(model_to_json(model), indent=1) == model_out.read_text()
 
     def test_nlhs_unknown_fixture_exit_code(self):
         assert main(["nlhs", "--fixture", "does_not_exist"]) == 2

@@ -12,6 +12,7 @@ from netsteer.measurements import (
     pauli_projective,
 )
 from netsteer.operators import (
+    DimensionError,
     QOperator,
     projector,
     basis_ket,
@@ -159,8 +160,7 @@ class TestPauliProjective:
 class TestInduced:
     def test_maximally_mixed_hidden_state(self):
         povm = bell_swap_povm(2)
-        mixed = QOperator(np.eye(2) / 2, [2])
-        ind = induced_measurement(povm, mixed, side="left")
+        ind = induced_measurement(povm, np.eye(2) / 2, side="left")
         # Tr_A[psi_minus (I/2 x 1)] = I/4
         assert np.allclose(ind.effects[0].matrix, np.eye(2) / 4)
         assert np.allclose(ind.effects[1].matrix, 3 * np.eye(2) / 4)
@@ -168,25 +168,25 @@ class TestInduced:
     def test_projective_hidden_state_steers(self):
         povm = bell_swap_povm(2)
         up = projector(basis_ket(0, 2), [2])
-        ind = induced_measurement(povm, up, side="left")
+        ind = induced_measurement(povm, up.matrix, side="left")
         # <0| psi_minus |0> on the left factor leaves |1><1| / 2
         assert np.allclose(ind.effects[0].matrix, np.diag([0.0, 0.5]))
 
     def test_completeness_inherited(self, rng):
         povm = bell_swap_povm(3)
-        ind = induced_measurement(povm, rand_density(rng, [3]), side="right")
+        ind = induced_measurement(povm, rand_density(rng, [3]).matrix, side="right")
         total = sum(e.matrix for e in ind.effects)
         assert np.allclose(total, np.eye(3))
 
     def test_rejects_one_factor_povm(self):
         with pytest.raises(ValueError):
             induced_measurement(
-                computational_basis_povm(2), identity([2]), side="left"
+                computational_basis_povm(2), np.eye(2), side="left"
             )
 
     def test_rejects_dim_mismatch(self, rng):
         with pytest.raises(ValueError):
-            induced_measurement(bell_swap_povm(2), rand_density(rng, [3]), "left")
+            induced_measurement(bell_swap_povm(2), rand_density(rng, [3]).matrix, "left")
 
 
 def _diagonal_certificate():
@@ -209,6 +209,13 @@ def _split(pair, side):
             (left, QOperator(-right.matrix, right.dims))]
 
 
+def _stacked(terms):
+    """Per-effect lists of (left, right) operator pairs as the certificate's
+    (left stack, right stack) pairs; every list must be non-empty."""
+    return [(np.array([l.matrix for l, _ in pairs]), np.array([r.matrix for _, r in pairs]))
+            for pairs in terms]
+
+
 class TestSeparableMeasurement:
     def test_valid_certificate(self):
         povm = computational_basis_povm(2)
@@ -224,7 +231,7 @@ class TestSeparableMeasurement:
             [(p00, p00)],
             [(p00, p11), (p11, eye)],
         ]
-        cert = SeparableMeasurement(povm2, terms)
+        cert = SeparableMeasurement(povm2, _stacked(terms))
         assert cert.povm is povm2
 
     def test_rejects_bad_certificate(self):
@@ -233,19 +240,19 @@ class TestSeparableMeasurement:
         povm2 = POVM([e0, e1])
         eye = identity([2])
         with pytest.raises(InvalidPOVMError):
-            SeparableMeasurement(povm2, [[(eye, eye)], [(eye, eye)]])
+            SeparableMeasurement(povm2, _stacked([[(eye, eye)], [(eye, eye)]]))
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("position", ["first", "last"])
     def test_rejects_non_psd_factor_at(self, side, position):
         povm, terms = _diagonal_certificate()
-        SeparableMeasurement(povm, terms)
+        SeparableMeasurement(povm, _stacked(terms))
         if position == "first":
             terms[0] = _split(terms[0][0], side) + terms[0][1:]
         else:
             terms[-1] = terms[-1][:-1] + _split(terms[-1][-1], side)
         with pytest.raises(InvalidPOVMError, match="factor not PSD"):
-            SeparableMeasurement(povm, terms)
+            SeparableMeasurement(povm, _stacked(terms))
 
     def test_valid_certificate_unequal_factor_dims(self):
         # effects on (2, 3): |0><0| (x) diag(1, 0, 0) + |1><1| (x) diag(0, 1, 1)
@@ -256,9 +263,9 @@ class TestSeparableMeasurement:
         e0 = QOperator(np.kron(p0.matrix, a.matrix) + np.kron(p1.matrix, b.matrix), (2, 3))
         e1 = QOperator(np.eye(6) - e0.matrix, (2, 3))
         povm = POVM([e0, e1])
-        SeparableMeasurement(povm, [[(p0, a), (p1, b)], [(p0, b), (p1, a)]])
+        SeparableMeasurement(povm, _stacked([[(p0, a), (p1, b)], [(p0, b), (p1, a)]]))
         with pytest.raises(InvalidPOVMError, match="does not reproduce"):
-            SeparableMeasurement(povm, [[(p0, b), (p1, a)], [(p0, a), (p1, b)]])
+            SeparableMeasurement(povm, _stacked([[(p0, b), (p1, a)], [(p0, a), (p1, b)]]))
 
     def test_rejects_swapped_factor_order(self):
         # |0><0| (x) |1><1| is not |1><1| (x) |0><0|
@@ -266,12 +273,23 @@ class TestSeparableMeasurement:
         e0 = QOperator(np.kron(p0.matrix, p1.matrix), (2, 2))
         povm = POVM([e0, QOperator(np.eye(4) - e0.matrix, (2, 2))])
         rest = [(p0, p0), (p1, identity([2]))]
-        SeparableMeasurement(povm, [[(p0, p1)], rest])
+        SeparableMeasurement(povm, _stacked([[(p0, p1)], rest]))
         with pytest.raises(InvalidPOVMError, match="does not reproduce"):
-            SeparableMeasurement(povm, [[(p1, p0)], rest])
+            SeparableMeasurement(povm, _stacked([[(p1, p0)], rest]))
+
+    def test_rejects_factors_off_the_povm_dims(self):
+        # 1_4 (x) [1] is the identity on C^4, but not a product on (2, 2)
+        povm = POVM([identity([2, 2]), QOperator(np.zeros((4, 4)), (2, 2))])
+        none = np.zeros((0, 2, 2))
+        with pytest.raises(DimensionError, match="equally many factors"):
+            SeparableMeasurement(povm, [(np.eye(4)[None], np.ones((1, 1, 1))), (none, none)])
+        with pytest.raises(DimensionError, match="equally many factors"):
+            SeparableMeasurement(povm, [(np.stack([np.eye(2)] * 2), np.eye(2)[None]), (none, none)])
 
     def test_accepts_empty_terms_for_zero_effect(self):
         zero = QOperator(np.zeros((4, 4)), (2, 2))
         povm = POVM([identity([2, 2]), zero])
-        cert = SeparableMeasurement(povm, [[(identity([2]), identity([2]))], []])
-        assert cert.terms[1] == ()
+        none = np.zeros((0, 2, 2))
+        terms = _stacked([[(identity([2]), identity([2]))]]) + [(none, none)]
+        cert = SeparableMeasurement(povm, terms)
+        assert [len(factors) for factors in cert.terms[1]] == [0, 0]

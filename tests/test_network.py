@@ -24,11 +24,11 @@ from netsteer.operators import (
     DimensionError,
     QOperator,
     _spectra,
-    apply_and_trace,
 )
 from netsteer.states import DEWParams, dew, psi_minus, werner
 
 from conftest import (
+    apply_and_trace,
     assemblage_of,
     brute_force_assemblage,
     max_entry_distance,

@@ -5,7 +5,8 @@ import time
 import numpy as np
 import pytest
 
-from netsteer.measurements import POVM, bell_swap_povm, pauli_projective
+from netsteer import nlhs
+from netsteer.measurements import POVM, bell_swap_povm, induced_measurement, pauli_projective
 from netsteer.network import LinearNetwork, line_assemblage, standard_assemblage
 from netsteer.nlhs import (
     BruteForceLHSProvider,
@@ -33,6 +34,7 @@ from netsteer.nlhs import (
 )
 from netsteer.nlhs_io import load_fixture
 from netsteer.operators import (
+    DimensionError,
     QOperator,
     negativity,
 )
@@ -42,7 +44,10 @@ from conftest import max_entry_distance, rand_density, rand_psd, random_model, t
 from nlhs_oracles import (
     build_sep_unsteer_bilocal,
     build_triangle_patterns,
+    decomposition_state_sum,
+    direct_response_kron,
     lhv_behavior,
+    lhv_behavior_kron,
     reconstruct_kron_loop,
 )
 
@@ -82,8 +87,8 @@ class TestNLHSModelValidation:
         model = NLHSModel(
             [np.array([1.0]), np.array([1.0])],
             [np.ones((1, 1, 1))],
-            [left],
-            [right],
+            [left.matrix],
+            [right.matrix],
         )
         asm = reconstruct(model)
         assert max_entry_distance(asm.elements[(0,)], tensor(left, right)) < 1e-12
@@ -97,7 +102,7 @@ class TestNLHSModelValidation:
         resp = np.zeros((2, 2, 2))
         resp[0, 0, :] = 1.0
         resp[1, 1, :] = 1.0
-        model = NLHSModel([p, q], [resp], lefts, rights)
+        model = NLHSModel([p, q], [resp], [s.matrix for s in lefts], [s.matrix for s in rights])
         asm = reconstruct(model)
         for b in range(2):
             expected = sum(
@@ -107,7 +112,7 @@ class TestNLHSModelValidation:
             assert np.max(np.abs(asm.elements[(b,)].matrix - expected)) < 1e-12
 
     def test_rejects_unnormalised_dist(self, rng):
-        s = rand_density(rng, [2])
+        s = rand_density(rng, [2]).matrix
         with pytest.raises(ValueError):
             NLHSModel(
                 [np.array([0.5]), np.array([1.0])],
@@ -117,7 +122,7 @@ class TestNLHSModelValidation:
             )
 
     def test_rejects_bad_response_shape(self, rng):
-        s = rand_density(rng, [2])
+        s = rand_density(rng, [2]).matrix
         with pytest.raises(ValueError):
             NLHSModel(
                 [np.array([1.0]), np.array([1.0])],
@@ -127,7 +132,7 @@ class TestNLHSModelValidation:
             )
 
     def test_rejects_non_conditional_response(self, rng):
-        s = rand_density(rng, [2])
+        s = rand_density(rng, [2]).matrix
         with pytest.raises(ValueError):
             NLHSModel(
                 [np.array([1.0]), np.array([1.0])],
@@ -137,7 +142,7 @@ class TestNLHSModelValidation:
             )
 
     def test_rejects_endpoint_count_mismatch(self, rng):
-        s = rand_density(rng, [2])
+        s = rand_density(rng, [2]).matrix
         with pytest.raises(ValueError):
             NLHSModel(
                 [np.array([0.5, 0.5]), np.array([1.0])],
@@ -147,13 +152,40 @@ class TestNLHSModelValidation:
             )
 
 
+    def test_rejects_labels_not_one_distinct_per_outcome(self, rng):
+        s = rand_density(rng, [2]).matrix
+        args = ([np.array([1.0]), np.array([1.0])], [np.full((2, 1, 1), 0.5)], [s], [s])
+        assert NLHSModel(*args, outcome_labels=[("a", "b")]).outcome_labels == (("a", "b"),)
+        for labels in ([(0,)], [(0, 0)], [(0, 1, 2)], [(0, 1), (0, 1)], []):
+            with pytest.raises(ValueError, match="one distinct outcome label"):
+                NLHSModel(*args, outcome_labels=labels)
+
+    def test_rejects_states_that_are_no_stack(self, rng):
+        dists = [np.array([0.5, 0.5]), np.array([1.0])]
+        s2, s3 = rand_density(rng, [2]).matrix, rand_density(rng, [3]).matrix
+        with pytest.raises(DimensionError, match="stack"):
+            NLHSModel(dists, [np.ones((1, 2, 1))], s2, [s2])
+        with pytest.raises(ValueError):
+            NLHSModel(dists, [np.ones((1, 2, 1))], [s2, s3], [s2])
+
+    def test_hidden_state_stacks_are_read_only(self, rng):
+        model = random_model(rng, n_parties=4)
+        real = nlhs_to_separable_realization(model)
+        stacks = [model.left_states, model.right_states]
+        for dec in real.source_decompositions:
+            stacks += [dec.left_states, dec.right_states]
+        for cert in real.measurement_certificates:
+            stacks += [factors for pair in cert.terms for factors in pair]
+        for stack in stacks:
+            assert stack.ndim == 3 and stack.dtype == complex and not stack.flags.writeable
+
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("position", ["first", "last"])
     def test_rejects_non_density_state_at(self, rng, side, position):
         dists = [np.full(3, 1 / 3), np.full(3, 1 / 3)]
-        states = {s: [rand_density(rng, [2]) for _ in range(3)] for s in ("left", "right")}
+        states = {s: [rand_density(rng, [2]).matrix for _ in range(3)] for s in ("left", "right")}
         NLHSModel(dists, [np.ones((1, 3, 3))], states["left"], states["right"])
-        states[side][0 if position == "first" else -1] = QOperator(np.diag([1.5, -0.5]), [2])
+        states[side][0 if position == "first" else -1] = np.diag([1.5, -0.5])
         with pytest.raises(ValueError, match="densities"):
             NLHSModel(dists, [np.ones((1, 3, 3))], states["left"], states["right"])
 
@@ -203,17 +235,90 @@ class TestDecompositions:
     @pytest.mark.parametrize("position", ["first", "last"])
     def test_rejects_non_density_state_at(self, rng, side, position):
         weights = np.full(3, 1 / 3)
-        states = {s: [rand_density(rng, [2]) for _ in range(3)] for s in ("left", "right")}
+        states = {s: [rand_density(rng, [2]).matrix for _ in range(3)] for s in ("left", "right")}
         SeparableDecomposition(weights, states["left"], states["right"])
-        states[side][0 if position == "first" else -1] = QOperator(np.diag([1.5, -0.5]), [2])
+        states[side][0 if position == "first" else -1] = np.diag([1.5, -0.5])
         with pytest.raises(ValueError, match="densities"):
             SeparableDecomposition(weights, states["left"], states["right"])
 
     def test_product_decomposition(self, rng):
         a = rand_density(rng, [2])
         b = rand_density(rng, [3])
-        dec = SeparableDecomposition([1.0], [a], [b])
+        dec = SeparableDecomposition([1.0], [a.matrix], [b.matrix])
         assert max_entry_distance(dec.state(), tensor(a, b)) < 1e-12
+
+
+def _random_decomposition(rng, terms, d_left, d_right):
+    w = rng.random(terms) + 0.1
+    return SeparableDecomposition(w / w.sum(),
+                                  [rand_density(rng, [d_left]).matrix for _ in range(terms)],
+                                  [rand_density(rng, [d_right]).matrix for _ in range(terms)])
+
+
+def _random_povm(rng, dims):
+    """Two-outcome POVM {E, 1 - E} of a random PSD E with largest eigenvalue 1."""
+    psd = rand_psd(rng, dims).matrix
+    e0 = psd / np.linalg.eigvalsh(psd)[-1]
+    return POVM([QOperator(e0, dims), QOperator(np.eye(len(e0)) - e0, dims)])
+
+
+def _same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestKronOracles:
+    """The stacked products against the nested ``np.kron`` loops they
+    replaced, compared by their bytes (so the sign of a zero counts)."""
+
+    def _check_line(self, decs, ms, rho=None):
+        """state() of every decomposition; the direct response of every
+        measurement of the all-SEP line of ``decs``; and the behaviour a LOC
+        slot in place of each interior source would solve for (of ``rho``
+        if given, else of the decomposition's state)."""
+        for dec in decs:
+            _same_bits(dec.state().matrix, decomposition_state_sum(dec))
+        model, _ = build_percolation_line([SourceSlot(SEP, d.state(), d) for d in decs], ms)
+        for j, m in enumerate(ms):
+            _same_bits(model.responses[j],
+                       direct_response_kron(m, decs[j].right_states, decs[j + 1].left_states))
+        for i in range(1, len(decs) - 1):
+            lp = [induced_measurement(ms[i - 1], r, "left") for r in decs[i - 1].right_states]
+            rp = [induced_measurement(ms[i], l, "right") for l in decs[i + 1].left_states]
+            src = decs[i].state() if rho is None else rho
+            _same_bits(nlhs._lhv_behavior(src, lp, rp), lhv_behavior_kron(src, lp, rp))
+
+    @pytest.mark.parametrize("name", BUNDLED)
+    def test_bundled_fixture(self, name, monkeypatch):
+        path = importlib.resources.files("netsteer") / "fixtures" / f"{name}.json"
+        _, slots, net = load_fixture(path)
+        calls = []
+        behavior = nlhs._lhv_behavior
+
+        def spy(*args):
+            calls.append((args, behavior(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(nlhs, "_lhv_behavior", spy)
+        model, _ = build_percolation_line(slots, net.central_measurements)
+        for args, got in calls:                # the fixture's own LOC slots
+            _same_bits(got, lhv_behavior_kron(*args))
+        assert len(calls) == sum(s.kind == LOC for s in slots)
+        monkeypatch.undo()
+        for slot in slots:
+            if slot.decomposition is not None:
+                _same_bits(slot.decomposition.state().matrix,
+                           decomposition_state_sum(slot.decomposition))
+        real = nlhs_to_separable_realization(model)
+        self._check_line(real.source_decompositions, real.network.central_measurements)
+
+    def test_random_decompositions_of_unequal_dims(self):
+        rng = np.random.default_rng(12)
+        decs = [_random_decomposition(rng, 5, 2, 3), _random_decomposition(rng, 4, 2, 3),
+                _random_decomposition(rng, 3, 2, 4)]
+        ms = [_random_povm(rng, (3, 2)), _random_povm(rng, (3, 2))]
+        self._check_line(decs, ms)
+        self._check_line(decs, ms, rho=rand_density(rng, (2, 3)))
 
 
 class TestProviders:
@@ -223,7 +328,7 @@ class TestProviders:
         assert asm.shape[:2] == data.response.shape[:2]
         for b, x in np.ndindex(asm.shape[:2]):
             rebuilt = sum(
-                data.dist[l] * data.response[b, x, l] * data.states[l].matrix
+                data.dist[l] * data.response[b, x, l] * data.states[l]
                 for l in range(len(data.dist))
             )
             assert np.max(np.abs(rebuilt - asm[b, x])) < 1e-9
@@ -284,8 +389,7 @@ class TestProviders:
             assert np.array_equal(data.response[:, x], data.response[:, reps.index(r)])
         side = "left" if direction == "right" else "right"
         asm = standard_assemblage(rho, povms, side=side)
-        rebuilt = np.einsum("l,bxl,lij->bxij", data.dist, data.response,
-                            np.array([s.matrix for s in data.states]))
+        rebuilt = np.einsum("l,bxl,lij->bxij", data.dist, data.response, data.states)
         assert np.max(np.abs(rebuilt - asm)) <= RECONSTRUCTION_TOL
 
     def test_brute_force_keeps_inputs_one_ulp_apart(self):
@@ -296,6 +400,14 @@ class TestProviders:
         mixed = QOperator(np.eye(4) / 4, [2, 2])
         data = BruteForceLHSProvider().find(mixed, [pauli_projective(Z), z_bumped], "right")
         assert data.inputs_distinct == 2
+
+    @pytest.mark.parametrize("direction", ["rihgt", "Right", "", None])
+    @pytest.mark.parametrize("provider", ["separable", "brute-force"])
+    def test_rejects_unknown_direction(self, provider, direction):
+        finder = (SeparableLHSProvider(werner_separable_decomposition(0.3))
+                  if provider == "separable" else BruteForceLHSProvider())
+        with pytest.raises(ValueError, match="direction must be 'left' or 'right'"):
+            finder.find(werner(0.3), [pauli_projective(Z), pauli_projective(X)], direction)
 
     def test_slot_provider_follows_decomposition(self):
         dec = werner_separable_decomposition(0.3)

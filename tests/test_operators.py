@@ -12,7 +12,6 @@ from netsteer.operators import (
     NotHermitianError,
     NotPositiveError,
     QOperator,
-    apply_and_trace,
     basis_ket,
     is_density,
     is_psd,
@@ -22,8 +21,8 @@ from netsteer.operators import (
 )
 from netsteer.states import werner
 
-from conftest import (hermitian_eigenvalues, identity, max_entry_distance, partial_trace, rand_density,
-                      rand_psd, tensor)
+from conftest import (apply_and_trace, hermitian_eigenvalues, identity, max_entry_distance,
+                      partial_trace, rand_density, rand_psd, tensor)
 
 
 class TestQOperator:

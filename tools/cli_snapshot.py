@@ -10,8 +10,11 @@ the bundled fixtures, the benchmark's Werner fixture and eight extra
 fixtures written into OUTDIR).  Each command runs twice, once per output
 format.  For each command it writes the JSON report with sorted keys and
 without ``wall_time`` and ``inputs.fixture``, the CSV report as written
-(``<name>.csv``), the ``--model-out`` file where there is one, and
-``<name>.exit`` holding the exit code and stderr of both runs.  Two snapshots of the same outputs compare equal
+(``<name>.csv``), the ``--model-out`` file where there is one, that file
+reloaded with ``nlhs_io.load_model`` and written again with
+``model_to_json`` (``<name>.model.reloaded.json``, so the JSON reader is
+pinned as well as the writer), and ``<name>.exit`` holding the exit code
+and stderr of both runs.  Two snapshots of the same outputs compare equal
 under ``diff -r``; the ``fixtures/`` subdirectory is input, not output.
 """
 
@@ -24,6 +27,7 @@ import sys
 from pathlib import Path
 
 from netsteer.cli import main
+from netsteer.nlhs_io import load_model, model_to_json
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -104,6 +108,10 @@ def run(outdir: Path) -> None:
             doc.pop("wall_time", None)
             doc.get("inputs", {}).pop("fixture", None)
             report.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        model_out = outdir / f"{name}.model.json"
+        if model_out.exists():
+            reloaded = json.dumps(model_to_json(load_model(model_out)), indent=1)
+            (outdir / f"{name}.model.reloaded.json").write_text(reloaded)
         print(f"{name}: " + ", ".join(line.split("\n")[0] for line in status))
 
 
