@@ -1,8 +1,9 @@
-"""State and channel generators: Werner, singlet, erasure, doubly-erased Werner."""
+"""State generators: singlet, Werner, doubly-erased Werner (each erased qubit's
+blocks written directly, bit for bit the erasure channel's) and classical
+correlated states."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,7 +11,6 @@ import numpy as np
 from .operators import (
     DimensionError,
     QOperator,
-    basis_ket,
     projector,
 )
 
@@ -50,55 +50,47 @@ def _werner_mix(omegas) -> np.ndarray:
     return w * psi_minus().matrix + (1 - w) * np.eye(4) / 4
 
 
-def _erasure_kraus(etas, d_in: int) -> np.ndarray:
-    """The (d_in + 1, d_out, d_in) Kraus operators of the erasure channel of
-    a survival probability, or their (G, d_in + 1, d_out, d_in) stack for an
-    array of G: sqrt(eta) times the embedding, then sqrt(1 - eta) times the
-    map of each basis state to the loss flag."""
-    d_out = d_in + 1
-    embed = np.zeros((d_out, d_in), dtype=complex)
-    embed[:d_in, :] = np.eye(d_in)
-    flag = basis_ket(d_in, d_out)
-    losses = [np.outer(flag, basis_ket(i, d_in).conj()) for i in range(d_in)]
-    etas = np.asarray(etas)[..., None, None]
-    return np.stack([np.sqrt(etas) * embed] + [np.sqrt(1 - etas) * loss for loss in losses],
-                    axis=-3)
+def _erase(mats: np.ndarray, etas: np.ndarray, d_left: int, d_right: int) -> np.ndarray:
+    """The erasure of the qubit factor of G (d_left * 2 * d_right)-square
+    matrices on dims (d_left, 2, d_right), each with its own survival
+    probability: the (G, D, D) stack on dims (d_left, 3, d_right), index 2
+    of the erased factor being the loss flag.
 
-
-# sum_k (1 (x) K_k (x) 1) op (1 (x) K_k (x) 1)^dag on the factor's index pair,
-# per row of a leading grid index
-_KRAUS = "...koi,...aibcjd,...kpj->...aobcpd"
-
-
-def _apply_kraus(kraus: np.ndarray, mats: np.ndarray, dims: tuple, factor: int) -> np.ndarray:
-    """A channel on one tensor factor: the (..., K, d_out, d_in) Kraus
-    operators applied to factor ``factor`` of the (..., D, D) matrices on
-    ``dims``, for callers that checked the dims."""
-    d_out, d_in = kraus.shape[-2:]
-    d_left = math.prod(dims[:factor])
-    d_right = math.prod(dims[factor + 1:])
-    lead = mats.shape[:-2]
-    t = mats.reshape(lead + (d_left, d_in, d_right, d_left, d_in, d_right))
-    side = d_left * d_out * d_right
-    return np.einsum(_KRAUS, kraus, t, kraus.conj()).reshape(lead + (side, side))
+    Only the two nonzero blocks are written: the kept qubit block
+    (k t) k* with k = sqrt(eta), and the flag entry (l t_00) l* + (l t_11) l*
+    of the two lost basis states with l = sqrt(1 - eta).  Each entry equals
+    that of the Kraus sum sum_k (1 (x) K_k (x) 1) t (1 (x) K_k (x) 1)^dag
+    bit for bit: of the twelve terms summed into it, at most two are
+    nonzero, each is formed in the same order, a sum of two does not
+    depend on order, and exact zeros add nothing.  The blocks are added to
+    the zeroed output, as the Kraus sum adds its terms to +0, so an entry
+    that underflows to -0 comes out +0 in both.
+    """
+    g = len(etas)
+    t = mats.reshape(g, d_left, 2, d_right, d_left, 2, d_right)
+    out = np.zeros((g, d_left, 3, d_right, d_left, 3, d_right), dtype=complex)
+    k = np.sqrt(etas).reshape(g, 1, 1, 1, 1, 1, 1) + 0j
+    l = np.sqrt(1 - etas).reshape(g, 1, 1, 1, 1) + 0j
+    out[:, :, :2, :, :, :2] += (k * t) * k.conj()
+    out[:, :, 2, :, :, 2] += ((l * t[:, :, 0, :, :, 0]) * l.conj()
+                              + (l * t[:, :, 1, :, :, 1]) * l.conj())
+    side = d_left * 3 * d_right
+    return out.reshape(g, side, side)
 
 
 def dew(params: DEWParams) -> QOperator:
-    """Doubly-erased Werner state on a qutrit pair: one row of ``_dew_stack``.
-
-    Built by pushing the Werner state through the erasure channel on both
-    sides; the closed-form block expansion is used as a test oracle only.
-    """
+    """Doubly-erased Werner state on a qutrit pair: one row of ``_dew_stack``,
+    so a lone source and a sweep's block of sources agree bit for bit."""
     return QOperator(_dew_stack(np.array([params.eta]), np.array([params.omega]))[0], [3, 3])
 
 
 def _dew_stack(etas: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     """The (G, 9, 9) doubly-erased Werner states of G survival probabilities
     and G visibilities (in range, unchecked): the Werner mix of each
-    visibility, erased on both sides with the Kraus operators of its eta."""
-    kraus = _erasure_kraus(etas, 2)
-    mats = _apply_kraus(kraus, _werner_mix(omegas), (2, 2), 0)
-    return _apply_kraus(kraus, mats, (3, 2), 1)
+    visibility with its left qubit erased, then its right one, each by
+    ``_erase``'s direct block build, equal bit for bit to the erasure
+    channel's Kraus sum (kept as a test oracle)."""
+    return _erase(_erase(_werner_mix(omegas), etas, 1, 2), etas, 3, 1)
 
 
 def classical_correlated(d: int) -> QOperator:

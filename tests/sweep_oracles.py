@@ -6,7 +6,9 @@ block of grid points at a time.  These are the one-point computations they
 replace, kept as references: each builds its own ``LinearNetwork`` of DEW
 sources (pushed through the erasure channel one factor at a time, with this
 module's own Kraus einsum), contracts one element with ``assemblage_element``
-and certifies it on its own.
+and certifies it on its own.  ``dew_kraus_stack`` is the same Kraus einsum
+on a stack of (eta, omega) pairs, the reference of ``states._dew_stack``'s
+direct block build.
 """
 
 import math
@@ -18,7 +20,7 @@ from netsteer.certificates import BlochData, _endpoint_negativities, erased_unst
 from netsteer.measurements import bell_swap_povm
 from netsteer.network import LinearNetwork, _contract, _tensors
 from netsteer.operators import DimensionError, QOperator, TOL_EQ, _extremes, basis_ket
-from netsteer.states import werner
+from netsteer.states import _werner_mix, werner
 
 from conftest import max_entry_distance
 
@@ -48,36 +50,63 @@ class Channel:
         object.__setattr__(self, "kraus", kraus)
 
 
-def erasure_channel(eta, d_in=2):
-    """Erasure with survival probability ``eta``: d_in -> d_in + 1, basis
-    index d_in being the loss flag."""
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError(f"eta must be in [0,1], got {eta}")
+def erasure_kraus(etas, d_in=2):
+    """The (d_in + 1, d_out, d_in) Kraus operators of the erasure channel of
+    a survival probability, or their (G, d_in + 1, d_out, d_in) stack for an
+    array of G: sqrt(eta) times the embedding, then sqrt(1 - eta) times the
+    map of each basis state to the loss flag, index d_in."""
     d_out = d_in + 1
     embed = np.zeros((d_out, d_in), dtype=complex)
     embed[:d_in, :] = np.eye(d_in)
     flag = basis_ket(d_in, d_out)
     losses = [np.outer(flag, basis_ket(i, d_in).conj()) for i in range(d_in)]
-    return Channel([np.sqrt(eta) * embed] + [np.sqrt(1 - eta) * loss for loss in losses])
+    etas = np.asarray(etas)[..., None, None]
+    return np.stack([np.sqrt(etas) * embed] + [np.sqrt(1 - etas) * loss for loss in losses],
+                    axis=-3)
+
+
+def erasure_channel(eta, d_in=2):
+    """Erasure with survival probability ``eta``: d_in -> d_in + 1, basis
+    index d_in being the loss flag."""
+    if not (0.0 <= eta <= 1.0):
+        raise ValueError(f"eta must be in [0,1], got {eta}")
+    return Channel(erasure_kraus(eta, d_in))
+
+
+def apply_kraus(kraus, mats, dims, factor):
+    """sum_k (1 (x) K_k (x) 1) op (1 (x) K_k (x) 1)^dag on factor ``factor``
+    of the (..., D, D) matrices on ``dims``, with the (..., K, d_out, d_in)
+    Kraus operators of each row: one unplanned three-operand einsum."""
+    d_out, d_in = kraus.shape[-2:]
+    d_left = math.prod(dims[:factor])
+    d_right = math.prod(dims[factor + 1:])
+    lead = mats.shape[:-2]
+    t = mats.reshape(lead + (d_left, d_in, d_right, d_left, d_in, d_right))
+    side = d_left * d_out * d_right
+    out = np.einsum("...koi,...aibcjd,...kpj->...aobcpd", kraus, t, kraus.conj())
+    return out.reshape(lead + (side, side))
 
 
 def apply_channel(ch, op, factor):
-    """sum_k (1 (x) K_k (x) 1) op (1 (x) K_k (x) 1)^dag on one tensor
-    factor; the dims entry is updated."""
+    """``apply_kraus`` of a channel on one tensor factor of an operator;
+    the dims entry is updated."""
     if factor < 0 or factor >= op.nfactors:
         raise DimensionError(f"factor {factor} out of range for dims {op.dims}")
     kraus = np.array(ch.kraus)
-    d_out, d_in = kraus.shape[-2:]
-    if op.dims[factor] != d_in:
-        raise DimensionError(f"factor dim {op.dims[factor]} does not match channel input {d_in}")
-    d_left = math.prod(op.dims[:factor])
-    d_right = math.prod(op.dims[factor + 1:])
-    t = op.matrix.reshape(d_left, d_in, d_right, d_left, d_in, d_right)
-    side = d_left * d_out * d_right
-    out = np.einsum("...koi,...aibcjd,...kpj->...aobcpd", kraus, t, kraus.conj())
+    if op.dims[factor] != kraus.shape[-1]:
+        raise DimensionError(
+            f"factor dim {op.dims[factor]} does not match channel input {kraus.shape[-1]}")
     dims = list(op.dims)
-    dims[factor] = d_out
-    return QOperator(out.reshape(side, side), dims)
+    dims[factor] = kraus.shape[-2]
+    return QOperator(apply_kraus(kraus, op.matrix, op.dims, factor), dims)
+
+
+def dew_kraus_stack(etas, omegas):
+    """The (G, 9, 9) DEW states of G (eta, omega) pairs: the Werner mix of
+    each visibility erased on both sides by the Kraus einsum."""
+    kraus = erasure_kraus(etas, 2)
+    mats = apply_kraus(kraus, _werner_mix(omegas), (2, 2), 0)
+    return apply_kraus(kraus, mats, (3, 2), 1)
 
 
 def assemblage_element(net, outcome):

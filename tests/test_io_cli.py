@@ -17,6 +17,7 @@ from netsteer.nlhs_io import (
     save_model,
 )
 from netsteer.operators import NotHermitianError, NotPositiveError
+from netsteer.states import DEWParams, dew
 
 from conftest import max_entry_distance, random_model
 
@@ -24,6 +25,14 @@ from conftest import max_entry_distance, random_model
 CC4 = {"kind": "classical_correlated", "d": 4}
 COMP4 = {"kind": "computational", "d": 4}
 WERNER_SEP = {"kind": "werner", "omega": 0.3}
+# an unsteerable DEW source steering into a classical qutrit pair
+DEW_SEP = {
+    "name": "dew-sep",
+    "pattern": ["UNS_LEFT", "SEP"],
+    "sources": [{"kind": "dew", "eta": 0.5, "omega": 0.4},
+                {"kind": "classical_correlated", "d": 3}],
+    "measurements": [{"kind": "bell_swap", "local_dim": 3}],
+}
 
 
 def _mixed(dims):
@@ -90,6 +99,14 @@ class TestFixtures:
         assert len(net.central_measurements) == len(slots) - 1
         for slot in slots:
             assert abs(slot.state.trace() - 1.0) < 1e-10
+
+    def test_dew_source_is_dew_state(self, tmp_path):
+        path = tmp_path / "dew_sep.json"
+        path.write_text(json.dumps(DEW_SEP))
+        _, slots, _ = load_fixture(path)
+        state = slots[0].state
+        assert state.dims == (3, 3)
+        assert state.matrix.tobytes() == dew(DEWParams(0.5, 0.4)).matrix.tobytes()
 
     def test_unknown_source_kind_rejected(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -327,3 +344,13 @@ class TestCLI:
 
     def test_nlhs_realize(self):
         assert main(["nlhs", "--fixture", "sep_loc_sep", "--realize"]) == 0
+
+    def test_nlhs_realize_dew_fixture(self, tmp_path):
+        path = tmp_path / "dew_sep.json"
+        path.write_text(json.dumps(DEW_SEP))
+        out = tmp_path / "report.json"
+        assert main(["nlhs", "--fixture", str(path), "--realize",
+                     "--format", "json", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["max_deviation"] <= 1e-10
+        assert report["realization_deviation"] <= 1e-10

@@ -5,8 +5,10 @@ from netsteer.operators import (
     QOperator,
     is_density,
 )
+from netsteer.experiments import SweepSpec
 from netsteer.states import (
     DEWParams,
+    _dew_stack,
     classical_correlated,
     dew,
     psi_minus,
@@ -14,7 +16,36 @@ from netsteer.states import (
 )
 
 from conftest import hermitian_eigenvalues, max_entry_distance, partial_trace, rand_density, tensor
-from sweep_oracles import Channel, apply_channel, dew_channels, erasure_channel
+from sweep_oracles import Channel, apply_channel, dew_channels, dew_kraus_stack, erasure_channel
+
+
+def _grid(spec):
+    """The (eta, omega) points of a sweep spec's grid, in the sweeps' order."""
+    return tuple(g.ravel() for g in np.meshgrid(spec.etas(), spec.omegas(), indexing="ij"))
+
+
+def _boundary(spec):
+    """The points eta = (2/3)(1 - omega) of a sweep spec's visibilities."""
+    omegas = spec.omegas()
+    return (2.0 / 3.0) * (1.0 - omegas), omegas
+
+
+def _dew_stack_inputs():
+    """(etas, omegas) of the stacks the sweeps build and of edge cases."""
+    etas, omegas = _grid(SweepSpec())
+    uniform = np.random.default_rng(20211).uniform(size=(2, 20000))
+    cases = {
+        "verify-swap-grid": (etas, omegas),
+        "verify-swap-expected": (etas, omegas * omegas),
+        "activation-boundary": _boundary(SweepSpec(omega_range=(0.0, 1.0, 1001))),
+        "activation-n8-window": _boundary(SweepSpec(omega_range=(0.80, 0.95, 151))),
+        "corners": _grid(SweepSpec(eta_range=(0.0, 1.0, 2), omega_range=(0.0, 1.0, 2))),
+        "uniform": (uniform[0], uniform[1]),
+        "one-point": (np.array([0.35]), np.array([0.8])),
+        # eta * (omega / 2) underflows: a -0 product must come out +0
+        "underflow": (np.array([1e-170]), np.array([0.5])),
+    }
+    return [pytest.param(*case, id=name) for name, case in cases.items()]
 
 
 def dew_block_oracle(eta, omega):
@@ -151,6 +182,13 @@ class TestDEW:
         # the sweep oracles build their sources through the channel oracle
         state = dew(DEWParams(eta, omega))
         assert state.matrix.tobytes() == dew_channels(eta, omega).matrix.tobytes()
+
+    @pytest.mark.parametrize("etas,omegas", _dew_stack_inputs())
+    def test_stack_matches_kraus_einsum_bit_for_bit(self, etas, omegas):
+        # the direct block build against the erasure einsum it replaced
+        stack = _dew_stack(etas, omegas)
+        assert stack.shape == (len(etas), 9, 9)
+        assert stack.tobytes() == dew_kraus_stack(etas, omegas).tobytes()
 
     def test_is_density(self):
         assert is_density(dew(DEWParams(0.4, 0.8)))

@@ -6,7 +6,7 @@ Runs ``netsteer.cli.main`` in process for a fixed list of commands
 (``verify-swap``, three ``activation`` sweeps, a one-point ``verify-swap``
 and a one-point 12-party ``activation``, ``claims-demo`` for both
 axis presets at four visibilities, and ``nlhs --realize --model-out`` on
-the bundled fixtures, the benchmark's Werner fixture and eight extra
+the bundled fixtures, the benchmark's Werner fixture and nine extra
 fixtures written into OUTDIR).  Each command runs twice, once per output
 format.  For each command it writes the JSON report with sorted keys and
 without ``wall_time`` and ``inputs.fixture``, the CSV report as written
@@ -54,6 +54,10 @@ EXTRA_FIXTURES = {
     # two UNS_LEFT slots left of an UNS_RIGHT one: the transcript shows the resolution order
     "uns-uns-sep-uns": (["UNS_LEFT", "UNS_LEFT", "SEP", "UNS_RIGHT"],
                         [_werner(0.3), _werner(0.3), CC2, _werner(0.4)], [SWAP2] * 3),
+    # the only fixture with a DEW source: pins ``dew`` through the fixture reader
+    "dew-sep": (["UNS_LEFT", "SEP"], [{"kind": "dew", "eta": 0.5, "omega": 0.4},
+                                      {"kind": "classical_correlated", "d": 3}],
+                [{"kind": "bell_swap", "local_dim": 3}]),
 }
 
 
