@@ -6,7 +6,7 @@ Runs ``netsteer.cli.main`` in process for a fixed list of commands
 (``verify-swap``, three ``activation`` sweeps, a one-point ``verify-swap``
 and a one-point 12-party ``activation``, ``claims-demo`` for both
 axis presets at four visibilities, and ``nlhs --realize --model-out`` on
-the bundled fixtures, the benchmark's Werner fixture and nine extra
+the bundled fixtures, the benchmark's Werner fixture and eleven extra
 fixtures written into OUTDIR).  Each command runs twice, once per output
 format.  For each command it writes the JSON report with sorted keys and
 without ``wall_time`` and ``inputs.fixture``, the CSV report as written
@@ -58,6 +58,10 @@ EXTRA_FIXTURES = {
     "dew-sep": (["UNS_LEFT", "SEP"], [{"kind": "dew", "eta": 0.5, "omega": 0.4},
                                       {"kind": "classical_correlated", "d": 3}],
                 [{"kind": "bell_swap", "local_dim": 3}]),
+    # hidden states plugged into factor 1 of a 4-outcome POVM, through the brute-force search
+    "uns-cc-comp": (["UNS_LEFT", "SEP"], [_werner(0.4), CC2], [COMP2]),
+    # a LOC behaviour with a computational measurement on its right
+    "cc-loc-cc-swapcomp": (["SEP", "LOC", "SEP"], [CC2, _werner(0.5), CC2], [SWAP2, COMP2]),
 }
 
 
