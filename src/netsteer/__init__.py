@@ -19,7 +19,6 @@ from .measurements import (
     SeparableMeasurement,
     bell_swap_povm,
     computational_basis_povm,
-    induced_measurement,
     input_encoded_measurement,
     pauli_projective,
 )

@@ -27,7 +27,7 @@ from .nlhs_io import load_fixture, model_to_json
 
 SWAP_TOL = 1e-10
 PIPELINE_TOL = 1e-12
-_SUCCESS = bell_swap_povm(3).effect(0)   # successful swap of the qutrit pairs of every sweep
+_SUCCESS = bell_swap_povm(3).matrices[:1]   # successful swap of the qutrit pairs of every sweep
 
 
 class SpecError(ValueError):
@@ -92,7 +92,7 @@ def _swap_deviations(etas: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     element of two erased Werner sources and (eta^2/4) times the
     squared-visibility state."""
     src, _ = _sources(etas, omegas)
-    element = _contract([src, src], [[_SUCCESS]])
+    element = _contract([src, src], [_SUCCESS])
     expected = (etas * etas / 4.0)[:, None, None] * _dew_stack(etas, omegas * omegas)
     return np.max(np.abs(element - expected), axis=(1, 2))
 
@@ -123,7 +123,7 @@ def _activation_columns(n_parties: int, etas: np.ndarray, omegas: np.ndarray) ->
     each point's line."""
     n_src = n_parties - 1
     src, src_extremes = _sources(etas, omegas)
-    sigma0 = _contract([src] * n_src, [[_SUCCESS]] * (n_src - 1))
+    sigma0 = _contract([src] * n_src, [_SUCCESS] * (n_src - 1))
     g = len(etas)
     mats = np.concatenate([src.reshape(g, 9, 9), sigma0])
     extremes = np.concatenate([src_extremes, _extremes(sigma0)])

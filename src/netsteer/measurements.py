@@ -17,11 +17,9 @@ from .operators import (
     QOperator,
     TOL_CHECK,
     TOL_EQ,
-    _apply_and_trace,
     _psd_extremes,
     _square_stack,
     basis_ket,
-    is_psd,
     projector,
 )
 
@@ -32,9 +30,12 @@ class InvalidPOVMError(ValueError):
 
 @dataclass(frozen=True)
 class POVM:
-    """Ordered list of PSD effects summing to the identity."""
+    """Ordered PSD effects summing to the identity, as one read-only complex
+    (k, d, d) stack: ``matrices[b]`` is the effect of ``outcome_labels[b]``
+    on the factors ``dims``."""
 
-    effects: tuple[QOperator, ...]
+    matrices: np.ndarray
+    dims: tuple[int, ...]
     outcome_labels: tuple[Hashable, ...]
 
     def __init__(self, effects: Sequence[QOperator], outcome_labels=None):
@@ -44,9 +45,10 @@ class POVM:
         dims = effects[0].dims
         if any(e.dims != dims for e in effects):
             raise DimensionError("all effects must share one DimList")
-        if not is_psd(*effects, tol=TOL_CHECK):
+        matrices = np.array([e.matrix for e in effects])
+        if _psd_extremes(matrices, TOL_CHECK) is None:
             raise InvalidPOVMError("effect is not positive semidefinite")
-        self._complete(effects, outcome_labels)
+        self._complete(matrices, dims, outcome_labels)
 
     @classmethod
     def _of_diagonals(cls, diagonals, dims, outcome_labels=None) -> "POVM":
@@ -54,37 +56,42 @@ class POVM:
         ``diagonals`` per outcome.  A diagonal matrix is PSD exactly when its
         diagonal is non-negative, so no eigendecomposition is needed."""
         diagonals = np.asarray(diagonals, dtype=float)
-        if np.any(diagonals < 0):
+        if not np.all(diagonals >= 0):
             raise InvalidPOVMError("effect is not positive semidefinite")
+        matrices = (diagonals[:, :, None] * np.eye(diagonals.shape[1])).astype(complex)
         povm = cls.__new__(cls)
-        povm._complete(tuple(QOperator(np.diag(d), dims) for d in diagonals), outcome_labels)
+        povm._complete(matrices, tuple(int(d) for d in dims), outcome_labels)
         return povm
 
-    def _complete(self, effects: tuple[QOperator, ...], outcome_labels) -> None:
+    def _complete(self, matrices: np.ndarray, dims: tuple[int, ...], outcome_labels) -> None:
         """Check completeness and the labels of PSD effects, then set the fields."""
-        total = sum(e.matrix for e in effects)
-        if np.max(np.abs(total - np.eye(effects[0].dim))) > TOL_EQ:
+        total = sum(matrices)
+        if not np.max(np.abs(total - np.eye(len(total)))) <= TOL_EQ:
             raise InvalidPOVMError("effects do not sum to the identity")
         if outcome_labels is None:
-            outcome_labels = tuple(range(len(effects)))
+            outcome_labels = tuple(range(len(matrices)))
         else:
             outcome_labels = tuple(outcome_labels)
-            if len(outcome_labels) != len(effects):
+            if len(outcome_labels) != len(matrices):
                 raise InvalidPOVMError("one label per effect required")
-        object.__setattr__(self, "effects", effects)
+        matrices.flags.writeable = False
+        object.__setattr__(self, "matrices", matrices)
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "outcome_labels", outcome_labels)
 
     @property
-    def dims(self) -> tuple[int, ...]:
-        return self.effects[0].dims
+    def n_outcomes(self) -> int:
+        return len(self.matrices)
 
     @property
-    def n_outcomes(self) -> int:
-        return len(self.effects)
+    def effects(self) -> tuple[QOperator, ...]:
+        """The effects in outcome order, built on each access from copies of
+        the rows, so changing them leaves the POVM unchanged."""
+        return tuple(QOperator(mat, self.dims) for mat in self.matrices)
 
     def effect(self, label) -> QOperator:
         try:
-            return self.effects[self.outcome_labels.index(label)]
+            return QOperator(self.matrices[self.outcome_labels.index(label)], self.dims)
         except ValueError:
             raise InvalidPOVMError(
                 f"unknown outcome label {label!r}; labels are {list(self.outcome_labels)}"
@@ -112,10 +119,10 @@ class SeparableMeasurement:
         want = tuple((d, d) for d in povm.dims)
         if any((l.shape[1:], r.shape[1:]) != want or len(l) != len(r) for l, r in terms):
             raise DimensionError(f"each effect needs equally many factors on {povm.dims}")
-        for effect, (left, right) in zip(povm.effects, terms):
+        for effect, (left, right) in zip(povm.matrices, terms):
             # sum_t left_t (x) right_t, as one einsum over the stacked pairs
-            acc = np.einsum("tij,tkl->ikjl", left, right, optimize=True).reshape(effect.dim, -1)
-            if np.max(np.abs(acc - effect.matrix)) > TOL_EQ:
+            acc = np.einsum("tij,tkl->ikjl", left, right, optimize=True).reshape(effect.shape)
+            if np.max(np.abs(acc - effect)) > TOL_EQ:
                 raise InvalidPOVMError("decomposition does not reproduce effect")
         # not all empty: the effects sum to the identity, so one has factors
         if any(_psd_extremes(np.concatenate(side), TOL_CHECK) is None for side in zip(*terms)):
@@ -151,14 +158,11 @@ def input_encoded_measurement(sub_povms: Sequence[POVM], d: int) -> POVM:
     target = sub_povms[0].dims
     if any(p.n_outcomes != n_out or p.dims != target for p in sub_povms):
         raise InvalidPOVMError("sub-POVMs must share outcome count and dims")
-    d_t = sub_povms[0].effects[0].dim
-    effects = []
-    for b in range(n_out):
-        mat = np.zeros((d * d_t, d * d_t), dtype=complex)
-        for x in range(d):
-            block = sub_povms[x].effects[b].matrix
-            mat[x * d_t:(x + 1) * d_t, x * d_t:(x + 1) * d_t] = block
-        effects.append(QOperator(mat, (d,) + tuple(target)))
+    d_t = sub_povms[0].matrices.shape[1]
+    mats = np.zeros((n_out, d * d_t, d * d_t), dtype=complex)
+    for x, p in enumerate(sub_povms):
+        mats[:, x * d_t:(x + 1) * d_t, x * d_t:(x + 1) * d_t] = p.matrices
+    effects = [QOperator(mat, (d,) + tuple(target)) for mat in mats]
     return POVM(effects, outcome_labels=labels)
 
 
@@ -179,19 +183,3 @@ def computational_basis_povm(d: int) -> POVM:
         outcome_labels=tuple(range(d)),
     )
 
-
-def induced_measurement(m: POVM, hidden_state: np.ndarray, side: str) -> POVM:
-    """Plug a (d, d) hidden-state matrix into one factor of a two-factor POVM.
-
-    side="left" traces the hidden state against the left factor, leaving a
-    POVM on the right factor (and vice versa).  Completeness is inherited.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    plugged = 0 if side == "left" else 1
-    if len(m.dims) != 2 or np.shape(hidden_state) != (m.dims[plugged],) * 2:
-        raise DimensionError(f"a hidden state of shape {np.shape(hidden_state)} "
-                             f"does not fit factor {plugged} of {m.dims}")
-    kept = [m.dims[1 - plugged]]
-    return POVM([QOperator(_apply_and_trace(e.matrix, m.dims, hidden_state, plugged), kept)
-                 for e in m.effects], outcome_labels=m.outcome_labels)

@@ -135,8 +135,8 @@ def _step_path(a: int, b: int, c: int, d: int) -> tuple:
     return tuple(np.einsum_path(_STEP, *ops, optimize=True)[0])
 
 
-def _step(prefixes: np.ndarray, effects: Sequence[QOperator], source: np.ndarray) -> np.ndarray:
-    """Absorb the next source through each of a measurement's ``effects``.
+def _step(prefixes: np.ndarray, effects: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """Absorb the next source through each of a (k, b c, b c) stack of ``effects``.
 
     ``prefixes`` is a (p, a, b, a, b) stack of elements with dims [left
     endpoint, open right factor]; each effect acts on [open right factor,
@@ -156,7 +156,7 @@ def _step(prefixes: np.ndarray, effects: Sequence[QOperator], source: np.ndarray
     p, a, b = prefixes.shape[:3]
     c, d = source.shape[-4:-2]
     k = len(effects)
-    em = np.stack([e.matrix for e in effects]).reshape(k, b, c, b, c)
+    em = effects.reshape(k, b, c, b, c)
     path = _step_path(a, b, c, d)
     per_prefix = source.ndim == 5
     out = np.empty((p, k, a, d, a, d), dtype=complex)
@@ -167,9 +167,9 @@ def _step(prefixes: np.ndarray, effects: Sequence[QOperator], source: np.ndarray
     return out.reshape(p * k, a, d, a, d)
 
 
-def _contract(sources: Sequence[np.ndarray], choices: Sequence[Sequence[QOperator]]) -> np.ndarray:
-    """Elements for every combination of ``choices[j]``, effects of central
-    measurement j, of the line whose source i is the (c, d, c, d) tensor
+def _contract(sources: Sequence[np.ndarray], choices: Sequence[np.ndarray]) -> np.ndarray:
+    """Elements for every combination of ``choices[j]``, a stack of effects
+    of central measurement j, of the line whose source i is the (c, d, c, d) tensor
     ``sources[i]``, as an (n, a d, a d) stack in ``itertools.product`` order.
 
     Grid form: every source may instead be a (G, c, d, c, d) stack, row g
@@ -193,7 +193,7 @@ def line_assemblage(net: LinearNetwork) -> NetworkAssemblage:
     contracted left to right, all outcomes of a measurement in one step."""
     central = net.central_measurements
     return NetworkAssemblage(
-        _contract(_tensors(net), [m.effects for m in central]),
+        _contract(_tensors(net), [m.matrices for m in central]),
         itertools.product(*(m.outcome_labels for m in central)),
         net.endpoint_dims,
     )
@@ -211,12 +211,10 @@ def standard_assemblage(rho: QOperator, measurements: Sequence[POVM],
     if len({m.n_outcomes for m in measurements}) != 1:
         raise DimensionError("a standard assemblage needs measurements of equal outcome counts")
     measured = 0 if side == "left" else 1
-    if rho.nfactors != 2 or any(m.effects[0].dim != rho.dims[measured] for m in measurements):
+    if rho.nfactors != 2 or any(m.matrices.shape[1] != rho.dims[measured] for m in measurements):
         raise DimensionError(f"effects must act on factor {measured} of a two-factor {rho.dims}")
-    return np.array([
-        [_apply_and_trace(rho.matrix, rho.dims, effect.matrix, measured) for effect in effects]
-        for effects in zip(*(m.effects for m in measurements))
-    ])
+    effects = np.stack([m.matrices for m in measurements]).swapaxes(0, 1)
+    return _apply_and_trace(rho.matrix[None], rho.dims, effects, measured)[0]
 
 
 def condition_on_trusted_measurement(
@@ -228,12 +226,10 @@ def condition_on_trusted_measurement(
     if endpoint not in ("left", "right"):
         raise ValueError("endpoint must be 'left' or 'right'")
     measured = 0 if endpoint == "left" else 1
-    if m.effects[0].dim != asm.dims[measured]:
-        raise DimensionError(f"effect dim {m.effects[0].dim} != endpoint dim {asm.dims[measured]}")
-    return np.array([
-        [_apply_and_trace(mat, asm.dims, effect.matrix, measured) for effect in m.effects]
-        for mat in asm.matrices
-    ])
+    d = m.matrices.shape[1]
+    if d != asm.dims[measured]:
+        raise DimensionError(f"effect dim {d} != endpoint dim {asm.dims[measured]}")
+    return _apply_and_trace(asm.matrices, asm.dims, m.matrices, measured)
 
 
 def lift_inputless_to_conditional(asm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

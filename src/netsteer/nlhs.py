@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import block_diag
@@ -22,6 +22,7 @@ from .operators import (
     TOL_CHECK,
     TOL_EQ,
     TOL_NORM,
+    _apply_and_trace,
     _density_extremes,
     _kron,
     _square_stack,
@@ -30,7 +31,6 @@ from .measurements import (
     POVM,
     SeparableMeasurement,
     computational_basis_povm,
-    induced_measurement,
 )
 from .network import (
     LinearNetwork,
@@ -92,13 +92,13 @@ class NLHSModel:
         if len(responses) != len(source_dists) - 1:
             raise ValueError("need one response table per central party")
         for p in source_dists:
-            if p.ndim != 1 or np.any(p < -1e-12) or abs(p.sum() - 1) > TOL_EQ:
+            if p.ndim != 1 or not (np.all(p >= -1e-12) and abs(p.sum() - 1) <= TOL_EQ):
                 raise ValueError("hidden distributions must be normalised")
         for j, r in enumerate(responses):
             if r.shape[1:] != (len(source_dists[j]), len(source_dists[j + 1])):
                 raise ValueError(f"response table {j} has wrong hidden-variable shape")
             norm = r.sum(axis=0)
-            if np.any(np.abs(norm - 1) > TOL_NORM) or np.any(r < -1e-10):
+            if not (np.all(np.abs(norm - 1) <= TOL_NORM) and np.all(r >= -1e-10)):
                 raise ValueError(f"response table {j} is not a conditional distribution")
         if len(left_states) != len(source_dists[0]):
             raise ValueError("one left endpoint state per first hidden value")
@@ -163,7 +163,7 @@ class SeparableDecomposition:
         right_states = _square_stack(right_states, "right states")
         if not (len(weights) == len(left_states) == len(right_states)):
             raise ValueError("one (left, right) pair per weight required")
-        if np.any(weights < -1e-12) or abs(weights.sum() - 1) > TOL_EQ:
+        if not (np.all(weights >= -1e-12) and abs(weights.sum() - 1) <= TOL_EQ):
             raise ValueError("weights must be a probability distribution")
         if not _densities(left_states, right_states):
             raise ValueError("decomposition states must be densities")
@@ -268,13 +268,9 @@ def _born(effects: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.trace(effects @ states, axis1=-2, axis2=-1).real
 
 
-def _effect_stack(povms) -> np.ndarray:
-    """The effects of ``povms`` as an (inputs, outcomes, d, d) stack."""
-    return np.array([[e.matrix for e in povm.effects] for povm in povms])
-
-
 def _measured_factor(direction: str) -> int:
-    """The factor an LHS search measures: 0 for hidden states sent "right", 1 for "left"."""
+    """The factor an LHS search measures with its (inputs, outcomes, d, d)
+    stack of effects: 0 for hidden states sent "right", 1 for "left"."""
     if direction not in ("left", "right"):
         raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
     return 0 if direction == "right" else 1
@@ -294,12 +290,12 @@ class SeparableLHSProvider:
     def __init__(self, decomposition: SeparableDecomposition):
         self.decomposition = decomposition
 
-    def find(self, rho: QOperator, povms: Sequence[POVM], direction: str) -> LHSData:
+    def find(self, rho: QOperator, effects: np.ndarray, direction: str) -> LHSData:
         dec, measured = self.decomposition, _measured_factor(direction)
         stacks = (dec.left_states, dec.right_states)
         if np.max(np.abs(dec.state().matrix - rho.matrix)) > TOL_CHECK:
             raise ModelNotFoundError("decomposition does not reproduce the source")
-        resp = _born(_effect_stack(povms)[:, :, None], stacks[measured])
+        resp = _born(effects[:, :, None], stacks[measured])
         return LHSData(dec.weights, resp.transpose(1, 0, 2), stacks[1 - measured])
 
 
@@ -325,10 +321,10 @@ class BruteForceLHSProvider:
     solve time, which can run to seconds below it (see
     ``MAX_SYSTEM_ENTRIES``)."""
 
-    def find(self, rho: QOperator, povms: Sequence[POVM], direction: str) -> LHSData:
+    def find(self, rho: QOperator, effects: np.ndarray, direction: str) -> LHSData:
         measured = _measured_factor(direction)
-        n_out = povms[0].n_outcomes
-        steered = standard_assemblage(rho, povms, ("left", "right")[measured]).swapaxes(0, 1)
+        n_out = effects.shape[1]
+        steered = _apply_and_trace(rho.matrix[None], rho.dims, effects, measured)[0]
         sigma = _real_rows(steered)
         first, rep = _distinct_inputs(sigma)
         sigma = sigma[first]
@@ -434,9 +430,9 @@ class SourceSlot:
         return BruteForceLHSProvider() if dec is None else SeparableLHSProvider(dec)
 
 
-def _lhv_behavior(rho: QOperator, left_povms, right_povms) -> np.ndarray:
-    """p(b, c | x, y) = Tr[(E_{b|x} (x) F_{c|y}) rho] of product measurements."""
-    left, right = _effect_stack(left_povms), _effect_stack(right_povms)
+def _lhv_behavior(rho: QOperator, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """p(b, c | x, y) = Tr[(E_{b|x} (x) F_{c|y}) rho] of product measurements,
+    from (inputs, outcomes, d, d) stacks of the effects E and F."""
     return _born(_kron(left[:, :, None, None], right), rho.matrix).transpose(1, 3, 0, 2)
 
 
@@ -491,10 +487,11 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
         slot = slots[i]
         takes_left = slot.kind in (UNS_RIGHT, LOC)     # consumes measurement i - 1
         takes_right = slot.kind in (UNS_LEFT, LOC)     # consumes measurement i
-        lp = [induced_measurement(measurements[i - 1], r, "left")
-              for r in right_states[i - 1]] if takes_left else None
-        rp = [induced_measurement(measurements[i], l, "right")
-              for l in left_states[i + 1]] if takes_right else None
+        # the effects induced by each hidden state of a neighbour, [hidden state, outcome]
+        lp = _apply_and_trace(measurements[i - 1].matrices, measurements[i - 1].dims,
+                              right_states[i - 1], 0).swapaxes(0, 1) if takes_left else None
+        rp = _apply_and_trace(measurements[i].matrices, measurements[i].dims,
+                              left_states[i + 1], 1).swapaxes(0, 1) if takes_right else None
         distinct = ""
         try:
             if slot.kind == LOC:
@@ -525,7 +522,7 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
     for j, m in enumerate(measurements):
         if responses[j] is None:
             states = _kron(right_states[j][:, None], left_states[j + 1])   # [r, l]
-            responses[j] = _born(_effect_stack([m])[0][:, None, None], states)
+            responses[j] = _born(m.matrices[:, None, None], states)
             transcript.append(f"measurement {j}: direct response from neighbour states")
 
     model = NLHSModel(dists, responses, left_states[0], right_states[-1],

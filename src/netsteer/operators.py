@@ -103,17 +103,19 @@ def _check_factors(op: QOperator, factors: Iterable[int]) -> list[int]:
     return factors
 
 
-def _apply_and_trace(mat: np.ndarray, dims: tuple[int, int], local: np.ndarray,
+def _apply_and_trace(mats: np.ndarray, dims: tuple[int, int], local: np.ndarray,
                      factor: int) -> np.ndarray:
-    """Tr_factor[(local (x) 1) mat] for a matrix on two factors of dims ``dims``:
-    ``local`` acts on factor ``factor`` (0 or 1), which is then traced out.
-    This is how an effect steers the remaining party, and how a hidden state
-    is plugged into one side of a two-party effect (by cyclicity the order
-    inside the partial trace is immaterial).  Callers check the dims."""
-    t = mat.reshape(dims + dims)
+    """Tr_factor[(local (x) 1) mat] for each matrix of a (k, D, D) stack
+    ``mats`` on two factors of dims ``dims`` and each of a (..., d, d) stack
+    ``local`` on factor ``factor`` (0 or 1), which is traced out: a
+    (k, ..., d', d') stack from one einsum.  This is how an effect steers
+    the remaining party, and how a hidden state is plugged into one side of
+    a two-party effect (by cyclicity the order inside the partial trace is
+    immaterial).  Callers check the dims."""
+    t = mats.reshape((len(mats),) + dims + dims)
     if factor == 0:
-        return np.einsum("ik,kjil->jl", local, t)
-    return np.einsum("jl,ilkj->ik", local, t)
+        return np.einsum("...ik,nkjil->n...jl", local, t)
+    return np.einsum("...jl,nilkj->n...ik", local, t)
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -149,7 +151,7 @@ def _spectra(mats: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     real errors."""
     adjoint = mats.conj().swapaxes(-1, -2)
     defect = np.max(np.abs(mats - adjoint))
-    if defect > tol:
+    if not defect <= tol:       # so a non-finite matrix is not Hermitian
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}")
     return np.linalg.eigvalsh((mats + adjoint) / 2)
 

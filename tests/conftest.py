@@ -10,7 +10,7 @@ import pytest
 from netsteer.measurements import POVM
 from netsteer.network import LinearNetwork, NetworkAssemblage
 from netsteer.nlhs import NLHSModel
-from netsteer.operators import DimensionError, QOperator, TOL_HERM, _apply_and_trace, _spectra
+from netsteer.operators import DimensionError, QOperator, TOL_HERM, _spectra
 
 
 @pytest.fixture
@@ -64,14 +64,19 @@ def hermitian_eigenvalues(op, tol=TOL_HERM):
 
 def apply_and_trace(op, local, factor):
     """Tr_factor[(local (x) 1) op] for a two-factor ``op``, as a QOperator on
-    the other factor: ``operators._apply_and_trace`` on checked operators."""
+    the other factor: one single-matrix einsum on checked operators, the
+    oracle of the stacked ``operators._apply_and_trace``."""
     if op.nfactors != 2:
         raise DimensionError(f"apply_and_trace needs a two-factor operator, got {op.dims}")
     if factor not in (0, 1):
         raise DimensionError(f"factor must be 0 or 1, got {factor}")
     if local.dim != op.dims[factor]:
         raise DimensionError(f"local dim {local.dim} != factor dim {op.dims[factor]}")
-    out = _apply_and_trace(op.matrix, op.dims, local.matrix, factor)
+    t = op.matrix.reshape(op.dims + op.dims)
+    if factor == 0:
+        out = np.einsum("ik,kjil->jl", local.matrix, t)
+    else:
+        out = np.einsum("jl,ilkj->ik", local.matrix, t)
     return QOperator(out, [op.dims[1 - factor]])
 
 

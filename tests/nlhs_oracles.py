@@ -10,13 +10,17 @@ code replaced: a decomposition's state as the Python sum of its weighted
 products, the product-measurement behaviour of a LOC slot and the direct
 response of a measurement no slot consumes.  The stacked code forms the
 same products in the same order, so it must match them bit for bit.
+
+``induced_measurement`` is the per-state path the resolver replaced by one
+stacked contraction: one POVM per hidden state, each effect contracted by
+the single-matrix ``apply_and_trace`` oracle and the POVM checked anew.
 """
 
 import itertools
 
 import numpy as np
 
-from netsteer.measurements import POVM, induced_measurement
+from netsteer.measurements import POVM
 from netsteer.nlhs import (
     ModelNotFoundError,
     NLHSModel,
@@ -25,6 +29,31 @@ from netsteer.nlhs import (
     solve_lhv,
 )
 from netsteer.operators import DimensionError, QOperator
+
+from conftest import apply_and_trace
+
+
+def induced_measurement(m: POVM, hidden_state: np.ndarray, side: str) -> POVM:
+    """Plug a (d, d) hidden-state matrix into one factor of a two-factor POVM.
+
+    side="left" traces the hidden state against the left factor, leaving a
+    POVM on the right factor (and vice versa).  Completeness is inherited.
+    """
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    plugged = 0 if side == "left" else 1
+    if len(m.dims) != 2 or np.shape(hidden_state) != (m.dims[plugged],) * 2:
+        raise DimensionError(f"a hidden state of shape {np.shape(hidden_state)} "
+                             f"does not fit factor {plugged} of {m.dims}")
+    local = QOperator(hidden_state, [m.dims[plugged]])
+    return POVM([apply_and_trace(e, local, plugged) for e in m.effects],
+                outcome_labels=m.outcome_labels)
+
+
+def effect_stack(povms) -> np.ndarray:
+    """The effects of ``povms`` as the (inputs, outcomes, d, d) stack that
+    the LHS providers and ``nlhs._lhv_behavior`` take."""
+    return np.array([povm.matrices for povm in povms])
 
 
 def reconstruct_kron_loop(model: NLHSModel) -> dict:
@@ -54,13 +83,13 @@ def decomposition_state_sum(dec: SeparableDecomposition) -> np.ndarray:
     return sum(w * np.kron(l, r) for w, l, r in zip(dec.weights, dec.left_states, dec.right_states))
 
 
-def lhv_behavior_kron(rho, left_povms, right_povms):
-    """Oracle for ``nlhs._lhv_behavior``: every product effect E (x) F built
-    by ``np.kron`` in nested loops, then Re Tr over the stack."""
+def lhv_behavior_kron(rho, left, right):
+    """Oracle for ``nlhs._lhv_behavior``: every product effect E (x) F of the
+    (inputs, outcomes, d, d) effect stacks ``left`` and ``right`` built by
+    ``np.kron`` in nested loops, then Re Tr over the stack."""
     kron = np.array([
-        [[[np.kron(el.matrix, er.matrix) for er in pr.effects] for pr in right_povms]
-         for el in pl.effects]
-        for pl in left_povms
+        [[[np.kron(el, er) for er in pr] for pr in right] for el in pl]
+        for pl in left
     ])
     return np.trace(kron @ rho.matrix, axis1=-2, axis2=-1).real.transpose(1, 3, 0, 2)
 
@@ -98,7 +127,7 @@ def build_sep_unsteer_bilocal(
     if sep.state().dims[1] != m.dims[0] or rho_bc.dims[0] != m.dims[1]:
         raise DimensionError("measurement dims do not match the two sources")
     povms = [induced_measurement(m, g, side="left") for g in sep.right_states]
-    data = lhs.find(rho_bc, povms, direction="right")
+    data = lhs.find(rho_bc, effect_stack(povms), direction="right")
     return NLHSModel(
         source_dists=[sep.weights, data.dist],
         responses=[data.response],          # resp[b, gamma, lambda]
@@ -150,11 +179,11 @@ def build_triangle_patterns(pattern: str, slots, measurements) -> NLHSModel:
         povms_left = [induced_measurement(m0, l, "right") for l in d1.left_states]
         povms_right = [induced_measurement(m1, r, "left") for r in d1.right_states]
         try:
-            data0 = s0.provider.find(s0.state, povms_left, direction="left")
+            data0 = s0.provider.find(s0.state, effect_stack(povms_left), direction="left")
         except ModelNotFoundError as exc:
             raise ModelNotFoundError(f"UNS slot 0: {exc}") from exc
         try:
-            data2 = s2.provider.find(s2.state, povms_right, direction="right")
+            data2 = s2.provider.find(s2.state, effect_stack(povms_right), direction="right")
         except ModelNotFoundError as exc:
             raise ModelNotFoundError(f"UNS slot 2: {exc}") from exc
         return NLHSModel(
@@ -172,12 +201,12 @@ def build_triangle_patterns(pattern: str, slots, measurements) -> NLHSModel:
             raise PatternError("first slot needs a separable decomposition")
         povms0 = [induced_measurement(m0, r, "left") for r in d0.right_states]
         try:
-            data1 = s1.provider.find(s1.state, povms0, direction="right")
+            data1 = s1.provider.find(s1.state, effect_stack(povms0), direction="right")
         except ModelNotFoundError as exc:
             raise ModelNotFoundError(f"UNS slot 1: {exc}") from exc
         povms1 = [induced_measurement(m1, g, "left") for g in data1.states]
         try:
-            data2 = s2.provider.find(s2.state, povms1, direction="right")
+            data2 = s2.provider.find(s2.state, effect_stack(povms1), direction="right")
         except ModelNotFoundError as exc:
             raise ModelNotFoundError(f"UNS slot 2: {exc}") from exc
         return NLHSModel(
@@ -194,12 +223,12 @@ def build_triangle_patterns(pattern: str, slots, measurements) -> NLHSModel:
             raise PatternError("last slot needs a separable decomposition")
         povms1 = [induced_measurement(m1, l, "right") for l in d2.left_states]
         try:
-            data1 = s1.provider.find(s1.state, povms1, direction="left")
+            data1 = s1.provider.find(s1.state, effect_stack(povms1), direction="left")
         except ModelNotFoundError as exc:
             raise ModelNotFoundError(f"UNS slot 1: {exc}") from exc
         povms0 = [induced_measurement(m0, g, "right") for g in data1.states]
         try:
-            data0 = s0.provider.find(s0.state, povms0, direction="left")
+            data0 = s0.provider.find(s0.state, effect_stack(povms0), direction="left")
         except ModelNotFoundError as exc:
             raise ModelNotFoundError(f"UNS slot 0: {exc}") from exc
         return NLHSModel(

@@ -218,7 +218,7 @@ class TestOneSpectrumPerCheck:
         certify_network_steering(line_assemblage(net))
         seen = Counter(eigvalsh_inputs)
         mats = _contract([s.matrix.reshape(s.dims * 2) for s in net.sources],
-                         [m.effects for m in net.central_measurements])
+                         [m.matrices for m in net.central_measurements])
         assert np.all(np.trace(mats, axis1=1, axis2=2).real > NEG_CUTOFF)   # none skipped
         transposed = _transpose_factors(mats, (3, 3), [1])
         assert seen == Counter(_symmetrised(mats)) + Counter(_symmetrised(transposed))
@@ -231,7 +231,7 @@ class TestOneSpectrumPerCheck:
         omegas = spec.omegas()
         sources = _dew_stack((2.0 / 3.0) * (1.0 - omegas), omegas)
         tensors = sources.reshape(-1, 3, 3, 3, 3)
-        sigma0 = _contract([tensors] * 4, [[bell_swap_povm(3).effect(0)]] * 3)
+        sigma0 = _contract([tensors] * 4, [bell_swap_povm(3).matrices[:1]] * 3)
         live = sigma0[np.trace(sigma0, axis1=1, axis2=2).real > NEG_CUTOFF]
         # sources: density check and partial transpose; sigma0: its extremes,
         # and its partial transpose where its trace is above the cutoff

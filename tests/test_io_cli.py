@@ -77,6 +77,14 @@ class TestModelIO:
             with pytest.raises(ValueError, match="dims"):
                 model_from_json(bad)
 
+    def test_load_rejects_nan(self, tmp_path):
+        doc = model_to_json(random_model(np.random.default_rng(9), n_parties=3))
+        doc["source_dists"][0][0] = float("nan")
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))      # written as the JSON literal NaN
+        with pytest.raises(ValueError, match="normalised"):
+            load_model(path)
+
     def test_json_is_plain_data(self):
         rng = np.random.default_rng(7)
         doc = model_to_json(random_model(rng, n_parties=3))

@@ -7,7 +7,6 @@ from netsteer.measurements import (
     SeparableMeasurement,
     bell_swap_povm,
     computational_basis_povm,
-    induced_measurement,
     input_encoded_measurement,
     pauli_projective,
 )
@@ -20,6 +19,7 @@ from netsteer.operators import (
 from netsteer.states import psi_minus
 
 from conftest import identity, max_entry_distance, rand_density
+from nlhs_oracles import induced_measurement
 
 
 class TestPOVMValidation:
@@ -50,6 +50,26 @@ class TestPOVMValidation:
     def test_of_diagonals_rejects(self, diagonals, message):
         with pytest.raises(InvalidPOVMError, match=message):
             POVM._of_diagonals(diagonals, [2])
+
+    def test_of_diagonals_rejects_nan(self):
+        with pytest.raises(InvalidPOVMError, match="positive semidefinite"):
+            POVM._of_diagonals([[np.nan, 1.0], [1.0, 0.0]], [2])
+
+    def test_matrices_are_read_only_and_effects_copies(self):
+        povm = bell_swap_povm(2)
+        before = povm.matrices.tobytes()
+        assert povm.matrices.shape == (2, 4, 4) and povm.matrices.dtype == complex
+        assert not povm.matrices.flags.writeable
+        with pytest.raises(ValueError):
+            povm.matrices[0, 0, 0] = 1.0
+        # changing what effects and effect hand out leaves the POVM as it was
+        for op in (povm.effects[0], povm.effect(1)):
+            op.matrix.flags.writeable = True
+            op.matrix[:] = 7.0
+        assert povm.matrices.tobytes() == before
+        for op, row in zip(povm.effects, povm.matrices, strict=True):
+            assert op.dims == povm.dims == (2, 2)
+            assert op.matrix.tobytes() == row.tobytes()
 
     def test_rejects_non_psd_effect(self):
         e0 = QOperator(np.diag([1.5, -0.5]), [2])

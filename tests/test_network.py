@@ -178,7 +178,7 @@ class TestGridContraction:
         dims, n_lines = [2, 3, 4, 2, 3], 40
         pairs = list(zip(dims, dims[1:]))
         lines = [[rand_density(rng, pair) for pair in pairs] for _ in range(n_lines)]
-        choices = [[rand_psd(rng, (d, d))] for d in dims[1:-1]]
+        choices = [rand_psd(rng, (d, d)).matrix[None] for d in dims[1:-1]]
         stacks = [np.stack([line[i].matrix for line in lines]).reshape((n_lines,) + pair * 2)
                   for i, pair in enumerate(pairs)]
         grid = _contract(stacks, choices)

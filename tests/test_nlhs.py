@@ -1,12 +1,13 @@
 import importlib.resources
 import itertools
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from netsteer import nlhs
-from netsteer.measurements import POVM, bell_swap_povm, induced_measurement, pauli_projective
+from netsteer.measurements import POVM, bell_swap_povm, pauli_projective
 from netsteer.network import LinearNetwork, line_assemblage, standard_assemblage
 from netsteer.nlhs import (
     BruteForceLHSProvider,
@@ -46,6 +47,8 @@ from nlhs_oracles import (
     build_triangle_patterns,
     decomposition_state_sum,
     direct_response_kron,
+    effect_stack,
+    induced_measurement,
     lhv_behavior,
     lhv_behavior_kron,
     reconstruct_kron_loop,
@@ -152,6 +155,19 @@ class TestNLHSModelValidation:
             )
 
 
+    @pytest.mark.parametrize(
+        "dists,responses",
+        [([[np.nan], [1.0]], [[[[np.nan]], [[np.nan]]]]),
+         ([[np.nan], [1.0]], [np.full((2, 1, 1), 0.5)]),
+         ([[1.0], [1.0]], [[[[np.nan]], [[1.0]]]])],
+        ids=["both", "dist", "response"],
+    )
+    def test_rejects_nan(self, dists, responses):
+        # NaN fails every comparison, so a check written as "reject if x < 0"
+        # would let it through
+        with pytest.raises(ValueError, match="normalised|conditional"):
+            NLHSModel(dists, responses, [np.eye(2) / 2], [np.eye(2) / 2])
+
     def test_rejects_labels_not_one_distinct_per_outcome(self, rng):
         s = rand_density(rng, [2]).matrix
         args = ([np.array([1.0]), np.array([1.0])], [np.full((2, 1, 1), 0.5)], [s], [s])
@@ -191,6 +207,33 @@ class TestNLHSModelValidation:
 
 
 BUNDLED = ("sep_loc_sep", "uns_sep_uns", "sep_uns_uns", "uns_uns_sep", "percolation_star_n6")
+
+
+class TestValidatedOnce:
+    """The resolver builds its induced effects from the checked POVMs and
+    hidden states without checking them again: the only eigendecompositions
+    of ``build_percolation_line`` are NLHSModel's checks of its left and
+    right hidden-state stacks."""
+
+    @pytest.mark.parametrize(
+        "path",
+        [importlib.resources.files("netsteer") / "fixtures" / f"{name}.json" for name in BUNDLED]
+        + [Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+           / "werner_sep_uns.json"],
+        ids=BUNDLED + ("werner_sep_uns",),
+    )
+    def test_two_eigvalsh_calls(self, path, monkeypatch):
+        _, slots, net = load_fixture(path)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        model, _ = build_percolation_line(slots, net.central_measurements)
+        assert shapes == [model.left_states.shape, model.right_states.shape]
 
 
 class TestReconstruct:
@@ -241,6 +284,12 @@ class TestDecompositions:
         with pytest.raises(ValueError, match="densities"):
             SeparableDecomposition(weights, states["left"], states["right"])
 
+    @pytest.mark.parametrize("weights", [[np.nan], [np.nan, 1.0], [0.5, np.nan]])
+    def test_rejects_nan_weights(self, weights):
+        states = [np.eye(2) / 2] * len(weights)
+        with pytest.raises(ValueError, match="probability distribution"):
+            SeparableDecomposition(weights, states, states)
+
     def test_product_decomposition(self, rng):
         a = rand_density(rng, [2])
         b = rand_density(rng, [3])
@@ -283,8 +332,10 @@ class TestKronOracles:
             _same_bits(model.responses[j],
                        direct_response_kron(m, decs[j].right_states, decs[j + 1].left_states))
         for i in range(1, len(decs) - 1):
-            lp = [induced_measurement(ms[i - 1], r, "left") for r in decs[i - 1].right_states]
-            rp = [induced_measurement(ms[i], l, "right") for l in decs[i + 1].left_states]
+            lp = effect_stack([induced_measurement(ms[i - 1], r, "left")
+                               for r in decs[i - 1].right_states])
+            rp = effect_stack([induced_measurement(ms[i], l, "right")
+                               for l in decs[i + 1].left_states])
             src = decs[i].state() if rho is None else rho
             _same_bits(nlhs._lhv_behavior(src, lp, rp), lhv_behavior_kron(src, lp, rp))
 
@@ -336,30 +387,31 @@ class TestProviders:
     def test_separable_provider(self):
         dec = werner_separable_decomposition(0.3)
         povms = [pauli_projective(Z), pauli_projective(X)]
-        data = SeparableLHSProvider(dec).find(werner(0.3), povms, "right")
+        data = SeparableLHSProvider(dec).find(werner(0.3), effect_stack(povms), "right")
         self._check_lhs(data, werner(0.3), povms, "right")
 
     def test_separable_provider_rejects_wrong_state(self):
         dec = werner_separable_decomposition(0.3)
         with pytest.raises(ModelNotFoundError):
-            SeparableLHSProvider(dec).find(werner(0.2), [pauli_projective(Z)], "right")
+            SeparableLHSProvider(dec).find(werner(0.2), effect_stack([pauli_projective(Z)]),
+                                           "right")
 
     def test_brute_force_finds_unsteerable_model(self):
         povms = [pauli_projective(Z), pauli_projective(X)]
-        data = BruteForceLHSProvider().find(werner(0.5), povms, "right")
+        data = BruteForceLHSProvider().find(werner(0.5), effect_stack(povms), "right")
         self._check_lhs(data, werner(0.5), povms, "right")
 
     def test_brute_force_fails_on_steerable_behaviour(self):
         # omega = 0.9 violates the two-axis witness, so no LHS model exists
         povms = [pauli_projective(Z), pauli_projective(X)]
         with pytest.raises(ModelNotFoundError):
-            BruteForceLHSProvider().find(werner(0.9), povms, "right")
+            BruteForceLHSProvider().find(werner(0.9), effect_stack(povms), "right")
 
     @pytest.mark.parametrize("direction", ["right", "left"])
     @pytest.mark.parametrize("axes", [(Z, X), (Z, X, Y)], ids=["zx", "zxy"])
     def test_brute_force_both_directions(self, axes, direction):
         povms = [pauli_projective(a) for a in axes]
-        data = BruteForceLHSProvider().find(werner(0.4), povms, direction)
+        data = BruteForceLHSProvider().find(werner(0.4), effect_stack(povms), direction)
         self._check_lhs(data, werner(0.4), povms, direction)
 
     def test_brute_force_refuses_oversized_search(self):
@@ -368,7 +420,7 @@ class TestProviders:
         povms = [pauli_projective(u) for u in fibonacci_sphere(24)]
         start = time.perf_counter()
         with pytest.raises(ModelNotFoundError, match="search limit"):
-            BruteForceLHSProvider().find(werner(0.4), povms, "right")
+            BruteForceLHSProvider().find(werner(0.4), effect_stack(povms), "right")
         assert time.perf_counter() - start < 1.0
 
 
@@ -381,7 +433,7 @@ class TestProviders:
     def test_brute_force_merges_repeated_inputs(self, axes, reps, direction):
         rho = werner(0.4)
         povms = [pauli_projective(a) for a in axes]
-        data = BruteForceLHSProvider().find(rho, povms, direction)
+        data = BruteForceLHSProvider().find(rho, effect_stack(povms), direction)
         assert data.inputs_distinct == max(reps) + 1
         assert data.response.shape[:2] == (2, len(axes))
         for x, r in enumerate(reps):
@@ -398,7 +450,8 @@ class TestProviders:
         bumped = np.diag([np.nextafter(1.0, 2.0), 0.0])
         z_bumped = POVM([QOperator(bumped, [2]), pauli_projective(Z).effects[1]])
         mixed = QOperator(np.eye(4) / 4, [2, 2])
-        data = BruteForceLHSProvider().find(mixed, [pauli_projective(Z), z_bumped], "right")
+        effects = effect_stack([pauli_projective(Z), z_bumped])
+        data = BruteForceLHSProvider().find(mixed, effects, "right")
         assert data.inputs_distinct == 2
 
     @pytest.mark.parametrize("direction", ["rihgt", "Right", "", None])
@@ -407,7 +460,8 @@ class TestProviders:
         finder = (SeparableLHSProvider(werner_separable_decomposition(0.3))
                   if provider == "separable" else BruteForceLHSProvider())
         with pytest.raises(ValueError, match="direction must be 'left' or 'right'"):
-            finder.find(werner(0.3), [pauli_projective(Z), pauli_projective(X)], direction)
+            finder.find(werner(0.3), effect_stack([pauli_projective(Z), pauli_projective(X)]),
+                        direction)
 
     def test_slot_provider_follows_decomposition(self):
         dec = werner_separable_decomposition(0.3)

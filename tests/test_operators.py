@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from netsteer.operators import (
     is_psd,
     negativity,
     projector,
+    _apply_and_trace,
     _transpose_factors,
 )
 from netsteer.states import werner
@@ -140,6 +143,29 @@ class TestApplyAndTrace:
         with pytest.raises(DimensionError):
             apply_and_trace(self._rand_op(rng, dims), self._rand_op(rng, [dims[0]]), 0)
 
+    @pytest.mark.parametrize("lead", [(), (4,), (3, 2)], ids=["single", "stack", "grid"])
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 2), (3, 3), (4, 4)])
+    @pytest.mark.parametrize("factor", [0, 1])
+    def test_stacked_equals_single_matrix_oracle(self, rng, dims, factor, lead):
+        d, side = dims[factor], dims[0] * dims[1]
+        mats = rng.normal(size=(3, side, side)) + 1j * rng.normal(size=(3, side, side))
+        shape = lead + (d, d)
+        local = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        stacks = [local]
+        if len(lead) == 2:
+            # the same values as a swapaxes view of the lead axes, the
+            # non-contiguous form standard_assemblage and the resolver pass
+            view = np.ascontiguousarray(local.swapaxes(0, 1)).swapaxes(0, 1)
+            assert not view.flags.c_contiguous and np.array_equal(view, local)
+            stacks.append(view)
+        for stack in stacks:
+            got = _apply_and_trace(mats, dims, stack, factor)
+            assert got.shape == (3,) + lead + (dims[1 - factor],) * 2
+            for n, idx in itertools.product(range(3), np.ndindex(*lead)):
+                want = apply_and_trace(QOperator(mats[n], dims),
+                                       QOperator(stack[idx], [d]), factor).matrix
+                assert got[(n,) + idx].tobytes() == want.tobytes()
+
 
 class TestSpectra:
     def test_eigenvalues_sorted(self):
@@ -168,6 +194,11 @@ class TestSpectra:
         op = QOperator(np.diag([1.0, -0.5, 0.3, 0.2]), [2, 2])
         with pytest.raises(NotPositiveError):
             negativity(op, [1])
+
+    def test_non_finite_is_not_hermitian(self):
+        # a NaN defect fails every comparison, so it must not pass as Hermitian
+        with pytest.raises(NotHermitianError, match="nan"):
+            negativity(QOperator(np.full((4, 4), np.nan), [2, 2]), [1])
 
     def test_negativity_zero_for_separable(self, rng):
         a = rand_density(rng, [2])
