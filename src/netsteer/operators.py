@@ -105,13 +105,15 @@ def _check_factors(op: QOperator, factors: Iterable[int]) -> list[int]:
 
 def _apply_and_trace(mats: np.ndarray, dims: tuple[int, int], local: np.ndarray,
                      factor: int) -> np.ndarray:
-    """Tr_factor[(local (x) 1) mat] for each matrix of a (k, D, D) stack
+    """Tr_factor[(local (x) 1) mat] for each matrix mat of a (k, D, D) stack
     ``mats`` on two factors of dims ``dims`` and each of a (..., d, d) stack
     ``local`` on factor ``factor`` (0 or 1), which is traced out: a
     (k, ..., d', d') stack from one einsum.  This is how an effect steers
     the remaining party, and how a hidden state is plugged into one side of
     a two-party effect (by cyclicity the order inside the partial trace is
-    immaterial).  Callers check the dims."""
+    immaterial).  Callers check the dims.  Each entry is summed in the order
+    of the single-matrix einsum as long as the matrix axes of ``local`` are
+    row-major in memory (its lead axes may be any view)."""
     t = mats.reshape((len(mats),) + dims + dims)
     if factor == 0:
         return np.einsum("...ik,nkjil->n...jl", local, t)
