@@ -18,7 +18,7 @@ import numpy as np
 
 from .operators import TOL_CHECK, DimensionError, _blocks, _density_extremes, _extremes
 from .measurements import bell_swap_povm
-from .network import NetworkAssemblage, _contract, line_assemblage
+from .network import NetworkAssemblage, _contract, _tensors, line_assemblage
 from .states import _dew_stack, werner
 from .certificates import _dew_unsteerable, _endpoint_negativities, claims_pipeline
 from .nlhs import (RECONSTRUCTION_TOL, build_percolation_line, nlhs_to_separable_realization,
@@ -220,8 +220,11 @@ def run_nlhs(fixture_path, realize: bool = False) -> ExperimentReport:
     extra = {"transcript": transcript, "model": model_to_json(model)}
     ok = dev <= RECONSTRUCTION_TOL
     if realize:
+        # the realised line, outcome tuples in the order of ``rebuilt`` by construction
         realization = nlhs_to_separable_realization(model)
-        rdev = _stack_distance(line_assemblage(realization.network), rebuilt)
+        realized = _contract(_tensors([dec.state() for dec in realization.source_decompositions]),
+                             [cert.matrices for cert in realization.measurement_certificates])
+        rdev = float(np.max(np.abs(realized - rebuilt.matrices)))
         extra["realization_deviation"] = rdev
         ok = ok and rdev <= RECONSTRUCTION_TOL
         dev = max(dev, rdev)

@@ -50,21 +50,8 @@ class POVM:
             raise InvalidPOVMError("effect is not positive semidefinite")
         self._complete(matrices, dims, outcome_labels)
 
-    @classmethod
-    def _of_diagonals(cls, diagonals, dims, outcome_labels=None) -> "POVM":
-        """POVM of the diagonal effects diag(d_b), one row d_b of
-        ``diagonals`` per outcome.  A diagonal matrix is PSD exactly when its
-        diagonal is non-negative, so no eigendecomposition is needed."""
-        diagonals = np.asarray(diagonals, dtype=float)
-        if not np.all(diagonals >= 0):
-            raise InvalidPOVMError("effect is not positive semidefinite")
-        matrices = (diagonals[:, :, None] * np.eye(diagonals.shape[1])).astype(complex)
-        povm = cls.__new__(cls)
-        povm._complete(matrices, tuple(int(d) for d in dims), outcome_labels)
-        return povm
-
     def _complete(self, matrices: np.ndarray, dims: tuple[int, ...], outcome_labels) -> None:
-        """Check completeness and the labels of PSD effects, then set the fields."""
+        """Check completeness and the labels of the effects, then set the fields."""
         total = sum(matrices)
         if not np.max(np.abs(total - np.eye(len(total)))) <= TOL_EQ:
             raise InvalidPOVMError("effects do not sum to the identity")
@@ -99,35 +86,32 @@ class POVM:
 
 
 @dataclass(frozen=True)
-class SeparableMeasurement:
-    """A POVM together with an explicit tensor-decomposition certificate.
+class SeparableMeasurement(POVM):
+    """A POVM defined by an explicit tensor-decomposition certificate.
 
-    Each effect carries a (left, right) pair of equally long (t, d, d)
-    stacks of PSD factors on the POVM's two factors, whose tensor sum
-    sum_t left[t] (x) right[t] reproduces it.  Separability detection being
-    hard in general, the certificate is stored, never searched for.
+    Each effect is given by a (left, right) pair of equally long (t, d, d)
+    stacks of PSD factors, one pair of factor dims for all effects, and is
+    their tensor sum sum_t left[t] (x) right[t].  Separability detection
+    being hard in general, the certificate is stored, never searched for.
     """
 
-    povm: POVM
     terms: tuple[tuple[np.ndarray, np.ndarray], ...]
 
-    def __init__(self, povm: POVM, terms):
+    def __init__(self, terms, outcome_labels=None):
         terms = tuple((_square_stack(left, "left factors"), _square_stack(right, "right factors"))
                       for left, right in terms)
-        if len(terms) != povm.n_outcomes:
-            raise InvalidPOVMError("one term list per effect required")
-        want = tuple((d, d) for d in povm.dims)
-        if any((l.shape[1:], r.shape[1:]) != want or len(l) != len(r) for l, r in terms):
-            raise DimensionError(f"each effect needs equally many factors on {povm.dims}")
-        for effect, (left, right) in zip(povm.matrices, terms):
-            # sum_t left_t (x) right_t, as one einsum over the stacked pairs
-            acc = np.einsum("tij,tkl->ikjl", left, right, optimize=True).reshape(effect.shape)
-            if np.max(np.abs(acc - effect)) > TOL_EQ:
-                raise InvalidPOVMError("decomposition does not reproduce effect")
+        pairs = {(l.shape[1], r.shape[1]) for l, r in terms}
+        if len(pairs) != 1 or any(len(l) != len(r) for l, r in terms):
+            raise DimensionError("each effect needs equally many factors on one pair of dims")
+        (dims,) = pairs
+        # sum_t left_t (x) right_t of each effect, as one einsum over the stacked pairs
+        d = dims[0] * dims[1]
+        matrices = np.array([np.einsum("tij,tkl->ikjl", l, r, optimize=True).reshape(d, d)
+                             for l, r in terms])
+        self._complete(matrices, dims, outcome_labels)
         # not all empty: the effects sum to the identity, so one has factors
         if any(_psd_extremes(np.concatenate(side), TOL_CHECK) is None for side in zip(*terms)):
             raise InvalidPOVMError("decomposition factor not PSD")
-        object.__setattr__(self, "povm", povm)
         object.__setattr__(self, "terms", terms)
 
 

@@ -183,9 +183,9 @@ def _contract(sources: Sequence[np.ndarray], choices: Sequence[np.ndarray]) -> n
     return t.reshape(-1, side, side)
 
 
-def _tensors(net: LinearNetwork) -> list[np.ndarray]:
-    """The sources of ``net`` as (c, d, c, d) tensors."""
-    return [s.matrix.reshape(s.dims * 2) for s in net.sources]
+def _tensors(sources: Sequence[QOperator]) -> list[np.ndarray]:
+    """Two-factor ``sources`` as (c, d, c, d) tensors."""
+    return [s.matrix.reshape(s.dims * 2) for s in sources]
 
 
 def line_assemblage(net: LinearNetwork) -> NetworkAssemblage:
@@ -193,7 +193,7 @@ def line_assemblage(net: LinearNetwork) -> NetworkAssemblage:
     contracted left to right, all outcomes of a measurement in one step."""
     central = net.central_measurements
     return NetworkAssemblage(
-        _contract(_tensors(net), [m.matrices for m in central]),
+        _contract(_tensors(net.sources), [m.matrices for m in central]),
         itertools.product(*(m.outcome_labels for m in central)),
         net.endpoint_dims,
     )

@@ -17,6 +17,7 @@ from scipy.linalg import block_diag
 from scipy.optimize import nnls
 
 from .operators import (
+    DimensionError,
     PAULIS,
     QOperator,
     TOL_CHECK,
@@ -32,11 +33,7 @@ from .measurements import (
     SeparableMeasurement,
     computational_basis_povm,
 )
-from .network import (
-    LinearNetwork,
-    NetworkAssemblage,
-    standard_assemblage,
-)
+from .network import NetworkAssemblage, standard_assemblage
 
 RECONSTRUCTION_TOL = 1e-10
 N_BLOCH = 26              # Fibonacci-grid qubit states added to the LHS candidates
@@ -456,6 +453,10 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
         raise PatternError("leftmost slot must be SEP or UNS_LEFT (endpoint states)")
     if slots[-1].kind not in (SEP, UNS_RIGHT):
         raise PatternError("rightmost slot must be SEP or UNS_RIGHT (endpoint states)")
+    for j, m in enumerate(measurements):
+        want = (slots[j].state.dims[1], slots[j + 1].state.dims[0])
+        if m.dims != want:
+            raise DimensionError(f"measurement {j} acts on {m.dims}, adjacent sources need {want}")
 
     # each measurement j is consumed by at most one resolver
     for j in range(n_src - 1):
@@ -548,10 +549,10 @@ def separabilize_endpoint(rho_ab: QOperator, m_a: POVM) -> tuple[QOperator, POVM
 
 @dataclass(frozen=True)
 class SeparableRealization:
-    """A linear network realising an NLHS model with separable sources and
-    separable central measurements, certificates included."""
+    """Separable sources and separable central measurements realising an
+    NLHS model, certificates included: the line of the decompositions'
+    states through the certificates' measurements."""
 
-    network: LinearNetwork
     source_decompositions: tuple[SeparableDecomposition, ...]
     measurement_certificates: tuple[SeparableMeasurement, ...]
 
@@ -573,14 +574,9 @@ def nlhs_to_separable_realization(model: NLHSModel) -> SeparableRealization:
 
     certificates = []
     for resp, labels in zip(model.responses, model.outcome_labels):
-        # diagonal effects from the checked model's non-negative responses; effect b
-        # is sum_a |a><a| (x) diag(resp[b, a, :]), one term per left flag
-        diagonals = np.where(resp > 0.0, resp, 0.0)
-        povm = POVM._of_diagonals(diagonals.reshape(len(resp), -1), resp.shape[1:], labels)
+        # effect b is sum_a |a><a| (x) diag(resp[b, a, :]), one term per left
+        # flag, from the checked model's non-negative responses
         flags, eye = _flags(resp.shape[1]), np.eye(resp.shape[2])
-        terms = [(flags, r[:, :, None] * eye) for r in diagonals]
-        certificates.append(SeparableMeasurement(povm, terms))
-
-    network = LinearNetwork([dec.state() for dec in decompositions],
-                            [cert.povm for cert in certificates])
-    return SeparableRealization(network, decompositions, tuple(certificates))
+        terms = [(flags, r[:, :, None] * eye) for r in np.where(resp > 0.0, resp, 0.0)]
+        certificates.append(SeparableMeasurement(terms, labels))
+    return SeparableRealization(decompositions, tuple(certificates))

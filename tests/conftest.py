@@ -1,8 +1,9 @@
 """Shared helpers for the test suite: random operators with reproducible
 generators, the identity, tensor-product, entry-distance, spectrum,
 apply-and-trace and partial-trace oracles, an assemblage made from an
-{outcome: operator} dict, and a brute-force assemblage oracle that never
-uses the sequential contraction under test."""
+{outcome: operator} dict, a brute-force assemblage oracle that never
+uses the sequential contraction under test, and the checked network of a
+separable realisation."""
 
 import numpy as np
 import pytest
@@ -165,6 +166,14 @@ def random_linear_network(
         rand_povm((dims[i + 1], dims[i + 1])) for i in range(n_parties - 2)
     ]
     return LinearNetwork(sources, centrals)
+
+
+def realization_network(real) -> LinearNetwork:
+    """The line of a separable realisation, its decompositions' states
+    through its certificates' measurements, built through ``LinearNetwork``
+    so that the network's checks run on every realisation a test builds."""
+    return LinearNetwork([dec.state() for dec in real.source_decompositions],
+                         real.measurement_certificates)
 
 
 def random_model(

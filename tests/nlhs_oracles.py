@@ -10,6 +10,8 @@ code replaced: a decomposition's state as the Python sum of its weighted
 products, the product-measurement behaviour of a LOC slot and the direct
 response of a measurement no slot consumes.  The stacked code forms the
 same products in the same order, so it must match them bit for bit.
+``diagonal_effects`` builds a realisation's measurement directly from its
+response table, where the realisation sums its certificate's factors.
 
 ``induced_measurement`` is the per-state path the resolver replaced by one
 stacked contraction: one POVM per hidden state, each effect contracted by
@@ -81,6 +83,14 @@ def decomposition_state_sum(dec: SeparableDecomposition) -> np.ndarray:
     """Oracle for ``SeparableDecomposition.state``: the Python sum of the
     weighted Kronecker products, one term at a time."""
     return sum(w * np.kron(l, r) for w, l, r in zip(dec.weights, dec.left_states, dec.right_states))
+
+
+def diagonal_effects(resp: np.ndarray) -> np.ndarray:
+    """Oracle for the effects of a separable realisation's certificate: the
+    (outcomes, d, d) stack of diagonal effects diag(d_b), one row d_b of the
+    response table resp[b], clamped at zero and flattened, per outcome."""
+    d = np.where(resp > 0, resp, 0).reshape(len(resp), -1)
+    return (d[:, :, None] * np.eye(d.shape[1])).astype(complex)
 
 
 def lhv_behavior_kron(rho, left, right):

@@ -116,7 +116,7 @@ def assemblage_element(net, outcome):
     if len(outcome) != len(net.central_measurements):
         raise DimensionError("one outcome label per central measurement required")
     choices = [m.effect(label).matrix[None] for m, label in zip(net.central_measurements, outcome)]
-    return QOperator(_contract(_tensors(net), choices)[0], net.endpoint_dims)
+    return QOperator(_contract(_tensors(net.sources), choices)[0], net.endpoint_dims)
 
 
 def dew_channels(eta, omega):

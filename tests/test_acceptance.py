@@ -45,6 +45,7 @@ from conftest import (
     rand_psd,
     random_linear_network,
     random_model,
+    realization_network,
     tensor,
 )
 
@@ -198,8 +199,8 @@ def test_criterion_6_separabilisation_round_trips():
     worst_neg = 0.0
     for _ in range(25):
         model = random_model(rng, n_parties=int(rng.integers(3, 6)), max_hidden=3)
-        real = nlhs_to_separable_realization(model)
-        realized = line_assemblage(real.network)
+        net = realization_network(nlhs_to_separable_realization(model))
+        realized = line_assemblage(net)
         target = reconstruct(model)
         for k in target.elements:
             worst_model = max(
@@ -207,7 +208,7 @@ def test_criterion_6_separabilisation_round_trips():
                 max_entry_distance(realized.elements[k], target.elements[k]),
             )
         worst_neg = max(
-            worst_neg, max(negativity(s, [1]) for s in real.network.sources)
+            worst_neg, max(negativity(s, [1]) for s in net.sources)
         )
     ok = worst_prob <= 1e-12 and worst_model <= 1e-10 and worst_neg == 0.0
     _verdict(

@@ -35,25 +35,26 @@ class TestPOVMValidation:
 
     def test_of_diagonals_matches_constructor(self):
         diagonals = np.array([[0.25, 1.0, 0.0, 0.5], [0.75, 0.0, 1.0, 0.5]])
-        povm = POVM._of_diagonals(diagonals, (2, 2), ("a", "b"))
+        povm = SeparableMeasurement(_diagonal_terms(diagonals, (2, 2)), ("a", "b"))
         reference = POVM([QOperator(np.diag(d), (2, 2)) for d in diagonals], ("a", "b"))
         assert povm.outcome_labels == reference.outcome_labels
-        for e, r in zip(povm.effects, reference.effects, strict=True):
-            assert np.array_equal(e.matrix, r.matrix) and e.dims == r.dims
+        assert povm.dims == reference.dims
+        assert povm.matrices.tobytes() == reference.matrices.tobytes()
 
     @pytest.mark.parametrize(
         "diagonals,message",
         [([[0.5, 1.0], [0.4, 0.0]], "sum to the identity"),
-         ([[1.5, 1.0], [-0.5, 0.0]], "positive semidefinite")],
+         ([[1.5, 1.0], [-0.5, 0.0]], "factor not PSD")],
         ids=["incomplete", "negative"],
     )
     def test_of_diagonals_rejects(self, diagonals, message):
         with pytest.raises(InvalidPOVMError, match=message):
-            POVM._of_diagonals(diagonals, [2])
+            SeparableMeasurement(_diagonal_terms(diagonals, (1, 2)))
 
     def test_of_diagonals_rejects_nan(self):
-        with pytest.raises(InvalidPOVMError, match="positive semidefinite"):
-            POVM._of_diagonals([[np.nan, 1.0], [1.0, 0.0]], [2])
+        # a NaN never sums to the identity, so completeness rejects it first
+        with pytest.raises(InvalidPOVMError, match="sum to the identity"):
+            SeparableMeasurement(_diagonal_terms([[np.nan, 1.0], [1.0, 0.0]], (1, 2)))
 
     def test_matrices_are_read_only_and_effects_copies(self):
         povm = bell_swap_povm(2)
@@ -210,12 +211,11 @@ class TestInduced:
 
 
 def _diagonal_certificate():
-    """Two-outcome diagonal POVM on (2, 2) and a valid product certificate."""
-    e0 = QOperator(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
-    e1 = QOperator(np.eye(4) - e0.matrix, (2, 2))
+    """A valid product certificate of the two-outcome POVM on (2, 2) of
+    diag(1, 0, 0, 0) and its complement."""
     p00 = projector(basis_ket(0, 2), [2])
     p11 = projector(basis_ket(1, 2), [2])
-    return POVM([e0, e1]), [[(p00, p00)], [(p00, p11), (p11, identity([2]))]]
+    return [[(p00, p00)], [(p00, p11), (p11, identity([2]))]]
 
 
 def _split(pair, side):
@@ -236,6 +236,15 @@ def _stacked(terms):
             for pairs in terms]
 
 
+def _diagonal_terms(diagonals, dims):
+    """Certificate of the effects diag(d_b) on ``dims``, one row d_b of
+    ``diagonals`` per outcome: effect b is sum_a |a><a| (x) diag(d_b[a, :])
+    with d_b read as a dims[0] x dims[1] table, one term per left flag."""
+    rows = np.asarray(diagonals, dtype=float).reshape((len(diagonals),) + tuple(dims))
+    flags = np.eye(dims[0])[:, :, None] * np.eye(dims[0])[:, None, :]
+    return [(flags, r[:, :, None] * np.eye(dims[1])) for r in rows]
+
+
 class TestSeparableMeasurement:
     def test_valid_certificate(self):
         povm = computational_basis_povm(2)
@@ -251,28 +260,27 @@ class TestSeparableMeasurement:
             [(p00, p00)],
             [(p00, p11), (p11, eye)],
         ]
-        cert = SeparableMeasurement(povm2, _stacked(terms))
-        assert cert.povm is povm2
+        cert = SeparableMeasurement(_stacked(terms))
+        assert isinstance(cert, POVM)
+        assert cert.dims == povm2.dims and cert.outcome_labels == povm2.outcome_labels
+        assert np.array_equal(cert.matrices, povm2.matrices)
 
     def test_rejects_bad_certificate(self):
-        e0 = QOperator(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
-        e1 = QOperator(np.eye(4) - e0.matrix, (2, 2))
-        povm2 = POVM([e0, e1])
         eye = identity([2])
         with pytest.raises(InvalidPOVMError):
-            SeparableMeasurement(povm2, _stacked([[(eye, eye)], [(eye, eye)]]))
+            SeparableMeasurement(_stacked([[(eye, eye)], [(eye, eye)]]))
 
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("position", ["first", "last"])
     def test_rejects_non_psd_factor_at(self, side, position):
-        povm, terms = _diagonal_certificate()
-        SeparableMeasurement(povm, _stacked(terms))
+        terms = _diagonal_certificate()
+        SeparableMeasurement(_stacked(terms))
         if position == "first":
             terms[0] = _split(terms[0][0], side) + terms[0][1:]
         else:
             terms[-1] = terms[-1][:-1] + _split(terms[-1][-1], side)
         with pytest.raises(InvalidPOVMError, match="factor not PSD"):
-            SeparableMeasurement(povm, _stacked(terms))
+            SeparableMeasurement(_stacked(terms))
 
     def test_valid_certificate_unequal_factor_dims(self):
         # effects on (2, 3): |0><0| (x) diag(1, 0, 0) + |1><1| (x) diag(0, 1, 1)
@@ -283,9 +291,8 @@ class TestSeparableMeasurement:
         e0 = QOperator(np.kron(p0.matrix, a.matrix) + np.kron(p1.matrix, b.matrix), (2, 3))
         e1 = QOperator(np.eye(6) - e0.matrix, (2, 3))
         povm = POVM([e0, e1])
-        SeparableMeasurement(povm, _stacked([[(p0, a), (p1, b)], [(p0, b), (p1, a)]]))
-        with pytest.raises(InvalidPOVMError, match="does not reproduce"):
-            SeparableMeasurement(povm, _stacked([[(p0, b), (p1, a)], [(p0, a), (p1, b)]]))
+        cert = SeparableMeasurement(_stacked([[(p0, a), (p1, b)], [(p0, b), (p1, a)]]))
+        assert cert.dims == (2, 3) and np.array_equal(cert.matrices, povm.matrices)
 
     def test_rejects_swapped_factor_order(self):
         # |0><0| (x) |1><1| is not |1><1| (x) |0><0|
@@ -293,23 +300,35 @@ class TestSeparableMeasurement:
         e0 = QOperator(np.kron(p0.matrix, p1.matrix), (2, 2))
         povm = POVM([e0, QOperator(np.eye(4) - e0.matrix, (2, 2))])
         rest = [(p0, p0), (p1, identity([2]))]
-        SeparableMeasurement(povm, _stacked([[(p0, p1)], rest]))
-        with pytest.raises(InvalidPOVMError, match="does not reproduce"):
-            SeparableMeasurement(povm, _stacked([[(p1, p0)], rest]))
+        cert = SeparableMeasurement(_stacked([[(p0, p1)], rest]))
+        assert np.array_equal(cert.matrices, povm.matrices)
+        assert not np.array_equal(cert.matrices[0], np.kron(p1.matrix, p0.matrix))
 
     def test_rejects_factors_off_the_povm_dims(self):
         # 1_4 (x) [1] is the identity on C^4, but not a product on (2, 2)
-        povm = POVM([identity([2, 2]), QOperator(np.zeros((4, 4)), (2, 2))])
         none = np.zeros((0, 2, 2))
         with pytest.raises(DimensionError, match="equally many factors"):
-            SeparableMeasurement(povm, [(np.eye(4)[None], np.ones((1, 1, 1))), (none, none)])
+            SeparableMeasurement([(np.eye(4)[None], np.ones((1, 1, 1))), (none, none)])
         with pytest.raises(DimensionError, match="equally many factors"):
-            SeparableMeasurement(povm, [(np.stack([np.eye(2)] * 2), np.eye(2)[None]), (none, none)])
+            SeparableMeasurement([(np.stack([np.eye(2)] * 2), np.eye(2)[None]), (none, none)])
 
     def test_accepts_empty_terms_for_zero_effect(self):
-        zero = QOperator(np.zeros((4, 4)), (2, 2))
-        povm = POVM([identity([2, 2]), zero])
         none = np.zeros((0, 2, 2))
         terms = _stacked([[(identity([2]), identity([2]))]]) + [(none, none)]
-        cert = SeparableMeasurement(povm, terms)
+        cert = SeparableMeasurement(terms)
         assert [len(factors) for factors in cert.terms[1]] == [0, 0]
+
+    def test_rejects_all_empty_certificate_as_incomplete(self):
+        none = np.zeros((0, 2, 2))
+        with pytest.raises(InvalidPOVMError, match="sum to the identity"):
+            SeparableMeasurement([(none, none), (none, none)])
+
+    def test_rejects_no_effects(self):
+        with pytest.raises(DimensionError, match="equally many factors"):
+            SeparableMeasurement([])
+
+    def test_labels_checked(self):
+        terms = _stacked(_diagonal_certificate())
+        assert SeparableMeasurement(terms, ("a", "b")).outcome_labels == ("a", "b")
+        with pytest.raises(InvalidPOVMError, match="one label per effect"):
+            SeparableMeasurement(terms, ("a",))

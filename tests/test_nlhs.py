@@ -8,7 +8,8 @@ import pytest
 
 from netsteer import nlhs
 from netsteer.measurements import POVM, bell_swap_povm, pauli_projective
-from netsteer.network import LinearNetwork, line_assemblage, standard_assemblage
+from netsteer.experiments import run_nlhs
+from netsteer.network import LinearNetwork, NetworkAssemblage, line_assemblage, standard_assemblage
 from netsteer.nlhs import (
     BruteForceLHSProvider,
     LOC,
@@ -41,11 +42,19 @@ from netsteer.operators import (
 )
 from netsteer.states import classical_correlated, werner
 
-from conftest import max_entry_distance, rand_density, rand_psd, random_model, tensor
+from conftest import (
+    max_entry_distance,
+    rand_density,
+    rand_psd,
+    random_model,
+    realization_network,
+    tensor,
+)
 from nlhs_oracles import (
     build_sep_unsteer_bilocal,
     build_triangle_patterns,
     decomposition_state_sum,
+    diagonal_effects,
     direct_response_kron,
     effect_stack,
     induced_measurement,
@@ -207,21 +216,24 @@ class TestNLHSModelValidation:
 
 
 BUNDLED = ("sep_loc_sep", "uns_sep_uns", "sep_uns_uns", "uns_uns_sep", "percolation_star_n6")
+# the bundled fixtures and the benchmark's Werner fixture, with their ids
+FIXTURES = dict(
+    [(name, importlib.resources.files("netsteer") / "fixtures" / f"{name}.json")
+     for name in BUNDLED]
+    + [("werner_sep_uns", Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
+        / "werner_sep_uns.json")]
+)
 
 
 class TestValidatedOnce:
     """The resolver builds its induced effects from the checked POVMs and
     hidden states without checking them again: the only eigendecompositions
     of ``build_percolation_line`` are NLHSModel's checks of its left and
-    right hidden-state stacks."""
+    right hidden-state stacks.  ``run_nlhs`` validates the fixture's line
+    once and contracts the separable realisation without validating it as
+    a second network."""
 
-    @pytest.mark.parametrize(
-        "path",
-        [importlib.resources.files("netsteer") / "fixtures" / f"{name}.json" for name in BUNDLED]
-        + [Path(__file__).resolve().parent.parent / "perfbench" / "fixtures"
-           / "werner_sep_uns.json"],
-        ids=BUNDLED + ("werner_sep_uns",),
-    )
+    @pytest.mark.parametrize("path", FIXTURES.values(), ids=FIXTURES.keys())
     def test_two_eigvalsh_calls(self, path, monkeypatch):
         _, slots, net = load_fixture(path)
         shapes = []
@@ -234,6 +246,20 @@ class TestValidatedOnce:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         model, _ = build_percolation_line(slots, net.central_measurements)
         assert shapes == [model.left_states.shape, model.right_states.shape]
+
+    @pytest.mark.parametrize("path", FIXTURES.values(), ids=FIXTURES.keys())
+    def test_one_network_two_assemblages(self, path, monkeypatch):
+        # the fixture's line, then its quantum assemblage and the model's
+        built = []
+        for cls in (LinearNetwork, NetworkAssemblage):
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built.append(_name)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        report = run_nlhs(path, realize=True)
+        assert report.ok and report.extra["realization_deviation"] <= RECONSTRUCTION_TOL
+        assert built == ["LinearNetwork", "NetworkAssemblage", "NetworkAssemblage"]
 
 
 class TestReconstruct:
@@ -361,7 +387,8 @@ class TestKronOracles:
                 _same_bits(slot.decomposition.state().matrix,
                            decomposition_state_sum(slot.decomposition))
         real = nlhs_to_separable_realization(model)
-        self._check_line(real.source_decompositions, real.network.central_measurements)
+        self._check_line(real.source_decompositions,
+                         realization_network(real).central_measurements)
 
     def test_random_decompositions_of_unequal_dims(self):
         rng = np.random.default_rng(12)
@@ -640,6 +667,21 @@ class TestConstructors:
         with pytest.raises(PatternError):
             build_percolation_line(slots, [bell_swap_povm(2)])
 
+    def test_percolation_rejects_measurement_off_the_hidden_states(self):
+        # qubit hidden states on both sides of a qutrit swap
+        w = werner_separable_decomposition(0.3)
+        slots = [SourceSlot(SEP, werner(0.3), w), SourceSlot(UNS_RIGHT, werner(0.4))]
+        with pytest.raises(DimensionError, match=r"measurement 0 acts on \(3, 3\), "
+                                                 r"adjacent sources need \(2, 2\)"):
+            build_percolation_line(slots, [bell_swap_povm(3)])
+
+    def test_percolation_rejects_measurement_between_unequal_sources(self):
+        cc, w = classical_correlated_decomposition(3), werner_separable_decomposition(0.3)
+        slots = [SourceSlot(SEP, classical_correlated(3), cc), SourceSlot(SEP, werner(0.3), w)]
+        with pytest.raises(DimensionError, match=r"measurement 0 acts on \(2, 2\), "
+                                                 r"adjacent sources need \(3, 2\)"):
+            build_percolation_line(slots, [bell_swap_povm(2)])
+
     def test_percolation_rejects_bad_endpoints(self):
         with pytest.raises(PatternError):
             build_percolation_line(
@@ -788,7 +830,7 @@ class TestRealization:
         for _ in range(10):
             model = random_model(rng, n_parties=int(rng.integers(3, 6)))
             real = nlhs_to_separable_realization(model)
-            realized = line_assemblage(real.network)
+            realized = line_assemblage(realization_network(real))
             target = reconstruct(model)
             for k in target.elements:
                 assert max_entry_distance(
@@ -799,14 +841,33 @@ class TestRealization:
         rng = np.random.default_rng(78)
         model = random_model(rng, n_parties=4)
         real = nlhs_to_separable_realization(model)
-        for src in real.network.sources:
+        for src in realization_network(real).sources:
             assert negativity(src, [1]) == 0.0
 
     def test_certificates_cover_all_measurements(self):
         rng = np.random.default_rng(79)
         model = random_model(rng, n_parties=4)
         real = nlhs_to_separable_realization(model)
-        assert len(real.measurement_certificates) == len(
-            real.network.central_measurements
-        )
-        assert len(real.source_decompositions) == len(real.network.sources)
+        net = realization_network(real)
+        assert len(real.measurement_certificates) == len(net.central_measurements)
+        assert len(real.source_decompositions) == len(net.sources)
+
+    @staticmethod
+    def _check_diagonal(model):
+        real = nlhs_to_separable_realization(model)
+        for cert, resp, labels in zip(real.measurement_certificates, model.responses,
+                                      model.outcome_labels, strict=True):
+            oracle = diagonal_effects(resp)
+            assert cert.matrices.shape == oracle.shape and cert.dims == resp.shape[1:]
+            assert cert.matrices.tobytes() == oracle.tobytes()
+            assert cert.outcome_labels == labels
+
+    @pytest.mark.parametrize("path", FIXTURES.values(), ids=FIXTURES.keys())
+    def test_certificates_match_diagonal_oracle_on_fixture(self, path):
+        _, slots, net = load_fixture(path)
+        self._check_diagonal(build_percolation_line(slots, net.central_measurements)[0])
+
+    def test_certificates_match_diagonal_oracle_on_random_models(self):
+        rng = np.random.default_rng(80)
+        for _ in range(10):
+            self._check_diagonal(random_model(rng, n_parties=int(rng.integers(3, 6))))
