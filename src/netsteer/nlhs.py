@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import nnls
 
 from .operators import (
     DimensionError,
@@ -174,6 +172,13 @@ class SeparableDecomposition:
         return QOperator(sum(terms), (self.left_states.shape[1], self.right_states.shape[1]))
 
 
+def _reproduces(dec: SeparableDecomposition, rho: QOperator) -> bool:
+    """Whether ``dec`` decomposes ``rho``: equal dims and every entry
+    within ``TOL_CHECK``."""
+    state = dec.state()
+    return state.dims == rho.dims and np.max(np.abs(state.matrix - rho.matrix)) <= TOL_CHECK
+
+
 def _flags(n: int) -> np.ndarray:
     """The (n, n, n) stack of flag projectors |a><a|."""
     return np.eye(n)[:, :, None] * np.eye(n)[:, None, :]
@@ -251,6 +256,8 @@ def _check_size(rows: int, cols: int) -> None:
 
 def _nnls_weights(a_mat: np.ndarray, b_vec: np.ndarray, what: str) -> np.ndarray:
     """Nonnegative w with a_mat @ w = b_vec within ``RECONSTRUCTION_TOL``."""
+    # imported here, so that importing the package does not load scipy
+    from scipy.optimize import nnls
     w, _ = nnls(a_mat, b_vec, maxiter=10 * a_mat.shape[1])
     resid = np.max(np.abs(a_mat @ w - b_vec))
     if resid > RECONSTRUCTION_TOL:
@@ -290,7 +297,7 @@ class SeparableLHSProvider:
     def find(self, rho: QOperator, effects: np.ndarray, direction: str) -> LHSData:
         dec, measured = self.decomposition, _measured_factor(direction)
         stacks = (dec.left_states, dec.right_states)
-        if np.max(np.abs(dec.state().matrix - rho.matrix)) > TOL_CHECK:
+        if not _reproduces(dec, rho):
             raise ModelNotFoundError("decomposition does not reproduce the source")
         resp = _born(effects[:, :, None], stacks[measured])
         return LHSData(dec.weights, resp.transpose(1, 0, 2), stacks[1 - measured])
@@ -453,6 +460,9 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
         raise PatternError("leftmost slot must be SEP or UNS_LEFT (endpoint states)")
     if slots[-1].kind not in (SEP, UNS_RIGHT):
         raise PatternError("rightmost slot must be SEP or UNS_RIGHT (endpoint states)")
+    for i, slot in enumerate(slots):
+        if slot.kind == SEP and not _reproduces(slot.decomposition, slot.state):
+            raise PatternError(f"slot {i}: SEP decomposition does not reproduce the slot's state")
     for j, m in enumerate(measurements):
         want = (slots[j].state.dims[1], slots[j + 1].state.dims[0])
         if m.dims != want:
@@ -542,8 +552,12 @@ def separabilize_endpoint(rho_ab: QOperator, m_a: POVM) -> tuple[QOperator, POVM
     is unchanged.
     """
     n = m_a.n_outcomes
-    rho_sep = QOperator(block_diag(*standard_assemblage(rho_ab, [m_a], "left")[:, 0]),
-                        (n, rho_ab.dims[1]))
+    steered = standard_assemblage(rho_ab, [m_a], "left")[:, 0]
+    d = steered.shape[1]
+    flag = np.zeros((n * d, n * d), dtype=steered.dtype)
+    for a in range(n):
+        flag[a * d:(a + 1) * d, a * d:(a + 1) * d] = steered[a]
+    rho_sep = QOperator(flag, (n, rho_ab.dims[1]))
     return rho_sep, computational_basis_povm(n)
 
 

@@ -2,6 +2,10 @@ import copy
 import csv
 import importlib.resources
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,29 @@ from netsteer.operators import NotHermitianError, NotPositiveError
 from netsteer.states import DEWParams, dew
 
 from conftest import max_entry_distance, random_model
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# imports the package, runs cli.main on argv if any is given, and prints the
+# exit code with the scipy modules the interpreter then holds
+COLD_START_PROBE = """
+import json, sys
+import netsteer, netsteer.cli
+rc = netsteer.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else None
+mods = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"rc": rc, "scipy": mods}))
+"""
+
+
+def _cold_start(argv):
+    """Run ``COLD_START_PROBE`` in a fresh interpreter; return (exit code,
+    loaded scipy modules)."""
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", COLD_START_PROBE, *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, check=True, timeout=300)
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    return doc["rc"], doc["scipy"]
 
 
 CC4 = {"kind": "classical_correlated", "d": 4}
@@ -362,3 +389,29 @@ class TestCLI:
         report = json.loads(out.read_text())
         assert report["max_deviation"] <= 1e-10
         assert report["realization_deviation"] <= 1e-10
+
+
+class TestColdStart:
+    """scipy is imported on the first NNLS solve, never by the package import."""
+
+    def test_import_loads_no_scipy(self):
+        assert _cold_start([]) == (None, [])
+
+    @pytest.mark.parametrize(
+        "argv,rc",
+        [
+            (["verify-swap", "--eta-steps", "3", "--omega-steps", "3"], 0),
+            (["activation", "--n", "5", "--eta-boundary", "--omega-steps", "11"], 0),
+            (["claims-demo", "--omega", "0.8"], 0),
+            (["claims-demo", "--omega", "0.5"], 2),
+            (["nlhs", "--fixture", "uns_sep_uns"], 0),
+        ],
+        ids=["verify-swap", "activation", "claims-demo", "claims-demo-exit-2", "nlhs-no-solve"],
+    )
+    def test_command_without_solve_loads_no_scipy(self, argv, rc):
+        assert _cold_start(argv) == (rc, [])
+
+    def test_nlhs_solve_loads_scipy_optimize(self):
+        rc, mods = _cold_start(["nlhs", "--fixture", "sep_loc_sep", "--realize"])
+        assert rc == 0
+        assert "scipy.optimize" in mods

@@ -682,6 +682,15 @@ class TestConstructors:
                                                  r"adjacent sources need \(3, 2\)"):
             build_percolation_line(slots, [bell_swap_povm(2)])
 
+    @pytest.mark.parametrize("d", [2, 3], ids=["same-dims", "other-dims"])
+    def test_percolation_rejects_sep_decomposition_of_another_state(self, d):
+        # a classical-correlated decomposition handed over for a Werner source
+        slots = [SourceSlot(SEP, werner(0.3), classical_correlated_decomposition(d)),
+                 SourceSlot(SEP, werner(0.3), werner_separable_decomposition(0.3))]
+        with pytest.raises(PatternError, match="slot 0: SEP decomposition does not "
+                                               "reproduce the slot's state"):
+            build_percolation_line(slots, [bell_swap_povm(2)])
+
     def test_percolation_rejects_bad_endpoints(self):
         with pytest.raises(PatternError):
             build_percolation_line(
@@ -818,6 +827,22 @@ class TestSeparabilize:
         assert np.allclose(rho_sep.matrix[0:2, 2:4], 0)
         assert abs(rho_sep.trace() - 1.0) < 1e-12
         assert negativity(rho_sep, [1]) == 0.0
+
+    @pytest.mark.parametrize("n_out", [2, 3, 4])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_flag_state_equals_block_diag_bytes(self, dims, n_out):
+        from scipy.linalg import block_diag
+
+        rng = np.random.default_rng(10 * n_out + dims[0] + 3 * dims[1])
+        rho = rand_density(rng, dims)
+        # n_out random PSD matrices rescaled to sum to the identity
+        gs = [rand_psd(rng, [dims[0]]).matrix for _ in range(n_out)]
+        w, v = np.linalg.eigh(sum(gs))
+        inv_sqrt = (v / np.sqrt(w)) @ v.conj().T
+        m_a = POVM([QOperator(inv_sqrt @ g @ inv_sqrt, [dims[0]]) for g in gs])
+        rho_sep, _ = separabilize_endpoint(rho, m_a)
+        steered = standard_assemblage(rho, [m_a], "left")[:, 0]
+        assert rho_sep.matrix.tobytes() == block_diag(*steered).tobytes()
 
     def test_rejects_dim_mismatch(self, rng):
         with pytest.raises(ValueError):
