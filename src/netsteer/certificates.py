@@ -83,7 +83,8 @@ def _endpoint_negativities(mats: np.ndarray, dims: tuple,
     live = np.trace(mats, axis1=1, axis2=2).real > NEG_CUTOFF
     values = np.zeros(len(mats))
     if live.any():
-        values[live] = _negativities(mats[live], dims, [1], extremes[live])
+        rows = slice(None) if live.all() else live      # a slice gathers nothing
+        values[rows] = _negativities(mats[rows], dims, [1], extremes[rows])
     return values, values > NEG_CUTOFF
 
 

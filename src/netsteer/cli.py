@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import errno
 import importlib.resources
-import json
 import os
 import sys
 from pathlib import Path
@@ -33,7 +32,7 @@ from .experiments import (
 )
 from .certificates import PipelinePreconditionError
 from .nlhs import ModelNotFoundError, PatternError
-from .nlhs_io import FixtureError
+from .nlhs_io import FixtureError, save_model
 from .operators import NotHermitianError, NotPositiveError
 
 
@@ -176,8 +175,7 @@ def main(argv=None) -> int:
         return 1
     try:
         if getattr(args, "model_out", None) is not None:
-            with open(args.model_out, "w") as fh:
-                json.dump(report.extra["model"], fh, indent=1)
+            save_model(report.extra["model"], args.model_out)
         _emit(report, args)
     except OSError as exc:
         return _write_error(exc)

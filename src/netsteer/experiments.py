@@ -10,7 +10,6 @@ computation; an out-of-range one raises ``SpecError``.
 from __future__ import annotations
 
 import csv
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -23,7 +22,7 @@ from .states import _dew_stack, werner
 from .certificates import _dew_unsteerable, _endpoint_negativities, claims_pipeline
 from .nlhs import (RECONSTRUCTION_TOL, build_percolation_line, nlhs_to_separable_realization,
                    reconstruct)
-from .nlhs_io import load_fixture, model_to_json
+from .nlhs_io import _json_text, load_fixture, model_to_json
 
 SWAP_TOL = 1e-10
 PIPELINE_TOL = 1e-12
@@ -259,14 +258,7 @@ def write_csv(report: ExperimentReport, path) -> None:
 
 
 def write_json(report: ExperimentReport, path) -> None:
-    doc = {
-        "experiment": report.name,
-        "inputs": report.inputs,
-        "ok": report.ok,
-        "max_deviation": report.max_deviation,
-        "wall_time": report.wall_time,
-        "records": report.records,
-    }
-    doc.update(report.extra)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1, default=str)
+        fh.write(_json_text({"experiment": report.name, "inputs": report.inputs, "ok": report.ok,
+                             "max_deviation": report.max_deviation, "wall_time": report.wall_time,
+                             "records": report.records, **report.extra}))

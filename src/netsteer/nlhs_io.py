@@ -24,6 +24,7 @@ provides one (classical_correlated always, werner for omega <= 1/3).
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -87,9 +88,37 @@ def model_from_json(doc: dict) -> NLHSModel:
     )
 
 
-def save_model(model: NLHSModel, path) -> None:
+def _json_text(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=1, default=str)`` of a document ``json`` accepts, built
+    without its pure-Python encoder: a list of floats is one join of their reprs."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, float):      # json writes a nan or an inf as NaN or Infinity
+        return float.__repr__(obj).replace("nan", "NaN").replace("inf", "Infinity")
+    if isinstance(obj, (list, tuple, dict)):
+        brackets = "{}" if isinstance(obj, dict) else "[]"
+        inner = indent + " "
+        sep = "," + inner
+        if isinstance(obj, dict):   # a key that is not a str is quoted as json writes it
+            text = sep.join([(_quote(k) if isinstance(k, str) else _quote(_json_text(k)))
+                             + ": " + _json_text(v, inner) for k, v in obj.items()])
+        elif all(map(float.__instancecheck__, obj)):
+            text = sep.join(map(float.__repr__, obj))
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        else:
+            text = sep.join([_json_text(x, inner) for x in obj])
+        return brackets[0] + inner + text + indent + brackets[1] if obj else brackets
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    return _quote(str(obj))     # json's default=str
+
+
+def save_model(model, path) -> None:
+    """Write an ``NLHSModel``, or its ``model_to_json`` document, to ``path``."""
     with open(path, "w") as fh:
-        json.dump(model_to_json(model), fh, indent=1)
+        fh.write(_json_text(model if isinstance(model, dict) else model_to_json(model)))
 
 
 def load_model(path) -> NLHSModel:

@@ -9,11 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsteer.cli import main
-from netsteer.nlhs import reconstruct
+from netsteer.nlhs import build_percolation_line, reconstruct
 from netsteer.nlhs_io import (
     FixtureError,
+    _json_text,
     load_fixture,
     load_model,
     model_from_json,
@@ -116,6 +119,43 @@ class TestModelIO:
         rng = np.random.default_rng(7)
         doc = model_to_json(random_model(rng, n_parties=3))
         json.dumps(doc)  # must not raise
+
+
+# floats json writes in every form: non-finite, signed zero, subnormal, 17 digits
+_FLOATS = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 2.225073858507201e-308,
+     0.1 + 0.2, 1 / 3, 1e16, 1e-7, 123456789.12345679])
+_STRINGS = st.text() | st.sampled_from(["", "\x00\x1f\x7f", '"\\/\b\f\n\r\t', "é—😀", "\ud800"])
+_SCALARS = (_FLOATS | _FLOATS.map(np.float64) | st.integers() | st.booleans() | st.none()
+            | _STRINGS | st.integers(-2**63, 2**63 - 1).map(np.int64)
+            | st.booleans().map(np.bool_) | st.complex_numbers())
+_KEYS = _STRINGS | st.integers() | _FLOATS | _FLOATS.map(np.float64) | st.booleans() | st.none()
+_DOCUMENTS = st.recursive(
+    _SCALARS | st.lists(_FLOATS) | st.lists(_FLOATS | st.integers() | st.booleans()),
+    lambda children: (st.lists(children) | st.lists(children).map(tuple)
+                      | st.dictionaries(_KEYS, children)),
+    max_leaves=20,
+)
+
+
+class TestJSONWriter:
+    """Every JSON file is ``_json_text``'s, which must be the text of
+    ``json.dumps(doc, indent=1, default=str)`` byte for byte."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_DOCUMENTS)
+    def test_text_is_json_indent_1(self, doc):
+        assert _json_text(doc) == json.dumps(doc, indent=1, default=str)
+
+    def test_model_out_is_save_model_and_report_model(self, tmp_path):
+        report, model_out, saved = (tmp_path / n for n in ("r.json", "m.json", "s.json"))
+        assert main(["nlhs", "--fixture", "percolation_star_n6", "--realize",
+                     "--model-out", str(model_out), "--format", "json", "--out", str(report)]) == 0
+        _, slots, net = load_fixture(fixture_path("percolation_star_n6"))
+        save_model(build_percolation_line(slots, net.central_measurements)[0], saved)
+        assert saved.read_bytes() == model_out.read_bytes()
+        assert (json.loads(model_out.read_text()) == json.loads(saved.read_text())
+                == json.loads(report.read_text())["model"])
 
 
 class TestFixtures:

@@ -2,8 +2,12 @@
 for bit: floats are compared by their bytes (so the sign of a zero counts),
 bools and ints by value and type."""
 
+import json
+import math
+
 import numpy as np
 import pytest
+import sympy as sp
 
 from netsteer import experiments
 from netsteer.certificates import (
@@ -14,9 +18,12 @@ from netsteer.certificates import (
 )
 from netsteer.cli import main
 from netsteer.experiments import SweepSpec, run_activation, run_verify_swap
+from netsteer.measurements import bell_swap_povm
+from netsteer.network import _contract, _tensors
 from netsteer.operators import CHECK_BLOCK_BYTES
-from netsteer.states import DEWParams
+from netsteer.states import DEWParams, dew
 
+from exact_oracles import ETA, OMEGA, dew_exact, swap_threshold_exact, symbolic_swap_element
 from sweep_oracles import activation_point, swap_deviation
 
 # points per block of a sweep: each holds a 9 x 9 complex source and element
@@ -145,3 +152,34 @@ class TestDEWUnsteerable:
         for eta, omega, verdict in zip(etas.tolist(), omegas.tolist(), stacked.tolist()):
             assert verdict is self._lattice(eta, omega)
             assert dew_unsteerable_both_ways(DEWParams(eta, omega)) is verdict
+
+
+class TestExactOracles:
+    """The swap identity and the activation threshold, exact (sympy) against
+    the package's floats."""
+
+    def test_swap_identity_is_exact(self):
+        want = ETA**2 / 4 * dew_exact(ETA, OMEGA**2)
+        assert (symbolic_swap_element() - want).applyfunc(sp.expand) == sp.zeros(9, 9)
+
+    @pytest.mark.parametrize("eta,omega", [(sp.Rational(1, 2), sp.Rational(1, 3)),
+                                           (sp.Rational(9, 10), sp.Rational(19, 20)),
+                                           (sp.Rational(4, 5), sp.Rational(7, 10)),
+                                           (sp.Rational(2, 9), sp.Rational(2, 3)),
+                                           (sp.Integer(1), sp.Integer(1))])
+    def test_contraction_matches_exact_swap_element(self, eta, omega):
+        exact = symbolic_swap_element().subs({ETA: eta, OMEGA: omega})
+        assert exact == (eta**2 / 4 * dew_exact(eta, omega**2)).applyfunc(sp.expand)
+        source = dew(DEWParams(float(eta), float(omega)))
+        got = _contract(_tensors([source, source]), [bell_swap_povm(3).matrices[:1]])[0]
+        assert np.max(np.abs(got - np.array(exact, dtype=float))) <= 1e-14
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_cli_swap_threshold_is_exact(self, n, tmp_path):
+        out = tmp_path / "act.json"
+        argv = ["activation", "--n", str(n), "--eta-steps", "2", "--omega-steps", "2",
+                "--format", "json", "--out", str(out)]
+        assert main(argv) == 0
+        exact = swap_threshold_exact(n)
+        got = json.loads(out.read_text())["swap_threshold"]
+        assert abs(sp.Float(got, 40) - sp.N(exact, 40)) <= math.ulp(float(exact))
