@@ -88,16 +88,25 @@ def _endpoint_negativities(mats: np.ndarray, dims: tuple,
     return values, values > NEG_CUTOFF
 
 
+def _row_negativities(asm: NetworkAssemblage) -> tuple[np.ndarray, np.ndarray]:
+    """``_endpoint_negativities`` of the assemblage's distinct elements, with
+    the extremes it kept from its own PSD check."""
+    return _endpoint_negativities(asm._rows, asm.dims, asm._row_extremes)
+
+
 def certify_network_steering(asm: NetworkAssemblage) -> Verdict:
     """Entanglement of any single element rules out an NLHS model.
 
-    The elements' negativities come from ``_endpoint_negativities``, whose
-    positivity precondition reads the eigenvalue extremes the assemblage
-    kept from its own PSD check, and the first element of largest
+    The negativities of the distinct elements come from
+    ``_endpoint_negativities``, whose positivity precondition reads the
+    eigenvalue extremes the assemblage kept from its own PSD check; they
+    are gathered back to every element, and the first element of largest
     negativity is reported.  Negativity is sufficient but not necessary,
     so the only negative answer is Inconclusive.
     """
-    values, entangled = _endpoint_negativities(asm.matrices, asm.dims, asm.extremes)
+    values, entangled = _row_negativities(asm)
+    if asm._index is not None:
+        values, entangled = values[asm._index], entangled[asm._index]
     if entangled.any():
         best = int(np.argmax(values))
         return Verdict(CERTIFIED, {"negativity": float(values[best]),
@@ -228,7 +237,7 @@ def claims_pipeline(rho_steerable: QOperator, axes: Sequence) -> tuple[Verdict, 
         expected[:, 2 * x:2 * x + 2, 2 * x:2 * x + 2] = direct[:, x] / d
     block_dev = float(np.max(np.abs(asm.matrices - expected)))
 
-    separable_elements = not _endpoint_negativities(asm.matrices, asm.dims, asm.extremes)[1].any()
+    separable_elements = not _row_negativities(asm)[1].any()
 
     conditioned = condition_on_trusted_measurement(asm, computational_basis_povm(d), "left")
     p, cond = lift_inputless_to_conditional(conditioned)

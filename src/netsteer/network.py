@@ -12,6 +12,21 @@ elements and a stack of effects at once: one einsum per measurement, on a
 path planned once per factor-dimension tuple, run over blocks of prefixes
 of bounded size (``CHECK_BLOCK_BYTES``) so that a step's intermediates do
 not grow with the number of outcome branches.
+
+Many branches of a line carry the same bytes (a 13-party line of
+doubly-erased Werner sources has 2,048 branches but only 759 to 825
+distinct elements).  ``_contract`` contracts each distinct prefix once,
+and the assemblage checks, and the verdicts partial-transpose, each
+distinct element once; every per-element result is gathered back through
+an index from outcome tuple to distinct row.
+
+The merge is exact as far as a step's rows do not depend on how many
+prefixes its einsum holds.  At some small factor dims the BLAS kernels
+round a row differently with the prefix count (a single prefix, or an odd
+number of them); there a merged element can differ from the unmerged one
+in the last bit, as an unmerged one already did with the size of its
+block.  On the benchmark's lines, the 13-party DEW lines among them, the
+merged stack equals the unmerged one byte for byte.
 """
 
 from __future__ import annotations
@@ -80,7 +95,12 @@ class NetworkAssemblage:
     central-outcome tuple b, held as one stack: ``matrices[k]`` is the
     element of ``outcomes[k]`` on the endpoint factors ``dims``, and
     ``extremes[k]`` its smallest and largest eigenvalue, kept from the PSD
-    check for the negativity precondition."""
+    check for the negativity precondition.
+
+    Byte-identical elements are checked once: ``_rows`` holds the distinct
+    elements in order of first occurrence (``_distinct``), ``_row_extremes``
+    their extremes, and ``_index[k]`` the row of element k, or None when no
+    two elements are equal, and then ``_rows`` is ``matrices``."""
 
     matrices: np.ndarray
     outcomes: tuple
@@ -88,29 +108,41 @@ class NetworkAssemblage:
     extremes: np.ndarray
 
     def __init__(self, matrices, outcomes, dims: Sequence[int]):
-        matrices = np.array(matrices, dtype=complex)
+        stack = np.asarray(matrices, dtype=complex)
         outcomes = tuple(outcomes)
         dims = tuple(int(d) for d in dims)
         side = math.prod(dims)
-        if len(dims) != 2 or min(dims) < 1 or matrices.shape != (len(outcomes), side, side):
+        if len(dims) != 2 or min(dims) < 1 or stack.shape != (len(outcomes), side, side):
             raise DimensionError(
                 f"{len(outcomes)} outcomes need a ({len(outcomes)}, d, d) stack on two "
-                f"endpoint dims of product d, got shape {matrices.shape} and dims {dims}"
+                f"endpoint dims of product d, got shape {stack.shape} and dims {dims}"
             )
         if len(set(outcomes)) != len(outcomes):
             raise ValueError("outcome keys must be distinct")
-        total = float(np.trace(matrices, axis1=1, axis2=2).real.sum())
+        rows, index = _distinct(stack)
+        # the assemblage's own copy: the gather of the distinct rows, or a copy
+        # of a stack without repeats, so that a caller's array is never held
+        # nor made read-only
+        rows = rows.copy() if index is None else rows
+        traces = np.trace(rows, axis1=1, axis2=2).real
+        total = float((traces if index is None else traces[index]).sum())
         if abs(total - 1.0) > TOL_NORM:
             raise ValueError(f"element traces sum to {total}, expected 1")
-        extremes = _psd_extremes(matrices, TOL_CHECK)
-        if extremes is None:
+        row_extremes = _psd_extremes(rows, TOL_CHECK)
+        if row_extremes is None:
             raise ValueError("assemblage element is not PSD")
-        matrices.flags.writeable = False
-        extremes.flags.writeable = False
+        matrices, extremes = rows, row_extremes
+        if index is not None:
+            matrices, extremes = rows[index], row_extremes[index]
+        for held in (rows, row_extremes, matrices, extremes):
+            held.flags.writeable = False
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "extremes", extremes)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_row_extremes", row_extremes)
+        object.__setattr__(self, "_index", index)
 
     @property
     def elements(self) -> dict:
@@ -167,20 +199,94 @@ def _step(prefixes: np.ndarray, effects: np.ndarray, source: np.ndarray) -> np.n
     return out.reshape(p * k, a, d, a, d)
 
 
+@functools.lru_cache(maxsize=None)
+def _key_weights(n: int) -> np.ndarray:
+    """The first n numbers of the splitmix64 sequence: fixed pseudo-random
+    64-bit weights, one per word of a row, so that rows that are
+    permutations of each other's entries most likely get different keys."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The distinct rows of a (p, ...) stack, equal meaning equal bytes, in
+    order of first occurrence, and the index of each row's distinct row;
+    ``(stack, None)`` when no two rows are equal.
+
+    Rows whose first 64-bit words differ are distinct, so a stack without
+    repeats mostly costs one sort of p words.  Otherwise each row is keyed
+    by the wrapping sum of its words times ``_key_weights``, and only rows
+    whose key repeats are compared, byte for byte, with the first row of their key; rows that
+    differ from it (a key collision) are compared again among themselves.
+    So rows that differ in one bit, be it the last bit of a float or the
+    sign of a zero, are never merged.
+    """
+    p = len(stack)
+    if p < 2:
+        return stack, None
+    words = np.ascontiguousarray(stack).reshape(p, -1).view(np.uint64)
+    leading = np.sort(words[:, 0])
+    if (leading[1:] != leading[:-1]).all():
+        return stack, None
+    keys = np.einsum("ij,j->i", words, _key_weights(words.shape[1]))
+    first = np.arange(p)            # the first row equal to each row
+    todo = np.arange(p)
+    while len(todo) > 1:
+        order = todo[np.argsort(keys[todo], kind="stable")]
+        leads = np.concatenate(([True], keys[order[1:]] != keys[order[:-1]]))
+        if leads.all():
+            break
+        leader = order[leads][np.cumsum(leads) - 1]
+        rows, lead = order[~leads], leader[~leads]
+        equal = np.empty(len(rows), dtype=bool)
+        for block in _blocks(len(rows), words[0].nbytes):
+            equal[block] = (words[rows[block]] == words[lead[block]]).all(axis=1)
+        first[rows[equal]] = lead[equal]
+        todo = np.sort(rows[~equal])
+    keep = first == np.arange(p)
+    if keep.all():
+        return stack, None
+    return stack[keep], (np.cumsum(keep) - 1)[first]
+
+
 def _contract(sources: Sequence[np.ndarray], choices: Sequence[np.ndarray]) -> np.ndarray:
     """Elements for every combination of ``choices[j]``, a stack of effects
     of central measurement j, of the line whose source i is the (c, d, c, d) tensor
     ``sources[i]``, as an (n, a d, a d) stack in ``itertools.product`` order.
 
+    Each distinct branch is contracted once: after every step but the last
+    the byte-identical prefix rows are merged (``_distinct``), and an index
+    from each outcome tuple so far to its distinct row is carried through
+    the next step, which turns row r and effect e into row r k + e.  Equal
+    prefixes absorbing the same source through the same effects give equal
+    children (see the module docstring for the rounding caveat), and the
+    last step's rows are gathered back through the index.  Per-row data of
+    a step, such as a scale taken out of each prefix row, would travel
+    through the same index.
+
     Grid form: every source may instead be a (G, c, d, c, d) stack, row g
     the source of line g; with one effect per choice, row g of the result
-    is then the element of line g.
+    is then the element of line g.  A grid step absorbs one source per row,
+    so equal prefix rows need not give equal children, and with one effect
+    per measurement no branch of a line repeats another: the grid form is
+    not merged.
     """
     t = sources[0].reshape((-1,) + sources[0].shape[-4:])
-    for effects, source in zip(choices, sources[1:]):
+    index = None
+    for j, (effects, source) in enumerate(zip(choices, sources[1:])):
+        if j and source.ndim == 4:
+            t, merged = _distinct(t)
+            if merged is not None:
+                index = merged if index is None else merged[index]
+        if index is not None:
+            k = len(effects)
+            index = (index[:, None] * k + np.arange(k)).ravel()
         t = _step(t, effects, source)
     side = t.shape[1] * t.shape[2]
-    return t.reshape(-1, side, side)
+    t = t.reshape(-1, side, side)
+    return t if index is None else t[index]
 
 
 def _tensors(sources: Sequence[QOperator]) -> list[np.ndarray]:
@@ -190,7 +296,8 @@ def _tensors(sources: Sequence[QOperator]) -> list[np.ndarray]:
 
 def line_assemblage(net: LinearNetwork) -> NetworkAssemblage:
     """Network assemblage of a linear network with trusted endpoints,
-    contracted left to right, all outcomes of a measurement in one step."""
+    contracted left to right, all outcomes of a measurement in one step,
+    each distinct prefix once."""
     central = net.central_measurements
     return NetworkAssemblage(
         _contract(_tensors(net.sources), [m.matrices for m in central]),

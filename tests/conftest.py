@@ -2,14 +2,15 @@
 generators, the identity, tensor-product, entry-distance, spectrum,
 apply-and-trace and partial-trace oracles, an assemblage made from an
 {outcome: operator} dict, a brute-force assemblage oracle that never
-uses the sequential contraction under test, and the checked network of a
-separable realisation."""
+uses the sequential contraction under test, the contraction without
+merging repeated branches, and the checked network of a separable
+realisation."""
 
 import numpy as np
 import pytest
 
 from netsteer.measurements import POVM
-from netsteer.network import LinearNetwork, NetworkAssemblage
+from netsteer.network import LinearNetwork, NetworkAssemblage, _step
 from netsteer.nlhs import NLHSModel
 from netsteer.operators import DimensionError, QOperator, TOL_HERM, _spectra
 
@@ -133,6 +134,17 @@ def brute_force_assemblage(net):
         element = np.einsum("mn,anzbmy->azby", effect, full)
         out[labels] = QOperator(element.reshape(d_l * d_r, d_l * d_r), (d_l, d_r))
     return out
+
+
+def unmerged_contract(sources, choices):
+    """``network._contract`` of a line without merging repeated branches:
+    every branch of every step goes through ``network._step``, the
+    contraction the merged one must equal byte for byte."""
+    t = sources[0].reshape((1,) + sources[0].shape)
+    for effects, source in zip(choices, sources[1:]):
+        t = _step(t, effects, source)
+    side = t.shape[1] * t.shape[2]
+    return t.reshape(-1, side, side)
 
 
 def random_linear_network(

@@ -13,7 +13,11 @@ enters before a test converts a result to compare it with the package:
 - ``swap_threshold_exact(n)``: the activation threshold (1/3)^(1/(n-1)), the
   visibility omega above which the Werner(omega^(n-1)) that n - 2
   successful swaps leave between the endpoints of an n-party line of
-  Werner(omega) sources is entangled.
+  Werner(omega) sources is entangled;
+- ``eta_boundary_exact(omega)``: the unsteerability boundary
+  eta = (2/3)(1 - omega) of the DEW sources, where the erased-state
+  criterion's value 3 eta / 2 + omega on the Werner Bloch data
+  (a = 0, T = -omega I) is exactly 1.
 
 With eta and omega as symbols, ``swap_element_exact`` of two DEW sources
 through ``SUCCESS`` is (eta^2 / 4) DEW(eta, omega^2), the n = 3 case of
@@ -98,3 +102,7 @@ def symbolic_swap_element() -> sp.Matrix:
 
 def swap_threshold_exact(n: int) -> sp.Expr:
     return sp.Rational(1, 3) ** sp.Rational(1, n - 1)
+
+
+def eta_boundary_exact(omega) -> sp.Expr:
+    return sp.Rational(2, 3) * (1 - omega)

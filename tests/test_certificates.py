@@ -31,7 +31,7 @@ from netsteer.operators import (
 )
 from netsteer.states import DEWParams, _dew_stack, classical_correlated, dew, psi_minus, werner
 
-from conftest import assemblage_of, random_linear_network
+from conftest import assemblage_of, random_linear_network, unmerged_contract
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
@@ -188,9 +188,9 @@ def _random_lines():
 
 class TestOneSpectrumPerCheck:
     """The negativity precondition reads the extremes of the assemblage's own
-    PSD check: each element is eigendecomposed once for that check and once
-    for its partial transpose, and the verdict is the one of eigendecomposing
-    each element from scratch."""
+    PSD check: each distinct element is eigendecomposed once for that check
+    and once for its partial transpose, a repeated one not again, and the
+    verdict is the one of eigendecomposing each element from scratch."""
 
     @staticmethod
     def _assert_matches_from_scratch_oracle(asm):
@@ -213,15 +213,18 @@ class TestOneSpectrumPerCheck:
 
     @pytest.mark.parametrize("omega", [0.95, 0.86])
     def test_each_element_eigendecomposed_twice(self, omega, eigvalsh_inputs):
+        # each distinct element by bytes, in order of first occurrence
         net = _dew_line(omega)
         eigvalsh_inputs.clear()     # the sources' and POVMs' own checks
         certify_network_steering(line_assemblage(net))
         seen = Counter(eigvalsh_inputs)
-        mats = _contract([s.matrix.reshape(s.dims * 2) for s in net.sources],
-                         [m.matrices for m in net.central_measurements])
+        mats = unmerged_contract([s.matrix.reshape(s.dims * 2) for s in net.sources],
+                                 [m.matrices for m in net.central_measurements])
         assert np.all(np.trace(mats, axis1=1, axis2=2).real > NEG_CUTOFF)   # none skipped
-        transposed = _transpose_factors(mats, (3, 3), [1])
-        assert seen == Counter(_symmetrised(mats)) + Counter(_symmetrised(transposed))
+        distinct = np.array(list({m.tobytes(): m for m in mats}.values()))
+        assert (len(mats), len(distinct)) == (2048, {0.95: 825, 0.86: 759}[omega])
+        transposed = _transpose_factors(distinct, (3, 3), [1])
+        assert seen == Counter(_symmetrised(distinct)) + Counter(_symmetrised(transposed))
 
     def test_each_activation_source_eigendecomposed_twice(self, eigvalsh_inputs):
         # 301 points: three sweep blocks

@@ -1,6 +1,16 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from netsteer.certificates import (
+    CERTIFIED,
+    INCONCLUSIVE,
+    _endpoint_negativities,
+    certify_network_steering,
+)
 from netsteer.measurements import (
     POVM,
     InvalidPOVMError,
@@ -12,6 +22,8 @@ from netsteer.network import (
     LinearNetwork,
     NetworkAssemblage,
     _contract,
+    _distinct,
+    _tensors,
     condition_on_trusted_measurement,
     lift_inputless_to_conditional,
     line_assemblage,
@@ -23,7 +35,10 @@ from netsteer.operators import (
     PAULI_Z,
     DimensionError,
     QOperator,
+    _extremes,
     _spectra,
+    basis_ket,
+    projector,
 )
 from netsteer.states import DEWParams, dew, psi_minus, werner
 
@@ -38,6 +53,7 @@ from conftest import (
     rand_unit_vector,
     random_linear_network,
     tensor,
+    unmerged_contract,
 )
 from sweep_oracles import assemblage_element
 
@@ -248,6 +264,19 @@ class TestNetworkAssemblage:
         with pytest.raises(ValueError, match="not PSD"):
             NetworkAssemblage(mats, keys, (2, 2))
 
+    # distinct elements: one more than fits in one stacked check of 4 x 4 matrices
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_rejects_non_psd_distinct_element_at(self, position):
+        n = CHECK_BLOCK_BYTES // 256 + 1
+        weights = np.arange(1, n + 1) / (n * (n + 1) / 2)
+        mats = weights[:, None, None] * np.eye(4) / 4
+        keys = [(k,) for k in range(n)]
+        assert len(NetworkAssemblage(mats, keys, (2, 2))._rows) == n
+        j = 0 if position == "first" else -1
+        mats[j] = np.diag([weights[j] + 0.5, -0.5, 0.0, 0.0])
+        with pytest.raises(ValueError, match="not PSD"):
+            NetworkAssemblage(mats, keys, (2, 2))
+
     def test_rejects_stack_length_other_than_outcome_count(self):
         mats = np.array([np.eye(4) / 8] * 2)
         with pytest.raises(DimensionError, match="3 outcomes"):
@@ -426,3 +455,159 @@ class TestConditioningAndLifting:
         asm = line_assemblage(net)
         total = sum(op.trace() for op in asm.elements.values())
         assert abs(total - 1.0) < 1e-10
+
+
+def _unmerged_line(net):
+    """The elements, their extremes and the verdict (status, negativity,
+    outcome) of a line with every branch contracted, checked and its
+    partial transpose eigendecomposed, repeats included."""
+    mats = unmerged_contract(_tensors(net.sources), [m.matrices for m in net.central_measurements])
+    extremes = _extremes(mats)
+    values, entangled = _endpoint_negativities(mats, net.endpoint_dims, extremes)
+    if not entangled.any():
+        return mats, extremes, (INCONCLUSIVE, None, None)
+    best = int(np.argmax(values))
+    outcomes = list(itertools.product(*(m.outcome_labels for m in net.central_measurements)))
+    return mats, extremes, (CERTIFIED, values[best], outcomes[best])
+
+
+def _assert_equals_unmerged(net):
+    asm = line_assemblage(net)
+    verdict = certify_network_steering(asm)
+    mats, extremes, (status, value, outcome) = _unmerged_line(net)
+    assert asm.matrices.tobytes() == mats.tobytes()
+    assert asm.extremes.tobytes() == extremes.tobytes()
+    assert verdict.status == status
+    if status == CERTIFIED:
+        assert verdict.witness["outcome"] == outcome
+        assert np.float64(verdict.witness["negativity"]).tobytes() == value.tobytes()
+    return asm
+
+
+def _computational_pair(d):
+    """The d^2-outcome computational-basis measurement on a (d, d) pair."""
+    return POVM([projector(basis_ket(i, d * d), (d, d)) for i in range(d * d)])
+
+
+def _coin(d):
+    """Two equal effects I/2 on a (d, d) pair: the outcome is a coin flip, so
+    the two children of every prefix are equal."""
+    half = QOperator(np.eye(d * d) / 2, (d, d))
+    return POVM([half, half])
+
+
+@st.composite
+def _lines_with_repeats(draw):
+    """Lines of 3 to 8 parties of local dims 1 to 3 (two or three interior
+    qubits, the other interior parties of dim 1, so that the brute-force
+    oracle stays small) whose sources are classically correlated, with some
+    zero weights, or product states, and whose central measurements are
+    computational-basis, swap or coin measurements, one of them a coin."""
+    n = draw(st.integers(3, 8))
+    qubits = draw(st.sets(st.integers(0, n - 3), min_size=min(2, n - 2), max_size=3))
+    local = ([draw(st.sampled_from([1, 2, 3]))] + [2 if i in qubits else 1 for i in range(n - 2)]
+             + [draw(st.sampled_from([1, 2, 3]))])
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    sources = []
+    for a, b in zip(local, local[1:]):
+        if draw(st.booleans()):         # classically correlated: sum_x p_x |x, x mod b><..|
+            p = np.array(draw(st.lists(st.integers(0, 3), min_size=a, max_size=a)), dtype=float)
+            p[0] += p.sum() == 0        # at least one nonzero weight
+            mat = np.zeros((a * b, a * b), dtype=complex)
+            for x in range(a):
+                mat[x * b + x % b, x * b + x % b] = p[x] / p.sum()
+        else:                           # product of two random densities
+            left, right = (rand_density(rng, (d,)).matrix for d in (a, b))
+            mat = np.kron(left, right)
+        sources.append(QOperator(mat, (a, b)))
+    coin = draw(st.integers(0, n - 3))
+    central = []
+    for i, d in enumerate(local[1:-1]):
+        kind = "coin" if i == coin else draw(st.sampled_from(["computational", "swap", "coin"]))
+        if kind == "swap" and d > 1:
+            central.append(bell_swap_povm(d))
+        elif kind == "computational":
+            central.append(_computational_pair(d))
+        else:
+            central.append(_coin(d))
+    return LinearNetwork(sources, central)
+
+
+class TestMergedBranches:
+    """``_contract`` merges byte-identical prefix rows and the assemblage and
+    its verdict handle each distinct element once.  On the benchmark's lines
+    every reported number equals the unmerged contraction's, byte for byte;
+    on any line the elements match the brute-force oracle."""
+
+    @pytest.mark.parametrize("omega,distinct", [(0.95, 825), (0.86, 759)])
+    def test_dew_lines_equal_unmerged_contraction(self, omega, distinct):
+        # the benchmark's two 13-party lines of doubly-erased Werner sources
+        net = LinearNetwork([dew(DEWParams(0.9, omega))] * 12, [bell_swap_povm(3)] * 11)
+        asm = _assert_equals_unmerged(net)
+        assert (len(asm.matrices), len(asm._rows)) == (2048, distinct)
+        for k, row in enumerate(asm._index):
+            assert asm._rows[row].tobytes() == asm.matrices[k].tobytes()
+
+    def test_verdict_names_the_first_outcome_of_the_best_row(self):
+        # the swap's complement split into two equal halves ahead of the
+        # singlet: outcomes 0 and 1 share row 0, the singlet's row 1 is outcome 2
+        singlet, rest = bell_swap_povm(2).matrices
+        halves = POVM([QOperator(m, (2, 2)) for m in (rest / 2, rest / 2, singlet)])
+        net = LinearNetwork([werner(1.0)] * 2, [halves])
+        asm = _assert_equals_unmerged(net)
+        assert asm._index.tolist() == [0, 0, 1]
+        assert certify_network_steering(asm).witness["outcome"] == (2,)
+
+    def test_mixed_dimension_line_equals_unmerged_contraction(self):
+        net = random_linear_network(np.random.default_rng(5), 9, max_dim=4)
+        assert len(set(net.endpoint_dims + tuple(m.dims[0] for m in net.central_measurements))) > 1
+        asm = _assert_equals_unmerged(net)
+        assert asm._index is None and asm._rows is asm.matrices     # no repeats here
+
+    @settings(max_examples=40, deadline=None)
+    @given(_lines_with_repeats())
+    def test_lines_with_repeats_match_brute_force_oracle(self, net):
+        asm = line_assemblage(net)
+        assert asm._index is not None
+        assert asm._rows[asm._index].tobytes() == asm.matrices.tobytes()
+        assert asm._row_extremes[asm._index].tobytes() == asm.extremes.tobytes()
+        assert len({row.tobytes() for row in asm.matrices}) == len(asm._rows)
+        oracle = brute_force_assemblage(net)
+        assert list(oracle) == list(asm.outcomes)
+        for k, op in oracle.items():
+            assert max_entry_distance(asm.elements[k], op) < 1e-12
+
+    # with the package's keys, and with one key for every row, so that the
+    # rows are told apart by their bytes alone
+    @pytest.mark.parametrize("keys", ["weighted", "colliding"])
+    def test_rows_one_ulp_or_a_zero_sign_apart_are_not_merged(self, rng, monkeypatch, keys):
+        if keys == "colliding":
+            monkeypatch.setattr("netsteer.network._key_weights", lambda n: np.zeros(n, np.uint64))
+        base = rand_density(rng, (2, 2)).matrix.copy()
+        base[0, 1] = base[1, 0] = 0.0
+        ulp = base.copy()               # the last word differs
+        ulp[3, 3] = complex(ulp[3, 3].real, np.nextafter(ulp[3, 3].imag, 1.0))
+        signed = base.copy()            # the first off-diagonal word differs
+        signed[0, 1] = complex(-0.0, 0.0)
+        stack = np.array([base, ulp, base, signed, ulp])
+        rows, index = _distinct(stack)
+        assert rows.tobytes() == stack[[0, 1, 3]].tobytes()
+        assert index.tolist() == [0, 1, 0, 2, 1]
+        assert _distinct(stack[[0, 1, 3]])[1] is None
+
+    def test_key_collisions_are_compared_byte_for_byte(self, rng, monkeypatch):
+        # every row gets the same key: the rows are told apart by bytes alone
+        monkeypatch.setattr("netsteer.network._key_weights", lambda n: np.zeros(n, np.uint64))
+        a, b, c = (rand_density(rng, (2, 2)).matrix for _ in range(3))
+        stack = np.array([a, b, a, c, b, c, c])
+        rows, index = _distinct(stack)
+        assert rows.tobytes() == np.array([a, b, c]).tobytes()
+        assert index.tolist() == [0, 1, 0, 2, 1, 2, 2]
+
+    def test_rows_with_permuted_entries_are_not_merged(self, rng):
+        # equal sums of their words, different bytes
+        a = rand_density(rng, (2, 2)).matrix
+        stack = np.array([a, a.T, a.T, a])
+        rows, index = _distinct(stack)
+        assert rows.tobytes() == stack[:2].tobytes()
+        assert index.tolist() == [0, 1, 1, 0]

@@ -16,16 +16,27 @@ reloaded with ``nlhs_io.load_model`` and written again with
 pinned as well as the writer), and ``<name>.exit`` holding the exit code
 and stderr of both runs.  Two snapshots of the same outputs compare equal
 under ``diff -r``; the ``fixtures/`` subdirectory is input, not output.
+
+It also writes ``library-lines.json``, a library-level record of lines
+whose branches repeat, which no CLI command contracts: for the two
+13-party lines of doubly-erased Werner sources (eta 0.9, omega 0.95 and
+0.86) and one seeded line of mixed local dims, the SHA-256 of
+``line_assemblage``'s ``matrices`` and ``extremes`` and the verdict of
+``certify_network_steering``, each witness entry as its ``repr``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
+import netsteer as ns
 from netsteer.cli import main
 from netsteer.nlhs_io import load_model, model_to_json
 
@@ -100,6 +111,44 @@ def commands(outdir: Path) -> list[tuple[str, list[str]]]:
     return cmds
 
 
+def _mixed_line(seed: int = 3, n: int = 9) -> ns.LinearNetwork:
+    """Random full-rank sources and two-outcome projective measurements on
+    local dims cycling through 2, 3 and 4, from ``seed``."""
+    rng = np.random.default_rng(seed)
+    local = [(2, 3, 4)[i % 3] for i in range(n)]
+    sources = []
+    for a, b in zip(local, local[1:]):
+        g = rng.normal(size=(a * b, a * b)) + 1j * rng.normal(size=(a * b, a * b))
+        rho = g @ g.conj().T
+        sources.append(ns.QOperator(rho / np.trace(rho), (a, b)))
+    central = []
+    for d in local[1:-1]:
+        q, _ = np.linalg.qr(rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d)))
+        halves = [q[:, i::2] @ q[:, i::2].conj().T for i in range(2)]
+        central.append(ns.POVM([ns.QOperator(e, (d, d)) for e in halves]))
+    return ns.LinearNetwork(sources, central)
+
+
+def library_lines() -> dict:
+    def dew_line(omega):
+        return ns.LinearNetwork([ns.dew(ns.DEWParams(0.9, omega))] * 12, [ns.bell_swap_povm(3)] * 11)
+
+    lines = {"dew-13-omega-0.95": dew_line(0.95), "dew-13-omega-0.86": dew_line(0.86),
+             "mixed-9-seed-3": _mixed_line()}
+    out = {}
+    for name, net in lines.items():
+        asm = ns.line_assemblage(net)
+        verdict = ns.certify_network_steering(asm)
+        out[name] = {
+            "elements": len(asm.outcomes),
+            "matrices_sha256": hashlib.sha256(asm.matrices.tobytes()).hexdigest(),
+            "extremes_sha256": hashlib.sha256(asm.extremes.tobytes()).hexdigest(),
+            "status": verdict.status,
+            "witness": {k: repr(v) for k, v in (verdict.witness or {}).items()},
+        }
+    return out
+
+
 def run(outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, argv in commands(outdir):
@@ -121,6 +170,8 @@ def run(outdir: Path) -> None:
             reloaded = json.dumps(model_to_json(load_model(model_out)), indent=1)
             (outdir / f"{name}.model.reloaded.json").write_text(reloaded)
         print(f"{name}: " + ", ".join(line.split("\n")[0] for line in status))
+    (outdir / "library-lines.json").write_text(json.dumps(library_lines(), indent=1) + "\n")
+    print("library-lines: written")
 
 
 if __name__ == "__main__":
