@@ -112,7 +112,7 @@ def _emit(report: ExperimentReport, args) -> None:
     print(
         f"{report.name}: {status}  "
         f"max_deviation={report.max_deviation:.3e}  "
-        f"records={len(report.records)}  "
+        f"records={len(next(iter(report.columns.values())))}  "
         f"wall_time={report.wall_time:.2f}s"
     )
     for key, val in report.extra.items():

@@ -62,11 +62,16 @@ class SweepSpec:
 class ExperimentReport:
     name: str
     inputs: dict
-    records: list
+    columns: dict           # field name -> list of plain values, in record order
     ok: bool
     max_deviation: float = 0.0
     wall_time: float = 0.0
     extra: dict = field(default_factory=dict)
+
+    @property
+    def records(self) -> list[dict]:
+        """One dict per record, its fields in column order."""
+        return [dict(zip(self.columns, row)) for row in zip(*self.columns.values())]
 
 
 def _grid_blocks(n: int) -> list[slice]:
@@ -100,14 +105,10 @@ def run_verify_swap(spec: SweepSpec) -> ExperimentReport:
     start = time.perf_counter()
     etas, omegas = (g.ravel() for g in np.meshgrid(spec.etas(), spec.omegas(), indexing="ij"))
     devs = np.concatenate([_swap_deviations(etas[b], omegas[b]) for b in _grid_blocks(len(etas))])
-    records = [
-        {"eta": e, "omega": w, "deviation": d}
-        for e, w, d in zip(etas.tolist(), omegas.tolist(), devs.tolist())
-    ]
     return ExperimentReport(
         name="verify-swap",
         inputs={"eta_range": spec.eta_range, "omega_range": spec.omega_range},
-        records=records,
+        columns={"eta": etas.tolist(), "omega": omegas.tolist(), "deviation": devs.tolist()},
         # numpy's max and comparison propagate a NaN deviation, wherever it is
         ok=bool(np.all(devs <= SWAP_TOL)),
         max_deviation=float(np.max(devs)),
@@ -150,14 +151,10 @@ def run_activation(spec: SweepSpec) -> ExperimentReport:
         etas, omegas = (g.ravel() for g in np.meshgrid(spec.etas(), spec.omegas(), indexing="ij"))
     blocks = [_activation_columns(spec.n_parties, etas[b], omegas[b])
               for b in _grid_blocks(len(etas))]
-    # plain Python ints, floats and bools, as the CSV and JSON writers expect
-    columns = {key: np.concatenate([c[key] for c in blocks]).tolist() for key in blocks[0]}
-    records = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    columns = {key: np.concatenate([c[key] for c in blocks]) for key in blocks[0]}
     # a reported negativity is a signed zero or above the certifying cutoff
-    activated = [
-        r for r in records
-        if r["network_steering"] and r["source_unsteerable"] and r["source_negativity"] > 0
-    ]
+    activated = (columns["network_steering"] & columns["source_unsteerable"]
+                 & (columns["source_negativity"] > 0))
     return ExperimentReport(
         name="activation",
         inputs={
@@ -166,11 +163,12 @@ def run_activation(spec: SweepSpec) -> ExperimentReport:
             "omega_range": spec.omega_range,
             "eta_boundary": spec.eta_boundary,
         },
-        records=records,
+        # plain Python ints, floats and bools, as the CSV and JSON writers expect
+        columns={key: col.tolist() for key, col in columns.items()},
         ok=True,
         wall_time=time.perf_counter() - start,
         extra={
-            "activation_points": len(activated),
+            "activation_points": int(np.count_nonzero(activated)),
             "swap_threshold": (1.0 / 3.0) ** (1.0 / (spec.n_parties - 1)),
         },
     )
@@ -194,7 +192,7 @@ def run_claims_demo(omega: float, axes_preset: str = "zx") -> ExperimentReport:
     return ExperimentReport(
         name="claims-demo",
         inputs={"omega": omega, "axes": axes_preset},
-        records=[transcript],
+        columns={key: [value] for key, value in transcript.items()},
         ok=verdict.certified and max_dev <= PIPELINE_TOL,
         max_deviation=float(max_dev),
         wall_time=time.perf_counter() - start,
@@ -230,7 +228,7 @@ def run_nlhs(fixture_path, realize: bool = False) -> ExperimentReport:
     return ExperimentReport(
         name=f"nlhs:{name}",
         inputs={"fixture": str(fixture_path), "realize": realize},
-        records=[{"reconstruction_deviation": float(dev)}],
+        columns={"reconstruction_deviation": [float(dev)]},
         ok=ok,
         max_deviation=float(dev),
         wall_time=time.perf_counter() - start,
@@ -238,23 +236,24 @@ def run_nlhs(fixture_path, realize: bool = False) -> ExperimentReport:
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def _cells(column: list) -> list[str]:
+    """The CSV cells of a column of values of one kind, the kind of its
+    first value: bools as 1 and 0, floats in round-trip ``.17g``, anything
+    else as ``str`` gives it."""
+    if isinstance(column[0], bool):
+        return ["1" if v else "0" for v in column]
+    if isinstance(column[0], float):
+        return [format(v, ".17g") for v in column]
+    return [str(v) for v in column]
 
 
 def write_csv(report: ExperimentReport, path) -> None:
-    if not report.records:
+    if not any(report.columns.values()):
         raise ValueError("nothing to write")
-    fields = list(report.records[0].keys())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fields)
-        for rec in report.records:
-            writer.writerow([_fmt(rec[f]) for f in fields])
+        writer.writerow(report.columns)
+        writer.writerows(zip(*map(_cells, report.columns.values())))
 
 
 def write_json(report: ExperimentReport, path) -> None:

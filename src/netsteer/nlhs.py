@@ -31,7 +31,7 @@ from .measurements import (
     SeparableMeasurement,
     computational_basis_povm,
 )
-from .network import NetworkAssemblage, standard_assemblage
+from .network import NetworkAssemblage, _distinct, standard_assemblage
 
 RECONSTRUCTION_TOL = 1e-10
 N_BLOCH = 26              # Fibonacci-grid qubit states added to the LHS candidates
@@ -223,28 +223,6 @@ def _strategies(n_out: int, n_in: int) -> np.ndarray:
     return (digits[:, None, :] == np.arange(n_out)[:, None]).astype(float)
 
 
-def _distinct_inputs(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the first occurrence of each byte-for-byte distinct row of
-    a stack, and for every row the position of its representative among
-    them.  Merging exactly equal inputs is always sound: a model solved over
-    the representatives answers each duplicate as its representative."""
-    seen: dict[bytes, int] = {}
-    first, rep = [], []
-    for i, row in enumerate(rows):
-        j = seen.setdefault(np.ascontiguousarray(row).tobytes(), len(first))
-        if j == len(first):
-            first.append(i)
-        rep.append(j)
-    return np.array(first, dtype=int), np.array(rep, dtype=int)
-
-
-def _lhv_inputs(behavior: np.ndarray):
-    """``_distinct_inputs`` of the x-slices p(., . | x, .) and of the
-    y-slices p(., . | ., y) of a behaviour."""
-    return (_distinct_inputs(np.moveaxis(behavior, 2, 0)),
-            _distinct_inputs(np.moveaxis(behavior, 3, 0)))
-
-
 def _check_size(rows: int, cols: int) -> None:
     """Refuse, before it is built, a system the finite search cannot hold."""
     if rows * cols > MAX_SYSTEM_ENTRIES:
@@ -318,29 +296,30 @@ class BruteForceLHSProvider:
     a fixed grid of ``N_BLOCH`` = 26 Fibonacci-sphere Bloch vectors; weights
     solved by nonnegative least squares.  Only reconstructions within
     ``RECONSTRUCTION_TOL`` are accepted.  Inputs whose steered states
-    sigma_{.|x} are exactly equal are solved once, as one input.  A search
-    whose system, after that merge, would exceed ``MAX_SYSTEM_ENTRIES`` =
-    2**25 entries raises ``ModelNotFoundError`` before any of it is
-    enumerated.  The limit bounds the system's size (256 MiB), not its
-    solve time, which can run to seconds below it (see
-    ``MAX_SYSTEM_ENTRIES``)."""
+    sigma_{.|x} are equal byte for byte are solved once, as one input, and
+    answered as their first occurrence: the merge is ``network._distinct``,
+    the one the contraction uses.  A search whose system, after that merge,
+    would exceed ``MAX_SYSTEM_ENTRIES`` = 2**25 entries raises
+    ``ModelNotFoundError`` before any of it is enumerated.  The limit bounds
+    the system's size (256 MiB), not its solve time, which can run to
+    seconds below it (see ``MAX_SYSTEM_ENTRIES``)."""
 
     def find(self, rho: QOperator, effects: np.ndarray, direction: str) -> LHSData:
         measured = _measured_factor(direction)
         n_out = effects.shape[1]
-        steered = _apply_and_trace(rho.matrix[None], rho.dims, effects, measured)[0]
+        steered, rep = _distinct(_apply_and_trace(rho.matrix[None], rho.dims, effects, measured)[0])
+        n_in = len(steered)
+        rep = np.arange(n_in) if rep is None else rep
         sigma = _real_rows(steered)
-        first, rep = _distinct_inputs(sigma)
-        sigma = sigma[first]
         # the normalised steered states of the distinct inputs, then the qubit grid
-        mats = steered[first].reshape((-1,) + steered.shape[2:])
+        mats = steered.reshape((-1,) + steered.shape[2:])
         traces = np.trace(mats, axis1=1, axis2=2).real
         cands = list(mats[traces > TOL_CHECK] / traces[traces > TOL_CHECK, None, None])
         if rho.dims[1 - measured] == 2:
             cands += [(np.eye(2) + sum(c * s for c, s in zip(u, PAULIS))) / 2
                       for u in fibonacci_sphere(N_BLOCH)]
         cands = np.array(cands)
-        n_in, n_cand = len(first), len(cands)
+        n_cand = len(cands)
         _check_size(sigma.size, n_out ** n_in * n_cand)
         # unknowns: c[s, j] >= 0 with
         #   sum_{s: s(x)=b} sum_j c[s, j] tau_j = sigma_{b|x}
@@ -367,8 +346,9 @@ def solve_lhv(behavior: np.ndarray):
 
     ``behavior`` has shape (n_b, n_c, n_x, n_y).  Returns (dist over
     deterministic strategy pairs, left responses resp_b[b, x, l],
-    right responses resp_c[c, y, l]).  x-inputs with exactly equal slices
-    p(., . | x, .), and likewise y-inputs, are solved once, as one input.
+    right responses resp_c[c, y, l]).  x-inputs whose slices p(., . | x, .)
+    are equal byte for byte, and then likewise y-inputs, are solved once, as
+    one input (``network._distinct``, the contraction's merge).
     Deterministic-vertex weights are found by nonnegative least squares;
     first-feasible tie-break is the lowest lexicographic strategy index
     (nnls is deterministic).  A system over ``MAX_SYSTEM_ENTRIES`` after
@@ -376,12 +356,16 @@ def solve_lhv(behavior: np.ndarray):
     not the solve time: the 128 x 131,072 system of the example at
     ``MAX_SYSTEM_ENTRIES`` passes it and takes seconds to solve.
     """
-    n_b, n_c = behavior.shape[:2]
-    (first_x, rep_x), (first_y, rep_y) = _lhv_inputs(behavior)
-    behavior = behavior[:, :, first_x][:, :, :, first_y]
-    _check_size(behavior.size, n_b ** len(first_x) * n_c ** len(first_y))
-    left = _strategies(n_b, len(first_x))
-    right = _strategies(n_c, len(first_y))
+    n_b, n_c, n_x, n_y = behavior.shape
+    # the distinct x-slices [x, b, c, y], then the distinct y-slices of those [y, x, b, c]
+    xs, rep_x = _distinct(np.moveaxis(behavior, 2, 0))
+    ys, rep_y = _distinct(np.moveaxis(xs, 3, 0))
+    rep_x = np.arange(n_x) if rep_x is None else rep_x
+    rep_y = np.arange(n_y) if rep_y is None else rep_y
+    behavior = ys.transpose(2, 3, 1, 0)
+    _check_size(behavior.size, n_b ** len(xs) * n_c ** len(ys))
+    left = _strategies(n_b, len(xs))
+    right = _strategies(n_c, len(ys))
     # rows ((b * n_c + c) * n_x + x) * n_y + y over the distinct x and y,
     # columns l * len(right) + r
     a_mat = np.einsum("lbx,rcy->bcxylr", left, right).reshape(behavior.size, -1)
@@ -508,7 +492,7 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
             if slot.kind == LOC:
                 behavior = _lhv_behavior(slot.state, lp, rp)
                 dists[i], resp_b, resp_c = solve_lhv(behavior)
-                (xs, _), (ys, _) = _lhv_inputs(behavior)
+                xs, ys = (_distinct(np.moveaxis(behavior, axis, 0))[0] for axis in (2, 3))
                 distinct = (f" ({len(xs)} of {len(lp)} x-inputs and "
                             f"{len(ys)} of {len(rp)} y-inputs distinct)")
             else:

@@ -16,6 +16,10 @@ response table, where the realisation sums its certificate's factors.
 ``induced_measurement`` is the per-state path the resolver replaced by one
 stacked contraction: one POVM per hidden state, each effect contracted by
 the single-matrix ``apply_and_trace`` oracle and the POVM checked anew.
+
+``distinct_inputs`` is the merge of exactly equal inputs that the NLHS
+searches made with a dict over row bytes before they used
+``network._distinct``; the two must agree on every stack.
 """
 
 import itertools
@@ -56,6 +60,20 @@ def effect_stack(povms) -> np.ndarray:
     """The effects of ``povms`` as the (inputs, outcomes, d, d) stack that
     the LHS providers and ``nlhs._lhv_behavior`` take."""
     return np.array([povm.matrices for povm in povms])
+
+
+def distinct_inputs(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the first occurrence of each byte-for-byte distinct row of
+    a stack, and for every row the position of its representative among
+    them, from a dict over each row's bytes."""
+    seen: dict[bytes, int] = {}
+    first, rep = [], []
+    for i, row in enumerate(rows):
+        j = seen.setdefault(np.ascontiguousarray(row).tobytes(), len(first))
+        if j == len(first):
+            first.append(i)
+        rep.append(j)
+    return np.array(first, dtype=int), np.array(rep, dtype=int)
 
 
 def reconstruct_kron_loop(model: NLHSModel) -> dict:

@@ -8,9 +8,12 @@ sources (pushed through the erasure channel one factor at a time, with this
 module's own Kraus einsum), contracts one element with ``assemblage_element``
 and certifies it on its own.  ``dew_kraus_stack`` is the same Kraus einsum
 on a stack of (eta, omega) pairs, the reference of ``states._dew_stack``'s
-direct block build.
+direct block build.  ``write_csv_records`` is the per-record CSV writer
+that ``experiments.write_csv``, which formats one column at a time,
+replaced.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 
@@ -157,3 +160,23 @@ def activation_point(n_parties, eta, omega):
         "sigma0_negativity": float(negs[1]),
         "network_steering": bool(entangled[1]),
     }
+
+
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def write_csv_records(records: list, path) -> None:
+    """Write a report's records as CSV, one record and one value at a time."""
+    if not records:
+        raise ValueError("nothing to write")
+    fields = list(records[0].keys())
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(fields)
+        for rec in records:
+            writer.writerow([_fmt(rec[f]) for f in fields])

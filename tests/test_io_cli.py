@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netsteer.cli import main
+from netsteer.experiments import (ExperimentReport, SweepSpec, run_activation, run_claims_demo,
+                                  run_verify_swap, write_csv)
 from netsteer.nlhs import build_percolation_line, reconstruct
 from netsteer.nlhs_io import (
     FixtureError,
@@ -27,6 +30,7 @@ from netsteer.operators import NotHermitianError, NotPositiveError
 from netsteer.states import DEWParams, dew
 
 from conftest import max_entry_distance, random_model
+from sweep_oracles import write_csv_records
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -156,6 +160,49 @@ class TestJSONWriter:
         assert saved.read_bytes() == model_out.read_bytes()
         assert (json.loads(model_out.read_text()) == json.loads(saved.read_text())
                 == json.loads(report.read_text())["model"])
+
+
+# a report of 1-50 rows: each column all bools, all ints or all floats
+_COLUMN_VALUES = st.sampled_from([st.booleans(), st.integers(), _FLOATS])
+
+
+@st.composite
+def _csv_reports(draw):
+    n = draw(st.integers(1, 50))
+    names = draw(st.lists(st.text('ab_ ,"\n', min_size=1, max_size=4), min_size=1, max_size=6,
+                          unique=True))
+    columns = {name: draw(st.lists(draw(_COLUMN_VALUES), min_size=n, max_size=n))
+               for name in names}
+    return ExperimentReport("csv", {}, columns, True)
+
+
+class TestCSVWriter:
+    """``write_csv`` formats one column at a time; it must write the bytes of
+    the per-record writer it replaced."""
+
+    @staticmethod
+    def _same_bytes(report, tmp):
+        write_csv(report, tmp / "columns.csv")
+        write_csv_records(report.records, tmp / "records.csv")
+        assert (tmp / "columns.csv").read_bytes() == (tmp / "records.csv").read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_csv_reports())
+    def test_matches_per_record_writer(self, report):
+        with tempfile.TemporaryDirectory() as tmp:
+            self._same_bytes(report, Path(tmp))
+
+    def test_experiment_reports(self, tmp_path):
+        # the claims-demo transcript is one record of floats and bools
+        for report in (run_claims_demo(0.9),
+                       run_activation(SweepSpec(omega_range=(0.8, 0.9, 11), n_parties=4)),
+                       run_verify_swap(SweepSpec(eta_range=(0.0, 1.0, 3),
+                                                 omega_range=(0.0, 1.0, 3)))):
+            self._same_bytes(report, tmp_path)
+
+    def test_refuses_empty_report(self, tmp_path):
+        with pytest.raises(ValueError, match="nothing to write"):
+            write_csv(ExperimentReport("csv", {}, {"x": []}, True), tmp_path / "r.csv")
 
 
 class TestFixtures:

@@ -5,11 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netsteer import nlhs
 from netsteer.measurements import POVM, bell_swap_povm, pauli_projective
 from netsteer.experiments import run_nlhs
-from netsteer.network import LinearNetwork, NetworkAssemblage, line_assemblage, standard_assemblage
+from netsteer.network import (LinearNetwork, NetworkAssemblage, _distinct, line_assemblage,
+                              standard_assemblage)
 from netsteer.nlhs import (
     BruteForceLHSProvider,
     LOC,
@@ -23,8 +26,6 @@ from netsteer.nlhs import (
     SourceSlot,
     UNS_LEFT,
     UNS_RIGHT,
-    _distinct_inputs,
-    _lhv_inputs,
     build_percolation_line,
     classical_correlated_decomposition,
     fibonacci_sphere,
@@ -56,6 +57,7 @@ from nlhs_oracles import (
     decomposition_state_sum,
     diagonal_effects,
     direct_response_kron,
+    distinct_inputs,
     effect_stack,
     induced_measurement,
     lhv_behavior,
@@ -564,24 +566,72 @@ class TestSolveLHV:
         assert np.max(np.abs(rebuilt - behavior)) <= RECONSTRUCTION_TOL
 
     def test_keeps_inputs_one_ulp_apart(self):
+        # the x-slices p(., . | x, .) and the y-slices p(., . | ., y), as solve_lhv merges them
+        def counts(behavior):
+            return [len(_distinct(np.moveaxis(behavior, axis, 0))[0]) for axis in (2, 3)]
+
         behavior = lhv_behavior(werner(0.5), [pauli_projective(Z)] * 2, [pauli_projective(X)] * 2)
-        assert [len(first) for first, _ in _lhv_inputs(behavior)] == [1, 1]
+        assert counts(behavior) == [1, 1]
         behavior[0, 0, 1, 1] = np.nextafter(behavior[0, 0, 1, 1], 1.0)
-        assert [len(first) for first, _ in _lhv_inputs(behavior)] == [2, 2]
+        assert counts(behavior) == [2, 2]
+
+
+# one-ulp neighbours, both zeros, subnormals, infinities and NaNs of two payloads
+_SPECIAL_WORDS = [0.0, -0.0, 1.0, np.nextafter(1.0, 2.0), 5e-324, -5e-324, np.inf, -np.inf,
+                  np.nan, -np.nan]
+
+
+@st.composite
+def _input_stacks(draw):
+    """Float or complex stacks of 2-12 rows drawn from a pool of 1-4 rows,
+    so that rows repeat, some with one entry bumped by one ulp, its sign
+    flipped or replaced by NaN; a third of them handed over transposed."""
+    n = draw(st.integers(2, 12))
+    shape = draw(st.sampled_from([(1,), (2, 3), (2, 2, 2)]))
+    complex_rows = draw(st.booleans())
+    size = int(np.prod(shape)) * (2 if complex_rows else 1)
+    words = st.one_of(st.sampled_from(_SPECIAL_WORDS), st.floats(width=64))
+    pool = draw(st.lists(st.lists(words, min_size=size, max_size=size), min_size=1, max_size=4))
+    rows = []
+    for _ in range(n):
+        row = np.array(draw(st.sampled_from(pool)))
+        k = draw(st.integers(0, size - 1))
+        edit = draw(st.sampled_from(["none", "none", "ulp", "sign", "nan"]))
+        if edit == "ulp":
+            with np.errstate(over="ignore"):
+                row[k] = np.nextafter(row[k], np.inf)
+        elif edit == "sign":
+            row[k] = -row[k]
+        elif edit == "nan":
+            row[k] = np.nan
+        rows.append(row)
+    stack = np.array(rows)
+    stack = (stack.view(complex) if complex_rows else stack).reshape((n,) + shape)
+    if draw(st.integers(0, 2)) == 0:
+        stack = np.moveaxis(np.ascontiguousarray(np.moveaxis(stack, 0, -1)), -1, 0)
+    return stack
 
 
 class TestDistinctInputs:
     def test_first_occurrences_and_representatives(self):
         rows = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [5.0, 6.0], [3.0, 4.0]])
-        first, rep = _distinct_inputs(rows)
-        assert first.tolist() == [0, 1, 3]
+        distinct, rep = _distinct(rows)
+        assert distinct.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
         assert rep.tolist() == [0, 1, 0, 2, 1]
-        assert np.array_equal(rows[first][rep], rows)
+        assert np.array_equal(distinct[rep], rows)
 
     def test_one_ulp_is_distinct(self):
         rows = np.zeros((2, 3, 3), dtype=complex)
         rows[1, 2, 0] = np.nextafter(0.0, 1.0) * 1j
-        assert _distinct_inputs(rows)[0].tolist() == [0, 1]
+        assert _distinct(rows)[1] is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(_input_stacks())
+    def test_matches_dict_merge_oracle(self, stack):
+        first, rep = distinct_inputs(stack)
+        rows, index = _distinct(stack)
+        assert rows.tobytes() == stack[first].tobytes()
+        assert (np.arange(len(stack)) if index is None else index).tolist() == rep.tolist()
 
 
 class TestConstructors:
