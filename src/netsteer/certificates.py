@@ -204,7 +204,7 @@ def linear_steering_witness(asm: np.ndarray, axes: Sequence) -> tuple[float, flo
         np.linalg.norm(sum(s * v for s, v in zip(signs, axes)))
         for signs in itertools.product((1, -1), repeat=m)
     ) / m
-    return float(value), float(bound), value > bound + TOL_OPT
+    return float(value), float(bound), bool(value > bound + TOL_OPT)
 
 
 def claims_pipeline(rho_steerable: QOperator, axes: Sequence) -> tuple[Verdict, dict]:

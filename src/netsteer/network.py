@@ -8,25 +8,19 @@ little-endian by party index.
 Assemblage elements are computed by sequential pairwise contraction, never
 materialising the full tensor product of all sources.  Each step absorbs
 the next source through one measurement for a whole stack of prefix
-elements and a stack of effects at once: one einsum per measurement, on a
-path planned once per factor-dimension tuple, run over blocks of prefixes
-of bounded size (``CHECK_BLOCK_BYTES``) so that a step's intermediates do
-not grow with the number of outcome branches.
+elements and a stack of effects at once: two matrix products per prefix
+row, run over blocks of prefixes of bounded size (``CHECK_BLOCK_BYTES``) so
+that a step's intermediates do not grow with the number of outcome
+branches.
 
 Many branches of a line carry the same bytes (a 13-party line of
 doubly-erased Werner sources has 2,048 branches but only 759 to 825
 distinct elements).  ``_contract`` contracts each distinct prefix once,
 and the assemblage checks, and the verdicts partial-transpose, each
 distinct element once; every per-element result is gathered back through
-an index from outcome tuple to distinct row.
-
-The merge is exact as far as a step's rows do not depend on how many
-prefixes its einsum holds.  At some small factor dims the BLAS kernels
-round a row differently with the prefix count (a single prefix, or an odd
-number of them); there a merged element can differ from the unmerged one
-in the last bit, as an unmerged one already did with the size of its
-block.  On the benchmark's lines, the 13-party DEW lines among them, the
-merged stack equals the unmerged one byte for byte.
+an index from outcome tuple to distinct row.  A step computes each row
+alone, whatever the block it sits in, so the merged stack equals the
+unmerged one byte for byte.
 """
 
 from __future__ import annotations
@@ -152,21 +146,6 @@ class NetworkAssemblage:
                 for outcome, mat in zip(self.outcomes, self.matrices)}
 
 
-# trace over the measured pair (b, c):
-#   R[a d, a' d'] = sum_{b c b' c'} E[b c, b' c'] t[a b', a' b] s[c' d, c d']
-_STEP = "uvbc,abxu,cdvy->adxy"
-# the same for k effects E and a stack of prefixes t, output in (prefix,
-# effect) order; s is one source for every prefix or a stack of one per prefix
-_BATCHED_STEP = "kuvbc,...abxu,...cdvy->...kadxy"
-
-
-@functools.lru_cache(maxsize=None)
-def _step_path(a: int, b: int, c: int, d: int) -> tuple:
-    """The einsum path of ``_STEP`` for one element of these factor dims."""
-    ops = (np.empty((b, c, b, c)), np.empty((a, b, a, b)), np.empty((c, d, c, d)))
-    return tuple(np.einsum_path(_STEP, *ops, optimize=True)[0])
-
-
 def _step(prefixes: np.ndarray, effects: np.ndarray, source: np.ndarray) -> np.ndarray:
     """Absorb the next source through each of a (k, b c, b c) stack of ``effects``.
 
@@ -176,26 +155,31 @@ def _step(prefixes: np.ndarray, effects: np.ndarray, source: np.ndarray) -> np.n
     tensor absorbed into every prefix, or a (p, c, d, c, d) stack whose row
     i is absorbed into prefix i (a grid of lines, one per row).  Returns
     the (p * k, a, d, a, d) stack with dims [left endpoint, right factor of
-    the source], prefix-major and effect-minor.
+    the source], prefix-major and effect-minor:
 
-    The einsum path is the one planned for a single element (batched
-    shapes would pick another pairing and move the last bits of the
-    result) and is planned once per (a, b, c, d).  Contracted index by
-    index instead of through a Kronecker product, so the intermediates stay
-    quadratic in the factor dimensions even for the large flag dimensions
-    of a separable realisation.
+        R[a d, x y] = sum_{u v b c} E[u v, b c] t[a b, x u] s[c d, v y]
+
+    as two matrix products per prefix row, t[(a x), (b u)] @ E[(b u), (k v
+    c)] and then, regrouped as [(a x k), (v c)], @ s[(v c), (d y)].  Each
+    row is its own pair of products, so it does not depend on the other
+    rows of its block; blocks of prefixes bound the intermediates, which
+    stay quadratic in the factor dimensions even for the large flag
+    dimensions of a separable realisation.
     """
     p, a, b = prefixes.shape[:3]
     c, d = source.shape[-4:-2]
     k = len(effects)
-    em = effects.reshape(k, b, c, b, c)
-    path = _step_path(a, b, c, d)
+    em = effects.reshape(k, b, c, b, c).transpose(3, 1, 0, 2, 4).reshape(b * b, k * c * c)
+    sm = np.moveaxis(source, -2, -4).reshape(source.shape[:-4] + (c * c, d * d))
     per_prefix = source.ndim == 5
     out = np.empty((p, k, a, d, a, d), dtype=complex)
-    # output and largest intermediate per prefix: k (a max(c, d))^2 entries each
-    for block in _blocks(p, 2 * out.itemsize * k * (a * max(c, d)) ** 2):
-        np.einsum(_BATCHED_STEP, em, prefixes[block], source[block] if per_prefix else source,
-                  optimize=path, out=out[block])
+    # per prefix: its transpose, a^2 b^2 entries, and the products, a^2 k (c^2 + d^2)
+    for block in _blocks(p, out.itemsize * a * a * (b * b + k * (c * c + d * d))):
+        t = prefixes[block]
+        m = len(t)
+        products = t.transpose(0, 1, 3, 2, 4).reshape(m, a * a, b * b) @ em
+        products = products.reshape(m, a * a * k, c * c) @ (sm[block] if per_prefix else sm)
+        out[block] = products.reshape(m, a, a, k, d, d).transpose(0, 3, 1, 4, 2, 5)
     return out.reshape(p * k, a, d, a, d)
 
 
@@ -261,10 +245,9 @@ def _contract(sources: Sequence[np.ndarray], choices: Sequence[np.ndarray]) -> n
     from each outcome tuple so far to its distinct row is carried through
     the next step, which turns row r and effect e into row r k + e.  Equal
     prefixes absorbing the same source through the same effects give equal
-    children (see the module docstring for the rounding caveat), and the
-    last step's rows are gathered back through the index.  Per-row data of
-    a step, such as a scale taken out of each prefix row, would travel
-    through the same index.
+    children, and the last step's rows are gathered back through the index.
+    Per-row data of a step, such as a scale taken out of each prefix row,
+    would travel through the same index.
 
     Grid form: every source may instead be a (G, c, d, c, d) stack, row g
     the source of line g; with one effect per choice, row g of the result

@@ -2,9 +2,11 @@
 generators, the identity, tensor-product, entry-distance, spectrum,
 apply-and-trace and partial-trace oracles, an assemblage made from an
 {outcome: operator} dict, a brute-force assemblage oracle that never
-uses the sequential contraction under test, the contraction without
-merging repeated branches, and the checked network of a separable
-realisation."""
+uses the sequential contraction under test, the index-by-index einsum
+oracle of one contraction step, the contraction without merging repeated
+branches, and the checked network of a separable realisation."""
+
+import functools
 
 import numpy as np
 import pytest
@@ -112,7 +114,6 @@ def brute_force_assemblage(net):
     Exponential in the line length, which is fine at test scale, and
     structurally independent of the pairwise contraction it checks.
     """
-    import functools
     import itertools
 
     sources = net.sources
@@ -134,6 +135,33 @@ def brute_force_assemblage(net):
         element = np.einsum("mn,anzbmy->azby", effect, full)
         out[labels] = QOperator(element.reshape(d_l * d_r, d_l * d_r), (d_l, d_r))
     return out
+
+
+# trace over the measured pair (b, c):
+#   R[a d, a' d'] = sum_{b c b' c'} E[b c, b' c'] t[a b', a' b] s[c' d, c d']
+_STEP = "uvbc,abxu,cdvy->adxy"
+# the same for k effects E and a stack of prefixes t, output in (prefix,
+# effect) order; s is one source for every prefix or a stack of one per prefix
+_BATCHED_STEP = "kuvbc,...abxu,...cdvy->...kadxy"
+
+
+@functools.lru_cache(maxsize=None)
+def _step_path(a, b, c, d):
+    """The einsum path of ``_STEP`` for one element of these factor dims."""
+    ops = (np.empty((b, c, b, c)), np.empty((a, b, a, b)), np.empty((c, d, c, d)))
+    return tuple(np.einsum_path(_STEP, *ops, optimize=True)[0])
+
+
+def einsum_step(prefixes, effects, source):
+    """``network._step`` as one einsum over all prefixes, contracted index
+    by index on the path planned for a single element: the oracle of the
+    per-row matrix products, equal to them up to rounding."""
+    p, a, b = prefixes.shape[:3]
+    c, d = source.shape[-4:-2]
+    k = len(effects)
+    out = np.einsum(_BATCHED_STEP, effects.reshape(k, b, c, b, c), prefixes, source,
+                    optimize=_step_path(a, b, c, d))
+    return out.reshape(p * k, a, d, a, d)
 
 
 def unmerged_contract(sources, choices):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from netsteer.cli import main
 from netsteer.experiments import (ExperimentReport, SweepSpec, run_activation, run_claims_demo,
-                                  run_verify_swap, write_csv)
+                                  run_nlhs, run_verify_swap, write_csv)
 from netsteer.nlhs import build_percolation_line, reconstruct
 from netsteer.nlhs_io import (
     FixtureError,
@@ -160,6 +160,31 @@ class TestJSONWriter:
         assert saved.read_bytes() == model_out.read_bytes()
         assert (json.loads(model_out.read_text()) == json.loads(saved.read_text())
                 == json.loads(report.read_text())["model"])
+
+
+def _plain(value):
+    """Whether ``value`` is a plain bool, int, float or str, or a list or
+    dict of plain values: no numpy scalar, which the writers would turn
+    into text."""
+    if type(value) is list:
+        return all(_plain(v) for v in value)
+    if type(value) is dict:
+        return all(_plain(k) and _plain(v) for k, v in value.items())
+    return type(value) in (bool, int, float, str)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: run_verify_swap(SweepSpec(eta_range=(0.0, 1.0, 3), omega_range=(0.0, 1.0, 3))),
+    lambda: run_activation(SweepSpec(omega_range=(0.8, 0.9, 11), n_parties=4)),
+    lambda: run_activation(SweepSpec(omega_range=(0.0, 1.0, 11), n_parties=5,
+                                     eta_boundary=True)),
+    lambda: run_claims_demo(0.9),
+    lambda: run_nlhs(fixture_path("sep_loc_sep"), realize=True),
+], ids=["verify-swap", "activation", "activation-eta-boundary", "claims-demo", "nlhs"])
+def test_report_values_are_plain(run):
+    report = run()
+    assert report.records and all(_plain(record) for record in report.records)
+    assert _plain(report.extra)
 
 
 # a report of 1-50 rows: each column all bools, all ints or all floats

@@ -23,6 +23,7 @@ from netsteer.network import (
     NetworkAssemblage,
     _contract,
     _distinct,
+    _step,
     _tensors,
     condition_on_trusted_measurement,
     lift_inputless_to_conditional,
@@ -46,6 +47,7 @@ from conftest import (
     apply_and_trace,
     assemblage_of,
     brute_force_assemblage,
+    einsum_step,
     max_entry_distance,
     partial_trace,
     rand_density,
@@ -183,11 +185,62 @@ class TestLineAssemblage:
         assert np.max(np.abs(asm.matrices.sum(axis=0) - expected.matrix)) < 1e-10
 
 
+def _random_steps(rng):
+    """A step's operands for every factor dims (a, b, c, d) in 1..4 and 1, 2
+    or 4 effects, in the shared-source and the per-row (grid) form: 16
+    random complex prefixes, the effects and the source or 16 sources."""
+    def normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    for a, b, c, d in itertools.product(range(1, 5), repeat=4):
+        for k in (1, 2, 4):
+            prefixes, effects = normal(16, a, b, a, b), normal(k, b * c, b * c)
+            yield prefixes, effects, normal(c, d, c, d)
+            yield prefixes, effects, normal(16, c, d, c, d)
+
+
+def _relative_distance(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestStep:
+    """``_step`` computes each prefix row on its own: the same bytes whatever
+    block the row sits in, and the einsum oracle's numbers up to rounding."""
+
+    def test_rows_do_not_depend_on_their_block(self, rng, monkeypatch):
+        size = [16]
+        monkeypatch.setattr("netsteer.network._blocks",
+                            lambda p, _: [slice(i, i + size[0]) for i in range(0, p, size[0])])
+        cases = 0
+        for prefixes, effects, source in _random_steps(rng):
+            size[0] = 16
+            whole = _step(prefixes, effects, source).tobytes()
+            for size[0] in (1, 2, 3, 5, 15):
+                assert _step(prefixes, effects, source).tobytes() == whole
+            cases += 1
+        assert cases == 2 * 768
+
+    def test_matches_einsum_oracle(self, rng):
+        for prefixes, effects, source in _random_steps(rng):
+            got = _step(prefixes, effects, source)
+            assert _relative_distance(got, einsum_step(prefixes, effects, source)) <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_einsum_oracle_along_random_lines(self, seed):
+        net = random_linear_network(np.random.default_rng(seed), 7, max_dim=4, n_out=3)
+        sources = _tensors(net.sources)
+        t = sources[0][None]
+        for m, source in zip(net.central_measurements, sources[1:]):
+            got = _step(t, m.matrices, source)
+            assert _relative_distance(got, einsum_step(t, m.matrices, source)) <= 1e-15
+            t = got
+
+
 class TestGridContraction:
     """The grid form of ``_contract``: G lines of equal dims, each with its
     own sources, contracted through one effect per measurement."""
 
-    # one block, and blocks of two lines (2,048 bytes per line at the widest step)
+    # one block, and blocks of one to three lines (1,088 to 2,304 bytes per line, by step)
     @pytest.mark.parametrize("block_bytes", [CHECK_BLOCK_BYTES, 4096])
     def test_rows_equal_each_line_alone(self, rng, monkeypatch, block_bytes):
         monkeypatch.setattr("netsteer.operators.CHECK_BLOCK_BYTES", block_bytes)
@@ -535,9 +588,10 @@ def _lines_with_repeats(draw):
 
 class TestMergedBranches:
     """``_contract`` merges byte-identical prefix rows and the assemblage and
-    its verdict handle each distinct element once.  On the benchmark's lines
-    every reported number equals the unmerged contraction's, byte for byte;
-    on any line the elements match the brute-force oracle."""
+    its verdict handle each distinct element once.  On every line the
+    merged elements equal the unmerged contraction's, byte for byte, and
+    match the brute-force oracle; on the benchmark's lines so does every
+    reported number."""
 
     @pytest.mark.parametrize("omega,distinct", [(0.95, 825), (0.86, 759)])
     def test_dew_lines_equal_unmerged_contraction(self, omega, distinct):
@@ -572,6 +626,9 @@ class TestMergedBranches:
         assert asm._rows[asm._index].tobytes() == asm.matrices.tobytes()
         assert asm._row_extremes[asm._index].tobytes() == asm.extremes.tobytes()
         assert len({row.tobytes() for row in asm.matrices}) == len(asm._rows)
+        unmerged = unmerged_contract(_tensors(net.sources),
+                                     [m.matrices for m in net.central_measurements])
+        assert asm.matrices.tobytes() == unmerged.tobytes()
         oracle = brute_force_assemblage(net)
         assert list(oracle) == list(asm.outcomes)
         for k, op in oracle.items():
