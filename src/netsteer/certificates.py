@@ -79,7 +79,11 @@ def _endpoint_negativities(mats: np.ndarray, dims: tuple,
     on ``dims``, whose (k, 2) smallest and largest eigenvalues are
     ``extremes``, and whether it certifies entanglement (exceeds
     ``NEG_CUTOFF``).  A matrix of trace at most ``NEG_CUTOFF`` is skipped
-    with +0.0; an evaluated one without negative eigenvalue reads -0.0."""
+    with +0.0; an evaluated one without negative eigenvalue reads -0.0.
+    The values come from ``operators._negativities``, which eigendecomposes
+    only the partial transposes that its shifted Cholesky screen does not
+    prove free of eigenvalues below -NEG_CUTOFF; a proven one reads the
+    -0.0 its spectrum would give."""
     live = np.trace(mats, axis1=1, axis2=2).real > NEG_CUTOFF
     values = np.zeros(len(mats))
     if live.any():
@@ -99,10 +103,13 @@ def certify_network_steering(asm: NetworkAssemblage) -> Verdict:
 
     The negativities of the distinct elements come from
     ``_endpoint_negativities``, whose positivity precondition reads the
-    eigenvalue extremes the assemblage kept from its own PSD check; they
-    are gathered back to every element, and the first element of largest
-    negativity is reported.  Negativity is sufficient but not necessary,
-    so the only negative answer is Inconclusive.
+    eigenvalue extremes the assemblage kept from its own PSD check, and
+    whose partial transposes are eigendecomposed only where a Cholesky
+    factorisation shifted by NEG_CUTOFF / 2 does not prove them PPT, which
+    on most lines is all but the entangled elements; they are gathered back
+    to every element, and the first element of largest negativity is
+    reported.  Negativity is sufficient but not necessary, so the only
+    negative answer is Inconclusive.
     """
     values, entangled = _row_negativities(asm)
     if asm._index is not None:

@@ -18,9 +18,11 @@ doubly-erased Werner sources has 2,048 branches but only 759 to 825
 distinct elements).  ``_contract`` contracts each distinct prefix once,
 and the assemblage checks, and the verdicts partial-transpose, each
 distinct element once; every per-element result is gathered back through
-an index from outcome tuple to distinct row.  A step computes each row
-alone, whatever the block it sits in, so the merged stack equals the
-unmerged one byte for byte.
+an index from outcome tuple to distinct row.  A partial transpose is then
+eigendecomposed only if a Cholesky factorisation shifted by half the
+negativity cutoff cannot prove it PPT (``operators._ppt_cleared``).  A
+step computes each row alone, whatever the block it sits in, so the merged
+stack equals the unmerged one byte for byte.
 """
 
 from __future__ import annotations

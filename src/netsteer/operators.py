@@ -146,37 +146,83 @@ def _transpose_factors(mats: np.ndarray, dims: tuple[int, ...], factors: list[in
     return mats.reshape(lead + dims + dims).transpose(axes).reshape(mats.shape)
 
 
-def _spectra(mats: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
-    """Ascending real eigenvalues of a matrix, or of each matrix of a
-    (k, d, d) stack.  The input is checked Hermitian to ``tol`` and then
-    explicitly symmetrised, which stabilises the solver without masking
+def _hermitian(mats: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+    """A matrix, or a (k, d, d) stack, checked Hermitian to ``tol`` and then
+    explicitly symmetrised, which stabilises the solvers without masking
     real errors."""
     adjoint = mats.conj().swapaxes(-1, -2)
     defect = np.max(np.abs(mats - adjoint))
     if not defect <= tol:       # so a non-finite matrix is not Hermitian
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    return np.linalg.eigvalsh((mats + adjoint) / 2)
+    return (mats + adjoint) / 2
+
+
+def _spectra(mats: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
+    """Ascending real eigenvalues of a matrix, or of each matrix of a
+    (k, d, d) stack, ``_hermitian`` to ``tol``."""
+    return np.linalg.eigvalsh(_hermitian(mats, tol))
+
+
+def _ppt_cleared(h: np.ndarray, extremes: np.ndarray) -> np.ndarray:
+    """Which matrices of a ``_hermitian`` (k, d, d) stack ``h`` are proven
+    to have no eigenvalue below -NEG_CUTOFF, so that ``eigvalsh`` would
+    find none either, without eigendecomposing them.  Here h is the partial
+    transpose of a stack of matrices M with (k, 2) eigenvalue ``extremes``.
+
+    One Cholesky factorisation of the stack of h + s I, s = NEG_CUTOFF / 2,
+    clears every matrix it takes, or none if it fails.  It takes the
+    matrices within the norm guard whose 2 x 2 principal minors of
+    h + s I are all non-negative: a negative minor means the factorisation
+    would fail, and skipping it keeps a block that cannot be cleared cheap.
+    Success is a proof: the factorisation is backward stable, so
+    lambda_min(h) >= -s - O(d^2 eps ||h||), and ``eigvalsh`` finds
+    lambda_min to within O(d eps ||h||).  The guard keeps
+    ||h||_2 <= ||h||_F = ||M||_F <= sqrt(d) max|lambda(M)| under
+    NEG_CUTOFF / (8 d^2 eps), so neither error reaches the other half of
+    the cutoff.  The shift is tied to the cutoff: a change of the cutoff
+    moves both."""
+    d = h.shape[-1]
+    diag = h.diagonal(axis1=1, axis2=2).real + NEG_CUTOFF / 2
+    # written so that a non-finite extreme fails the norm guard
+    cleared = ((np.abs(extremes).max(axis=1) <= NEG_CUTOFF / (8 * d ** 2.5 * np.finfo(float).eps))
+               & (np.abs(h) ** 2 <= diag[:, :, None] * diag[:, None, :]).reshape(len(h), -1).all(1))
+    try:
+        np.linalg.cholesky(h[cleared] + NEG_CUTOFF / 2 * np.eye(d))
+    except np.linalg.LinAlgError:
+        cleared[:] = False
+    return cleared
 
 
 def _negativities(mats: np.ndarray, dims: tuple[int, ...], factors: list[int],
                   extremes: np.ndarray) -> np.ndarray:
     """Negativity of each matrix of a non-empty (k, d, d) stack with factor
     dims ``dims``: the sum of |eigenvalues below -NEG_CUTOFF| of its partial
-    transpose over ``factors``, from stacked spectra, one ``_blocks`` block
-    at a time.  ``extremes`` holds the (k, 2) smallest and largest
-    eigenvalue of each matrix (``_extremes``); raises NotPositiveError for
-    the first matrix with an eigenvalue below -NEG_CUTOFF * max(1, |largest|)."""
+    transpose over ``factors``, one ``_blocks`` block at a time.
+    ``extremes`` holds the (k, 2) smallest and largest eigenvalue of each
+    matrix (``_extremes``); raises NotPositiveError for the first matrix
+    with an eigenvalue below -NEG_CUTOFF * max(1, |largest|).
+
+    Each block's partial transposes are checked Hermitian and symmetrised
+    (``_hermitian``), and only those that ``_ppt_cleared`` does not clear
+    are eigendecomposed; a block of fewer than 8 is not screened.  A
+    cleared one reads -0.0, the value its spectrum would give, so every
+    value is the one of eigendecomposing each matrix on its own."""
     bad = extremes[:, 0] < -NEG_CUTOFF * np.maximum(1.0, np.abs(extremes[:, 1]))
     if bad.any():
         raise NotPositiveError(f"input has negative eigenvalue {extremes[np.argmax(bad), 0]:.3e}")
     out = np.full(len(mats), -0.0)
     for block in _blocks(len(mats), mats[0].nbytes):
-        pt = _spectra(_transpose_factors(mats[block], dims, factors))
+        h = _hermitian(_transpose_factors(mats[block], dims, factors))
+        rows = np.arange(len(h))
+        if len(h) >= 8:     # fewer cost less to eigendecompose than to screen
+            rows = rows[~_ppt_cleared(h, extremes[block])]
+        pt = np.linalg.eigvalsh(h if len(rows) == len(h) else h[rows])
         # Summed row by row over the negative eigenvalues alone, as a single
         # matrix would be, so the value does not depend on the stack; a row
-        # without any sums to -0.0, the negated empty sum.
-        for i in np.flatnonzero(pt[:, 0] < -NEG_CUTOFF):
-            out[block.start + i] = -np.sum(pt[i][pt[i] < -NEG_CUTOFF])
+        # without any reads -0.0, the negated empty sum.
+        below = pt < -NEG_CUTOFF
+        for i in np.flatnonzero(below[:, 0]):
+            out[block.start + rows[i]] = -pt[i][below[i]].sum()
     return out
 
 

@@ -15,16 +15,20 @@ from netsteer.certificates import (
     dew_unsteerable_both_ways,
     erased_unsteerable,
     linear_steering_witness,
+    _endpoint_negativities,
+    _row_negativities,
 )
-from netsteer.measurements import bell_swap_povm, pauli_projective
+from netsteer.measurements import POVM, bell_swap_povm, pauli_projective
 from netsteer.experiments import SweepSpec, run_activation
-from netsteer.network import LinearNetwork, _contract, line_assemblage, standard_assemblage
+from netsteer.network import (LinearNetwork, _contract, line_assemblage, standard_assemblage,
+                              untrusted_input_to_outcome)
 from netsteer.operators import (
     CHECK_BLOCK_BYTES,
     NEG_CUTOFF,
     DimensionError,
     NotPositiveError,
     QOperator,
+    _blocks,
     _spectra,
     _transpose_factors,
     negativity,
@@ -138,18 +142,29 @@ class TestCertifyStacked:
             certify_network_steering(asm)
 
 
-def _certify_from_scratch(asm):
-    """certify_network_steering with every element eigendecomposed on its
-    own, for its positivity precondition and for its partial transpose."""
-    best = None
-    for outcome, mat in zip(asm.outcomes, asm.matrices):
+def _negativities_from_scratch(mats, dims):
+    """``_endpoint_negativities``' values with every matrix eigendecomposed
+    on its own, for its positivity precondition and for its partial
+    transpose: +0.0 for a trace at most NEG_CUTOFF, else the negated sum of
+    the partial-transpose eigenvalues below -NEG_CUTOFF (-0.0 for none)."""
+    values = []
+    for mat in mats:
         if np.trace(mat).real <= NEG_CUTOFF:
+            values.append(0.0)
             continue
         evs = _spectra(mat)
         if evs[0] < -NEG_CUTOFF * max(1.0, abs(evs[-1])):
             raise NotPositiveError(f"input has negative eigenvalue {evs[0]:.3e}")
-        pt = _spectra(_transpose_factors(mat, asm.dims, [1]))
-        value = -np.sum(pt[pt < -NEG_CUTOFF]) if pt[0] < -NEG_CUTOFF else -0.0
+        pt = _spectra(_transpose_factors(mat, dims, [1]))
+        values.append(-np.sum(pt[pt < -NEG_CUTOFF]) if pt[0] < -NEG_CUTOFF else -0.0)
+    return np.array(values)
+
+
+def _certify_from_scratch(asm):
+    """certify_network_steering with every element eigendecomposed on its
+    own (``_negativities_from_scratch``)."""
+    best = None
+    for outcome, value in zip(asm.outcomes, _negativities_from_scratch(asm.matrices, asm.dims)):
         if value > NEG_CUTOFF and (best is None or value > best[0]):
             best = (value, outcome)
     if best is None:
@@ -180,6 +195,22 @@ def _dew_line(omega):
     return LinearNetwork([dew(DEWParams(0.9, omega))] * 12, [bell_swap_povm(3)] * 11)
 
 
+def _noisy_line(rng, noise):
+    """A 4-party qutrit line of random pure sources, the last mixed with
+    white noise of weight ``noise``, and rank-one projective central
+    measurements: its elements are NPT up to a noise of about 0.75."""
+    def source(weight):
+        g = rng.normal(size=9) + 1j * rng.normal(size=9)
+        return QOperator((1 - weight) * np.outer(g, g.conj()) / np.vdot(g, g).real
+                         + weight * np.eye(9) / 9, (3, 3))
+
+    def povm():
+        q, _ = np.linalg.qr(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+        return POVM([QOperator(np.outer(v, v.conj()), (3, 3)) for v in q.T])
+
+    return LinearNetwork([source(0.0), source(0.0), source(noise)], [povm(), povm()])
+
+
 def _random_lines():
     for seed in range(20):
         rng = np.random.default_rng(100 + seed)
@@ -188,9 +219,11 @@ def _random_lines():
 
 class TestOneSpectrumPerCheck:
     """The negativity precondition reads the extremes of the assemblage's own
-    PSD check: each distinct element is eigendecomposed once for that check
-    and once for its partial transpose, a repeated one not again, and the
-    verdict is the one of eigendecomposing each element from scratch."""
+    PSD check: each distinct element is eigendecomposed once for that check,
+    a repeated one not again.  Its partial transpose is eigendecomposed only
+    where the Cholesky screen (``operators._ppt_cleared``) did not clear it,
+    and every value is the one of eigendecomposing each element from
+    scratch."""
 
     @staticmethod
     def _assert_matches_from_scratch_oracle(asm):
@@ -212,7 +245,7 @@ class TestOneSpectrumPerCheck:
             self._assert_matches_from_scratch_oracle(line_assemblage(net))
 
     @pytest.mark.parametrize("omega", [0.95, 0.86])
-    def test_each_element_eigendecomposed_twice(self, omega, eigvalsh_inputs):
+    def test_each_element_eigendecomposed_once(self, omega, eigvalsh_inputs):
         # each distinct element by bytes, in order of first occurrence
         net = _dew_line(omega)
         eigvalsh_inputs.clear()     # the sources' and POVMs' own checks
@@ -224,9 +257,14 @@ class TestOneSpectrumPerCheck:
         distinct = np.array(list({m.tobytes(): m for m in mats}.values()))
         assert (len(mats), len(distinct)) == (2048, {0.95: 825, 0.86: 759}[omega])
         transposed = _transpose_factors(distinct, (3, 3), [1])
-        assert seen == Counter(_symmetrised(distinct)) + Counter(_symmetrised(transposed))
+        lowest = np.array([_spectra(m)[0] for m in transposed])
+        # ω = 0.95: only the all-success element is NPT, and only its partial
+        # transpose is eigendecomposed; ω = 0.86: none is
+        npt = transposed[lowest < -NEG_CUTOFF]
+        assert len(npt) == {0.95: 1, 0.86: 0}[omega]
+        assert seen == Counter(_symmetrised(distinct)) + Counter(_symmetrised(npt))
 
-    def test_each_activation_source_eigendecomposed_twice(self, eigvalsh_inputs):
+    def test_each_activation_source_eigendecomposed_once(self, eigvalsh_inputs):
         # 301 points: three sweep blocks
         spec = SweepSpec(omega_range=(0.0, 1.0, 301), n_parties=5, eta_boundary=True)
         run_activation(spec)
@@ -236,13 +274,59 @@ class TestOneSpectrumPerCheck:
         tensors = sources.reshape(-1, 3, 3, 3, 3)
         sigma0 = _contract([tensors] * 4, [bell_swap_povm(3).matrices[:1]] * 3)
         live = sigma0[np.trace(sigma0, axis1=1, axis2=2).real > NEG_CUTOFF]
-        # sources: density check and partial transpose; sigma0: its extremes,
-        # and its partial transpose where its trace is above the cutoff
-        expected = (Counter(_symmetrised(sources))
-                    + Counter(_symmetrised(_transpose_factors(sources, (3, 3), [1])))
-                    + Counter(_symmetrised(sigma0))
-                    + Counter(_symmetrised(_transpose_factors(live, (3, 3), [1]))))
+        transposed = _transpose_factors(np.concatenate([sources, live]), (3, 3), [1])
+        lowest = np.array([_spectra(m)[0] for m in transposed])
+        # Every NPT partial transpose here has a negative 2 x 2 minor, so it
+        # skips the factorisation, which then clears the rest of its block;
+        # and none lies within 1e-14 of the shift, so those eigendecomposed
+        # are exactly the ones with an eigenvalue below -NEG_CUTOFF / 2.
+        assert np.abs(lowest + NEG_CUTOFF / 2).min() > 1e-14
+        uncleared = transposed[lowest < -NEG_CUTOFF / 2]
+        assert 0 < len(uncleared) < len(transposed) // 2
+        # sources: their density check; sigma0: its extremes; and the
+        # partial transposes the screen did not clear
+        expected = (Counter(_symmetrised(sources)) + Counter(_symmetrised(sigma0))
+                    + Counter(_symmetrised(uncleared)))
         assert seen == expected
+
+    # Every per-element value, not only the verdict's maximum, on inputs with
+    # NPT elements, where the screen must leave blocks or rows to eigvalsh.
+
+    def test_npt_lines_shuffled_match_per_element_oracle(self):
+        # rows of lines with and without NPT elements, shuffled into shared blocks
+        rng = np.random.default_rng(31)
+        asms = [line_assemblage(_noisy_line(rng, noise)) for noise in (0.3, 0.6, 0.7, 0.85, 0.9, 0.95)]
+        rows = np.concatenate([asm._rows for asm in asms])
+        extremes = np.concatenate([asm._row_extremes for asm in asms])
+        order = rng.permutation(len(rows))
+        rows, extremes = rows[order], extremes[order]
+        oracle = _negativities_from_scratch(rows, (3, 3))
+        blocks = _blocks(len(rows), rows[0].nbytes)
+        assert len(blocks) == 3
+        assert all(np.any(oracle[b] > 0) and np.any(oracle[b] == 0) for b in blocks)
+        values, entangled = _endpoint_negativities(rows, (3, 3), extremes)
+        assert values.tobytes() == oracle.tobytes()
+        assert np.array_equal(entangled, oracle > NEG_CUTOFF)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_activation_grid_matches_per_element_oracle(self, n):
+        spec = SweepSpec(omega_range=(0.0, 1.0, 301), n_parties=n, eta_boundary=True)
+        columns = run_activation(spec).columns
+        omegas = spec.omegas()
+        sources = _dew_stack((2.0 / 3.0) * (1.0 - omegas), omegas)
+        sigma0 = _contract([sources.reshape(-1, 3, 3, 3, 3)] * (n - 1),
+                           [bell_swap_povm(3).matrices[:1]] * (n - 2))
+        values = np.array(columns["source_negativity"] + columns["sigma0_negativity"])
+        oracle = _negativities_from_scratch(np.concatenate([sources, sigma0]), (3, 3))
+        assert np.any(oracle > 0) and np.any(oracle <= 0)
+        assert values.tobytes() == oracle.tobytes()
+
+    def test_claims_demo_matches_per_element_oracle(self):
+        asm = line_assemblage(untrusted_input_to_outcome(
+            werner(0.9), [pauli_projective(Z), pauli_projective(X)]))
+        values, entangled = _row_negativities(asm)
+        assert values.tobytes() == _negativities_from_scratch(asm._rows, asm.dims).tobytes()
+        assert not entangled.any()
 
 
 class TestBlochData:

@@ -20,6 +20,11 @@ from netsteer.operators import (
     negativity,
     projector,
     _apply_and_trace,
+    _extremes,
+    _hermitian,
+    _negativities,
+    _ppt_cleared,
+    _spectra,
     _transpose_factors,
 )
 from netsteer.states import werner
@@ -204,6 +209,153 @@ class TestSpectra:
         a = rand_density(rng, [2])
         b = rand_density(rng, [2])
         assert negativity(tensor(a, b), [1]) <= NEG_CUTOFF
+
+
+def _haar(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _pt_family(rng, dims, lam, norm, rotate=True):
+    """A PSD matrix on ``dims`` of largest eigenvalue about ``norm``
+    whose partial transpose over factor 1 has smallest eigenvalue ``lam``:
+    scale (p |psi><psi| + (1 - p) I / d) for a maximally entangled qubit pair
+    psi, whose partial transpose has eigenvalues scale (-p/2 + (1 - p)/d)
+    once, scale (p/2 + (1 - p)/d) three times and scale (1 - p)/d otherwise,
+    under a random local unitary, which keeps that spectrum."""
+    a, b = dims
+    d = a * b
+    psi = np.zeros(d)
+    psi[0] = psi[b + 1] = 2 ** -0.5
+    scale = norm * (d + 2) / 3
+    p = (1 / d - lam / scale) / (0.5 + 1 / d)
+    mat = scale * (p * np.outer(psi, psi) + (1 - p) * np.eye(d) / d)
+    u = np.kron(_haar(rng, a), _haar(rng, b)) if rotate else np.eye(d)
+    return u @ mat @ u.conj().T
+
+
+def _negativities_one_by_one(mats, dims):
+    """The per-matrix oracle of ``_negativities``: each partial transpose
+    eigendecomposed on its own."""
+    values = []
+    for mat in mats:
+        pt = _spectra(_transpose_factors(mat, dims, [1]))
+        values.append(-np.sum(pt[pt < -NEG_CUTOFF]) if pt[0] < -NEG_CUTOFF else -0.0)
+    return np.array(values)
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """The number of matrices passed to ``np.linalg.eigvalsh``, and the
+    number of ``np.linalg.cholesky`` calls."""
+    seen = {"eigvalsh": 0, "cholesky": 0}
+    eigvalsh, cholesky = np.linalg.eigvalsh, np.linalg.cholesky
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        seen["eigvalsh"] += len(np.reshape(a, (-1,) + np.shape(a)[-2:]))
+        return eigvalsh(a, *args, **kwargs)
+
+    def counting_cholesky(a, *args, **kwargs):
+        seen["cholesky"] += 1
+        return cholesky(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    return seen
+
+
+class TestPPTScreen:
+    """``_ppt_cleared`` proves partial transposes free of eigenvalues below
+    -NEG_CUTOFF by a Cholesky factorisation shifted by NEG_CUTOFF / 2, within
+    a norm guard, and ``_negativities`` eigendecomposes only the rest: its
+    values are the per-matrix oracle's, byte for byte."""
+
+    # around -NEG_CUTOFF and -NEG_CUTOFF / 2
+    LAMBDAS = np.concatenate([np.linspace(-2e-12, 0.0, 21),
+                              [-1.001e-12, -0.999e-12, -0.501e-12, -0.499e-12]])
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (3, 4), (4, 4)])
+    def test_sound_at_the_cutoff_and_at_scale(self, dims, linalg_calls):
+        rng = np.random.default_rng(sum(dims))
+        d = dims[0] * dims[1]
+        guard = NEG_CUTOFF / (8 * d ** 2.5 * np.finfo(float).eps)
+        norms = [1e-8, 1e-4, 1e-2, 0.5 * guard, 0.99 * guard, 1.5 * guard, 4 * guard]
+        lams = np.tile(self.LAMBDAS, len(norms))
+        mats = np.array([_pt_family(rng, dims, lam, norm)
+                         for norm in norms for lam in self.LAMBDAS])
+        extremes = _extremes(mats)
+        past = np.abs(extremes).max(axis=1) > guard
+        assert past.sum() == 2 * len(self.LAMBDAS)
+
+        # each row screened alone
+        h = _hermitian(_transpose_factors(mats, dims, [1]))
+        cleared = np.concatenate([_ppt_cleared(h[i:i + 1], extremes[i:i + 1])
+                                  for i in range(len(h))])
+        assert np.all(np.linalg.eigvalsh(h[cleared])[:, 0] >= -NEG_CUTOFF)
+        assert not cleared[past].any()
+        assert cleared[~past & (lams >= -NEG_CUTOFF / 4)].all()      # not vacuous
+
+        oracle = _negativities_one_by_one(mats, dims)
+        assert np.any(oracle > 0) and np.any(oracle == 0)
+        # shuffled, so that cleared and uncleared rows share blocks
+        order = rng.permutation(len(mats))
+        assert _negativities(mats[order], dims, [1], extremes[order]).tobytes() \
+            == oracle[order].tobytes()
+        # the cleared rows and the rows past the guard: only the latter are
+        # eigendecomposed
+        keep = rng.permutation(np.flatnonzero(cleared | past))
+        linalg_calls["eigvalsh"] = 0
+        values = _negativities(mats[keep], dims, [1], extremes[keep])
+        assert values.tobytes() == oracle[keep].tobytes()
+        assert linalg_calls["eigvalsh"] == past.sum()
+
+    @staticmethod
+    def _clearable(n=12):
+        rng = np.random.default_rng(7)
+        mats = np.array([_pt_family(rng, (3, 3), 1e-3, 0.1) for _ in range(n)])
+        return mats, _extremes(mats)
+
+    def test_clearable_stack_is_cleared(self, linalg_calls):
+        mats, extremes = self._clearable()
+        linalg_calls["eigvalsh"] = 0
+        values = _negativities(mats, (3, 3), [1], extremes)
+        assert values.tobytes() == np.full(len(mats), -0.0).tobytes()
+        assert linalg_calls == {"eigvalsh": 0, "cholesky": 1}
+
+    @pytest.mark.parametrize("defect", [1e-6, np.nan, np.inf])
+    def test_non_hermitian_or_non_finite_raises(self, defect):
+        mats, extremes = self._clearable()
+        mats[5, 0, 1] += defect
+        with pytest.raises(NotHermitianError):
+            _negativities(mats, (3, 3), [1], extremes)
+
+    def test_precondition_fires_before_the_screen(self, linalg_calls):
+        mats, extremes = self._clearable()
+        extremes[-1, 0] = -1e-10
+        linalg_calls["eigvalsh"] = 0
+        with pytest.raises(NotPositiveError, match="-1.000e-10"):
+            _negativities(mats, (3, 3), [1], extremes)
+        assert linalg_calls == {"eigvalsh": 0, "cholesky": 0}
+
+    # with a negative 2 x 2 minor the row skips the factorisation, which
+    # clears the rest; without one the factorisation fails and the whole
+    # block is eigendecomposed
+    @pytest.mark.parametrize("rotate,eigendecomposed", [(False, 1), (True, 12)])
+    def test_one_npt_row_reads_its_exact_negativity(self, rotate, eigendecomposed,
+                                                    linalg_calls):
+        mats, _ = self._clearable()
+        mats[4] = _pt_family(np.random.default_rng(3), (3, 3), -1e-11, 0.1, rotate)
+        extremes = _extremes(mats)
+        shifted = _hermitian(_transpose_factors(mats[4], (3, 3), [1])) + NEG_CUTOFF / 2 * np.eye(9)
+        diag = shifted.diagonal().real
+        assert (np.abs(shifted) ** 2 <= np.outer(diag, diag)).all() == rotate
+        linalg_calls["eigvalsh"] = 0
+        values = _negativities(mats, (3, 3), [1], extremes)
+        assert linalg_calls["eigvalsh"] == eigendecomposed
+        oracle = _negativities_one_by_one(mats, (3, 3))
+        assert values.tobytes() == oracle.tobytes()
+        assert values[4] == pytest.approx(1e-11, rel=1e-3)
+        assert np.all(oracle[np.arange(12) != 4] == 0)
 
 
 class TestPredicates:
