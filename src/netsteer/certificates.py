@@ -77,13 +77,14 @@ def _endpoint_negativities(mats: np.ndarray, dims: tuple,
                            extremes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Negativity across the endpoints of each matrix of a (k, d, d) stack
     on ``dims``, whose (k, 2) smallest and largest eigenvalues are
-    ``extremes``, and whether it certifies entanglement (exceeds
-    ``NEG_CUTOFF``).  A matrix of trace at most ``NEG_CUTOFF`` is skipped
-    with +0.0; an evaluated one without negative eigenvalue reads -0.0.
-    The values come from ``operators._negativities``, which eigendecomposes
-    only the partial transposes that its shifted Cholesky screen does not
-    prove free of eigenvalues below -NEG_CUTOFF; a proven one reads the
-    -0.0 its spectrum would give."""
+    ``extremes`` (NaN for a matrix proven to have none below -NEG_CUTOFF),
+    and whether it certifies entanglement (exceeds ``NEG_CUTOFF``).  A
+    matrix of trace at most ``NEG_CUTOFF`` is skipped with +0.0; an
+    evaluated one without negative eigenvalue reads -0.0.  The values come
+    from ``operators._negativities``, which eigendecomposes only the
+    partial transposes that its shifted Cholesky screen does not prove
+    free of eigenvalues below -NEG_CUTOFF; a proven one reads the -0.0 its
+    spectrum would give."""
     live = np.trace(mats, axis1=1, axis2=2).real > NEG_CUTOFF
     values = np.zeros(len(mats))
     if live.any():
@@ -94,7 +95,8 @@ def _endpoint_negativities(mats: np.ndarray, dims: tuple,
 
 def _row_negativities(asm: NetworkAssemblage) -> tuple[np.ndarray, np.ndarray]:
     """``_endpoint_negativities`` of the assemblage's distinct elements, with
-    the extremes it kept from its own PSD check."""
+    the extremes it kept from its own PSD check: NaN for the rows that the
+    check's screen proved PSD, which the precondition then skips."""
     return _endpoint_negativities(asm._rows, asm.dims, asm._row_extremes)
 
 
@@ -102,13 +104,14 @@ def certify_network_steering(asm: NetworkAssemblage) -> Verdict:
     """Entanglement of any single element rules out an NLHS model.
 
     The negativities of the distinct elements come from
-    ``_endpoint_negativities``, whose positivity precondition reads the
-    eigenvalue extremes the assemblage kept from its own PSD check, and
-    whose partial transposes are eigendecomposed only where a Cholesky
-    factorisation shifted by NEG_CUTOFF / 2 does not prove them PPT, which
-    on most lines is all but the entangled elements; they are gathered back
-    to every element, and the first element of largest negativity is
-    reported.  Negativity is sufficient but not necessary, so the only
+    ``_endpoint_negativities``.  Its positivity precondition reads the
+    eigenvalue extremes the assemblage kept from its own PSD check, for the
+    rows that check's Cholesky screen did not prove PSD; its partial
+    transposes are eigendecomposed only where a Cholesky factorisation
+    shifted by NEG_CUTOFF / 2 does not prove them PPT, which on most lines
+    is all but the entangled elements.  They are gathered back to every
+    element, and the first element of largest negativity is reported.
+    Negativity is sufficient but not necessary, so the only
     negative answer is Inconclusive.
     """
     values, entangled = _row_negativities(asm)

@@ -18,11 +18,13 @@ doubly-erased Werner sources has 2,048 branches but only 759 to 825
 distinct elements).  ``_contract`` contracts each distinct prefix once,
 and the assemblage checks, and the verdicts partial-transpose, each
 distinct element once; every per-element result is gathered back through
-an index from outcome tuple to distinct row.  A partial transpose is then
-eigendecomposed only if a Cholesky factorisation shifted by half the
-negativity cutoff cannot prove it PPT (``operators._ppt_cleared``).  A
-step computes each row alone, whatever the block it sits in, so the merged
-stack equals the unmerged one byte for byte.
+an index from outcome tuple to distinct row.  One screen serves both
+checks (``operators._psd_cleared``): a Cholesky factorisation shifted by
+half the negativity cutoff proves a block's elements PSD, and their partial
+transposes PPT, and only the rows it cannot clear are eigendecomposed.
+The elements' eigenvalue extremes are computed only when ``extremes`` is
+first read.  A step computes each row alone, whatever the block it sits
+in, so the merged stack equals the unmerged one byte for byte.
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from .operators import (
     TOL_NORM,
     _apply_and_trace,
     _blocks,
-    _psd_extremes,
+    _extremes,
+    _psd_screened,
     is_density,
 )
 from .measurements import POVM, input_encoded_measurement
@@ -89,19 +92,19 @@ class LinearNetwork:
 class NetworkAssemblage:
     """The family {sigma_b} of sub-normalised endpoint operators, one per
     central-outcome tuple b, held as one stack: ``matrices[k]`` is the
-    element of ``outcomes[k]`` on the endpoint factors ``dims``, and
-    ``extremes[k]`` its smallest and largest eigenvalue, kept from the PSD
-    check for the negativity precondition.
+    element of ``outcomes[k]`` on the endpoint factors ``dims``.
 
     Byte-identical elements are checked once: ``_rows`` holds the distinct
-    elements in order of first occurrence (``_distinct``), ``_row_extremes``
-    their extremes, and ``_index[k]`` the row of element k, or None when no
-    two elements are equal, and then ``_rows`` is ``matrices``."""
+    elements in order of first occurrence (``_distinct``), and ``_index[k]``
+    the row of element k, or None when no two elements are equal, and then
+    ``_rows`` is ``matrices``.  The PSD check eigendecomposes only the rows
+    the Cholesky screen does not prove PSD (``_psd_screened``):
+    ``_row_extremes`` holds their smallest and largest eigenvalue, for the
+    negativity precondition, and NaN for the proven rows."""
 
     matrices: np.ndarray
     outcomes: tuple
     dims: tuple[int, int]
-    extremes: np.ndarray
 
     def __init__(self, matrices, outcomes, dims: Sequence[int]):
         stack = np.asarray(matrices, dtype=complex)
@@ -124,21 +127,29 @@ class NetworkAssemblage:
         total = float((traces if index is None else traces[index]).sum())
         if abs(total - 1.0) > TOL_NORM:
             raise ValueError(f"element traces sum to {total}, expected 1")
-        row_extremes = _psd_extremes(rows, TOL_CHECK)
+        row_extremes = _psd_screened(rows, TOL_CHECK)
         if row_extremes is None:
             raise ValueError("assemblage element is not PSD")
-        matrices, extremes = rows, row_extremes
-        if index is not None:
-            matrices, extremes = rows[index], row_extremes[index]
-        for held in (rows, row_extremes, matrices, extremes):
+        matrices = rows if index is None else rows[index]
+        for held in (rows, row_extremes, matrices):
             held.flags.writeable = False
         object.__setattr__(self, "matrices", matrices)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "extremes", extremes)
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_row_extremes", row_extremes)
         object.__setattr__(self, "_index", index)
+
+    @functools.cached_property
+    def extremes(self) -> np.ndarray:
+        """The read-only (K, 2) smallest and largest eigenvalue of each
+        element, computed on first read: one eigendecomposition of each
+        distinct row (``_extremes``), gathered back to every element."""
+        extremes = _extremes(self._rows)
+        if self._index is not None:
+            extremes = extremes[self._index]
+        extremes.flags.writeable = False
+        return extremes
 
     @property
     def elements(self) -> dict:

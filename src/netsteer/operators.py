@@ -149,12 +149,21 @@ def _transpose_factors(mats: np.ndarray, dims: tuple[int, ...], factors: list[in
 def _hermitian(mats: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     """A matrix, or a (k, d, d) stack, checked Hermitian to ``tol`` and then
     explicitly symmetrised, which stabilises the solvers without masking
-    real errors."""
-    adjoint = mats.conj().swapaxes(-1, -2)
-    defect = np.max(np.abs(mats - adjoint))
+    real errors.  The defect is the largest |M - M^dagger| entry, the
+    diagonal included (an imaginary diagonal entry is a defect), and
+    (M + M^dagger) / 2 is written into the one buffer of the adjoint."""
+    out = np.conjugate(mats.swapaxes(-1, -2), order="C")
+    defect = np.abs(mats - out).max()
     if not defect <= tol:       # so a non-finite matrix is not Hermitian
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}")
-    return (mats + adjoint) / 2
+    np.add(mats, out, out=out)
+    # halved as the complex division by 2 halves, the sign of every zero
+    # included: times (1 - 0i), then each real part times 0.5
+    if np.iscomplexobj(out):
+        np.multiply(out, complex(1.0, -0.0), out=out)
+    parts = out.view(float)
+    parts *= 0.5
+    return out
 
 
 def _spectra(mats: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
@@ -163,34 +172,45 @@ def _spectra(mats: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     return np.linalg.eigvalsh(_hermitian(mats, tol))
 
 
-def _ppt_cleared(h: np.ndarray, extremes: np.ndarray) -> np.ndarray:
+def _psd_cleared(h: np.ndarray) -> np.ndarray:
     """Which matrices of a ``_hermitian`` (k, d, d) stack ``h`` are proven
     to have no eigenvalue below -NEG_CUTOFF, so that ``eigvalsh`` would
-    find none either, without eigendecomposing them.  Here h is the partial
-    transpose of a stack of matrices M with (k, 2) eigenvalue ``extremes``.
+    find none either, without eigendecomposing them.  It screens the
+    assemblage elements and their partial transposes alike.
 
     One Cholesky factorisation of the stack of h + s I, s = NEG_CUTOFF / 2,
     clears every matrix it takes, or none if it fails.  It takes the
-    matrices within the norm guard whose 2 x 2 principal minors of
-    h + s I are all non-negative: a negative minor means the factorisation
-    would fail, and skipping it keeps a block that cannot be cleared cheap.
-    Success is a proof: the factorisation is backward stable, so
-    lambda_min(h) >= -s - O(d^2 eps ||h||), and ``eigvalsh`` finds
-    lambda_min to within O(d eps ||h||).  The guard keeps
-    ||h||_2 <= ||h||_F = ||M||_F <= sqrt(d) max|lambda(M)| under
-    NEG_CUTOFF / (8 d^2 eps), so neither error reaches the other half of
-    the cutoff.  The shift is tied to the cutoff: a change of the cutoff
-    moves both."""
-    d = h.shape[-1]
+    matrices within the norm guard ||h||_F <= NEG_CUTOFF / (8 d^2 eps),
+    summed from the |h_ij|^2 of the minor test, whose 2 x 2 principal
+    minors of h + s I are all non-negative: a negative minor means the
+    factorisation would fail, and skipping it keeps a block that cannot
+    be cleared cheap.  Success is a proof: the factorisation is backward
+    stable, so lambda_min(h) >= -s - O(d^2 eps ||h||), and ``eigvalsh``
+    finds lambda_min to within O(d eps ||h||); the guard keeps
+    ||h||_2 <= ||h||_F so small that neither error reaches the other half
+    of the cutoff.  The shift is tied to the cutoff: a change of the
+    cutoff moves both."""
+    k, d = h.shape[:2]
+    square = np.abs(h) ** 2
     diag = h.diagonal(axis1=1, axis2=2).real + NEG_CUTOFF / 2
-    # written so that a non-finite extreme fails the norm guard
-    cleared = ((np.abs(extremes).max(axis=1) <= NEG_CUTOFF / (8 * d ** 2.5 * np.finfo(float).eps))
-               & (np.abs(h) ** 2 <= diag[:, :, None] * diag[:, None, :]).reshape(len(h), -1).all(1))
+    # written so that a non-finite entry fails both tests
+    cleared = ((square.reshape(k, -1).sum(1) <= (NEG_CUTOFF / (8 * d * d * np.finfo(float).eps)) ** 2)
+               & (square <= diag[:, :, None] * diag[:, None, :]).reshape(k, -1).all(1))
     try:
         np.linalg.cholesky(h[cleared] + NEG_CUTOFF / 2 * np.eye(d))
     except np.linalg.LinAlgError:
         cleared[:] = False
     return cleared
+
+
+def _screened_spectra(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a ``_hermitian`` (k, d, d) stack ``h`` that ``_psd_cleared``
+    does not clear, and their ascending eigenvalues.  A stack of fewer than
+    8 is not screened: it costs less to eigendecompose than to screen."""
+    rows = np.arange(len(h))
+    if len(h) >= 8:
+        rows = rows[~_psd_cleared(h)]
+    return rows, np.linalg.eigvalsh(h if len(rows) == len(h) else h[rows])
 
 
 def _negativities(mats: np.ndarray, dims: tuple[int, ...], factors: list[int],
@@ -199,24 +219,21 @@ def _negativities(mats: np.ndarray, dims: tuple[int, ...], factors: list[int],
     dims ``dims``: the sum of |eigenvalues below -NEG_CUTOFF| of its partial
     transpose over ``factors``, one ``_blocks`` block at a time.
     ``extremes`` holds the (k, 2) smallest and largest eigenvalue of each
-    matrix (``_extremes``); raises NotPositiveError for the first matrix
-    with an eigenvalue below -NEG_CUTOFF * max(1, |largest|).
+    matrix (``_extremes``), or NaN for a matrix already proven to have none
+    below -NEG_CUTOFF (``_psd_screened``); raises NotPositiveError for the
+    first matrix with an eigenvalue below -NEG_CUTOFF * max(1, |largest|).
 
     Each block's partial transposes are checked Hermitian and symmetrised
-    (``_hermitian``), and only those that ``_ppt_cleared`` does not clear
-    are eigendecomposed; a block of fewer than 8 is not screened.  A
-    cleared one reads -0.0, the value its spectrum would give, so every
-    value is the one of eigendecomposing each matrix on its own."""
+    (``_hermitian``), and only those that ``_psd_cleared`` does not clear
+    are eigendecomposed (``_screened_spectra``).  A cleared one reads
+    -0.0, the value its spectrum would give, so every value is the one of
+    eigendecomposing each matrix on its own."""
     bad = extremes[:, 0] < -NEG_CUTOFF * np.maximum(1.0, np.abs(extremes[:, 1]))
     if bad.any():
         raise NotPositiveError(f"input has negative eigenvalue {extremes[np.argmax(bad), 0]:.3e}")
     out = np.full(len(mats), -0.0)
     for block in _blocks(len(mats), mats[0].nbytes):
-        h = _hermitian(_transpose_factors(mats[block], dims, factors))
-        rows = np.arange(len(h))
-        if len(h) >= 8:     # fewer cost less to eigendecompose than to screen
-            rows = rows[~_ppt_cleared(h, extremes[block])]
-        pt = np.linalg.eigvalsh(h if len(rows) == len(h) else h[rows])
+        rows, pt = _screened_spectra(_hermitian(_transpose_factors(mats[block], dims, factors)))
         # Summed row by row over the negative eigenvalues alone, as a single
         # matrix would be, so the value does not depend on the stack; a row
         # without any reads -0.0, the negated empty sum.
@@ -274,6 +291,24 @@ def _density_extremes(mats, tol: float) -> np.ndarray | None:
         return None
     traces = np.trace(np.asarray(mats), axis1=-2, axis2=-1)
     return extremes if np.abs(traces - 1.0).max() <= tol else None
+
+
+def _psd_screened(mats: np.ndarray, tol: float) -> np.ndarray | None:
+    """``_psd_extremes`` of a non-empty (k, d, d) stack ``mats``, tol at
+    least NEG_CUTOFF, except that the matrices ``_psd_cleared`` proves to
+    have no eigenvalue below -NEG_CUTOFF are not eigendecomposed, and read
+    NaN: they pass the check, and the negativity precondition skips them.
+    The other rows are the bytes ``_extremes`` gives."""
+    extremes = np.full((len(mats), 2), np.nan)
+    for block in _blocks(len(mats), mats[0].nbytes):
+        try:
+            rows, spectra = _screened_spectra(_hermitian(mats[block]))
+        except NotHermitianError:
+            return None
+        if not (spectra[:, 0] >= -tol).all():
+            return None
+        extremes[block.start + rows] = spectra[:, [0, -1]]
+    return extremes
 
 
 def _by_dims(ops: Sequence[QOperator]) -> list[list[np.ndarray]]:

@@ -36,6 +36,12 @@ def rand_psd(rng, dims):
     return QOperator(g @ g.conj().T, dims)
 
 
+def haar_unitary(rng, d):
+    """Random d x d unitary, Haar distributed."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 def rand_unit_vector(rng):
     v = rng.normal(size=3)
     return v / np.linalg.norm(v)

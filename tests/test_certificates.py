@@ -20,22 +20,26 @@ from netsteer.certificates import (
 )
 from netsteer.measurements import POVM, bell_swap_povm, pauli_projective
 from netsteer.experiments import SweepSpec, run_activation
-from netsteer.network import (LinearNetwork, _contract, line_assemblage, standard_assemblage,
-                              untrusted_input_to_outcome)
+from netsteer.network import (LinearNetwork, NetworkAssemblage, _contract, line_assemblage,
+                              standard_assemblage, untrusted_input_to_outcome)
 from netsteer.operators import (
     CHECK_BLOCK_BYTES,
     NEG_CUTOFF,
+    TOL_CHECK,
     DimensionError,
     NotPositiveError,
     QOperator,
     _blocks,
+    _extremes,
+    _psd_extremes,
     _spectra,
     _transpose_factors,
     negativity,
 )
 from netsteer.states import DEWParams, _dew_stack, classical_correlated, dew, psi_minus, werner
 
-from conftest import assemblage_of, random_linear_network, unmerged_contract
+from conftest import (assemblage_of, haar_unitary, rand_density, random_linear_network,
+                      unmerged_contract)
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
@@ -218,11 +222,12 @@ def _random_lines():
 
 
 class TestOneSpectrumPerCheck:
-    """The negativity precondition reads the extremes of the assemblage's own
-    PSD check: each distinct element is eigendecomposed once for that check,
-    a repeated one not again.  Its partial transpose is eigendecomposed only
-    where the Cholesky screen (``operators._ppt_cleared``) did not clear it,
-    and every value is the one of eigendecomposing each element from
+    """The assemblage's PSD check eigendecomposes only the distinct elements
+    that the Cholesky screen (``operators._psd_cleared``) does not prove
+    PSD, and the negativity precondition reads their extremes; reading
+    ``extremes`` eigendecomposes each distinct element once.  A partial
+    transpose is eigendecomposed only where the same screen did not clear
+    it, and every value is the one of eigendecomposing each element from
     scratch."""
 
     @staticmethod
@@ -249,7 +254,10 @@ class TestOneSpectrumPerCheck:
         # each distinct element by bytes, in order of first occurrence
         net = _dew_line(omega)
         eigvalsh_inputs.clear()     # the sources' and POVMs' own checks
-        certify_network_steering(line_assemblage(net))
+        asm = line_assemblage(net)
+        assert not eigvalsh_inputs      # every element proven PSD by the screen
+        assert np.isnan(asm._row_extremes).all()
+        certify_network_steering(asm)
         seen = Counter(eigvalsh_inputs)
         mats = unmerged_contract([s.matrix.reshape(s.dims * 2) for s in net.sources],
                                  [m.matrices for m in net.central_measurements])
@@ -262,7 +270,12 @@ class TestOneSpectrumPerCheck:
         # transpose is eigendecomposed; ω = 0.86: none is
         npt = transposed[lowest < -NEG_CUTOFF]
         assert len(npt) == {0.95: 1, 0.86: 0}[omega]
-        assert seen == Counter(_symmetrised(distinct)) + Counter(_symmetrised(npt))
+        assert seen == Counter(_symmetrised(npt))
+        # the public extremes: each distinct element once, on first read
+        eigvalsh_inputs.clear()
+        extremes = asm.extremes
+        assert asm.extremes is extremes
+        assert Counter(eigvalsh_inputs) == Counter(_symmetrised(distinct))
 
     def test_each_activation_source_eigendecomposed_once(self, eigvalsh_inputs):
         # 301 points: three sweep blocks
@@ -327,6 +340,81 @@ class TestOneSpectrumPerCheck:
         values, entangled = _row_negativities(asm)
         assert values.tobytes() == _negativities_from_scratch(asm._rows, asm.dims).tobytes()
         assert not entangled.any()
+
+
+def _element_stack(rng, dims, lowest, largest, rotate, n=12):
+    """n distinct assemblage elements on ``dims`` whose traces sum to 1:
+    n - 1 random full-rank ones and, at a random position, one with
+    smallest eigenvalue ``lowest``, largest ``largest`` and small positive
+    ones in between, under a random local unitary (``rotate``) or with its
+    spectrum on the diagonal.  Returns the stack and that position."""
+    a, b = dims
+    d = a * b
+    spectrum = np.concatenate([[lowest, largest], rng.uniform(0.1, 1.0, d - 2) * 0.05 / d])
+    u = np.kron(haar_unitary(rng, a), haar_unitary(rng, b)) if rotate else np.eye(d)
+    special = (u * spectrum) @ u.conj().T
+    weights = rng.uniform(0.5, 1.0, n - 1)
+    weights *= (1.0 - np.trace(special).real) / weights.sum()
+    fillers = [w * rand_density(rng, dims).matrix for w in weights]
+    at = int(rng.integers(n))
+    return np.array(fillers[:at] + [special] + fillers[at:]), at
+
+
+class TestElementScreen:
+    """The assemblage's PSD check proves elements PSD with the Cholesky
+    screen and eigendecomposes only the rest.  At the PSD tolerance
+    (TOL_CHECK) and at the negativity cutoff (NEG_CUTOFF), under local
+    unitaries or not, and within the norm guard or past it, the assemblage
+    accepts and rejects exactly as the full eigendecomposition does, the
+    verdict raises NotPositiveError exactly where an element's own spectrum
+    fails the precondition, and ``extremes`` is that of every element."""
+
+    LOWEST = [-2e-9, -1.001e-9, -0.999e-9, -5e-10, -1.001e-12, -0.999e-12, -5e-13]
+
+    # (3, 3): the guard ||H||_F <= NEG_CUTOFF / (8 D^2 eps) is about 7, past
+    # any element; (6, 6): about 0.43, so an element of largest eigenvalue
+    # 0.85 is past it
+    @pytest.mark.parametrize("lowest", LOWEST)
+    @pytest.mark.parametrize("dims,largest", [((3, 3), 0.01), ((3, 3), 0.85),
+                                              ((6, 6), 0.01), ((6, 6), 0.85)])
+    @pytest.mark.parametrize("rotate", [True, False])
+    def test_agrees_with_full_eigendecomposition(self, lowest, dims, largest, rotate):
+        rng = np.random.default_rng(int(-np.log10(-lowest) * 1000) + int(largest * 100) + dims[0])
+        mats, at = _element_stack(rng, dims, lowest, largest, rotate)
+        keys = [(k,) for k in range(len(mats))]
+        d = dims[0] * dims[1]
+        past = np.linalg.norm(mats[at]) > NEG_CUTOFF / (8 * d * d * np.finfo(float).eps)
+        assert past == (dims == (6, 6) and largest == 0.85)
+        accepted = _psd_extremes(mats, TOL_CHECK) is not None
+        assert accepted == (lowest > -TOL_CHECK)
+        if not accepted:
+            with pytest.raises(ValueError, match="not PSD"):
+                NetworkAssemblage(mats, keys, dims)
+            return
+        asm = NetworkAssemblage(mats, keys, dims)
+        assert asm.extremes.tobytes() == _extremes(asm.matrices).tobytes()
+        # sound: an element the screen clears has no eigenvalue below
+        # -NEG_CUTOFF; not vacuous: the special element is not cleared away
+        # from the shift, and the others are whenever it cannot make the
+        # factorisation fail
+        screened = np.isnan(asm._row_extremes[:, 0])
+        assert np.all(asm.extremes[screened, 0] >= -NEG_CUTOFF)
+        if lowest < -0.75 * NEG_CUTOFF:
+            assert not screened[at]
+        if past or not rotate:
+            assert screened.sum() == len(mats) - 1
+        try:
+            status, witness = _certify_from_scratch(asm)
+        except NotPositiveError as exc:
+            with pytest.raises(NotPositiveError, match=str(exc)):
+                certify_network_steering(asm)
+            raised = True
+        else:
+            verdict = certify_network_steering(asm)
+            assert (verdict.status, verdict.witness) == (status, witness)
+            raised = False
+        if not rotate:      # a diagonal element: its spectrum is exact
+            assert raised == (lowest < -NEG_CUTOFF)
 
 
 class TestBlochData:

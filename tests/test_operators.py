@@ -23,14 +23,15 @@ from netsteer.operators import (
     _extremes,
     _hermitian,
     _negativities,
-    _ppt_cleared,
+    _psd_cleared,
+    _psd_screened,
     _spectra,
     _transpose_factors,
 )
 from netsteer.states import werner
 
-from conftest import (apply_and_trace, hermitian_eigenvalues, identity, max_entry_distance,
-                      partial_trace, rand_density, rand_psd, tensor)
+from conftest import (apply_and_trace, haar_unitary, hermitian_eigenvalues, identity,
+                      max_entry_distance, partial_trace, rand_density, rand_psd, tensor)
 
 
 class TestQOperator:
@@ -205,15 +206,31 @@ class TestSpectra:
         with pytest.raises(NotHermitianError, match="nan"):
             negativity(QOperator(np.full((4, 4), np.nan), [2, 2]), [1])
 
+    def test_symmetrised_as_the_halved_sum(self, rng):
+        # (M + M^dagger) / 2 byte for byte, the sign of every zero included:
+        # entries drawn from signed zeros, subnormals and large values, with
+        # the signs of the zeros of each pair (ij, ji) drawn apart
+        values = [0.0, -0.0, 5e-324, -5e-324, 3e-308, -3e-308, 1.5, -1.5, 1e300, -1e300]
+        mats = np.empty((60, 4, 4), dtype=complex)
+        mats.real = rng.choice(values, mats.shape)
+        mats.imag = rng.choice(values, mats.shape)
+        upper = np.triu_indices(4, 1)
+        mats[:, upper[0], upper[1]] = mats[:, upper[1], upper[0]].conj()
+        for part in (mats.real, mats.imag):
+            part[(part == 0) & (rng.random(mats.shape) < 0.5)] *= -1.0
+        mats.imag[:, range(4), range(4)] = rng.choice([0.0, -0.0], (60, 4))
+        assert (np.signbit(mats.real) != np.signbit(mats.real.swapaxes(1, 2))).any()
+        want = (mats + mats.conj().swapaxes(-1, -2)) / 2
+        assert _hermitian(mats).tobytes() == want.tobytes()
+        assert _hermitian(mats[0]).tobytes() == want[0].tobytes()
+        real = mats.real.copy()
+        real[:, upper[0], upper[1]] = real[:, upper[1], upper[0]]
+        assert _hermitian(real).tobytes() == ((real + real.swapaxes(-1, -2)) / 2).tobytes()
+
     def test_negativity_zero_for_separable(self, rng):
         a = rand_density(rng, [2])
         b = rand_density(rng, [2])
         assert negativity(tensor(a, b), [1]) <= NEG_CUTOFF
-
-
-def _haar(rng, d):
-    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
 def _pt_family(rng, dims, lam, norm, rotate=True):
@@ -230,7 +247,7 @@ def _pt_family(rng, dims, lam, norm, rotate=True):
     scale = norm * (d + 2) / 3
     p = (1 / d - lam / scale) / (0.5 + 1 / d)
     mat = scale * (p * np.outer(psi, psi) + (1 - p) * np.eye(d) / d)
-    u = np.kron(_haar(rng, a), _haar(rng, b)) if rotate else np.eye(d)
+    u = np.kron(haar_unitary(rng, a), haar_unitary(rng, b)) if rotate else np.eye(d)
     return u @ mat @ u.conj().T
 
 
@@ -265,10 +282,10 @@ def linalg_calls(monkeypatch):
 
 
 class TestPPTScreen:
-    """``_ppt_cleared`` proves partial transposes free of eigenvalues below
+    """``_psd_cleared`` proves partial transposes free of eigenvalues below
     -NEG_CUTOFF by a Cholesky factorisation shifted by NEG_CUTOFF / 2, within
-    a norm guard, and ``_negativities`` eigendecomposes only the rest: its
-    values are the per-matrix oracle's, byte for byte."""
+    a norm guard on ||H||_F, and ``_negativities`` eigendecomposes only the
+    rest: its values are the per-matrix oracle's, byte for byte."""
 
     # around -NEG_CUTOFF and -NEG_CUTOFF / 2
     LAMBDAS = np.concatenate([np.linspace(-2e-12, 0.0, 21),
@@ -278,19 +295,20 @@ class TestPPTScreen:
     def test_sound_at_the_cutoff_and_at_scale(self, dims, linalg_calls):
         rng = np.random.default_rng(sum(dims))
         d = dims[0] * dims[1]
-        guard = NEG_CUTOFF / (8 * d ** 2.5 * np.finfo(float).eps)
+        guard = NEG_CUTOFF / (8 * d ** 2 * np.finfo(float).eps)
+        # Frobenius norms; _pt_family's largest eigenvalue is about
+        # ||M||_F / sqrt(1 + (d - 1) / 9), and ||H||_F = ||M||_F
         norms = [1e-8, 1e-4, 1e-2, 0.5 * guard, 0.99 * guard, 1.5 * guard, 4 * guard]
         lams = np.tile(self.LAMBDAS, len(norms))
-        mats = np.array([_pt_family(rng, dims, lam, norm)
+        mats = np.array([_pt_family(rng, dims, lam, norm / np.sqrt(1 + (d - 1) / 9))
                          for norm in norms for lam in self.LAMBDAS])
         extremes = _extremes(mats)
-        past = np.abs(extremes).max(axis=1) > guard
+        h = _hermitian(_transpose_factors(mats, dims, [1]))
+        past = np.linalg.norm(h, axis=(1, 2)) > guard
         assert past.sum() == 2 * len(self.LAMBDAS)
 
         # each row screened alone
-        h = _hermitian(_transpose_factors(mats, dims, [1]))
-        cleared = np.concatenate([_ppt_cleared(h[i:i + 1], extremes[i:i + 1])
-                                  for i in range(len(h))])
+        cleared = np.concatenate([_psd_cleared(h[i:i + 1]) for i in range(len(h))])
         assert np.all(np.linalg.eigvalsh(h[cleared])[:, 0] >= -NEG_CUTOFF)
         assert not cleared[past].any()
         assert cleared[~past & (lams >= -NEG_CUTOFF / 4)].all()      # not vacuous
@@ -328,6 +346,18 @@ class TestPPTScreen:
         mats[5, 0, 1] += defect
         with pytest.raises(NotHermitianError):
             _negativities(mats, (3, 3), [1], extremes)
+
+    # an imaginary diagonal entry is a Hermiticity defect, as is NaN there,
+    # for the elements' screen and for their partial transposes'
+    @pytest.mark.parametrize("defect", [1e-6j, np.nan])
+    def test_diagonal_defect_raises(self, defect):
+        mats, extremes = self._clearable()
+        mats[5, 4, 4] += defect
+        with pytest.raises(NotHermitianError):
+            _hermitian(mats)
+        with pytest.raises(NotHermitianError):
+            _negativities(mats, (3, 3), [1], extremes)
+        assert _psd_screened(mats, 1e-9) is None
 
     def test_precondition_fires_before_the_screen(self, linalg_calls):
         mats, extremes = self._clearable()

@@ -1,6 +1,6 @@
 """Run the benchmark in alternating pairs: a git ref against the working tree.
 
-    python3 tools/bench_pairs.py REF --workload W --pairs N --seed S
+    python3 tools/bench_pairs.py REF --workload W[,W2,...] --pairs N --seed S
 
 Extracts ``git archive REF src perfbench`` and a copy of the working tree's
 ``src/`` and ``perfbench/`` into two sibling directories of a new temporary
@@ -8,14 +8,21 @@ directory, ``parent/`` and ``change/``.  Their paths have equal length:
 the length of the directory name alone can move cli-sweeps' scaled metrics
 by a fifth, since it shifts where the process's arrays land.  Then runs
 ``perfbench/run.py --workload W --seed S --seconds T --trace 0`` N times in
-each, alternating which side runs first (the parent in odd pairs), with T
-the ``run_seconds`` of ``BENCHMARK.json``.  Every result record is kept as
-``records/{parent,change}-<pair>.json`` in the temporary directory, which
-is left in place and named on the last line; nothing is written outside
-it.  For each end-to-end metric of ``BENCHMARK.json`` it prints the
-parent's and the change's median with quartiles, the same for the
-unscaled ``detail.cpu`` value where the record has one, and the pairs the
-change won (ties count for neither side).  Exits 2 when a step fails.
+each side for each workload named, with T the ``run_seconds`` of
+``BENCHMARK.json``.  Pair p runs every workload in the order given, both
+sides of one workload back to back, the parent first in odd pairs and the
+change first in even ones.  Every result record is kept as
+``records/{parent,change}-<workload>-<pair>.json`` in the temporary
+directory, which is left in place and named on the last line; nothing is
+written outside it.  For each workload and each end-to-end metric of
+``BENCHMARK.json`` it prints the parent's and the change's median with
+quartiles, the same for the unscaled ``detail.cpu`` value where the record
+has one, and the pairs the change won (ties count for neither side).  The
+last column says whether the scaled and the unscaled medians moved the same
+way ("same"), opposite ways ("opposite"), or one of them did not move
+("flat"); a scaled move whose unscaled CPU time moved the other way says
+more about the calibration than about the change.  Exits 2 when a step
+fails.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ COPIED = ("src", "perfbench")
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("ref")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", required=True, type=lambda text: text.split(","),
+                   help="one workload, or several separated by commas")
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     args = p.parse_args(argv)
@@ -61,11 +69,11 @@ def copy_tree(dest: Path) -> None:
                         ignore=shutil.ignore_patterns("__pycache__", ".bench_runs"))
 
 
-def run_once(root: Path, args, seconds: float, keep: Path) -> dict:
-    subprocess.run([sys.executable, "perfbench/run.py", "--workload", args.workload,
-                    "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0"],
+def run_once(root: Path, workload: str, seed: int, seconds: float, keep: Path) -> dict:
+    subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                    "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                    cwd=root, check=True, stdout=subprocess.DEVNULL)
-    result = root / ".bench_runs" / f"result-{args.workload}-seed{args.seed}-trace0.json"
+    result = root / ".bench_runs" / f"result-{workload}-seed{seed}-trace0.json"
     shutil.copyfile(result, keep)
     with open(keep) as fh:
         return json.load(fh)
@@ -78,22 +86,35 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
+def direction(parent: float, change: float, sign: int) -> int:
+    """+1 when the change's value is better, -1 when worse, 0 when equal."""
+    return (sign * (change - parent) > 0) - (sign * (change - parent) < 0)
+
+
 def report(metrics: list[dict], records: dict) -> None:
     pairs = len(records["parent"])
-    print(f"{'metric':22s} {'parent median [q1, q3]':>36s} {'change median [q1, q3]':>36s}  won")
+    print(f"{'metric':22s} {'parent median [q1, q3]':>36s} {'change median [q1, q3]':>36s}  "
+          f"won  cpu")
     for metric in metrics:
         name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+        moved = []
+        rows = []
         for label, read in ((name, lambda r: r["metrics"][name]["value"]),
                             (f"cpu.{name}", lambda r: r["detail"].get("cpu", {}).get(name))):
             values = {side: [read(r) for r in records[side]] for side in SIDES}
             if any(v is None for side in SIDES for v in values[side]):
                 continue
-            won = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
-            cells = []
+            won = sum(direction(p, c, sign) > 0 for p, c in zip(values["parent"], values["change"]))
+            cells, medians = [], []
             for side in SIDES:
                 q1, q2, q3 = quartiles(values[side])
                 cells.append(f"{q2:.6g} [{q1:.6g}, {q3:.6g}]")
-            print(f"{label:22s} {cells[0]:>36s} {cells[1]:>36s}  {won}/{pairs}")
+                medians.append(q2)
+            moved.append(direction(*medians, sign))
+            rows.append(f"{label:22s} {cells[0]:>36s} {cells[1]:>36s}  {won}/{pairs}")
+        if len(moved) == 2:
+            rows[0] += "  " + ("flat" if 0 in moved else "same" if moved[0] == moved[1] else "opposite")
+        print("\n".join(rows))
     for side in SIDES:
         ratios = [r["failed_ratio"] for r in records[side]]
         print(f"failed_ratio {side}: {', '.join(f'{x:.6g}' for x in ratios)}")
@@ -107,17 +128,19 @@ def main(argv=None) -> int:
     keep = tmp / "records"
     keep.mkdir()
     roots = {side: tmp / side for side in SIDES}
-    records = {side: [] for side in SIDES}
+    records = {(side, w): [] for side in SIDES for w in args.workload}
     try:
         extract(args.ref, roots["parent"])
         copy_tree(roots["change"])
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            for side in order:
-                records[side].append(run_once(roots[side], args, bench["run_seconds"],
-                                              keep / f"{side}-{pair + 1}.json"))
-                print(f"pair {pair + 1} {side}: {records[side][-1]['metrics']['items_per_s']['value']:.6g} "
-                      "items_per_s", file=sys.stderr)
+            for workload in args.workload:
+                for side in order:
+                    got = run_once(roots[side], workload, args.seed, bench["run_seconds"],
+                                   keep / f"{side}-{workload}-{pair + 1}.json")
+                    records[side, workload].append(got)
+                    print(f"pair {pair + 1} {workload} {side}: "
+                          f"{got['metrics']['items_per_s']['value']:.6g} items_per_s", file=sys.stderr)
     except (subprocess.CalledProcessError, OSError, KeyError) as exc:
         print(f"bench_pairs: {exc}", file=sys.stderr)
         if getattr(exc, "stderr", None):
@@ -126,9 +149,10 @@ def main(argv=None) -> int:
     finally:
         for root in roots.values():
             shutil.rmtree(root, ignore_errors=True)
-    print(f"{args.workload}  seed={args.seed}  ref={args.ref}  pairs={args.pairs}  "
-          f"parent first in odd pairs")
-    report(bench["end_to_end"], records)
+    for workload in args.workload:
+        print(f"{workload}  seed={args.seed}  ref={args.ref}  pairs={args.pairs}  "
+              f"parent first in odd pairs")
+        report(bench["end_to_end"], {side: records[side, workload] for side in SIDES})
     print(f"records: {keep}")
     return 0
 
