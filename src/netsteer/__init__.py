@@ -4,8 +4,6 @@ networks with trusted endpoints and independent sources."""
 from .operators import (
     QOperator,
     is_density,
-    is_psd,
-    negativity,
 )
 from .states import (
     DEWParams,
@@ -32,13 +30,9 @@ from .network import (
     untrusted_input_to_outcome,
 )
 from .certificates import (
-    BlochData,
     Verdict,
-    bloch_data,
     certify_network_steering,
     claims_pipeline,
-    dew_unsteerable_both_ways,
-    erased_unsteerable,
     linear_steering_witness,
 )
 from .nlhs import (

@@ -20,7 +20,6 @@ from .operators import (
     NEG_CUTOFF,
     PAULIS,
     QOperator,
-    TOL_CHECK,
     _negativities,
 )
 from .measurements import computational_basis_povm, pauli_projective
@@ -32,7 +31,6 @@ from .network import (
     standard_assemblage,
     untrusted_input_to_outcome,
 )
-from .states import DEWParams
 
 TOL_OPT = 1e-6
 
@@ -52,25 +50,6 @@ class Verdict:
     @property
     def certified(self) -> bool:
         return self.status == CERTIFIED
-
-
-@dataclass(frozen=True)
-class BlochData:
-    """Local Bloch vector of the measuring party and correlation matrix
-    T_ij = Tr(rho sigma_i (x) sigma_j) of a two-qubit state."""
-
-    a: np.ndarray
-    t: np.ndarray
-
-    def __init__(self, a, t):
-        a = np.asarray(a, dtype=float)
-        t = np.asarray(t, dtype=float)
-        if a.shape != (3,) or t.shape != (3, 3):
-            raise ValueError("need a 3-vector and a 3x3 matrix")
-        if np.linalg.norm(a) > 1 + TOL_CHECK or np.max(np.abs(t)) > 1 + TOL_CHECK:
-            raise ValueError("Bloch data out of physical range")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "t", t)
 
 
 def _endpoint_negativities(mats: np.ndarray, dims: tuple,
@@ -124,68 +103,19 @@ def certify_network_steering(asm: NetworkAssemblage) -> Verdict:
     return Verdict(INCONCLUSIVE)
 
 
-def bloch_data(rho: QOperator) -> BlochData:
-    """Extract Bloch data from a two-qubit state.
-
-    A qutrit pair produced by erasing both sides is accepted too: the
-    {|0>,|1>} x {|0>,|1>} block is extracted and renormalised (the erasure
-    weight is carried separately by the criterion's eta argument).
-    """
-    if rho.dims == (2, 2):
-        mat = rho.matrix
-    elif rho.dims == (3, 3):
-        idx = [0, 1, 3, 4]
-        block = rho.matrix[np.ix_(idx, idx)]
-        tr = np.trace(block).real
-        if tr < 1e-14:
-            raise DimensionError("qubit block has zero weight")
-        mat = block / tr
-    else:
-        raise DimensionError(f"unsupported dims {rho.dims}")
-    a = np.array(
-        [np.trace(np.kron(s, np.eye(2)) @ mat).real for s in PAULIS]
-    )
-    t = np.array(
-        [[np.trace(np.kron(si, sj) @ mat).real for sj in PAULIS] for si in PAULIS]
-    )
-    return BlochData(a, t)
-
-
-def erased_unsteerable(b: BlochData, eta: float) -> tuple[bool, float]:
-    """Sufficient unsteerability condition after one-sided erasure.
-
-    The erased state is unsteerable from the erased side, for arbitrary
-    measurements, if (1-3 eta)|a.x| + (3 eta/2)(1 + (a.x)^2) + ||Tx|| is at
-    most 1 for every unit vector x.  The returned value is a closed-form
-    upper bound on that maximum: the objective depends on x through
-    t = |a.x| in [0, |a|], convexly, so its t-part peaks at an end of that
-    interval, and ||Tx|| is at most the largest singular value of T.  At
-    a = 0 the bound is the maximum, 3 eta/2 + sigma_max(T).
-    """
-    if not (0.0 <= eta <= 1.0):
-        raise ValueError(f"eta must be in [0,1], got {eta}")
-    a = float(np.linalg.norm(b.a))
-    value = (max(1.5 * eta, (1.0 - 3.0 * eta) * a + 1.5 * eta * (1.0 + a * a))
-             + float(np.linalg.svd(b.t, compute_uv=False)[0]))
-    return value <= 1.0 + TOL_OPT, float(value)
-
-
-def dew_unsteerable_both_ways(p: DEWParams) -> bool:
-    """Two-way unsteerability of the doubly-erased Werner state.
-
-    One direction comes from the erased-state criterion on the underlying
-    Werner state; the second erasure is absorbed by channel monotonicity
-    of unsteerability, and swap symmetry of the state covers the reverse
-    direction with the same computation.  Evaluated by ``_dew_unsteerable``.
-    """
-    return bool(_dew_unsteerable(p.eta, p.omega))
-
-
 def _dew_unsteerable(etas, omegas):
-    """``dew_unsteerable_both_ways`` of survival probabilities and
-    visibilities in [0, 1], elementwise over arrays: ``erased_unsteerable``
-    on the Werner Bloch data (0, -omega I) in its a = 0 closed form, whose
-    value 3 eta / 2 + omega is at most 1 (to ``TOL_OPT``)."""
+    """Two-way unsteerability of the doubly-erased Werner states of survival
+    probabilities and visibilities in [0, 1], elementwise over arrays.
+
+    The erased-state criterion: after one-sided erasure a two-qubit state
+    of Bloch data (a, T) is unsteerable from the erased side, for arbitrary
+    measurements, if (1 - 3 eta)|a.x| + (3 eta / 2)(1 + (a.x)^2) + ||T x||
+    is at most 1 for every unit vector x.  On the Werner data (0, -omega I)
+    it reads 3 eta / 2 + omega <= 1 (to ``TOL_OPT``).  The second erasure
+    is absorbed by channel monotonicity of unsteerability, and swap
+    symmetry of the state covers the reverse direction.  The criterion on
+    any Bloch data, ``erased_unsteerable`` in ``tests/sweep_oracles.py``,
+    is the reference this closed form is tested against."""
     return 1.5 * etas + omegas <= 1.0 + TOL_OPT
 
 

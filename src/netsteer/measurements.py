@@ -70,20 +70,6 @@ class POVM:
     def n_outcomes(self) -> int:
         return len(self.matrices)
 
-    @property
-    def effects(self) -> tuple[QOperator, ...]:
-        """The effects in outcome order, built on each access from copies of
-        the rows, so changing them leaves the POVM unchanged."""
-        return tuple(QOperator(mat, self.dims) for mat in self.matrices)
-
-    def effect(self, label) -> QOperator:
-        try:
-            return QOperator(self.matrices[self.outcome_labels.index(label)], self.dims)
-        except ValueError:
-            raise InvalidPOVMError(
-                f"unknown outcome label {label!r}; labels are {list(self.outcome_labels)}"
-            ) from None
-
 
 @dataclass(frozen=True)
 class SeparableMeasurement(POVM):

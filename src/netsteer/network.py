@@ -22,9 +22,8 @@ an index from outcome tuple to distinct row.  One screen serves both
 checks (``operators._psd_cleared``): a Cholesky factorisation shifted by
 half the negativity cutoff proves a block's elements PSD, and their partial
 transposes PPT, and only the rows it cannot clear are eigendecomposed.
-The elements' eigenvalue extremes are computed only when ``extremes`` is
-first read.  A step computes each row alone, whatever the block it sits
-in, so the merged stack equals the unmerged one byte for byte.
+A step computes each row alone, whatever the block it sits in, so the
+merged stack equals the unmerged one byte for byte.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .operators import (
     TOL_NORM,
     _apply_and_trace,
     _blocks,
-    _extremes,
     _psd_screened,
     is_density,
 )
@@ -78,10 +76,6 @@ class LinearNetwork:
                 )
         object.__setattr__(self, "sources", sources)
         object.__setattr__(self, "central_measurements", central)
-
-    @property
-    def n_parties(self) -> int:
-        return len(self.sources) + 1
 
     @property
     def endpoint_dims(self) -> tuple[int, int]:
@@ -139,17 +133,6 @@ class NetworkAssemblage:
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_row_extremes", row_extremes)
         object.__setattr__(self, "_index", index)
-
-    @functools.cached_property
-    def extremes(self) -> np.ndarray:
-        """The read-only (K, 2) smallest and largest eigenvalue of each
-        element, computed on first read: one eigendecomposition of each
-        distinct row (``_extremes``), gathered back to every element."""
-        extremes = _extremes(self._rows)
-        if self._index is not None:
-            extremes = extremes[self._index]
-        extremes.flags.writeable = False
-        return extremes
 
     @property
     def elements(self) -> dict:

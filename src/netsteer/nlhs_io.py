@@ -126,31 +126,47 @@ def load_model(path) -> NLHSModel:
         return model_from_json(json.load(fh))
 
 
+def _integer(value, key: str) -> int:
+    """``value`` if it is a JSON integer (a bool is none), else FixtureError."""
+    if type(value) is not int:
+        raise FixtureError(f"{key} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    """``value`` as a float if it is a JSON number (a bool is none), else
+    FixtureError."""
+    if type(value) not in (int, float):
+        raise FixtureError(f"{key} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 def _build_source(doc: dict):
     """Return (state, decomposition-or-None) for a fixture source entry."""
     kind = doc.get("kind")
     if kind == "classical_correlated":
-        d = int(doc["d"])
+        d = _integer(doc["d"], "d")
         return classical_correlated(d), classical_correlated_decomposition(d)
     if kind == "werner":
-        omega = float(doc["omega"])
+        omega = _number(doc["omega"], "omega")
         state = werner(omega)
         if omega <= 1.0 / 3.0 + 1e-12:
             return state, werner_separable_decomposition(omega)
         return state, None
     if kind == "dew":
-        return dew(DEWParams(float(doc["eta"]), float(doc["omega"]))), None
+        return dew(DEWParams(_number(doc["eta"], "eta"), _number(doc["omega"], "omega"))), None
     if kind == "explicit":
-        return QOperator(_matrix_from_json(doc["state"]), doc["state"]["dims"]), None
+        dims = [_integer(d, "each of dims") for d in doc["state"]["dims"]]
+        return QOperator(_matrix_from_json(doc["state"]), dims), None
     raise FixtureError(f"unknown source kind {kind!r}")
 
 
 def _build_measurement(doc: dict) -> POVM:
     kind = doc.get("kind")
     if kind == "bell_swap":
-        return bell_swap_povm(int(doc.get("local_dim", 3)))
+        return bell_swap_povm(_integer(doc.get("local_dim", 3), "local_dim"))
     if kind == "computational":
-        d = int(doc["d"])
+        d = _integer(doc["d"], "d")
         return POVM([projector(basis_ket(i, d * d), [d, d]) for i in range(d * d)])
     raise FixtureError(f"unknown measurement kind {kind!r}")
 

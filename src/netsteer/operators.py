@@ -1,5 +1,5 @@
 """Dense complex-operator kernel: factor-tagged operators, apply-and-trace,
-partial transposes, stacked PSD checks, spectra and negativity.
+partial transposes, stacked PSD checks, spectra and negativities.
 
 Convention: tensor factors are combined with a row-major Kronecker product,
 so the *first* factor occupies the most significant index block.  This is
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,18 +70,8 @@ class QOperator:
         object.__setattr__(self, "dims", dims)
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def nfactors(self) -> int:
         return len(self.dims)
-
-    def trace(self) -> float:
-        return float(self.matrix.trace().real)
-
-    def __repr__(self):
-        return f"QOperator(dim={self.dim}, dims={list(self.dims)})"
 
 
 def basis_ket(i: int, d: int) -> np.ndarray:
@@ -93,14 +83,6 @@ def basis_ket(i: int, d: int) -> np.ndarray:
 def projector(vec: np.ndarray, dims: Sequence[int]) -> QOperator:
     vec = np.asarray(vec, dtype=complex)
     return QOperator(np.outer(vec, vec.conj()), dims)
-
-
-def _check_factors(op: QOperator, factors: Iterable[int]) -> list[int]:
-    factors = sorted(set(int(f) for f in factors))
-    for f in factors:
-        if f < 0 or f >= op.nfactors:
-            raise DimensionError(f"factor index {f} out of range for dims {op.dims}")
-    return factors
 
 
 def _apply_and_trace(mats: np.ndarray, dims: tuple[int, int], local: np.ndarray,
@@ -243,17 +225,6 @@ def _negativities(mats: np.ndarray, dims: tuple[int, ...], factors: list[int],
     return out
 
 
-def negativity(op: QOperator, transpose_factors: Iterable[int]) -> float:
-    """Sum of |negative eigenvalues| of the partial transpose.
-
-    A strictly positive value certifies entanglement across the bipartition
-    (NPT implies entangled in any dimension); zero is inconclusive.
-    """
-    factors = _check_factors(op, transpose_factors)
-    mats = op.matrix[None]
-    return float(_negativities(mats, op.dims, factors, _extremes(mats))[0])
-
-
 def _blocks(n: int, item_bytes: int) -> list[slice]:
     """Slices covering ``range(n)``, each of at most ``CHECK_BLOCK_BYTES``
     (or one item) of items of ``item_bytes`` bytes: every stacked check,
@@ -319,13 +290,9 @@ def _by_dims(ops: Sequence[QOperator]) -> list[list[np.ndarray]]:
     return list(groups.values())
 
 
-def is_psd(*ops: QOperator, tol: float = TOL_EQ) -> bool:
-    """True iff every operator is Hermitian with no eigenvalue below -tol
-    (true for none).  The matrices of operators with equal dims are checked
-    as stacks (``_psd_extremes``), not one by one."""
-    return all(_psd_extremes(mats, tol) is not None for mats in _by_dims(ops))
-
-
 def is_density(*ops: QOperator, tol: float = TOL_EQ) -> bool:
-    """``is_psd`` plus unit trace, each to ``tol`` (``_density_extremes``)."""
+    """True iff every operator is Hermitian with no eigenvalue below -tol
+    and has unit trace to ``tol`` (true for none).  The matrices of
+    operators with equal dims are checked as stacks
+    (``_density_extremes``), not one by one."""
     return all(_density_extremes(mats, tol) is not None for mats in _by_dims(ops))

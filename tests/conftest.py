@@ -1,10 +1,11 @@
 """Shared helpers for the test suite: random operators with reproducible
 generators, the identity, tensor-product, entry-distance, spectrum,
-apply-and-trace and partial-trace oracles, an assemblage made from an
-{outcome: operator} dict, a brute-force assemblage oracle that never
-uses the sequential contraction under test, the index-by-index einsum
-oracle of one contraction step, the contraction without merging repeated
-branches, and the checked network of a separable realisation."""
+apply-and-trace, partial-trace and per-matrix negativity oracles, an
+assemblage made from an {outcome: operator} dict, a brute-force assemblage
+oracle that never uses the sequential contraction under test, the
+index-by-index einsum oracle of one contraction step, the contraction
+without merging repeated branches, and the checked network of a separable
+realisation."""
 
 import functools
 
@@ -14,7 +15,8 @@ import pytest
 from netsteer.measurements import POVM
 from netsteer.network import LinearNetwork, NetworkAssemblage, _step
 from netsteer.nlhs import NLHSModel
-from netsteer.operators import DimensionError, QOperator, TOL_HERM, _spectra
+from netsteer.operators import (NEG_CUTOFF, TOL_HERM, DimensionError, NotPositiveError,
+                                QOperator, _spectra, _transpose_factors)
 
 
 @pytest.fixture
@@ -80,8 +82,8 @@ def apply_and_trace(op, local, factor):
         raise DimensionError(f"apply_and_trace needs a two-factor operator, got {op.dims}")
     if factor not in (0, 1):
         raise DimensionError(f"factor must be 0 or 1, got {factor}")
-    if local.dim != op.dims[factor]:
-        raise DimensionError(f"local dim {local.dim} != factor dim {op.dims[factor]}")
+    if len(local.matrix) != op.dims[factor]:
+        raise DimensionError(f"local dim {len(local.matrix)} != factor dim {op.dims[factor]}")
     t = op.matrix.reshape(op.dims + op.dims)
     if factor == 0:
         out = np.einsum("ik,kjil->jl", local.matrix, t)
@@ -103,6 +105,31 @@ def partial_trace(op, keep):
     dims = [op.dims[i] for i in keep] or [1]
     side = int(np.prod(dims))
     return QOperator(mat.reshape(side, side), dims)
+
+
+def negativity(mat, dims):
+    """Sum of |eigenvalues below -NEG_CUTOFF| of the partial transpose over
+    factor 1 of one matrix on ``dims``, eigendecomposed on its own (-0.0
+    for none): the per-matrix oracle of ``operators._negativities``."""
+    pt = _spectra(_transpose_factors(mat, tuple(dims), [1]))
+    return -np.sum(pt[pt < -NEG_CUTOFF]) if pt[0] < -NEG_CUTOFF else -0.0
+
+
+def negativities_from_scratch(mats, dims):
+    """``certificates._endpoint_negativities``' values with every matrix
+    eigendecomposed on its own, for its positivity precondition and for its
+    partial transpose: +0.0 for a trace at most NEG_CUTOFF, else
+    ``negativity`` over factor 1."""
+    values = []
+    for mat in mats:
+        if np.trace(mat).real <= NEG_CUTOFF:
+            values.append(0.0)
+            continue
+        evs = _spectra(mat)
+        if evs[0] < -NEG_CUTOFF * max(1.0, abs(evs[-1])):
+            raise NotPositiveError(f"input has negative eigenvalue {evs[0]:.3e}")
+        values.append(negativity(mat, dims))
+    return np.array(values)
 
 
 def assemblage_of(elements):
@@ -128,14 +155,15 @@ def brute_force_assemblage(net):
     for s in sources[1:]:
         big = tensor(big, s)
     d_l, d_r = sources[0].dims[0], sources[-1].dims[1]
-    mid = big.dim // (d_l * d_r)
+    mid = len(big.matrix) // (d_l * d_r)
     # big[(a, m, z), (a', m', z')] with every interior factor flattened into m
     full = big.matrix.reshape(d_l, mid, d_r, d_l, mid, d_r)
     out = {}
     ranges = [m.outcome_labels for m in measurements]
     for labels in itertools.product(*ranges):
         effect = functools.reduce(
-            np.kron, [m.effect(lab).matrix for m, lab in zip(measurements, labels)]
+            np.kron, [m.matrices[m.outcome_labels.index(lab)]
+                      for m, lab in zip(measurements, labels)]
         )
         # Tr_interior[(1 (x) effect (x) 1) big]
         element = np.einsum("mn,anzbmy->azby", effect, full)

@@ -52,7 +52,7 @@ def induced_measurement(m: POVM, hidden_state: np.ndarray, side: str) -> POVM:
         raise DimensionError(f"a hidden state of shape {np.shape(hidden_state)} "
                              f"does not fit factor {plugged} of {m.dims}")
     local = QOperator(hidden_state, [m.dims[plugged]])
-    return POVM([apply_and_trace(e, local, plugged) for e in m.effects],
+    return POVM([apply_and_trace(QOperator(e, m.dims), local, plugged) for e in m.matrices],
                 outcome_labels=m.outcome_labels)
 
 
@@ -127,8 +127,7 @@ def direct_response_kron(m: POVM, rights, lefts):
     for the right states R of one source and the left states L of the next,
     every product built by ``np.kron`` in nested loops."""
     states = np.array([[np.kron(r, l) for l in lefts] for r in rights])
-    effects = np.array([e.matrix for e in m.effects])
-    return np.trace(effects[:, None, None] @ states, axis1=-2, axis2=-1).real
+    return np.trace(m.matrices[:, None, None] @ states, axis1=-2, axis2=-1).real
 
 
 def lhv_behavior(rho, left_povms, right_povms):
@@ -138,10 +137,10 @@ def lhv_behavior(rho, left_povms, right_povms):
     out = np.zeros((n_b, n_c, len(left_povms), len(right_povms)))
     for x, pl in enumerate(left_povms):
         for y, pr in enumerate(right_povms):
-            for b, el in enumerate(pl.effects):
-                for c, er in enumerate(pr.effects):
+            for b, el in enumerate(pl.matrices):
+                for c, er in enumerate(pr.matrices):
                     out[b, c, x, y] = np.trace(
-                        np.kron(el.matrix, er.matrix) @ rho.matrix
+                        np.kron(el, er) @ rho.matrix
                     ).real
     return out
 

@@ -8,7 +8,10 @@ sources (pushed through the erasure channel one factor at a time, with this
 module's own Kraus einsum), contracts one element with ``assemblage_element``
 and certifies it on its own.  ``dew_kraus_stack`` is the same Kraus einsum
 on a stack of (eta, omega) pairs, the reference of ``states._dew_stack``'s
-direct block build.  ``write_csv_records`` is the per-record CSV writer
+direct block build.  ``erased_unsteerable`` is the erased-state criterion
+on the Bloch data of any two-qubit state (``bloch_data``), the reference of
+the sweeps' closed form ``certificates._dew_unsteerable``.
+``write_csv_records`` is the per-record CSV writer
 that ``experiments.write_csv``, which formats one column at a time,
 replaced.
 """
@@ -19,15 +22,81 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from netsteer.certificates import BlochData, _endpoint_negativities, erased_unsteerable
+from netsteer.certificates import TOL_OPT, _endpoint_negativities
 from netsteer.measurements import bell_swap_povm
 from netsteer.network import LinearNetwork, _contract, _tensors
-from netsteer.operators import DimensionError, QOperator, TOL_EQ, _extremes, basis_ket
+from netsteer.operators import (PAULIS, TOL_CHECK, TOL_EQ, DimensionError, QOperator, _extremes,
+                                basis_ket)
 from netsteer.states import _werner_mix, werner
 
 from conftest import max_entry_distance
 
 SWAP = bell_swap_povm(3)
+
+
+@dataclass(frozen=True)
+class BlochData:
+    """Local Bloch vector of the measuring party and correlation matrix
+    T_ij = Tr(rho sigma_i (x) sigma_j) of a two-qubit state."""
+
+    a: np.ndarray
+    t: np.ndarray
+
+    def __init__(self, a, t):
+        a = np.asarray(a, dtype=float)
+        t = np.asarray(t, dtype=float)
+        if a.shape != (3,) or t.shape != (3, 3):
+            raise ValueError("need a 3-vector and a 3x3 matrix")
+        if np.linalg.norm(a) > 1 + TOL_CHECK or np.max(np.abs(t)) > 1 + TOL_CHECK:
+            raise ValueError("Bloch data out of physical range")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "t", t)
+
+
+def bloch_data(rho: QOperator) -> BlochData:
+    """Extract Bloch data from a two-qubit state.
+
+    A qutrit pair produced by erasing both sides is accepted too: the
+    {|0>,|1>} x {|0>,|1>} block is extracted and renormalised (the erasure
+    weight is carried separately by the criterion's eta argument).
+    """
+    if rho.dims == (2, 2):
+        mat = rho.matrix
+    elif rho.dims == (3, 3):
+        idx = [0, 1, 3, 4]
+        block = rho.matrix[np.ix_(idx, idx)]
+        tr = np.trace(block).real
+        if tr < 1e-14:
+            raise DimensionError("qubit block has zero weight")
+        mat = block / tr
+    else:
+        raise DimensionError(f"unsupported dims {rho.dims}")
+    a = np.array(
+        [np.trace(np.kron(s, np.eye(2)) @ mat).real for s in PAULIS]
+    )
+    t = np.array(
+        [[np.trace(np.kron(si, sj) @ mat).real for sj in PAULIS] for si in PAULIS]
+    )
+    return BlochData(a, t)
+
+
+def erased_unsteerable(b: BlochData, eta: float) -> tuple[bool, float]:
+    """Sufficient unsteerability condition after one-sided erasure.
+
+    The erased state is unsteerable from the erased side, for arbitrary
+    measurements, if (1-3 eta)|a.x| + (3 eta/2)(1 + (a.x)^2) + ||Tx|| is at
+    most 1 for every unit vector x.  The returned value is a closed-form
+    upper bound on that maximum: the objective depends on x through
+    t = |a.x| in [0, |a|], convexly, so its t-part peaks at an end of that
+    interval, and ||Tx|| is at most the largest singular value of T.  At
+    a = 0 the bound is the maximum, 3 eta/2 + sigma_max(T).
+    """
+    if not (0.0 <= eta <= 1.0):
+        raise ValueError(f"eta must be in [0,1], got {eta}")
+    a = float(np.linalg.norm(b.a))
+    value = (max(1.5 * eta, (1.0 - 3.0 * eta) * a + 1.5 * eta * (1.0 + a * a))
+             + float(np.linalg.svd(b.t, compute_uv=False)[0]))
+    return value <= 1.0 + TOL_OPT, float(value)
 
 
 @dataclass(frozen=True)
@@ -118,7 +187,8 @@ def assemblage_element(net, outcome):
     outcome = tuple(outcome)
     if len(outcome) != len(net.central_measurements):
         raise DimensionError("one outcome label per central measurement required")
-    choices = [m.effect(label).matrix[None] for m, label in zip(net.central_measurements, outcome)]
+    choices = [m.matrices[m.outcome_labels.index(label)][None]
+               for m, label in zip(net.central_measurements, outcome)]
     return QOperator(_contract(_tensors(net.sources), choices)[0], net.endpoint_dims)
 
 
@@ -156,7 +226,7 @@ def activation_point(n_parties, eta, omega):
         "source_negativity": float(negs[0]),
         "source_unsteerable": bool(unsteerable),
         "swap_visibility": float(omega ** (n_parties - 1)),
-        "success_prob": float(sigma0.trace()),
+        "success_prob": float(np.trace(sigma0.matrix).real),
         "sigma0_negativity": float(negs[1]),
         "network_steering": bool(entangled[1]),
     }

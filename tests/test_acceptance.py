@@ -11,11 +11,10 @@ import numpy as np
 import pytest
 
 from netsteer.certificates import (
-    BlochData,
     PipelinePreconditionError,
+    _dew_unsteerable,
     certify_network_steering,
     claims_pipeline,
-    erased_unsteerable,
 )
 from netsteer.experiments import (
     SweepSpec,
@@ -32,14 +31,12 @@ from netsteer.nlhs import (
     separabilize_endpoint,
 )
 from netsteer.nlhs_io import load_fixture
-from netsteer.operators import (
-    QOperator,
-    negativity,
-)
+from netsteer.operators import QOperator
 from netsteer.states import werner
 
 from conftest import (
     max_entry_distance,
+    negativity,
     partial_trace,
     rand_density,
     rand_psd,
@@ -48,6 +45,7 @@ from conftest import (
     realization_network,
     tensor,
 )
+from sweep_oracles import BlochData, erased_unsteerable
 
 
 def _verdict(name, ok, detail):
@@ -78,14 +76,17 @@ def test_criterion_2_unsteerability_boundary():
         b = BlochData(np.zeros(3), -omega * np.eye(3))
         claimed, value = erased_unsteerable(b, eta)
         expected = eta <= (2 / 3) * (1 - omega)
-        if claimed != expected and abs(value - 1.0) > tau:
-            mismatches += 1
+        # the criterion, and the closed form the activation sweep evaluates
+        for verdict in (claimed, bool(_dew_unsteerable(eta, omega))):
+            if verdict != expected and abs(value - 1.0) > tau:
+                mismatches += 1
     elapsed = time.perf_counter() - start
     ok = mismatches == 0 and elapsed < 2.0
     _verdict(
         "2 unsteerability boundary",
         ok,
-        f"{mismatches} mismatches outside tau={tau:g} on 1000 pairs, {elapsed:.2f}s",
+        f"{mismatches} mismatches outside tau={tau:g} on 1000 pairs, criterion and closed "
+        f"form, {elapsed:.2f}s",
     )
 
 
@@ -189,10 +190,10 @@ def test_criterion_6_separabilisation_round_trips():
         eff = rand_psd(rng, [d_b])
         for a in range(m_a.n_outcomes):
             p_orig = np.trace(
-                np.kron(m_a.effects[a].matrix, eff.matrix) @ rho.matrix
+                np.kron(m_a.matrices[a], eff.matrix) @ rho.matrix
             ).real
             p_new = np.trace(
-                np.kron(flag_povm.effects[a].matrix, eff.matrix) @ rho_sep.matrix
+                np.kron(flag_povm.matrices[a], eff.matrix) @ rho_sep.matrix
             ).real
             worst_prob = max(worst_prob, abs(p_orig - p_new))
     worst_model = 0.0
@@ -208,7 +209,7 @@ def test_criterion_6_separabilisation_round_trips():
                 max_entry_distance(realized.elements[k], target.elements[k]),
             )
         worst_neg = max(
-            worst_neg, max(negativity(s, [1]) for s in net.sources)
+            worst_neg, max(negativity(s.matrix, s.dims) for s in net.sources)
         )
     ok = worst_prob <= 1e-12 and worst_model <= 1e-10 and worst_neg == 0.0
     _verdict(

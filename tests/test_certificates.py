@@ -6,15 +6,12 @@ import pytest
 from netsteer.certificates import (
     CERTIFIED,
     INCONCLUSIVE,
-    BlochData,
     PipelinePreconditionError,
     Verdict,
-    bloch_data,
     certify_network_steering,
     claims_pipeline,
-    dew_unsteerable_both_ways,
-    erased_unsteerable,
     linear_steering_witness,
+    _dew_unsteerable,
     _endpoint_negativities,
     _row_negativities,
 )
@@ -34,12 +31,12 @@ from netsteer.operators import (
     _psd_extremes,
     _spectra,
     _transpose_factors,
-    negativity,
 )
 from netsteer.states import DEWParams, _dew_stack, classical_correlated, dew, psi_minus, werner
 
-from conftest import (assemblage_of, haar_unitary, rand_density, random_linear_network,
-                      unmerged_contract)
+from conftest import (assemblage_of, haar_unitary, negativities_from_scratch, negativity,
+                      rand_density, random_linear_network, unmerged_contract)
+from sweep_oracles import BlochData, bloch_data, erased_unsteerable
 
 Z = (0.0, 0.0, 1.0)
 X = (1.0, 0.0, 0.0)
@@ -68,9 +65,9 @@ def _certify_per_element(asm):
     keep the first element of largest negativity."""
     best_val, best_outcome = 0.0, None
     for outcome, op in asm.elements.items():
-        if op.trace() <= NEG_CUTOFF:
+        if np.trace(op.matrix).real <= NEG_CUTOFF:
             continue
-        val = negativity(op, [1])
+        val = negativity(op.matrix, op.dims)
         if val > best_val:
             best_val, best_outcome = val, outcome
     if best_val > NEG_CUTOFF:
@@ -119,7 +116,7 @@ class TestCertifyStacked:
         asm = _normalised(mats, (3, 3), keys)
         verdict = certify_network_steering(asm)
         assert verdict.witness["outcome"] == keys[first]
-        assert verdict.witness["negativity"] == negativity(asm.elements[keys[second]], [1])
+        assert verdict.witness["negativity"] == negativity(asm.matrices[second], (3, 3))
 
     # below the cutoff the non-PSD element is skipped; above it, it is checked
     @pytest.mark.parametrize("trace,skipped", [(-1e-11, True), (1e-11, False)])
@@ -128,7 +125,8 @@ class TestCertifyStacked:
         asm = assemblage_of({(0,): psi_minus(), (1,): tiny})
         if skipped:
             verdict = certify_network_steering(asm)
-            assert verdict.witness == {"negativity": negativity(psi_minus(), [1]), "outcome": (0,)}
+            assert verdict.witness == {"negativity": negativity(psi_minus().matrix, (2, 2)),
+                                       "outcome": (0,)}
         else:
             with pytest.raises(NotPositiveError):
                 certify_network_steering(asm)
@@ -146,29 +144,11 @@ class TestCertifyStacked:
             certify_network_steering(asm)
 
 
-def _negativities_from_scratch(mats, dims):
-    """``_endpoint_negativities``' values with every matrix eigendecomposed
-    on its own, for its positivity precondition and for its partial
-    transpose: +0.0 for a trace at most NEG_CUTOFF, else the negated sum of
-    the partial-transpose eigenvalues below -NEG_CUTOFF (-0.0 for none)."""
-    values = []
-    for mat in mats:
-        if np.trace(mat).real <= NEG_CUTOFF:
-            values.append(0.0)
-            continue
-        evs = _spectra(mat)
-        if evs[0] < -NEG_CUTOFF * max(1.0, abs(evs[-1])):
-            raise NotPositiveError(f"input has negative eigenvalue {evs[0]:.3e}")
-        pt = _spectra(_transpose_factors(mat, dims, [1]))
-        values.append(-np.sum(pt[pt < -NEG_CUTOFF]) if pt[0] < -NEG_CUTOFF else -0.0)
-    return np.array(values)
-
-
 def _certify_from_scratch(asm):
     """certify_network_steering with every element eigendecomposed on its
-    own (``_negativities_from_scratch``)."""
+    own (``conftest.negativities_from_scratch``)."""
     best = None
-    for outcome, value in zip(asm.outcomes, _negativities_from_scratch(asm.matrices, asm.dims)):
+    for outcome, value in zip(asm.outcomes, negativities_from_scratch(asm.matrices, asm.dims)):
         if value > NEG_CUTOFF and (best is None or value > best[0]):
             best = (value, outcome)
     if best is None:
@@ -224,8 +204,7 @@ def _random_lines():
 class TestOneSpectrumPerCheck:
     """The assemblage's PSD check eigendecomposes only the distinct elements
     that the Cholesky screen (``operators._psd_cleared``) does not prove
-    PSD, and the negativity precondition reads their extremes; reading
-    ``extremes`` eigendecomposes each distinct element once.  A partial
+    PSD, and the negativity precondition reads their extremes.  A partial
     transpose is eigendecomposed only where the same screen did not clear
     it, and every value is the one of eigendecomposing each element from
     scratch."""
@@ -271,11 +250,6 @@ class TestOneSpectrumPerCheck:
         npt = transposed[lowest < -NEG_CUTOFF]
         assert len(npt) == {0.95: 1, 0.86: 0}[omega]
         assert seen == Counter(_symmetrised(npt))
-        # the public extremes: each distinct element once, on first read
-        eigvalsh_inputs.clear()
-        extremes = asm.extremes
-        assert asm.extremes is extremes
-        assert Counter(eigvalsh_inputs) == Counter(_symmetrised(distinct))
 
     def test_each_activation_source_eigendecomposed_once(self, eigvalsh_inputs):
         # 301 points: three sweep blocks
@@ -313,7 +287,7 @@ class TestOneSpectrumPerCheck:
         extremes = np.concatenate([asm._row_extremes for asm in asms])
         order = rng.permutation(len(rows))
         rows, extremes = rows[order], extremes[order]
-        oracle = _negativities_from_scratch(rows, (3, 3))
+        oracle = negativities_from_scratch(rows, (3, 3))
         blocks = _blocks(len(rows), rows[0].nbytes)
         assert len(blocks) == 3
         assert all(np.any(oracle[b] > 0) and np.any(oracle[b] == 0) for b in blocks)
@@ -330,7 +304,7 @@ class TestOneSpectrumPerCheck:
         sigma0 = _contract([sources.reshape(-1, 3, 3, 3, 3)] * (n - 1),
                            [bell_swap_povm(3).matrices[:1]] * (n - 2))
         values = np.array(columns["source_negativity"] + columns["sigma0_negativity"])
-        oracle = _negativities_from_scratch(np.concatenate([sources, sigma0]), (3, 3))
+        oracle = negativities_from_scratch(np.concatenate([sources, sigma0]), (3, 3))
         assert np.any(oracle > 0) and np.any(oracle <= 0)
         assert values.tobytes() == oracle.tobytes()
 
@@ -338,7 +312,7 @@ class TestOneSpectrumPerCheck:
         asm = line_assemblage(untrusted_input_to_outcome(
             werner(0.9), [pauli_projective(Z), pauli_projective(X)]))
         values, entangled = _row_negativities(asm)
-        assert values.tobytes() == _negativities_from_scratch(asm._rows, asm.dims).tobytes()
+        assert values.tobytes() == negativities_from_scratch(asm._rows, asm.dims).tobytes()
         assert not entangled.any()
 
 
@@ -367,7 +341,8 @@ class TestElementScreen:
     unitaries or not, and within the norm guard or past it, the assemblage
     accepts and rejects exactly as the full eigendecomposition does, the
     verdict raises NotPositiveError exactly where an element's own spectrum
-    fails the precondition, and ``extremes`` is that of every element."""
+    fails the precondition, and ``_row_extremes`` holds the extremes of
+    every element the screen did not clear."""
 
     LOWEST = [-2e-9, -1.001e-9, -0.999e-9, -5e-10, -1.001e-12, -0.999e-12, -5e-13]
 
@@ -392,13 +367,14 @@ class TestElementScreen:
                 NetworkAssemblage(mats, keys, dims)
             return
         asm = NetworkAssemblage(mats, keys, dims)
-        assert asm.extremes.tobytes() == _extremes(asm.matrices).tobytes()
+        extremes = _extremes(asm.matrices)
+        screened = np.isnan(asm._row_extremes[:, 0])
+        assert asm._row_extremes[~screened].tobytes() == extremes[~screened].tobytes()
         # sound: an element the screen clears has no eigenvalue below
         # -NEG_CUTOFF; not vacuous: the special element is not cleared away
         # from the shift, and the others are whenever it cannot make the
         # factorisation fail
-        screened = np.isnan(asm._row_extremes[:, 0])
-        assert np.all(asm.extremes[screened, 0] >= -NEG_CUTOFF)
+        assert np.all(extremes[screened, 0] >= -NEG_CUTOFF)
         if lowest < -0.75 * NEG_CUTOFF:
             assert not screened[at]
         if past or not rotate:
@@ -470,14 +446,12 @@ class TestErasedUnsteerable:
     def test_dew_boundary(self):
         for omega in (0.0, 0.3, 0.9, 1.0):     # eta_star = 0 at omega = 1
             eta_star = (2 / 3) * (1 - omega)
-            assert dew_unsteerable_both_ways(DEWParams(eta_star, omega))
+            assert _dew_unsteerable(eta_star, omega)
             if eta_star + 1e-3 <= 1.0:
-                assert not dew_unsteerable_both_ways(
-                    DEWParams(eta_star + 1e-3, omega)
-                )
+                assert not _dew_unsteerable(eta_star + 1e-3, omega)
 
     def test_zero_eta_always_unsteerable(self):
-        assert dew_unsteerable_both_ways(DEWParams(0.0, 1.0))
+        assert _dew_unsteerable(0.0, 1.0)
 
 
 class TestWitness:

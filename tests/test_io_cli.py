@@ -27,7 +27,7 @@ from netsteer.nlhs_io import (
     save_model,
 )
 from netsteer.operators import NotHermitianError, NotPositiveError
-from netsteer.states import DEWParams, dew
+from netsteer.states import DEWParams, dew, werner
 
 from conftest import max_entry_distance, random_model
 from sweep_oracles import write_csv_records
@@ -245,7 +245,7 @@ class TestFixtures:
         label, slots, net = load_fixture(fixture_path(name))
         assert len(net.central_measurements) == len(slots) - 1
         for slot in slots:
-            assert abs(slot.state.trace() - 1.0) < 1e-10
+            assert abs(np.trace(slot.state.matrix) - 1.0) < 1e-10
 
     def test_dew_source_is_dew_state(self, tmp_path):
         path = tmp_path / "dew_sep.json"
@@ -265,6 +265,19 @@ class TestFixtures:
         }))
         with pytest.raises(FixtureError):
             load_fixture(bad)
+
+
+CC2 = {"kind": "classical_correlated", "d": 2}
+CC3 = {"kind": "classical_correlated", "d": 3}
+SWAP2 = {"kind": "bell_swap", "local_dim": 2}
+SWAP3 = {"kind": "bell_swap", "local_dim": 3}
+
+
+def _explicit_werner(dims, omega=0.4):
+    """An ``explicit`` fixture source: the Werner state of ``omega`` on ``dims``."""
+    mat = werner(omega).matrix
+    return {"kind": "explicit", "state": {"re": mat.real.tolist(), "im": mat.imag.tolist(),
+                                          "dims": dims}}
 
 
 class TestCLI:
@@ -362,6 +375,46 @@ class TestCLI:
         assert main(["nlhs", "--fixture", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    # numbers of the wrong JSON type, which a cast would turn into a runnable line
+    @pytest.mark.parametrize(
+        "pattern,sources,measurements",
+        [
+            (["SEP", "SEP"], [{"kind": "classical_correlated", "d": d}, CC2], [SWAP2])
+            for d in (2.9, 2.0, "2")
+        ] + [
+            (["SEP", "SEP"], [CC2, CC2], [{"kind": "bell_swap", "local_dim": d}])
+            for d in (2.5, "2")
+        ] + [
+            (["SEP", "SEP"], [CC2, CC2], [{"kind": "computational", "d": 2.5}]),
+        ] + [
+            (["SEP", "SEP"], [{"kind": "werner", "omega": omega}, CC2], [SWAP2])
+            for omega in ("0.3", False)
+        ] + [
+            (["UNS_LEFT", "SEP"], [{"kind": "dew", "eta": eta, "omega": omega}, CC3], [SWAP3])
+            for eta, omega in (("0.5", 0.4), (0.5, True))
+        ] + [
+            (["UNS_LEFT", "SEP"], [_explicit_werner(dims), CC2], [SWAP2])
+            for dims in ([2.0, 2], ["2", 2])
+        ],
+    )
+    def test_wrong_number_type_exit_code(self, tmp_path, capsys, pattern, sources, measurements):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"pattern": pattern, "sources": sources,
+                                    "measurements": measurements}))
+        assert main(["nlhs", "--fixture", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be a JSON" in err
+
+    def test_integer_omega_and_explicit_dims_accepted(self, tmp_path):
+        path = tmp_path / "ok.json"
+        path.write_text(json.dumps({
+            "pattern": ["UNS_LEFT", "SEP"],
+            "sources": [_explicit_werner([2, 2]), {"kind": "werner", "omega": 0}],
+            "measurements": [SWAP2],
+        }))
+        assert main(["nlhs", "--fixture", str(path)]) == 0
 
     @pytest.mark.parametrize("document", ["5", "null"])
     def test_non_object_fixture_exit_code(self, tmp_path, capsys, document):

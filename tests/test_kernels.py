@@ -6,11 +6,11 @@ a lower bound on the true maximum over the sphere."""
 import numpy as np
 import pytest
 
-from netsteer.certificates import BlochData, bloch_data, erased_unsteerable
 from netsteer.nlhs import fibonacci_sphere
 from netsteer.operators import projector
 
 from conftest import rand_density
+from sweep_oracles import BlochData, bloch_data, erased_unsteerable
 
 
 def criterion_values(a, t, eta, xs):

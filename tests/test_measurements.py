@@ -18,7 +18,7 @@ from netsteer.operators import (
 )
 from netsteer.states import psi_minus
 
-from conftest import identity, max_entry_distance, rand_density
+from conftest import identity, rand_density
 from nlhs_oracles import induced_measurement
 
 
@@ -56,21 +56,13 @@ class TestPOVMValidation:
         with pytest.raises(InvalidPOVMError, match="sum to the identity"):
             SeparableMeasurement(_diagonal_terms([[np.nan, 1.0], [1.0, 0.0]], (1, 2)))
 
-    def test_matrices_are_read_only_and_effects_copies(self):
+    def test_matrices_are_read_only(self):
         povm = bell_swap_povm(2)
-        before = povm.matrices.tobytes()
         assert povm.matrices.shape == (2, 4, 4) and povm.matrices.dtype == complex
+        assert povm.dims == (2, 2)
         assert not povm.matrices.flags.writeable
         with pytest.raises(ValueError):
             povm.matrices[0, 0, 0] = 1.0
-        # changing what effects and effect hand out leaves the POVM as it was
-        for op in (povm.effects[0], povm.effect(1)):
-            op.matrix.flags.writeable = True
-            op.matrix[:] = 7.0
-        assert povm.matrices.tobytes() == before
-        for op, row in zip(povm.effects, povm.matrices, strict=True):
-            assert op.dims == povm.dims == (2, 2)
-            assert op.matrix.tobytes() == row.tobytes()
 
     def test_rejects_non_psd_effect(self):
         e0 = QOperator(np.diag([1.5, -0.5]), [2])
@@ -96,34 +88,18 @@ class TestPOVMValidation:
         with pytest.raises(InvalidPOVMError):
             POVM([identity([2])], outcome_labels=("a", "b"))
 
-    def test_effect_lookup_by_label(self):
-        povm = POVM(
-            [QOperator(np.diag([1.0, 0.0]), [2]), QOperator(np.diag([0.0, 1.0]), [2])],
-            outcome_labels=("up", "down"),
-        )
-        assert povm.effect("down").matrix[1, 1] == 1.0
-
-    @pytest.mark.parametrize("label", ["left", 0, None])
-    def test_effect_rejects_unknown_label(self, label):
-        povm = POVM(
-            [QOperator(np.diag([1.0, 0.0]), [2]), QOperator(np.diag([0.0, 1.0]), [2])],
-            outcome_labels=("up", "down"),
-        )
-        with pytest.raises(InvalidPOVMError, match=rf"label {label!r}.*\['up', 'down'\]"):
-            povm.effect(label)
-
 
 class TestBellSwap:
     def test_qubit_singlet_effect(self):
         povm = bell_swap_povm(2)
-        assert max_entry_distance(povm.effects[0], psi_minus()) == 0.0
+        assert np.array_equal(povm.matrices[0], psi_minus().matrix)
         assert np.allclose(
-            povm.effects[0].matrix + povm.effects[1].matrix, np.eye(4)
+            povm.matrices[0] + povm.matrices[1], np.eye(4)
         )
 
     def test_qutrit_embedding(self):
         povm = bell_swap_povm(3)
-        e0 = povm.effects[0].matrix
+        e0 = povm.matrices[0]
         assert e0[1, 1] == e0[3, 3] == pytest.approx(0.5)
         assert e0[1, 3] == e0[3, 1] == pytest.approx(-0.5)
         assert np.trace(e0) == pytest.approx(1.0)
@@ -140,10 +116,10 @@ class TestInputEncoded:
         m = input_encoded_measurement(subs, 2)
         assert m.dims == (2, 2)
         for b in range(2):
-            mat = m.effects[b].matrix
+            mat = m.matrices[b]
             for x in range(2):
                 block = mat[2 * x:2 * x + 2, 2 * x:2 * x + 2]
-                assert np.allclose(block, subs[x].effects[b].matrix)
+                assert np.allclose(block, subs[x].matrices[b])
             # off-diagonal blocks vanish
             assert np.allclose(mat[0:2, 2:4], 0)
 
@@ -163,13 +139,13 @@ class TestInputEncoded:
 class TestPauliProjective:
     def test_z_axis_is_computational(self):
         povm = pauli_projective((0.0, 0.0, 1.0))
-        assert np.allclose(povm.effects[0].matrix, np.diag([1.0, 0.0]))
-        assert np.allclose(povm.effects[1].matrix, np.diag([0.0, 1.0]))
+        assert np.allclose(povm.matrices[0], np.diag([1.0, 0.0]))
+        assert np.allclose(povm.matrices[1], np.diag([0.0, 1.0]))
 
     def test_effects_project_along_axis(self):
         axis = np.array([1.0, 1.0, 1.0]) / np.sqrt(3)
         povm = pauli_projective(axis)
-        obs = povm.effects[0].matrix - povm.effects[1].matrix
+        obs = povm.matrices[0] - povm.matrices[1]
         evs = np.linalg.eigvalsh(obs)
         assert np.allclose(evs, [-1.0, 1.0])
 
@@ -183,20 +159,20 @@ class TestInduced:
         povm = bell_swap_povm(2)
         ind = induced_measurement(povm, np.eye(2) / 2, side="left")
         # Tr_A[psi_minus (I/2 x 1)] = I/4
-        assert np.allclose(ind.effects[0].matrix, np.eye(2) / 4)
-        assert np.allclose(ind.effects[1].matrix, 3 * np.eye(2) / 4)
+        assert np.allclose(ind.matrices[0], np.eye(2) / 4)
+        assert np.allclose(ind.matrices[1], 3 * np.eye(2) / 4)
 
     def test_projective_hidden_state_steers(self):
         povm = bell_swap_povm(2)
         up = projector(basis_ket(0, 2), [2])
         ind = induced_measurement(povm, up.matrix, side="left")
         # <0| psi_minus |0> on the left factor leaves |1><1| / 2
-        assert np.allclose(ind.effects[0].matrix, np.diag([0.0, 0.5]))
+        assert np.allclose(ind.matrices[0], np.diag([0.0, 0.5]))
 
     def test_completeness_inherited(self, rng):
         povm = bell_swap_povm(3)
         ind = induced_measurement(povm, rand_density(rng, [3]).matrix, side="right")
-        total = sum(e.matrix for e in ind.effects)
+        total = ind.matrices.sum(axis=0)
         assert np.allclose(total, np.eye(3))
 
     def test_rejects_one_factor_povm(self):

@@ -39,12 +39,12 @@ from netsteer.nlhs_io import load_fixture
 from netsteer.operators import (
     DimensionError,
     QOperator,
-    negativity,
 )
 from netsteer.states import classical_correlated, werner
 
 from conftest import (
     max_entry_distance,
+    negativity,
     rand_density,
     rand_psd,
     random_model,
@@ -477,7 +477,7 @@ class TestProviders:
         # Tr_A[(E (x) 1) 1/4] = Tr(E)/4 exactly, so the steered states of the
         # two inputs differ in one entry by one ulp
         bumped = np.diag([np.nextafter(1.0, 2.0), 0.0])
-        z_bumped = POVM([QOperator(bumped, [2]), pauli_projective(Z).effects[1]])
+        z_bumped = POVM([QOperator(bumped, [2]), QOperator(pauli_projective(Z).matrices[1], [2])])
         mixed = QOperator(np.eye(4) / 4, [2, 2])
         effects = effect_stack([pauli_projective(Z), z_bumped])
         data = BruteForceLHSProvider().find(mixed, effects, "right")
@@ -862,10 +862,10 @@ class TestSeparabilize:
                 for _ in range(5):
                     eff = rand_psd(rng, [3])
                     p_orig = np.trace(
-                        np.kron(m_a.effects[a].matrix, eff.matrix) @ rho.matrix
+                        np.kron(m_a.matrices[a], eff.matrix) @ rho.matrix
                     ).real
                     p_new = np.trace(
-                        np.kron(flag_povm.effects[a].matrix, eff.matrix)
+                        np.kron(flag_povm.matrices[a], eff.matrix)
                         @ rho_sep.matrix
                     ).real
                     assert abs(p_orig - p_new) < 1e-12
@@ -875,8 +875,8 @@ class TestSeparabilize:
         rho_sep, _ = separabilize_endpoint(rho, pauli_projective(Z))
         assert rho_sep.dims == (2, 2)
         assert np.allclose(rho_sep.matrix[0:2, 2:4], 0)
-        assert abs(rho_sep.trace() - 1.0) < 1e-12
-        assert negativity(rho_sep, [1]) == 0.0
+        assert abs(np.trace(rho_sep.matrix) - 1.0) < 1e-12
+        assert negativity(rho_sep.matrix, rho_sep.dims) == 0.0
 
     @pytest.mark.parametrize("n_out", [2, 3, 4])
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 2), (3, 3)])
@@ -917,7 +917,7 @@ class TestRealization:
         model = random_model(rng, n_parties=4)
         real = nlhs_to_separable_realization(model)
         for src in realization_network(real).sources:
-            assert negativity(src, [1]) == 0.0
+            assert negativity(src.matrix, src.dims) == 0.0
 
     def test_certificates_cover_all_measurements(self):
         rng = np.random.default_rng(79)

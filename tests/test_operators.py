@@ -14,24 +14,31 @@ from netsteer.operators import (
     NotHermitianError,
     NotPositiveError,
     QOperator,
+    TOL_EQ,
     basis_ket,
     is_density,
-    is_psd,
-    negativity,
     projector,
     _apply_and_trace,
     _extremes,
     _hermitian,
     _negativities,
     _psd_cleared,
+    _psd_extremes,
     _psd_screened,
-    _spectra,
     _transpose_factors,
 )
 from netsteer.states import werner
 
 from conftest import (apply_and_trace, haar_unitary, hermitian_eigenvalues, identity,
-                      max_entry_distance, partial_trace, rand_density, rand_psd, tensor)
+                      max_entry_distance, negativity, partial_trace, rand_density, rand_psd,
+                      tensor)
+
+
+def _negativity(op):
+    """``_negativities`` of one operator over factor 1, its precondition
+    read from the operator's own extremes."""
+    mats = op.matrix[None]
+    return _negativities(mats, op.dims, [1], _extremes(mats))[0]
 
 
 class TestQOperator:
@@ -52,11 +59,8 @@ class TestQOperator:
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
 
-    def test_trace_and_dim(self):
-        op = QOperator(np.diag([1.0, 2.0, 3.0, 4.0]), [2, 2])
-        assert op.trace() == 10.0
-        assert op.dim == 4
-        assert op.nfactors == 2
+    def test_nfactors(self):
+        assert QOperator(np.diag([1.0, 2.0, 3.0, 4.0]), [2, 2]).nfactors == 2
 
 
 class TestTensorAndPartials:
@@ -96,7 +100,7 @@ class TestTensorAndPartials:
         op = rand_psd(rng, [2, 3, 2])
         for keep in ([0], [1], [0, 2], [0, 1, 2]):
             out = partial_trace(op, keep=keep)
-            assert abs(out.trace() - op.trace()) < 1e-10
+            assert abs(np.trace(out.matrix) - np.trace(op.matrix)) < 1e-10
 
     def test_partial_transpose_involution(self, rng):
         op = rand_psd(rng, [2, 3])
@@ -194,17 +198,19 @@ class TestSpectra:
         # frozen oracle: PT spectrum of the Werner family gives
         # negativity max(0, (3 omega - 1) / 4)
         expected = max(0.0, (3 * omega - 1) / 4)
-        assert abs(negativity(werner(omega), [1]) - expected) < 1e-12
+        assert abs(_negativity(werner(omega)) - expected) < 1e-12
 
     def test_negativity_rejects_non_psd(self):
         op = QOperator(np.diag([1.0, -0.5, 0.3, 0.2]), [2, 2])
         with pytest.raises(NotPositiveError):
-            negativity(op, [1])
+            _negativity(op)
 
     def test_non_finite_is_not_hermitian(self):
-        # a NaN defect fails every comparison, so it must not pass as Hermitian
+        # a NaN defect fails every comparison, so it must not pass as Hermitian;
+        # NaN extremes pass the precondition, so the partial transpose's check fires
         with pytest.raises(NotHermitianError, match="nan"):
-            negativity(QOperator(np.full((4, 4), np.nan), [2, 2]), [1])
+            _negativities(np.full((1, 4, 4), np.nan, dtype=complex), (2, 2), [1],
+                          np.full((1, 2), np.nan))
 
     def test_symmetrised_as_the_halved_sum(self, rng):
         # (M + M^dagger) / 2 byte for byte, the sign of every zero included:
@@ -230,7 +236,7 @@ class TestSpectra:
     def test_negativity_zero_for_separable(self, rng):
         a = rand_density(rng, [2])
         b = rand_density(rng, [2])
-        assert negativity(tensor(a, b), [1]) <= NEG_CUTOFF
+        assert _negativity(tensor(a, b)) <= NEG_CUTOFF
 
 
 def _pt_family(rng, dims, lam, norm, rotate=True):
@@ -252,13 +258,9 @@ def _pt_family(rng, dims, lam, norm, rotate=True):
 
 
 def _negativities_one_by_one(mats, dims):
-    """The per-matrix oracle of ``_negativities``: each partial transpose
-    eigendecomposed on its own."""
-    values = []
-    for mat in mats:
-        pt = _spectra(_transpose_factors(mat, dims, [1]))
-        values.append(-np.sum(pt[pt < -NEG_CUTOFF]) if pt[0] < -NEG_CUTOFF else -0.0)
-    return np.array(values)
+    """The per-matrix oracle of ``_negativities``, ``conftest.negativity``
+    of each matrix."""
+    return np.array([negativity(mat, dims) for mat in mats])
 
 
 @pytest.fixture
@@ -389,39 +391,40 @@ class TestPPTScreen:
 
 
 class TestPredicates:
-    def test_is_psd(self):
-        assert is_psd(identity([2]))
-        assert not is_psd(QOperator(np.diag([1.0, -1.0]), [2]))
-        assert not is_psd(QOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), [2]))
+    def test_psd_extremes(self):
+        assert _psd_extremes([np.eye(2)], TOL_EQ) is not None
+        assert _psd_extremes([np.diag([1.0, -1.0])], TOL_EQ) is None
+        assert _psd_extremes([np.array([[0.0, 1.0], [0.0, 0.0]])], TOL_EQ) is None
 
     def test_is_density(self, rng):
         assert is_density(rand_density(rng, [3]))
         assert not is_density(identity([2]))
 
-    def test_is_psd_many(self, rng):
-        good = [rand_psd(rng, [2]) for _ in range(3)]
-        bad = QOperator(np.diag([1.0, -1.0]), [2])
-        non_hermitian = QOperator(np.array([[0.0, 1.0], [0.0, 0.0]]), [2])
-        assert is_psd() and is_density()
-        assert is_psd(*good)
-        assert not is_psd(bad, *good)
-        assert not is_psd(*good, bad)
-        assert not is_psd(*good, non_hermitian)
-        assert is_psd(bad, tol=1.0)
+    # unit trace, so that only the PSD part of the check can fail
+    def test_is_density_many_psd(self, rng):
+        good = [rand_density(rng, [2]) for _ in range(3)]
+        bad = QOperator(np.diag([1.5, -0.5]), [2])
+        non_hermitian = QOperator(np.array([[0.5, 1.0], [0.0, 0.5]]), [2])
+        assert is_density()
+        assert is_density(*good)
+        assert not is_density(bad, *good)
+        assert not is_density(*good, bad)
+        assert not is_density(*good, non_hermitian)
+        assert is_density(bad, tol=1.0)
 
-    def test_is_psd_mixed_shapes(self, rng):
-        assert is_psd(rand_psd(rng, [2]), rand_psd(rng, [3]), rand_psd(rng, [2]))
-        assert not is_psd(rand_psd(rng, [2]), QOperator(np.diag([1.0, 0.0, -1.0]), [3]))
+    def test_is_density_mixed_shapes_psd(self, rng):
+        assert is_density(rand_density(rng, [2]), rand_density(rng, [3]), rand_density(rng, [2]))
+        assert not is_density(rand_density(rng, [2]), QOperator(np.diag([1.0, 1.0, -1.0]), [3]))
 
     @pytest.mark.parametrize("position", ["first", "block end", "block start", "last"])
     @pytest.mark.parametrize("d", [2, 200])
-    def test_is_psd_checks_every_block(self, position, d):
+    def test_psd_extremes_checks_every_block(self, position, d):
         step = max(1, CHECK_BLOCK_BYTES // identity([d]).matrix.nbytes)
-        ops = [identity([d])] * (2 * step + 1)
-        assert is_psd(*ops)
+        mats = [identity([d]).matrix] * (2 * step + 1)
+        assert _psd_extremes(mats, TOL_EQ) is not None
         index = {"first": 0, "block end": step - 1, "block start": step, "last": 2 * step}
-        ops[index[position]] = QOperator(np.diag([1.0] * (d - 1) + [-1e-3]), [d])
-        assert not is_psd(*ops)
+        mats[index[position]] = np.diag([1.0] * (d - 1) + [-1e-3])
+        assert _psd_extremes(mats, TOL_EQ) is None
 
     def test_is_density_many(self, rng):
         rhos = [rand_density(rng, [2]), rand_density(rng, [3]), rand_density(rng, [2])]
@@ -438,7 +441,7 @@ class TestPredicates:
     def test_projector_and_basis_ket(self):
         p = projector(basis_ket(1, 3), [3])
         assert p.matrix[1, 1] == 1.0
-        assert p.trace() == 1.0
+        assert np.trace(p.matrix).real == 1.0
 
     def test_pauli_anticommutation(self):
         assert np.allclose(PAULI_X @ PAULI_Z + PAULI_Z @ PAULI_X, 0)

@@ -74,7 +74,7 @@ def dew_block_oracle(eta, omega):
 class TestBasicStates:
     def test_psi_minus_is_pure(self):
         p = psi_minus()
-        assert abs(p.trace() - 1.0) < 1e-12
+        assert abs(np.trace(p.matrix) - 1.0) < 1e-12
         assert np.allclose(p.matrix @ p.matrix, p.matrix)
 
     def test_psi_minus_entries(self):
@@ -196,7 +196,7 @@ class TestDEW:
     def test_full_loss_is_double_flag(self):
         state = dew(DEWParams(0.0, 0.5))
         assert state.matrix[8, 8] == pytest.approx(1.0)
-        assert state.trace() == pytest.approx(1.0)
+        assert np.trace(state.matrix).real == pytest.approx(1.0)
 
     def test_dew_params_validated(self):
         with pytest.raises(ValueError):

@@ -10,12 +10,7 @@ import pytest
 import sympy as sp
 
 from netsteer import experiments
-from netsteer.certificates import (
-    BlochData,
-    _dew_unsteerable,
-    dew_unsteerable_both_ways,
-    erased_unsteerable,
-)
+from netsteer.certificates import _dew_unsteerable
 from netsteer.cli import main
 from netsteer.experiments import SweepSpec, run_activation, run_verify_swap
 from netsteer.measurements import bell_swap_povm
@@ -24,7 +19,7 @@ from netsteer.operators import CHECK_BLOCK_BYTES
 from netsteer.states import DEWParams, dew
 
 from exact_oracles import ETA, OMEGA, dew_exact, swap_threshold_exact, symbolic_swap_element
-from sweep_oracles import activation_point, swap_deviation
+from sweep_oracles import BlochData, activation_point, erased_unsteerable, swap_deviation
 
 # points per block of a sweep: each holds a 9 x 9 complex source and element
 BLOCK_POINTS = CHECK_BLOCK_BYTES // (2 * 81 * 16)
@@ -142,7 +137,6 @@ class TestDEWUnsteerable:
         for eta, omega, verdict in zip(etas.tolist(), omegas.tolist(), stacked.tolist()):
             want = self._lattice(eta, omega)
             assert verdict is want
-            assert dew_unsteerable_both_ways(DEWParams(eta, omega)) is want
 
     def test_boundary_agrees_with_criterion(self):
         omegas = np.linspace(0.0, 1.0, 1001)
@@ -151,7 +145,6 @@ class TestDEWUnsteerable:
         assert stacked.all()
         for eta, omega, verdict in zip(etas.tolist(), omegas.tolist(), stacked.tolist()):
             assert verdict is self._lattice(eta, omega)
-            assert dew_unsteerable_both_ways(DEWParams(eta, omega)) is verdict
 
 
 class TestExactOracles:

@@ -21,8 +21,10 @@ It also writes ``library-lines.json``, a library-level record of lines
 whose branches repeat, which no CLI command contracts: for the two
 13-party lines of doubly-erased Werner sources (eta 0.9, omega 0.95 and
 0.86) and one seeded line of mixed local dims, the SHA-256 of
-``line_assemblage``'s ``matrices`` and ``extremes`` and the verdict of
-``certify_network_steering``, each witness entry as its ``repr``.
+``line_assemblage``'s ``matrices`` and of the ``_row_extremes`` its PSD
+check kept for the negativity precondition (NaN for the rows its screen
+proved PSD), and the verdict of ``certify_network_steering``, each witness
+entry as its ``repr``.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def library_lines() -> dict:
         out[name] = {
             "elements": len(asm.outcomes),
             "matrices_sha256": hashlib.sha256(asm.matrices.tobytes()).hexdigest(),
-            "extremes_sha256": hashlib.sha256(asm.extremes.tobytes()).hexdigest(),
+            "row_extremes_sha256": hashlib.sha256(asm._row_extremes.tobytes()).hexdigest(),
             "status": verdict.status,
             "witness": {k: repr(v) for k, v in (verdict.witness or {}).items()},
         }
