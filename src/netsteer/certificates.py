@@ -56,8 +56,9 @@ def _endpoint_negativities(mats: np.ndarray, dims: tuple,
                            extremes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Negativity across the endpoints of each matrix of a (k, d, d) stack
     on ``dims``, whose (k, 2) smallest and largest eigenvalues are
-    ``extremes`` (NaN for a matrix proven to have none below -NEG_CUTOFF),
-    and whether it certifies entanglement (exceeds ``NEG_CUTOFF``).  A
+    ``extremes`` as ``operators._psd_screened`` returns them (NaN for a
+    matrix its screen proved to have none below -NEG_CUTOFF), and whether
+    it certifies entanglement (exceeds ``NEG_CUTOFF``).  A
     matrix of trace at most ``NEG_CUTOFF`` is skipped with +0.0; an
     evaluated one without negative eigenvalue reads -0.0.  The values come
     from ``operators._negativities``, which eigendecomposes only the
@@ -68,7 +69,7 @@ def _endpoint_negativities(mats: np.ndarray, dims: tuple,
     values = np.zeros(len(mats))
     if live.any():
         rows = slice(None) if live.all() else live      # a slice gathers nothing
-        values[rows] = _negativities(mats[rows], dims, [1], extremes[rows])
+        values[rows] = _negativities(mats[rows], dims, extremes[rows])
     return values, values > NEG_CUTOFF
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import TOL_CHECK, DimensionError, _blocks, _density_extremes, _extremes
+from .operators import TOL_CHECK, DimensionError, _blocks, _density_extremes, _psd_screened
 from .measurements import bell_swap_povm
 from .network import NetworkAssemblage, _contract, _tensors, line_assemblage
 from .states import _dew_stack, werner
@@ -83,7 +83,8 @@ def _grid_blocks(n: int) -> list[slice]:
 def _sources(etas: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The DEW sources of a block of grid points as (G, 3, 3, 3, 3) tensors,
     checked to be density matrices as ``LinearNetwork`` checks a line's,
-    and the (G, 2) eigenvalue extremes of that check."""
+    and the (G, 2) eigenvalue extremes of that check (``_density_extremes``:
+    NaN for the sources its screen proved PSD)."""
     mats = _dew_stack(etas, omegas)
     extremes = _density_extremes(mats, TOL_CHECK)
     if extremes is None:
@@ -126,7 +127,8 @@ def _activation_columns(n_parties: int, etas: np.ndarray, omegas: np.ndarray) ->
     sigma0 = _contract([src] * n_src, [_SUCCESS] * (n_src - 1))
     g = len(etas)
     mats = np.concatenate([src.reshape(g, 9, 9), sigma0])
-    extremes = np.concatenate([src_extremes, _extremes(sigma0)])
+    # sigma0's extremes for the negativity precondition alone: no tolerance
+    extremes = np.concatenate([src_extremes, _psd_screened(sigma0, np.inf)])
     negs, entangled = _endpoint_negativities(mats, (3, 3), extremes)
     return {
         "n": np.full(g, n_parties),

@@ -17,7 +17,7 @@ from .operators import (
     QOperator,
     TOL_CHECK,
     TOL_EQ,
-    _psd_extremes,
+    _psd_screened,
     _square_stack,
     basis_ket,
     projector,
@@ -46,7 +46,7 @@ class POVM:
         if any(e.dims != dims for e in effects):
             raise DimensionError("all effects must share one DimList")
         matrices = np.array([e.matrix for e in effects])
-        if _psd_extremes(matrices, TOL_CHECK) is None:
+        if _psd_screened(matrices, TOL_CHECK) is None:
             raise InvalidPOVMError("effect is not positive semidefinite")
         self._complete(matrices, dims, outcome_labels)
 
@@ -96,7 +96,7 @@ class SeparableMeasurement(POVM):
                              for l, r in terms])
         self._complete(matrices, dims, outcome_labels)
         # not all empty: the effects sum to the identity, so one has factors
-        if any(_psd_extremes(np.concatenate(side), TOL_CHECK) is None for side in zip(*terms)):
+        if any(_psd_screened(np.concatenate(side), TOL_CHECK) is None for side in zip(*terms)):
             raise InvalidPOVMError("decomposition factor not PSD")
         object.__setattr__(self, "terms", terms)
 

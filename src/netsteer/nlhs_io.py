@@ -45,12 +45,16 @@ class FixtureError(ValueError):
     """Raised on a malformed fixture document."""
 
 
+class ModelFileError(ValueError):
+    """Raised on a model document entry that is not of its JSON type."""
+
+
 def _matrix_to_json(mat: np.ndarray) -> dict:
     return {"re": mat.real.tolist(), "im": mat.imag.tolist()}
 
 
-def _matrix_from_json(doc: dict) -> np.ndarray:
-    return np.asarray(doc["re"], dtype=float) + 1j * np.asarray(doc["im"], dtype=float)
+def _matrix_from_json(doc: dict, error: type) -> np.ndarray:
+    return _numbers(doc["re"], "re", error) + 1j * _numbers(doc["im"], "im", error)
 
 
 def _hidden_states_to_json(stack: np.ndarray) -> list:
@@ -59,9 +63,9 @@ def _hidden_states_to_json(stack: np.ndarray) -> list:
 
 def _hidden_states_from_json(docs) -> list:
     """The matrices of hidden-state entries, each of which must have dims [d]."""
-    mats = [_matrix_from_json(doc) for doc in docs]
+    mats = [_matrix_from_json(doc, ModelFileError) for doc in docs]
     for doc, mat in zip(docs, mats):
-        if list(doc["dims"]) != [len(mat)]:
+        if [_integer(d, "each of dims", ModelFileError) for d in doc["dims"]] != [len(mat)]:
             raise ValueError(f"a hidden state of side {len(mat)} needs dims "
                              f"[{len(mat)}], got {doc['dims']}")
     return mats
@@ -79,9 +83,11 @@ def model_to_json(model: NLHSModel) -> dict:
 
 
 def model_from_json(doc: dict) -> NLHSModel:
+    """The model of a ``model_to_json`` document; ModelFileError for an entry
+    that is not of its JSON type."""
     return NLHSModel(
-        source_dists=[np.asarray(p) for p in doc["source_dists"]],
-        responses=[np.asarray(r) for r in doc["responses"]],
+        source_dists=[_numbers(p, "source_dists", ModelFileError) for p in doc["source_dists"]],
+        responses=[_numbers(r, "responses", ModelFileError) for r in doc["responses"]],
         left_states=_hidden_states_from_json(doc["left_states"]),
         right_states=_hidden_states_from_json(doc["right_states"]),
         outcome_labels=[tuple(l) for l in doc["outcome_labels"]],
@@ -126,19 +132,28 @@ def load_model(path) -> NLHSModel:
         return model_from_json(json.load(fh))
 
 
-def _integer(value, key: str) -> int:
-    """``value`` if it is a JSON integer (a bool is none), else FixtureError."""
+def _integer(value, key: str, error: type = FixtureError) -> int:
+    """``value`` if it is a JSON integer (a bool is none), else ``error``."""
     if type(value) is not int:
-        raise FixtureError(f"{key} must be a JSON integer, got {value!r}")
+        raise error(f"{key} must be a JSON integer, got {value!r}")
     return value
 
 
-def _number(value, key: str) -> float:
+def _number(value, key: str, error: type = FixtureError) -> float:
     """``value`` as a float if it is a JSON number (a bool is none), else
-    FixtureError."""
+    ``error``."""
     if type(value) not in (int, float):
-        raise FixtureError(f"{key} must be a JSON number, got {value!r}")
+        raise error(f"{key} must be a JSON number, got {value!r}")
     return float(value)
+
+
+def _numbers(value, key: str, error: type) -> np.ndarray:
+    """``value``, a JSON number or nested lists of them, as a float array;
+    ``error`` for any other entry, so a ragged list is refused too."""
+    entries = np.array(value, dtype=object)
+    for entry in entries.flat:
+        _number(entry, key, error)
+    return entries.astype(float)
 
 
 def _build_source(doc: dict):
@@ -157,7 +172,7 @@ def _build_source(doc: dict):
         return dew(DEWParams(_number(doc["eta"], "eta"), _number(doc["omega"], "omega"))), None
     if kind == "explicit":
         dims = [_integer(d, "each of dims") for d in doc["state"]["dims"]]
-        return QOperator(_matrix_from_json(doc["state"]), dims), None
+        return QOperator(_matrix_from_json(doc["state"], FixtureError), dims), None
     raise FixtureError(f"unknown source kind {kind!r}")
 
 

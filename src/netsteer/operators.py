@@ -128,16 +128,16 @@ def _transpose_factors(mats: np.ndarray, dims: tuple[int, ...], factors: list[in
     return mats.reshape(lead + dims + dims).transpose(axes).reshape(mats.shape)
 
 
-def _hermitian(mats: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
-    """A matrix, or a (k, d, d) stack, checked Hermitian to ``tol`` and then
-    explicitly symmetrised, which stabilises the solvers without masking
-    real errors.  The defect is the largest |M - M^dagger| entry, the
-    diagonal included (an imaginary diagonal entry is a defect), and
+def _hermitian(mats: np.ndarray) -> np.ndarray:
+    """A matrix, or a (k, d, d) stack, checked Hermitian to ``TOL_HERM`` and
+    then explicitly symmetrised, which stabilises the solvers without
+    masking real errors.  The defect is the largest |M - M^dagger| entry,
+    the diagonal included (an imaginary diagonal entry is a defect), and
     (M + M^dagger) / 2 is written into the one buffer of the adjoint."""
     out = np.conjugate(mats.swapaxes(-1, -2), order="C")
     defect = np.abs(mats - out).max()
-    if not defect <= tol:       # so a non-finite matrix is not Hermitian
-        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {tol:.1e}")
+    if not defect <= TOL_HERM:      # so a non-finite matrix is not Hermitian
+        raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {TOL_HERM:.1e}")
     np.add(mats, out, out=out)
     # halved as the complex division by 2 halves, the sign of every zero
     # included: times (1 - 0i), then each real part times 0.5
@@ -148,17 +148,12 @@ def _hermitian(mats: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
     return out
 
 
-def _spectra(mats: np.ndarray, tol: float = TOL_HERM) -> np.ndarray:
-    """Ascending real eigenvalues of a matrix, or of each matrix of a
-    (k, d, d) stack, ``_hermitian`` to ``tol``."""
-    return np.linalg.eigvalsh(_hermitian(mats, tol))
-
-
 def _psd_cleared(h: np.ndarray) -> np.ndarray:
     """Which matrices of a ``_hermitian`` (k, d, d) stack ``h`` are proven
     to have no eigenvalue below -NEG_CUTOFF, so that ``eigvalsh`` would
     find none either, without eigendecomposing them.  It screens the
-    assemblage elements and their partial transposes alike.
+    matrices of every PSD check (``_psd_screened``) and the partial
+    transposes of the negativity verdict (``_negativities``) alike.
 
     One Cholesky factorisation of the stack of h + s I, s = NEG_CUTOFF / 2,
     clears every matrix it takes, or none if it fails.  It takes the
@@ -195,15 +190,14 @@ def _screened_spectra(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.linalg.eigvalsh(h if len(rows) == len(h) else h[rows])
 
 
-def _negativities(mats: np.ndarray, dims: tuple[int, ...], factors: list[int],
-                  extremes: np.ndarray) -> np.ndarray:
+def _negativities(mats: np.ndarray, dims: tuple[int, ...], extremes: np.ndarray) -> np.ndarray:
     """Negativity of each matrix of a non-empty (k, d, d) stack with factor
     dims ``dims``: the sum of |eigenvalues below -NEG_CUTOFF| of its partial
-    transpose over ``factors``, one ``_blocks`` block at a time.
-    ``extremes`` holds the (k, 2) smallest and largest eigenvalue of each
-    matrix (``_extremes``), or NaN for a matrix already proven to have none
-    below -NEG_CUTOFF (``_psd_screened``); raises NotPositiveError for the
-    first matrix with an eigenvalue below -NEG_CUTOFF * max(1, |largest|).
+    transpose over factor 1, one ``_blocks`` block at a time.  ``extremes``
+    holds the (k, 2) smallest and largest eigenvalue of each matrix, or NaN
+    for a matrix proven to have none below -NEG_CUTOFF, as ``_psd_screened``
+    returns them; raises NotPositiveError for the first matrix with an
+    eigenvalue below -NEG_CUTOFF * max(1, |largest|).
 
     Each block's partial transposes are checked Hermitian and symmetrised
     (``_hermitian``), and only those that ``_psd_cleared`` does not clear
@@ -215,7 +209,7 @@ def _negativities(mats: np.ndarray, dims: tuple[int, ...], factors: list[int],
         raise NotPositiveError(f"input has negative eigenvalue {extremes[np.argmax(bad), 0]:.3e}")
     out = np.full(len(mats), -0.0)
     for block in _blocks(len(mats), mats[0].nbytes):
-        rows, pt = _screened_spectra(_hermitian(_transpose_factors(mats[block], dims, factors)))
+        rows, pt = _screened_spectra(_hermitian(_transpose_factors(mats[block], dims, [1])))
         # Summed row by row over the negative eigenvalues alone, as a single
         # matrix would be, so the value does not depend on the stack; a row
         # without any reads -0.0, the negated empty sum.
@@ -234,42 +228,22 @@ def _blocks(n: int, item_bytes: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
-def _extremes(mats) -> np.ndarray:
-    """The smallest and largest eigenvalue of each matrix of ``mats``, a
-    non-empty (k, d, d) array or list of equal-shape matrices, as a (k, 2)
-    array: the ends of its ``_spectra``, one stacked eigendecomposition per
-    ``_blocks`` block.  A row does not depend on the stack or block it sits
-    in, as ``eigvalsh`` runs matrix by matrix."""
-    return np.concatenate([_spectra(np.asarray(mats[block]))[:, [0, -1]]
-                           for block in _blocks(len(mats), mats[0].nbytes)])
-
-
-def _psd_extremes(mats, tol: float) -> np.ndarray | None:
-    """``_extremes`` of ``mats`` if every matrix is Hermitian with no
-    eigenvalue below -tol, else None."""
-    try:
-        extremes = _extremes(mats)
-    except NotHermitianError:
-        return None
-    return extremes if extremes[:, 0].min() >= -tol else None
-
-
-def _density_extremes(mats, tol: float) -> np.ndarray | None:
-    """``_psd_extremes`` of ``mats`` if every matrix also has unit trace to
-    ``tol``, else None."""
-    extremes = _psd_extremes(mats, tol)
-    if extremes is None:
-        return None
-    traces = np.trace(np.asarray(mats), axis1=-2, axis2=-1)
-    return extremes if np.abs(traces - 1.0).max() <= tol else None
-
-
 def _psd_screened(mats: np.ndarray, tol: float) -> np.ndarray | None:
-    """``_psd_extremes`` of a non-empty (k, d, d) stack ``mats``, tol at
-    least NEG_CUTOFF, except that the matrices ``_psd_cleared`` proves to
-    have no eigenvalue below -NEG_CUTOFF are not eigendecomposed, and read
-    NaN: they pass the check, and the negativity precondition skips them.
-    The other rows are the bytes ``_extremes`` gives."""
+    """The (k, 2) smallest and largest eigenvalue of each matrix of a
+    non-empty (k, d, d) stack ``mats`` if every matrix is Hermitian with no
+    eigenvalue below -tol, else None: the one PSD decision of the package,
+    which every construction-time check makes.  ``tol`` is at least
+    NEG_CUTOFF; ``np.inf`` asks for the extremes alone.
+
+    Each ``_blocks`` block is checked Hermitian and symmetrised
+    (``_hermitian``), and only the matrices that ``_psd_cleared`` does not
+    prove free of eigenvalues below -NEG_CUTOFF are eigendecomposed
+    (``_screened_spectra``).  The proven ones read NaN: they pass the check,
+    which is why ``tol`` may not be smaller, and the negativity
+    precondition skips them.  Every other row holds the ends of its
+    ``eigvalsh`` spectrum, which does not depend on the stack or block the
+    row sits in, so every accept and reject is the one of eigendecomposing
+    each matrix on its own."""
     extremes = np.full((len(mats), 2), np.nan)
     for block in _blocks(len(mats), mats[0].nbytes):
         try:
@@ -280,6 +254,15 @@ def _psd_screened(mats: np.ndarray, tol: float) -> np.ndarray | None:
             return None
         extremes[block.start + rows] = spectra[:, [0, -1]]
     return extremes
+
+
+def _density_extremes(mats, tol: float) -> np.ndarray | None:
+    """``_psd_screened`` of ``mats``, a non-empty (k, d, d) array or list of
+    equal-shape matrices, if every matrix has unit trace to ``tol``, else
+    None."""
+    mats = np.asarray(mats)
+    traces = np.trace(mats, axis1=-2, axis2=-1)
+    return _psd_screened(mats, tol) if np.abs(traces - 1.0).max() <= tol else None
 
 
 def _by_dims(ops: Sequence[QOperator]) -> list[list[np.ndarray]]:
@@ -294,5 +277,8 @@ def is_density(*ops: QOperator, tol: float = TOL_EQ) -> bool:
     """True iff every operator is Hermitian with no eigenvalue below -tol
     and has unit trace to ``tol`` (true for none).  The matrices of
     operators with equal dims are checked as stacks
-    (``_density_extremes``), not one by one."""
+    (``_density_extremes``), not one by one.  A ``tol`` below NEG_CUTOFF
+    is refused: the screen proves nothing finer."""
+    if not tol >= NEG_CUTOFF:
+        raise ValueError(f"tol must be at least NEG_CUTOFF = {NEG_CUTOFF:.0e}, got {tol!r}")
     return all(_density_extremes(mats, tol) is not None for mats in _by_dims(ops))

@@ -1,6 +1,7 @@
 """Shared helpers for the test suite: random operators with reproducible
-generators, the identity, tensor-product, entry-distance, spectrum,
-apply-and-trace, partial-trace and per-matrix negativity oracles, an
+generators, the identity, tensor-product and entry-distance helpers, the
+per-matrix spectrum, eigenvalue-extremes, apply-and-trace, partial-trace
+and negativity oracles, an
 assemblage made from an {outcome: operator} dict, a brute-force assemblage
 oracle that never uses the sequential contraction under test, the
 index-by-index einsum oracle of one contraction step, the contraction
@@ -15,8 +16,8 @@ import pytest
 from netsteer.measurements import POVM
 from netsteer.network import LinearNetwork, NetworkAssemblage, _step
 from netsteer.nlhs import NLHSModel
-from netsteer.operators import (NEG_CUTOFF, TOL_HERM, DimensionError, NotPositiveError,
-                                QOperator, _spectra, _transpose_factors)
+from netsteer.operators import (NEG_CUTOFF, DimensionError, NotPositiveError, QOperator,
+                                _hermitian, _transpose_factors)
 
 
 @pytest.fixture
@@ -69,9 +70,23 @@ def max_entry_distance(a, b):
     return float(np.max(np.abs(a.matrix - b.matrix)))
 
 
-def hermitian_eigenvalues(op, tol=TOL_HERM):
-    """Real eigenvalues in ascending order (see ``operators._spectra``)."""
-    return _spectra(op.matrix, tol)
+def spectra(mats):
+    """Ascending real eigenvalues of a matrix, or of each matrix of a stack,
+    checked Hermitian and symmetrised (``operators._hermitian``) and
+    eigendecomposed in full: the oracle of the screened checks."""
+    return np.linalg.eigvalsh(_hermitian(np.asarray(mats)))
+
+
+def spectral_extremes(mats):
+    """The (k, 2) smallest and largest eigenvalue of each matrix of ``mats``,
+    each eigendecomposed on its own (``spectra``): the extremes
+    ``operators._psd_screened`` returns for the rows its screen leaves."""
+    return np.array([spectra(mat)[[0, -1]] for mat in mats]).reshape(-1, 2)
+
+
+def hermitian_eigenvalues(op):
+    """Real eigenvalues of an operator in ascending order (``spectra``)."""
+    return spectra(op.matrix)
 
 
 def apply_and_trace(op, local, factor):
@@ -111,7 +126,7 @@ def negativity(mat, dims):
     """Sum of |eigenvalues below -NEG_CUTOFF| of the partial transpose over
     factor 1 of one matrix on ``dims``, eigendecomposed on its own (-0.0
     for none): the per-matrix oracle of ``operators._negativities``."""
-    pt = _spectra(_transpose_factors(mat, tuple(dims), [1]))
+    pt = spectra(_transpose_factors(mat, tuple(dims), [1]))
     return -np.sum(pt[pt < -NEG_CUTOFF]) if pt[0] < -NEG_CUTOFF else -0.0
 
 
@@ -125,7 +140,7 @@ def negativities_from_scratch(mats, dims):
         if np.trace(mat).real <= NEG_CUTOFF:
             values.append(0.0)
             continue
-        evs = _spectra(mat)
+        evs = spectra(mat)
         if evs[0] < -NEG_CUTOFF * max(1.0, abs(evs[-1])):
             raise NotPositiveError(f"input has negative eigenvalue {evs[0]:.3e}")
         values.append(negativity(mat, dims))

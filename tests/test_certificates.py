@@ -27,15 +27,13 @@ from netsteer.operators import (
     NotPositiveError,
     QOperator,
     _blocks,
-    _extremes,
-    _psd_extremes,
-    _spectra,
     _transpose_factors,
 )
 from netsteer.states import DEWParams, _dew_stack, classical_correlated, dew, psi_minus, werner
 
 from conftest import (assemblage_of, haar_unitary, negativities_from_scratch, negativity,
-                      rand_density, random_linear_network, unmerged_contract)
+                      rand_density, random_linear_network, spectra, spectral_extremes,
+                      unmerged_contract)
 from sweep_oracles import BlochData, bloch_data, erased_unsteerable
 
 Z = (0.0, 0.0, 1.0)
@@ -157,7 +155,7 @@ def _certify_from_scratch(asm):
 
 
 def _symmetrised(mats):
-    """The matrices ``_spectra`` hands to ``eigvalsh``, one bytes key each."""
+    """The matrices ``_hermitian`` hands on to ``eigvalsh``, one bytes key each."""
     return [((m + m.conj().T) / 2).tobytes() for m in mats]
 
 
@@ -244,7 +242,7 @@ class TestOneSpectrumPerCheck:
         distinct = np.array(list({m.tobytes(): m for m in mats}.values()))
         assert (len(mats), len(distinct)) == (2048, {0.95: 825, 0.86: 759}[omega])
         transposed = _transpose_factors(distinct, (3, 3), [1])
-        lowest = np.array([_spectra(m)[0] for m in transposed])
+        lowest = np.array([spectra(m)[0] for m in transposed])
         # ω = 0.95: only the all-success element is NPT, and only its partial
         # transpose is eigendecomposed; ω = 0.86: none is
         npt = transposed[lowest < -NEG_CUTOFF]
@@ -262,7 +260,7 @@ class TestOneSpectrumPerCheck:
         sigma0 = _contract([tensors] * 4, [bell_swap_povm(3).matrices[:1]] * 3)
         live = sigma0[np.trace(sigma0, axis1=1, axis2=2).real > NEG_CUTOFF]
         transposed = _transpose_factors(np.concatenate([sources, live]), (3, 3), [1])
-        lowest = np.array([_spectra(m)[0] for m in transposed])
+        lowest = np.array([spectra(m)[0] for m in transposed])
         # Every NPT partial transpose here has a negative 2 x 2 minor, so it
         # skips the factorisation, which then clears the rest of its block;
         # and none lies within 1e-14 of the shift, so those eigendecomposed
@@ -270,11 +268,12 @@ class TestOneSpectrumPerCheck:
         assert np.abs(lowest + NEG_CUTOFF / 2).min() > 1e-14
         uncleared = transposed[lowest < -NEG_CUTOFF / 2]
         assert 0 < len(uncleared) < len(transposed) // 2
-        # sources: their density check; sigma0: its extremes; and the
-        # partial transposes the screen did not clear
-        expected = (Counter(_symmetrised(sources)) + Counter(_symmetrised(sigma0))
-                    + Counter(_symmetrised(uncleared)))
-        assert seen == expected
+        # The sources and sigma0 are PSD with room to spare, so the screen
+        # clears every one of them, in the sources' density check and in
+        # sigma0's extremes alike: only the partial transposes it did not
+        # clear are eigendecomposed.
+        assert spectral_extremes(np.concatenate([sources, sigma0]))[:, 0].min() > -NEG_CUTOFF / 4
+        assert seen == Counter(_symmetrised(uncleared))
 
     # Every per-element value, not only the verdict's maximum, on inputs with
     # NPT elements, where the screen must leave blocks or rows to eigvalsh.
@@ -360,14 +359,14 @@ class TestElementScreen:
         d = dims[0] * dims[1]
         past = np.linalg.norm(mats[at]) > NEG_CUTOFF / (8 * d * d * np.finfo(float).eps)
         assert past == (dims == (6, 6) and largest == 0.85)
-        accepted = _psd_extremes(mats, TOL_CHECK) is not None
+        accepted = spectral_extremes(mats)[:, 0].min() >= -TOL_CHECK
         assert accepted == (lowest > -TOL_CHECK)
         if not accepted:
             with pytest.raises(ValueError, match="not PSD"):
                 NetworkAssemblage(mats, keys, dims)
             return
         asm = NetworkAssemblage(mats, keys, dims)
-        extremes = _extremes(asm.matrices)
+        extremes = spectral_extremes(asm.matrices)
         screened = np.isnan(asm._row_extremes[:, 0])
         assert asm._row_extremes[~screened].tobytes() == extremes[~screened].tobytes()
         # sound: an element the screen clears has no eigenvalue below

@@ -1,5 +1,7 @@
 import copy
 import csv
+import functools
+import operator
 import importlib.resources
 import json
 import os
@@ -19,6 +21,7 @@ from netsteer.experiments import (ExperimentReport, SweepSpec, run_activation, r
 from netsteer.nlhs import build_percolation_line, reconstruct
 from netsteer.nlhs_io import (
     FixtureError,
+    ModelFileError,
     _json_text,
     load_fixture,
     load_model,
@@ -110,6 +113,24 @@ class TestModelIO:
             bad["right_states"][-1]["dims"] = dims
             with pytest.raises(ValueError, match="dims"):
                 model_from_json(bad)
+
+    # entries that ``np.asarray`` would cast to the number they spell; the
+    # model's one-valued hidden distributions make ``True`` a valid weight
+    @pytest.mark.parametrize("path,retype", [
+        (("source_dists", 0, 0), bool),
+        (("responses", 0, 1, 0, 0), repr),
+        (("left_states", 0, "re", 0, 1), repr),
+        (("right_states", 0, "im", 1, 0), repr),
+        (("left_states", 0, "dims", 0), float),
+    ], ids=["bool-weight", "string-response", "string-re", "string-im", "float-dims"])
+    def test_rejects_entries_of_the_wrong_json_type(self, path, retype):
+        doc = model_to_json(random_model(np.random.default_rng(10), n_parties=3, max_hidden=1))
+        model_from_json(doc)
+        *where, last = path
+        parent = functools.reduce(operator.getitem, where, doc)
+        parent[last] = retype(parent[last])
+        with pytest.raises(ModelFileError, match="must be a JSON"):
+            model_from_json(doc)
 
     def test_load_rejects_nan(self, tmp_path):
         doc = model_to_json(random_model(np.random.default_rng(9), n_parties=3))

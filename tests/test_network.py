@@ -36,8 +36,6 @@ from netsteer.operators import (
     PAULI_Z,
     DimensionError,
     QOperator,
-    _extremes,
-    _spectra,
     basis_ket,
     projector,
 )
@@ -54,6 +52,8 @@ from conftest import (
     rand_psd,
     rand_unit_vector,
     random_linear_network,
+    spectra,
+    spectral_extremes,
     tensor,
     unmerged_contract,
 )
@@ -377,7 +377,7 @@ def _assert_extremes_of_rows(asm):
     with pytest.raises(ValueError):
         stored[0, 0] = 1.0
     for row, extremes in zip(asm._rows, stored):
-        spectrum = _spectra(row)
+        spectrum = spectra(row)
         if np.isnan(extremes).all():
             assert spectrum[0] >= -NEG_CUTOFF
         else:
@@ -517,7 +517,7 @@ def _unmerged_line(net):
     outcome) of a line with every branch contracted, checked and its
     partial transpose eigendecomposed, repeats included."""
     mats = unmerged_contract(_tensors(net.sources), [m.matrices for m in net.central_measurements])
-    extremes = _extremes(mats)
+    extremes = spectral_extremes(mats)
     values, entangled = _endpoint_negativities(mats, net.endpoint_dims, extremes)
     if not entangled.any():
         return mats, extremes, (INCONCLUSIVE, None, None)
@@ -633,7 +633,7 @@ class TestMergedBranches:
         checked = asm._row_extremes[asm._index]
         left = ~np.isnan(checked[:, 0])
         assert np.isnan(checked[~left]).all()
-        assert checked[left].tobytes() == _extremes(asm.matrices)[left].tobytes()
+        assert checked[left].tobytes() == spectral_extremes(asm.matrices)[left].tobytes()
         assert len({row.tobytes() for row in asm.matrices}) == len(asm._rows)
         unmerged = unmerged_contract(_tensors(net.sources),
                                      [m.matrices for m in net.central_measurements])

@@ -1,5 +1,6 @@
 import importlib.resources
 import itertools
+from collections import Counter
 import time
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from netsteer.nlhs import (
 )
 from netsteer.nlhs_io import load_fixture
 from netsteer.operators import (
+    NEG_CUTOFF,
     DimensionError,
     QOperator,
 )
@@ -49,6 +51,7 @@ from conftest import (
     rand_psd,
     random_model,
     realization_network,
+    spectral_extremes,
     tensor,
 )
 from nlhs_oracles import (
@@ -231,23 +234,30 @@ class TestValidatedOnce:
     """The resolver builds its induced effects from the checked POVMs and
     hidden states without checking them again: the only eigendecompositions
     of ``build_percolation_line`` are NLHSModel's checks of its left and
-    right hidden-state stacks.  ``run_nlhs`` validates the fixture's line
-    once and contracts the separable realisation without validating it as
-    a second network."""
+    right hidden-state stacks, and only of the rows their screen does not
+    prove PSD.  ``run_nlhs`` validates the fixture's line once and
+    contracts the separable realisation without validating it as a second
+    network."""
 
     @pytest.mark.parametrize("path", FIXTURES.values(), ids=FIXTURES.keys())
     def test_two_eigvalsh_calls(self, path, monkeypatch):
         _, slots, net = load_fixture(path)
-        shapes = []
+        seen = Counter()
         eigvalsh = np.linalg.eigvalsh
 
         def counting(a, *args, **kwargs):
-            shapes.append(np.shape(a))
+            seen.update(m.tobytes() for m in np.reshape(a, (-1,) + np.shape(a)[-2:]))
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         model, _ = build_percolation_line(slots, net.central_measurements)
-        assert shapes == [model.left_states.shape, model.right_states.shape]
+        monkeypatch.undo()
+        stacks = (model.left_states, model.right_states)
+        # The hidden states are PSD with room to spare, so the screen clears
+        # every stack of 8 or more; a smaller one is eigendecomposed in full.
+        assert min(spectral_extremes(s)[:, 0].min() for s in stacks) > -NEG_CUTOFF / 4
+        assert seen == Counter(((m + m.conj().T) / 2).tobytes()
+                               for s in stacks if len(s) < 8 for m in s)
 
     @pytest.mark.parametrize("path", FIXTURES.values(), ids=FIXTURES.keys())
     def test_one_network_two_assemblages(self, path, monkeypatch):

@@ -14,31 +14,33 @@ from netsteer.operators import (
     NotHermitianError,
     NotPositiveError,
     QOperator,
+    TOL_CHECK,
     TOL_EQ,
+    TOL_NORM,
     basis_ket,
     is_density,
     projector,
     _apply_and_trace,
-    _extremes,
     _hermitian,
     _negativities,
     _psd_cleared,
-    _psd_extremes,
     _psd_screened,
     _transpose_factors,
 )
+from netsteer.measurements import POVM
+from netsteer.nlhs import NLHSModel, SeparableDecomposition
 from netsteer.states import werner
 
 from conftest import (apply_and_trace, haar_unitary, hermitian_eigenvalues, identity,
                       max_entry_distance, negativity, partial_trace, rand_density, rand_psd,
-                      tensor)
+                      spectral_extremes, tensor)
 
 
 def _negativity(op):
     """``_negativities`` of one operator over factor 1, its precondition
     read from the operator's own extremes."""
     mats = op.matrix[None]
-    return _negativities(mats, op.dims, [1], _extremes(mats))[0]
+    return _negativities(mats, op.dims, spectral_extremes(mats))[0]
 
 
 class TestQOperator:
@@ -209,7 +211,7 @@ class TestSpectra:
         # a NaN defect fails every comparison, so it must not pass as Hermitian;
         # NaN extremes pass the precondition, so the partial transpose's check fires
         with pytest.raises(NotHermitianError, match="nan"):
-            _negativities(np.full((1, 4, 4), np.nan, dtype=complex), (2, 2), [1],
+            _negativities(np.full((1, 4, 4), np.nan, dtype=complex), (2, 2),
                           np.full((1, 2), np.nan))
 
     def test_symmetrised_as_the_halved_sum(self, rng):
@@ -304,7 +306,7 @@ class TestPPTScreen:
         lams = np.tile(self.LAMBDAS, len(norms))
         mats = np.array([_pt_family(rng, dims, lam, norm / np.sqrt(1 + (d - 1) / 9))
                          for norm in norms for lam in self.LAMBDAS])
-        extremes = _extremes(mats)
+        extremes = spectral_extremes(mats)
         h = _hermitian(_transpose_factors(mats, dims, [1]))
         past = np.linalg.norm(h, axis=(1, 2)) > guard
         assert past.sum() == 2 * len(self.LAMBDAS)
@@ -319,13 +321,13 @@ class TestPPTScreen:
         assert np.any(oracle > 0) and np.any(oracle == 0)
         # shuffled, so that cleared and uncleared rows share blocks
         order = rng.permutation(len(mats))
-        assert _negativities(mats[order], dims, [1], extremes[order]).tobytes() \
+        assert _negativities(mats[order], dims, extremes[order]).tobytes() \
             == oracle[order].tobytes()
         # the cleared rows and the rows past the guard: only the latter are
         # eigendecomposed
         keep = rng.permutation(np.flatnonzero(cleared | past))
         linalg_calls["eigvalsh"] = 0
-        values = _negativities(mats[keep], dims, [1], extremes[keep])
+        values = _negativities(mats[keep], dims, extremes[keep])
         assert values.tobytes() == oracle[keep].tobytes()
         assert linalg_calls["eigvalsh"] == past.sum()
 
@@ -333,12 +335,12 @@ class TestPPTScreen:
     def _clearable(n=12):
         rng = np.random.default_rng(7)
         mats = np.array([_pt_family(rng, (3, 3), 1e-3, 0.1) for _ in range(n)])
-        return mats, _extremes(mats)
+        return mats, spectral_extremes(mats)
 
     def test_clearable_stack_is_cleared(self, linalg_calls):
         mats, extremes = self._clearable()
         linalg_calls["eigvalsh"] = 0
-        values = _negativities(mats, (3, 3), [1], extremes)
+        values = _negativities(mats, (3, 3), extremes)
         assert values.tobytes() == np.full(len(mats), -0.0).tobytes()
         assert linalg_calls == {"eigvalsh": 0, "cholesky": 1}
 
@@ -347,7 +349,7 @@ class TestPPTScreen:
         mats, extremes = self._clearable()
         mats[5, 0, 1] += defect
         with pytest.raises(NotHermitianError):
-            _negativities(mats, (3, 3), [1], extremes)
+            _negativities(mats, (3, 3), extremes)
 
     # an imaginary diagonal entry is a Hermiticity defect, as is NaN there,
     # for the elements' screen and for their partial transposes'
@@ -358,7 +360,7 @@ class TestPPTScreen:
         with pytest.raises(NotHermitianError):
             _hermitian(mats)
         with pytest.raises(NotHermitianError):
-            _negativities(mats, (3, 3), [1], extremes)
+            _negativities(mats, (3, 3), extremes)
         assert _psd_screened(mats, 1e-9) is None
 
     def test_precondition_fires_before_the_screen(self, linalg_calls):
@@ -366,7 +368,7 @@ class TestPPTScreen:
         extremes[-1, 0] = -1e-10
         linalg_calls["eigvalsh"] = 0
         with pytest.raises(NotPositiveError, match="-1.000e-10"):
-            _negativities(mats, (3, 3), [1], extremes)
+            _negativities(mats, (3, 3), extremes)
         assert linalg_calls == {"eigvalsh": 0, "cholesky": 0}
 
     # with a negative 2 x 2 minor the row skips the factorisation, which
@@ -377,12 +379,12 @@ class TestPPTScreen:
                                                     linalg_calls):
         mats, _ = self._clearable()
         mats[4] = _pt_family(np.random.default_rng(3), (3, 3), -1e-11, 0.1, rotate)
-        extremes = _extremes(mats)
+        extremes = spectral_extremes(mats)
         shifted = _hermitian(_transpose_factors(mats[4], (3, 3), [1])) + NEG_CUTOFF / 2 * np.eye(9)
         diag = shifted.diagonal().real
         assert (np.abs(shifted) ** 2 <= np.outer(diag, diag)).all() == rotate
         linalg_calls["eigvalsh"] = 0
-        values = _negativities(mats, (3, 3), [1], extremes)
+        values = _negativities(mats, (3, 3), extremes)
         assert linalg_calls["eigvalsh"] == eigendecomposed
         oracle = _negativities_one_by_one(mats, (3, 3))
         assert values.tobytes() == oracle.tobytes()
@@ -391,10 +393,15 @@ class TestPPTScreen:
 
 
 class TestPredicates:
-    def test_psd_extremes(self):
-        assert _psd_extremes([np.eye(2)], TOL_EQ) is not None
-        assert _psd_extremes([np.diag([1.0, -1.0])], TOL_EQ) is None
-        assert _psd_extremes([np.array([[0.0, 1.0], [0.0, 0.0]])], TOL_EQ) is None
+    # one row eigendecomposed alone, and 8, which the screen runs on
+    @pytest.mark.parametrize("rows", [1, 8])
+    def test_psd_screened(self, rows):
+        eye = np.array([np.eye(2, dtype=complex)] * rows)
+        assert _psd_screened(eye, TOL_EQ) is not None
+        for bad in (np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [0.0, 0.0]])):
+            mats = eye.copy()
+            mats[-1] = bad
+            assert _psd_screened(mats, TOL_EQ) is None
 
     def test_is_density(self, rng):
         assert is_density(rand_density(rng, [3]))
@@ -416,15 +423,27 @@ class TestPredicates:
         assert is_density(rand_density(rng, [2]), rand_density(rng, [3]), rand_density(rng, [2]))
         assert not is_density(rand_density(rng, [2]), QOperator(np.diag([1.0, 1.0, -1.0]), [3]))
 
+    # maximally mixed rows, within the screen's norm guard, in blocks of
+    # 4,096 and of 10 rows, the last of 8, all screened; and in blocks of
+    # one row, eigendecomposed.  Unrotated, the failing row has a negative
+    # diagonal entry, so the screen skips it and clears the rest of its
+    # block; rotated, it makes the block's factorisation fail.
     @pytest.mark.parametrize("position", ["first", "block end", "block start", "last"])
-    @pytest.mark.parametrize("d", [2, 200])
-    def test_psd_extremes_checks_every_block(self, position, d):
+    @pytest.mark.parametrize("d", [2, 40, 200])
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_psd_screened_checks_every_block(self, position, d, rotate):
         step = max(1, CHECK_BLOCK_BYTES // identity([d]).matrix.nbytes)
-        mats = [identity([d]).matrix] * (2 * step + 1)
-        assert _psd_extremes(mats, TOL_EQ) is not None
-        index = {"first": 0, "block end": step - 1, "block start": step, "last": 2 * step}
-        mats[index[position]] = np.diag([1.0] * (d - 1) + [-1e-3])
-        assert _psd_extremes(mats, TOL_EQ) is None
+        mats = np.array([identity([d]).matrix / d] * (2 * step + 8))
+        assert np.isnan(_psd_screened(mats, TOL_EQ)).all() == (step >= 8)
+        index = {"first": 0, "block end": step - 1, "block start": step, "last": len(mats) - 1}
+        u = haar_unitary(np.random.default_rng(d), d) if rotate else np.eye(d)
+        mats[index[position]] = (u * ([1.0] * (d - 1) + [-1e-3])) @ u.conj().T / d
+        assert _psd_screened(mats, TOL_EQ) is None
+
+    def test_is_density_refuses_a_tolerance_below_the_cutoff(self, rng):
+        assert is_density(rand_density(rng, [2]), tol=NEG_CUTOFF)
+        with pytest.raises(ValueError, match="NEG_CUTOFF"):
+            is_density(rand_density(rng, [2]), tol=1e-13)
 
     def test_is_density_many(self, rng):
         rhos = [rand_density(rng, [2]), rand_density(rng, [3]), rand_density(rng, [2])]
@@ -445,3 +464,72 @@ class TestPredicates:
 
     def test_pauli_anticommutation(self):
         assert np.allclose(PAULI_X @ PAULI_Z + PAULI_Z @ PAULI_X, 0)
+
+
+def _with_lowest(rng, d, lowest, rotate):
+    """A d x d unit-trace Hermitian matrix of smallest eigenvalue ``lowest``,
+    the rest of its spectrum positive and below 1, under a Haar unitary
+    (``rotate``) or on the diagonal."""
+    rest = rng.uniform(0.5, 1.0, d - 1)
+    spectrum = np.concatenate([[lowest], rest * (1.0 - lowest) / rest.sum()])
+    u = haar_unitary(rng, d) if rotate else np.eye(d)
+    return (u * spectrum) @ u.conj().T
+
+
+class TestScreenedConstructors:
+    """Every construction-time PSD check is ``_psd_screened``.  On stacks of
+    12 rows, which the screen runs on, with one row of smallest eigenvalue
+    just past or just inside the check's tolerance, each constructor
+    accepts and refuses exactly as eigendecomposing every row in full does.
+    Only that row is eigendecomposed, unless it makes its block's
+    factorisation fail: unrotated, its negative diagonal entry has the
+    screen skip it and clear the rest."""
+
+    D, N = 4, 12
+    REFUSAL = {"POVM": "not positive semidefinite", "SeparableDecomposition": "densities",
+               "NLHSModel": "densities"}
+
+    def _stack(self, rng, kind, lowest, rotate):
+        """The checked stack: a POVM's effects, the special row and shares of
+        the identity's remainder; else densities."""
+        special = _with_lowest(rng, self.D, lowest, rotate)
+        if kind == "POVM":
+            w = rng.uniform(0.5, 1.0, self.N - 1)
+            others = [x * (np.eye(self.D) - special) for x in w / w.sum()]
+        else:
+            others = [rand_density(rng, [self.D]).matrix for _ in range(self.N - 1)]
+        at = int(rng.integers(self.N))
+        return np.array(others[:at] + [special] + others[at:])
+
+    def _accepts(self, kind, mats, tol):
+        """Whether ``kind`` accepts ``mats`` as its checked stack, the other
+        stacks it checks being 12 maximally mixed qubits."""
+        n, mixed = len(mats), [np.eye(2) / 2] * len(mats)
+        if kind == "is_density":
+            return is_density(*[QOperator(m, [self.D]) for m in mats], tol=tol)
+        try:
+            if kind == "POVM":
+                POVM([QOperator(m, [self.D]) for m in mats])
+            elif kind == "SeparableDecomposition":
+                SeparableDecomposition(np.full(n, 1 / n), mats, mixed)
+            else:
+                NLHSModel([np.full(n, 1 / n)] * 2, [np.ones((1, n, n))], mats, mixed)
+        except ValueError as exc:
+            assert self.REFUSAL[kind] in str(exc)
+            return False
+        return True
+
+    @pytest.mark.parametrize("kind,tol", [("POVM", TOL_CHECK), ("SeparableDecomposition", TOL_NORM),
+                                          ("NLHSModel", TOL_NORM), ("is_density", TOL_EQ),
+                                          ("is_density", NEG_CUTOFF)])
+    @pytest.mark.parametrize("past", [False, True])
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_agrees_with_full_eigendecomposition(self, kind, tol, past, rotate, linalg_calls):
+        rng = np.random.default_rng(len(kind) + int(-np.log10(tol)))
+        lowest = -tol * (1 + 1e-3 if past else 1 - 1e-3)
+        mats = self._stack(rng, kind, lowest, rotate)
+        oracle = spectral_extremes(mats)[:, 0].min() >= -tol
+        assert oracle != past
+        linalg_calls["eigvalsh"] = 0
+        assert self._accepts(kind, mats, tol) == oracle
+        assert linalg_calls["eigvalsh"] == (self.N if rotate else 1)

@@ -6,7 +6,7 @@ Runs ``netsteer.cli.main`` in process for a fixed list of commands
 (``verify-swap``, three ``activation`` sweeps, a one-point ``verify-swap``
 and a one-point 12-party ``activation``, ``claims-demo`` for both
 axis presets at four visibilities, and ``nlhs --realize --model-out`` on
-the bundled fixtures, the benchmark's Werner fixture and eleven extra
+the bundled fixtures, the benchmark's Werner fixture and twelve extra
 fixtures written into OUTDIR).  Each command runs twice, once per output
 format.  For each command it writes the JSON report with sorted keys and
 without ``wall_time`` and ``inputs.fixture``, the CSV report as written
@@ -75,6 +75,16 @@ EXTRA_FIXTURES = {
     "uns-cc-comp": (["UNS_LEFT", "SEP"], [_werner(0.4), CC2], [COMP2]),
     # a LOC behaviour with a computational measurement on its right
     "cc-loc-cc-swapcomp": (["SEP", "LOC", "SEP"], [CC2, _werner(0.5), CC2], [SWAP2, COMP2]),
+    # the only ``explicit`` source, the product state (I + 0.3 Y)/2 (x) (I + 0.2 X)/2:
+    # pins the reader of a state's real and imaginary parts
+    "explicit-sep": (["UNS_LEFT", "SEP"],
+                     [{"kind": "explicit", "state": {
+                         "re": [[0.25, 0.05, 0.0, 0.0], [0.05, 0.25, 0.0, 0.0],
+                                [0.0, 0.0, 0.25, 0.05], [0.0, 0.0, 0.05, 0.25]],
+                         "im": [[0.0, 0.0, -0.075, -0.015], [0.0, 0.0, -0.015, -0.075],
+                                [0.075, 0.015, 0.0, 0.0], [0.015, 0.075, 0.0, 0.0]],
+                         "dims": [2, 2]}}, CC2],
+                     [SWAP2]),
 }
 
 
