@@ -18,6 +18,7 @@ from .operators import (
     TOL_CHECK,
     TOL_EQ,
     _psd_screened,
+    _set_fields,
     _square_stack,
     basis_ket,
     projector,
@@ -50,8 +51,9 @@ class POVM:
             raise InvalidPOVMError("effect is not positive semidefinite")
         self._complete(matrices, dims, outcome_labels)
 
-    def _complete(self, matrices: np.ndarray, dims: tuple[int, ...], outcome_labels) -> None:
-        """Check completeness and the labels of the effects, then set the fields."""
+    def _complete(self, matrices: np.ndarray, dims: tuple[int, ...], outcome_labels) -> POVM:
+        """Check completeness and the labels of a complex (k, d, d) stack of
+        effects, then set the fields and return the POVM."""
         total = sum(matrices)
         if not np.max(np.abs(total - np.eye(len(total)))) <= TOL_EQ:
             raise InvalidPOVMError("effects do not sum to the identity")
@@ -62,9 +64,7 @@ class POVM:
             if len(outcome_labels) != len(matrices):
                 raise InvalidPOVMError("one label per effect required")
         matrices.flags.writeable = False
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "outcome_labels", outcome_labels)
+        return _set_fields(self, matrices=matrices, dims=dims, outcome_labels=outcome_labels)
 
     @property
     def n_outcomes(self) -> int:
@@ -98,7 +98,14 @@ class SeparableMeasurement(POVM):
         # not all empty: the effects sum to the identity, so one has factors
         if any(_psd_screened(np.concatenate(side), TOL_CHECK) is None for side in zip(*terms)):
             raise InvalidPOVMError("decomposition factor not PSD")
-        object.__setattr__(self, "terms", terms)
+        _set_fields(self, terms=terms)
+
+
+def _psd_povm(matrices: np.ndarray, dims: tuple[int, ...], outcome_labels=None) -> POVM:
+    """The POVM of a complex (k, d, d) stack of effects that are PSD by
+    construction: completeness and the labels are checked
+    (``POVM._complete``), the spectra are not."""
+    return object.__new__(POVM)._complete(matrices, dims, outcome_labels)
 
 
 def bell_swap_povm(local_dim: int = 3) -> POVM:
@@ -113,9 +120,9 @@ def bell_swap_povm(local_dim: int = 3) -> POVM:
     v = np.zeros(d * d, dtype=complex)
     v[0 * d + 1] = 1 / np.sqrt(2)
     v[1 * d + 0] = -1 / np.sqrt(2)
-    m0 = projector(v, [d, d])
-    m1 = QOperator(np.eye(d * d) - m0.matrix, [d, d])
-    return POVM([m0, m1], outcome_labels=(0, 1))
+    # a rank-one projector and its complement, PSD by construction
+    m0 = projector(v, [d, d]).matrix
+    return _psd_povm(np.array([m0, np.eye(d * d) - m0]), (d, d), (0, 1))
 
 
 def input_encoded_measurement(sub_povms: Sequence[POVM], d: int) -> POVM:

@@ -44,6 +44,7 @@ from .operators import (
     _apply_and_trace,
     _blocks,
     _psd_screened,
+    _set_fields,
     is_density,
 )
 from .measurements import POVM, input_encoded_measurement
@@ -74,8 +75,7 @@ class LinearNetwork:
                 raise DimensionError(
                     f"measurement {i} acts on {m.dims}, adjacent sources need {want}"
                 )
-        object.__setattr__(self, "sources", sources)
-        object.__setattr__(self, "central_measurements", central)
+        _set_fields(self, sources=sources, central_measurements=central)
 
     @property
     def endpoint_dims(self) -> tuple[int, int]:
@@ -127,12 +127,8 @@ class NetworkAssemblage:
         matrices = rows if index is None else rows[index]
         for held in (rows, row_extremes, matrices):
             held.flags.writeable = False
-        object.__setattr__(self, "matrices", matrices)
-        object.__setattr__(self, "outcomes", outcomes)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_row_extremes", row_extremes)
-        object.__setattr__(self, "_index", index)
+        _set_fields(self, matrices=matrices, outcomes=outcomes, dims=dims, _rows=rows,
+                    _row_extremes=row_extremes, _index=index)
 
     @property
     def elements(self) -> dict:

@@ -24,6 +24,7 @@ from .operators import (
     _apply_and_trace,
     _density_extremes,
     _kron,
+    _set_fields,
     _square_stack,
 )
 from .measurements import (
@@ -106,11 +107,8 @@ class NLHSModel:
         outcome_labels = tuple(tuple(l) for l in outcome_labels)
         if [(len(l), len(set(l))) for l in outcome_labels] != [(len(r),) * 2 for r in responses]:
             raise ValueError("need one distinct outcome label per outcome of each response table")
-        object.__setattr__(self, "source_dists", source_dists)
-        object.__setattr__(self, "responses", responses)
-        object.__setattr__(self, "left_states", left_states)
-        object.__setattr__(self, "right_states", right_states)
-        object.__setattr__(self, "outcome_labels", outcome_labels)
+        _set_fields(self, source_dists=source_dists, responses=responses, left_states=left_states,
+                    right_states=right_states, outcome_labels=outcome_labels)
 
     @property
     def n_parties(self) -> int:
@@ -162,9 +160,7 @@ class SeparableDecomposition:
             raise ValueError("weights must be a probability distribution")
         if not _densities(left_states, right_states):
             raise ValueError("decomposition states must be densities")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "left_states", left_states)
-        object.__setattr__(self, "right_states", right_states)
+        _set_fields(self, weights=weights, left_states=left_states, right_states=right_states)
 
     def state(self) -> QOperator:
         # the weighted products in one stack, summed term by term in order
@@ -179,30 +175,46 @@ def _reproduces(dec: SeparableDecomposition, rho: QOperator) -> bool:
     return state.dims == rho.dims and np.max(np.abs(state.matrix - rho.matrix)) <= TOL_CHECK
 
 
+def _decomposition(weights: np.ndarray, left_states: np.ndarray,
+                   right_states: np.ndarray) -> SeparableDecomposition:
+    """The ``SeparableDecomposition`` of parts already known valid, held as
+    its constructor would hold them: a float probability vector and
+    read-only complex (k, d, d) stacks of densities, one pair per weight."""
+    return _set_fields(object.__new__(SeparableDecomposition), weights=weights,
+                       left_states=left_states, right_states=right_states)
+
+
 def _flags(n: int) -> np.ndarray:
-    """The (n, n, n) stack of flag projectors |a><a|."""
-    return np.eye(n)[:, :, None] * np.eye(n)[:, None, :]
+    """The read-only complex (n, n, n) stack of flag projectors |a><a|."""
+    return _square_stack(np.eye(n)[:, :, None] * np.eye(n)[:, None, :], "flags")
 
 
 def classical_correlated_decomposition(d: int) -> SeparableDecomposition:
-    return SeparableDecomposition(np.full(d, 1.0 / d), _flags(d), _flags(d))
+    """sum_a |a><a| (x) |a><a| / d, for d >= 1: flag projectors, uniform
+    weights, so neither is checked."""
+    if not d >= 1:
+        raise ValueError(f"classical correlated source needs d >= 1, got {d!r}")
+    return _decomposition(np.full(d, 1.0 / d), _flags(d), _flags(d))
 
 
 def werner_separable_decomposition(omega: float) -> SeparableDecomposition:
-    """Explicit separable form of the Werner state for omega <= 1/3.
+    """Explicit separable form of the Werner state for 0 <= omega <= 1/3.
 
     Mixes the six antipodal Pauli eigenstate pairs (which reproduce the
     omega = 1/3 state) with the four computational products for the
-    remaining white noise.
+    remaining white noise.  For every omega accepted the weights pass
+    ``SeparableDecomposition``'s checks and the states are projectors, so
+    neither is checked.
     """
-    if omega > 1.0 / 3.0 + 1e-12:
-        raise ValueError("Werner state is entangled for omega > 1/3")
+    if not 0.0 <= omega <= 1.0 / 3.0 + 1e-12:
+        raise ValueError(f"Werner state has no separable form for omega = {omega!r}")
     eye = np.eye(2, dtype=complex)
     # (P+, P-) and (P-, P+) for the eigenprojectors of each Pauli, then |i><i| (x) |j><j|
     pairs = [((eye + s) / 2, (eye - s) / 2) for s in PAULIS]
     lefts = [m for plus, minus in pairs for m in (plus, minus)] + list(_flags(2)[[0, 0, 1, 1]])
     rights = [m for plus, minus in pairs for m in (minus, plus)] + list(_flags(2)[[0, 1, 0, 1]])
-    return SeparableDecomposition([3 * omega / 6] * 6 + [(1 - 3 * omega) / 4] * 4, lefts, rights)
+    return _decomposition(np.array([3 * omega / 6] * 6 + [(1 - 3 * omega) / 4] * 4, dtype=float),
+                          _square_stack(lefts, "left states"), _square_stack(rights, "right states"))
 
 
 @dataclass(frozen=True)
@@ -561,20 +573,28 @@ def nlhs_to_separable_realization(model: NLHSModel) -> SeparableRealization:
     Endpoint sources use the classical-flag construction (hidden state
     tensored with a flag ket); interior sources are perfectly correlated
     flags; every central measurement is diagonal in the flag basis with
-    the model's response weights.
+    the model's response weights.  Built from the checked model, nothing
+    is checked again but the completeness of each measurement: the model
+    checks its responses' sums to ``TOL_NORM`` only.
     """
     last = len(model.source_dists) - 1
     decompositions = tuple(
-        SeparableDecomposition(p, model.left_states if i == 0 else _flags(len(p)),
-                               model.right_states if i == last else _flags(len(p)))
+        _decomposition(p, model.left_states if i == 0 else _flags(len(p)),
+                       model.right_states if i == last else _flags(len(p)))
         for i, p in enumerate(model.source_dists)
     )
 
     certificates = []
     for resp, labels in zip(model.responses, model.outcome_labels):
         # effect b is sum_a |a><a| (x) diag(resp[b, a, :]), one term per left
-        # flag, from the checked model's non-negative responses
-        flags, eye = _flags(resp.shape[1]), np.eye(resp.shape[2])
-        terms = [(flags, r[:, :, None] * eye) for r in np.where(resp > 0.0, resp, 0.0)]
-        certificates.append(SeparableMeasurement(terms, labels))
+        # flag, from the checked model's non-negative responses: the diagonal
+        # matrix of resp[b], entry for entry the one the terms' einsum forms
+        n_b, n_l, n_r = resp.shape
+        weights = np.where(resp > 0.0, resp, 0.0)
+        flags, eye, diag = _flags(n_l), np.eye(n_r), np.arange(n_l * n_r)
+        terms = tuple((flags, _square_stack(r[:, :, None] * eye, "right factors")) for r in weights)
+        effects = np.zeros((n_b, n_l * n_r, n_l * n_r), dtype=complex)
+        effects[:, diag, diag] = weights.reshape(n_b, -1)
+        measurement = object.__new__(SeparableMeasurement)._complete(effects, (n_l, n_r), labels)
+        certificates.append(_set_fields(measurement, terms=terms))
     return SeparableRealization(decompositions, tuple(certificates))

@@ -28,14 +28,15 @@ from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
-from .operators import QOperator, basis_ket, projector
-from .measurements import POVM, bell_swap_povm
+from .operators import QOperator
+from .measurements import POVM, _psd_povm, bell_swap_povm
 from .network import LinearNetwork
 from .states import classical_correlated, dew, DEWParams, werner
 from .nlhs import (
     NLHSModel,
     PatternError,
     SourceSlot,
+    _flags,
     classical_correlated_decomposition,
     werner_separable_decomposition,
 )
@@ -182,7 +183,10 @@ def _build_measurement(doc: dict) -> POVM:
         return bell_swap_povm(_integer(doc.get("local_dim", 3), "local_dim"))
     if kind == "computational":
         d = _integer(doc["d"], "d")
-        return POVM([projector(basis_ket(i, d * d), [d, d]) for i in range(d * d)])
+        if d < 1:
+            raise FixtureError(f"computational measurement needs d >= 1, got {d}")
+        # the d * d flag projectors on the pair, PSD by construction
+        return _psd_povm(_flags(d * d), (d, d))
     raise FixtureError(f"unknown measurement kind {kind!r}")
 
 

@@ -66,12 +66,22 @@ class QOperator:
             )
         matrix = matrix.copy()
         matrix.flags.writeable = False
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "dims", dims)
+        _set_fields(self, matrix=matrix, dims=dims)
 
     @property
     def nfactors(self) -> int:
         return len(self.dims)
+
+
+def _set_fields(obj, **fields):
+    """Set the fields of ``obj``, an instance of a frozen dataclass, and
+    return it.  Every constructor ends with it once its checks pass; on
+    ``object.__new__(cls)`` it makes an instance of ``cls`` from parts
+    already known valid, in the form its constructor would hold them,
+    without running the constructor's checks again."""
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def basis_ket(i: int, d: int) -> np.ndarray:
@@ -182,11 +192,15 @@ def _psd_cleared(h: np.ndarray) -> np.ndarray:
 
 def _screened_spectra(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The rows of a ``_hermitian`` (k, d, d) stack ``h`` that ``_psd_cleared``
-    does not clear, and their ascending eigenvalues.  A stack of fewer than
-    8 is not screened: it costs less to eigendecompose than to screen."""
+    does not clear, and their ascending eigenvalues; an empty (0, d)
+    spectrum, without an ``eigvalsh`` call, when it clears them all.  A
+    stack of fewer than 8 is not screened: it costs less to eigendecompose
+    than to screen."""
     rows = np.arange(len(h))
     if len(h) >= 8:
         rows = rows[~_psd_cleared(h)]
+        if not len(rows):
+            return rows, np.empty((0, h.shape[1]))
     return rows, np.linalg.eigvalsh(h if len(rows) == len(h) else h[rows])
 
 

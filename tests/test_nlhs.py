@@ -1,5 +1,7 @@
 import importlib.resources
+import importlib.util
 import itertools
+import json
 from collections import Counter
 import time
 from pathlib import Path
@@ -9,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netsteer import nlhs
-from netsteer.measurements import POVM, bell_swap_povm, pauli_projective
+from netsteer import experiments, measurements, network, nlhs, operators
+from netsteer.measurements import POVM, SeparableMeasurement, bell_swap_povm, pauli_projective
 from netsteer.experiments import run_nlhs
 from netsteer.network import (LinearNetwork, NetworkAssemblage, _distinct, line_assemblage,
                               standard_assemblage)
@@ -36,11 +38,14 @@ from netsteer.nlhs import (
     solve_lhv,
     werner_separable_decomposition,
 )
-from netsteer.nlhs_io import load_fixture
+from netsteer.nlhs_io import _build_measurement, load_fixture
 from netsteer.operators import (
     NEG_CUTOFF,
+    PAULIS,
     DimensionError,
     QOperator,
+    basis_ket,
+    projector,
 )
 from netsteer.states import classical_correlated, werner
 
@@ -237,7 +242,8 @@ class TestValidatedOnce:
     right hidden-state stacks, and only of the rows their screen does not
     prove PSD.  ``run_nlhs`` validates the fixture's line once and
     contracts the separable realisation without validating it as a second
-    network."""
+    network; the closed forms and the realisation build their parts
+    without a PSD check of their own."""
 
     @pytest.mark.parametrize("path", FIXTURES.values(), ids=FIXTURES.keys())
     def test_two_eigvalsh_calls(self, path, monkeypatch):
@@ -273,6 +279,21 @@ class TestValidatedOnce:
         assert report.ok and report.extra["realization_deviation"] <= RECONSTRUCTION_TOL
         assert built == ["LinearNetwork", "NetworkAssemblage", "NetworkAssemblage"]
 
+    @pytest.mark.parametrize("path", FIXTURES.values(), ids=FIXTURES.keys())
+    def test_five_psd_checks(self, path, monkeypatch):
+        # the line's sources, NLHSModel's left and right hidden states, and
+        # the quantum and the rebuilt assemblage
+        calls = []
+
+        def counting(mats, tol, _check=operators._psd_screened):
+            calls.append(mats.shape)
+            return _check(mats, tol)
+
+        for module in (operators, measurements, network, experiments):
+            monkeypatch.setattr(module, "_psd_screened", counting)
+        report = run_nlhs(path, realize=True)
+        assert report.ok and len(calls) == 5, calls
+
 
 class TestReconstruct:
     def _check(self, model):
@@ -304,9 +325,15 @@ class TestDecompositions:
         dec = werner_separable_decomposition(omega)
         assert max_entry_distance(dec.state(), werner(omega)) < 1e-12
 
-    def test_werner_decomposition_rejects_entangled(self):
-        with pytest.raises(ValueError):
-            werner_separable_decomposition(0.5)
+    @pytest.mark.parametrize("omega", [0.5, -0.1, np.nan, 1 / 3 + 2e-12])
+    def test_werner_decomposition_refuses_omega_outside_separable_range(self, omega):
+        with pytest.raises(ValueError, match=f"omega = {omega!r}$"):
+            werner_separable_decomposition(omega)
+
+    @pytest.mark.parametrize("d", [0, -1])
+    def test_classical_correlated_decomposition_refuses_d_below_one(self, d):
+        with pytest.raises(ValueError, match=f"got {d}$"):
+            classical_correlated_decomposition(d)
 
     def test_classical_correlated_decomposition(self):
         dec = classical_correlated_decomposition(3)
@@ -956,3 +983,130 @@ class TestRealization:
         rng = np.random.default_rng(80)
         for _ in range(10):
             self._check_diagonal(random_model(rng, n_parties=int(rng.integers(3, 6))))
+
+
+def _snapshot_fixtures(directory: Path) -> dict:
+    """The extra fixtures of ``tools/cli_snapshot.py``, written into
+    ``directory``: name -> path."""
+    spec = importlib.util.spec_from_file_location(
+        "cli_snapshot", Path(__file__).resolve().parent.parent / "tools" / "cli_snapshot.py")
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    paths = {}
+    for name, (pattern, sources, povms) in snapshot.EXTRA_FIXTURES.items():
+        paths[name] = directory / f"{name}.json"
+        paths[name].write_text(json.dumps(
+            {"pattern": pattern, "sources": sources, "measurements": povms}))
+    return paths
+
+
+def _assert_same(got, want):
+    """Equal field by field: arrays by dtype, shape, bytes and write flag,
+    tuples entry by entry, anything else by type and value."""
+    if isinstance(want, np.ndarray):
+        _same_bits(got, want)
+        assert got.flags.writeable == want.flags.writeable
+    elif isinstance(want, tuple):
+        assert type(got) is tuple and len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    elif hasattr(want, "__dataclass_fields__"):
+        assert type(got) is type(want)
+        for name in want.__dataclass_fields__:
+            _assert_same(getattr(got, name), getattr(want, name))
+    else:
+        assert type(got) is type(want) and got == want
+
+
+def _through_public_constructor(obj):
+    """``obj`` built again from its own fields by its public constructor,
+    every check of which must pass."""
+    if isinstance(obj, SeparableDecomposition):
+        return SeparableDecomposition(obj.weights, obj.left_states, obj.right_states)
+    if isinstance(obj, SeparableMeasurement):
+        return SeparableMeasurement(obj.terms, obj.outcome_labels)
+    return POVM([QOperator(m, obj.dims) for m in obj.matrices], obj.outcome_labels)
+
+
+class TestUncheckedPartsPassTheChecks:
+    """What the closed forms and the realisation no longer check: each of
+    their decompositions, certificates and POVMs passes its public
+    constructor's checks, and is the object that constructor builds, field
+    by field and byte for byte."""
+
+    @staticmethod
+    def _check(*objs):
+        for obj in objs:
+            _assert_same(obj, _through_public_constructor(obj))
+
+    def _check_model(self, model):
+        real = nlhs_to_separable_realization(model)
+        self._check(*real.source_decompositions, *real.measurement_certificates)
+
+    def _check_fixture(self, path):
+        _, slots, net = load_fixture(path)
+        self._check(*(s.decomposition for s in slots if s.decomposition is not None),
+                    *net.central_measurements)
+        self._check_model(build_percolation_line(slots, net.central_measurements)[0])
+
+    @pytest.mark.parametrize("path", FIXTURES.values(), ids=FIXTURES.keys())
+    def test_fixture(self, path):
+        self._check_fixture(path)
+
+    def test_snapshot_fixtures(self, tmp_path):
+        for path in _snapshot_fixtures(tmp_path).values():
+            self._check_fixture(path)
+
+    def test_random_models(self):
+        rng = np.random.default_rng(2027)
+        for n_parties in (2, 3, 4, 5, 6):
+            for n_outcomes in (1, 2, 3):
+                self._check_model(random_model(rng, n_parties=n_parties, max_hidden=4,
+                                               n_outcomes=n_outcomes,
+                                               endpoint_dim=int(rng.integers(1, 4))))
+
+    def test_responses_at_the_model_tolerance(self):
+        # zeros of both signs and a response entry of -1e-11, which the
+        # realisation clips to +0.0
+        resp = np.array([[[1.0, -1e-11], [-0.0, 0.5]], [[0.0, 1.0], [1.0, 0.5]]])
+        states = [np.eye(2) / 2] * 2
+        self._check_model(NLHSModel([[0.5, 0.5]] * 2, [resp], states, states))
+
+    @pytest.mark.parametrize("omega", [0.0, 0.1, 0.3, 1 / 3, 1 / 3 + 1e-12])
+    def test_werner_decomposition(self, omega):
+        dec = werner_separable_decomposition(omega)
+        self._check(dec)
+        assert max_entry_distance(dec.state(), werner(min(omega, 1 / 3))) < 1e-11
+        # (P+, P-) and (P-, P+) of X, Y and Z, then |i><i| (x) |j><j|, through the constructor
+        proj = [[(np.eye(2) + sign * s) / 2 for sign in (1, -1)] for s in PAULIS]
+        flags = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        _assert_same(dec, SeparableDecomposition(
+            [3 * omega / 6] * 6 + [(1 - 3 * omega) / 4] * 4,
+            [p[a] for p in proj for a in (0, 1)] + [flags[i] for i in (0, 0, 1, 1)],
+            [p[1 - a] for p in proj for a in (0, 1)] + [flags[j] for j in (0, 1, 0, 1)]))
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_classical_correlated_decomposition(self, d):
+        dec = classical_correlated_decomposition(d)
+        self._check(dec)
+        # sum_x |xx><xx| / d, for d = 1 too, which ``classical_correlated`` refuses
+        diag = np.arange(d) * (d + 1)
+        assert dec.state().matrix.tobytes() == np.diag(np.isin(np.arange(d * d), diag) / d
+                                                       ).astype(complex).tobytes()
+
+    @pytest.mark.parametrize("local_dim", range(2, 6))
+    def test_bell_swap_povm(self, local_dim):
+        povm = bell_swap_povm(local_dim)
+        self._check(povm)
+        # the swap measurement as built through POVM, its complement from the projector
+        d = local_dim
+        v = np.zeros(d * d, dtype=complex)
+        v[1], v[d] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+        m0 = projector(v, [d, d])
+        _assert_same(povm, POVM([m0, QOperator(np.eye(d * d) - m0.matrix, [d, d])], (0, 1)))
+
+    @pytest.mark.parametrize("d", range(1, 5))
+    def test_computational_fixture_measurement(self, d):
+        povm = _build_measurement({"kind": "computational", "d": d})
+        self._check(povm)
+        _assert_same(povm, POVM([projector(basis_ket(i, d * d), [d, d]) for i in range(d * d)]))

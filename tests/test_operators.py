@@ -344,6 +344,23 @@ class TestPPTScreen:
         assert values.tobytes() == np.full(len(mats), -0.0).tobytes()
         assert linalg_calls == {"eigvalsh": 0, "cholesky": 1}
 
+    def test_fully_cleared_stack_makes_no_eigvalsh_call(self, monkeypatch):
+        mats, _ = self._clearable()
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        extremes = _psd_screened(mats, TOL_CHECK)
+        values = _negativities(mats, (3, 3), extremes)
+        assert shapes == []
+        # the values of an eigendecomposition of the empty stack of uncleared rows
+        assert extremes.tobytes() == np.full((len(mats), 2), np.nan).tobytes()
+        assert values.tobytes() == np.full(len(mats), -0.0).tobytes()
+
     @pytest.mark.parametrize("defect", [1e-6, np.nan, np.inf])
     def test_non_hermitian_or_non_finite_raises(self, defect):
         mats, extremes = self._clearable()
