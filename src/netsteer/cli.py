@@ -32,7 +32,7 @@ from .experiments import (
 )
 from .certificates import PipelinePreconditionError
 from .nlhs import ModelNotFoundError, PatternError
-from .nlhs_io import FixtureError, save_model
+from .nlhs_io import FixtureError, _JSONText, save_model
 from .operators import NotHermitianError, NotPositiveError
 
 
@@ -175,6 +175,8 @@ def main(argv=None) -> int:
         return 1
     try:
         if getattr(args, "model_out", None) is not None:
+            # encoded once, for the model file and for the report's "model"
+            report.extra["model"] = _JSONText(report.extra["model"])
             save_model(report.extra["model"], args.model_out)
         _emit(report, args)
     except OSError as exc:

@@ -81,8 +81,8 @@ class NLHSModel:
     outcome_labels: tuple[tuple, ...]
 
     def __init__(self, source_dists, responses, left_states, right_states, outcome_labels=None):
-        source_dists = tuple(np.asarray(p, dtype=float) for p in source_dists)
-        responses = tuple(np.asarray(r, dtype=float) for r in responses)
+        source_dists = tuple(_float_array(p) for p in source_dists)
+        responses = tuple(_float_array(r) for r in responses)
         left_states = _square_stack(left_states, "left endpoint states")
         right_states = _square_stack(right_states, "right endpoint states")
         if len(responses) != len(source_dists) - 1:
@@ -115,6 +115,22 @@ class NLHSModel:
         return len(self.source_dists) + 1
 
 
+def _float_array(values) -> np.ndarray:
+    """``values`` copied into a read-only float array, so that no caller's
+    array can change a checked object."""
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
+def _is_flags(stack: np.ndarray) -> bool:
+    """Whether a (k, d, d) stack is exactly the d flag projectors |t><t|, in
+    order: k == d, and its only non-zero entries are a 1 at [t, t, t]."""
+    n, flat = len(stack), stack.ravel()
+    return (stack.shape[1] == n and np.count_nonzero(flat) == n
+            and bool(np.all(flat[::n * n + n + 1] == 1)))
+
+
 def _densities(*stacks: np.ndarray) -> bool:
     """True iff every matrix of every non-empty stack is a density to ``TOL_NORM``."""
     return all(_density_extremes(s, TOL_NORM) is not None for s in stacks)
@@ -144,14 +160,15 @@ def reconstruct(model: NLHSModel) -> NetworkAssemblage:
 @dataclass(frozen=True)
 class SeparableDecomposition:
     """Explicit convex decomposition sum_g p(g) L_g (x) R_g of a source,
-    with the L_g and R_g held as read-only (k, d, d) stacks."""
+    with the p(g) held as a read-only float vector and the L_g and R_g as
+    read-only (k, d, d) stacks."""
 
     weights: np.ndarray
     left_states: np.ndarray
     right_states: np.ndarray
 
     def __init__(self, weights, left_states, right_states):
-        weights = np.asarray(weights, dtype=float)
+        weights = _float_array(weights)
         left_states = _square_stack(left_states, "left states")
         right_states = _square_stack(right_states, "right states")
         if not (len(weights) == len(left_states) == len(right_states)):
@@ -163,9 +180,24 @@ class SeparableDecomposition:
         _set_fields(self, weights=weights, left_states=left_states, right_states=right_states)
 
     def state(self) -> QOperator:
+        """sum_g p(g) L_g (x) R_g, each entry the one the sum of the weighted
+        Kronecker products, term by term from 0, gives."""
+        dims = (self.left_states.shape[1], self.right_states.shape[1])
+        left_flags = _is_flags(self.left_states)
+        if left_flags or _is_flags(self.right_states):
+            # term t is block (t, t) of the flag side, p(t) times the other
+            # factor, and zero elsewhere; + 0.0 gives every zero the +0.0
+            # that the sum from 0 gives it
+            t = np.arange(len(self.weights))
+            out = np.zeros(dims + dims, dtype=complex)
+            if left_flags:
+                out[t, :, t, :] = self.weights[:, None, None] * self.right_states
+            else:
+                out[:, t, :, t] = self.weights[:, None, None] * self.left_states
+            return QOperator(out.reshape(dims[0] * dims[1], -1) + 0.0, dims)
         # the weighted products in one stack, summed term by term in order
         terms = self.weights[:, None, None] * _kron(self.left_states, self.right_states)
-        return QOperator(sum(terms), (self.left_states.shape[1], self.right_states.shape[1]))
+        return QOperator(sum(terms), dims)
 
 
 def _reproduces(dec: SeparableDecomposition, rho: QOperator) -> bool:
@@ -178,8 +210,8 @@ def _reproduces(dec: SeparableDecomposition, rho: QOperator) -> bool:
 def _decomposition(weights: np.ndarray, left_states: np.ndarray,
                    right_states: np.ndarray) -> SeparableDecomposition:
     """The ``SeparableDecomposition`` of parts already known valid, held as
-    its constructor would hold them: a float probability vector and
-    read-only complex (k, d, d) stacks of densities, one pair per weight."""
+    its constructor would hold them: a read-only float probability vector
+    and read-only complex (k, d, d) stacks of densities, one pair per weight."""
     return _set_fields(object.__new__(SeparableDecomposition), weights=weights,
                        left_states=left_states, right_states=right_states)
 
@@ -194,7 +226,7 @@ def classical_correlated_decomposition(d: int) -> SeparableDecomposition:
     weights, so neither is checked."""
     if not d >= 1:
         raise ValueError(f"classical correlated source needs d >= 1, got {d!r}")
-    return _decomposition(np.full(d, 1.0 / d), _flags(d), _flags(d))
+    return _decomposition(_float_array(np.full(d, 1.0 / d)), _flags(d), _flags(d))
 
 
 def werner_separable_decomposition(omega: float) -> SeparableDecomposition:
@@ -213,7 +245,7 @@ def werner_separable_decomposition(omega: float) -> SeparableDecomposition:
     pairs = [((eye + s) / 2, (eye - s) / 2) for s in PAULIS]
     lefts = [m for plus, minus in pairs for m in (plus, minus)] + list(_flags(2)[[0, 0, 1, 1]])
     rights = [m for plus, minus in pairs for m in (minus, plus)] + list(_flags(2)[[0, 1, 0, 1]])
-    return _decomposition(np.array([3 * omega / 6] * 6 + [(1 - 3 * omega) / 4] * 4, dtype=float),
+    return _decomposition(_float_array([3 * omega / 6] * 6 + [(1 - 3 * omega) / 4] * 4),
                           _square_stack(lefts, "left states"), _square_stack(rights, "right states"))
 
 

@@ -95,11 +95,23 @@ def model_from_json(doc: dict) -> NLHSModel:
     )
 
 
+class _JSONText(str):
+    """``_json_text(doc)``, encoded once, to be written as a file and inside
+    a larger document: ``_json_text`` writes it out as it stands, its
+    newlines re-indented, since each of them is one of the layout's
+    (``_quote`` escapes any newline inside a string)."""
+
+    def __new__(cls, doc):
+        return super().__new__(cls, _json_text(doc))
+
+
 def _json_text(obj, indent: str = "\n") -> str:
     """``json.dumps(obj, indent=1, default=str)`` of a document ``json`` accepts, built
-    without its pure-Python encoder: a list of floats is one join of their reprs."""
+    without its pure-Python encoder: a list of floats is one join of their reprs.
+    Equal to ``_json_text(obj)`` with each newline replaced by ``indent``,
+    which is how it writes a ``_JSONText``."""
     if isinstance(obj, str):
-        return _quote(obj)
+        return obj.replace("\n", indent) if type(obj) is _JSONText else _quote(obj)
     if isinstance(obj, float):      # json writes a nan or an inf as NaN or Infinity
         return float.__repr__(obj).replace("nan", "NaN").replace("inf", "Infinity")
     if isinstance(obj, (list, tuple, dict)):
@@ -123,9 +135,10 @@ def _json_text(obj, indent: str = "\n") -> str:
 
 
 def save_model(model, path) -> None:
-    """Write an ``NLHSModel``, or its ``model_to_json`` document, to ``path``."""
+    """Write an ``NLHSModel``, or its ``model_to_json`` document, plain or
+    as a ``_JSONText``, to ``path``."""
     with open(path, "w") as fh:
-        fh.write(_json_text(model if isinstance(model, dict) else model_to_json(model)))
+        fh.write(_json_text(model_to_json(model) if isinstance(model, NLHSModel) else model))
 
 
 def load_model(path) -> NLHSModel:

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netsteer import experiments, nlhs_io
 from netsteer.cli import main
 from netsteer.experiments import (ExperimentReport, SweepSpec, run_activation, run_claims_demo,
                                   run_nlhs, run_verify_swap, write_csv)
@@ -77,6 +78,10 @@ def _mixed(dims):
     d = int(np.prod(dims))
     return {"kind": "explicit",
             "state": {"re": (np.eye(d) / d).tolist(), "im": np.zeros((d, d)).tolist(), "dims": dims}}
+
+
+BUNDLED = ("sep_loc_sep", "uns_sep_uns", "sep_uns_uns", "uns_uns_sep", "percolation_star_n6")
+WERNER_FIXTURE = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures" / "werner_sep_uns.json"
 
 
 def fixture_path(name):
@@ -172,15 +177,38 @@ class TestJSONWriter:
     def test_text_is_json_indent_1(self, doc):
         assert _json_text(doc) == json.dumps(doc, indent=1, default=str)
 
-    def test_model_out_is_save_model_and_report_model(self, tmp_path):
+    @settings(max_examples=200, deadline=None)
+    @given(_DOCUMENTS, st.integers(0, 3))
+    def test_text_at_an_indent_is_the_text_reindented(self, doc, k):
+        # what lets a report hold its model file's text, re-indented
+        indent = "\n" + " " * k
+        assert _json_text(doc, indent) == _json_text(doc).replace("\n", indent)
+
+    @pytest.mark.parametrize("fixture", [*BUNDLED, str(WERNER_FIXTURE)],
+                             ids=[*BUNDLED, "werner_sep_uns"])
+    def test_model_out_is_save_model_and_report_model(self, fixture, tmp_path, monkeypatch):
         report, model_out, saved = (tmp_path / n for n in ("r.json", "m.json", "s.json"))
-        assert main(["nlhs", "--fixture", "percolation_star_n6", "--realize",
+        encoded = []
+        json_text = nlhs_io._json_text
+
+        def spy(obj, *args):
+            if isinstance(obj, dict) and "source_dists" in obj:
+                encoded.append(obj)
+            return json_text(obj, *args)
+
+        for module in (nlhs_io, experiments):
+            monkeypatch.setattr(module, "_json_text", spy)
+        assert main(["nlhs", "--fixture", fixture, "--realize",
                      "--model-out", str(model_out), "--format", "json", "--out", str(report)]) == 0
-        _, slots, net = load_fixture(fixture_path("percolation_star_n6"))
+        monkeypatch.undo()
+        assert len(encoded) == 1        # for the model file and the report alike
+        text = report.read_text()
+        assert text == json.dumps(json.loads(text), indent=1)
+        _, slots, net = load_fixture(fixture_path(fixture) if fixture in BUNDLED else fixture)
         save_model(build_percolation_line(slots, net.central_measurements)[0], saved)
         assert saved.read_bytes() == model_out.read_bytes()
         assert (json.loads(model_out.read_text()) == json.loads(saved.read_text())
-                == json.loads(report.read_text())["model"])
+                == json.loads(text)["model"])
 
 
 def _plain(value):

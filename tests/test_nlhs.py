@@ -214,6 +214,19 @@ class TestNLHSModelValidation:
         for stack in stacks:
             assert stack.ndim == 3 and stack.dtype == complex and not stack.flags.writeable
 
+    def test_inputs_changed_after_construction_leave_the_objects(self):
+        p, q, w = np.array([0.5, 0.5]), np.array([0.25, 0.75]), np.array([0.5, 0.5])
+        r = np.array([[[1.0, 0.0], [0.5, 1.0]], [[0.0, 1.0], [0.5, 0.0]]])
+        states = [np.eye(2) / 2] * 2
+        model = NLHSModel([p, q], [r], states, states)
+        dec = SeparableDecomposition(w, states, states)
+        p[0], r[0, 0, 0], w[0] = 7.0, -3.0, 9.0
+        assert model.source_dists[0].tolist() == [0.5, 0.5]
+        assert model.responses[0][0, 0, 0] == 1.0
+        assert dec.weights.tolist() == [0.5, 0.5]
+        for a in (*model.source_dists, *model.responses, dec.weights):
+            assert a.dtype == float and not a.flags.writeable
+
     @pytest.mark.parametrize("side", ["left", "right"])
     @pytest.mark.parametrize("position", ["first", "last"])
     def test_rejects_non_density_state_at(self, rng, side, position):
@@ -436,6 +449,70 @@ class TestKronOracles:
         ms = [_random_povm(rng, (3, 2)), _random_povm(rng, (3, 2))]
         self._check_line(decs, ms)
         self._check_line(decs, ms, rho=rand_density(rng, (2, 3)))
+
+    @staticmethod
+    def _check_state(dec, path):
+        """state() of ``dec`` against the oracle, by its bytes, and the path
+        it took: "flags" when it wrote the flag blocks, "kron" when it summed
+        the Kronecker products."""
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nlhs, "_kron", lambda a, b, _kron=nlhs._kron: calls.append(1) or _kron(a, b))
+            got = dec.state().matrix
+        _same_bits(got, decomposition_state_sum(dec))
+        assert ("kron" if calls else "flags") == path
+
+    def test_realised_snapshot_fixtures_take_the_flag_path(self, tmp_path):
+        for path in _snapshot_fixtures(tmp_path).values():
+            _, slots, net = load_fixture(path)
+            model, _ = build_percolation_line(slots, net.central_measurements)
+            for dec in nlhs_to_separable_realization(model).source_decompositions:
+                self._check_state(dec, "flags")
+
+    def test_realised_random_models_take_the_flag_path(self):
+        # a line of one source realises it as the model's two endpoint stacks
+        rng = np.random.default_rng(2028)
+        for n_parties in (2, 3, 4, 5):
+            for endpoint_dim in (1, 2, 3):
+                model = random_model(rng, n_parties=n_parties, max_hidden=4,
+                                     endpoint_dim=endpoint_dim)
+                for dec in nlhs_to_separable_realization(model).source_decompositions:
+                    self._check_state(dec, "kron" if n_parties == 2 else "flags")
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_classical_correlated_takes_the_flag_path(self, d):
+        self._check_state(classical_correlated_decomposition(d), "flags")
+
+    def test_near_flags_take_the_kron_path(self):
+        rng = np.random.default_rng(13)
+        flags = np.eye(3)[:, :, None] * np.eye(3)[:, None, :]
+        others = [rand_density(rng, [2]).matrix for _ in range(4)]
+        for near in (flags[[1, 0, 2]],                         # permuted
+                     flags[:2],                                # fewer terms than the side
+                     flags * (1 - 2 ** -52),                   # scaled just below the flags
+                     np.concatenate([flags, flags[:1]])):      # one extra term
+            w = rng.random(len(near)) + 0.1
+            w /= w.sum()
+            self._check_state(SeparableDecomposition(w, near, others[:len(near)]), "kron")
+            self._check_state(SeparableDecomposition(w, others[:len(near)], near), "kron")
+
+    def test_negative_zero_parts(self):
+        # flags, hidden states and a weight whose zeros are -0.0: the sum
+        # from 0 leaves every zero +0.0
+        def parts(re, im):
+            out = np.empty(np.shape(re), dtype=complex)
+            out.real, out.imag = re, im
+            return out
+
+        flags = np.eye(2)[:, :, None] * np.eye(2)[:, None, :]
+        neg_flags = parts(np.where(flags == 1, 1.0, -0.0), -0.0)
+        neg_states = parts(np.array([[[1.0, -0.0], [-0.0, -0.0]], [[0.5, -0.0], [-0.0, 0.5]]]),
+                           np.array([[[-0.0, -0.0], [-0.0, -0.0]], [[-0.0, 0.1], [-0.1, -0.0]]]))
+        for w in ([1.0, -0.0], [0.25, 0.75]):
+            self._check_state(SeparableDecomposition(w, neg_flags, neg_states), "flags")
+            self._check_state(SeparableDecomposition(w, neg_states, neg_flags), "flags")
+            self._check_state(SeparableDecomposition(w, flags, neg_states), "flags")
+            self._check_state(SeparableDecomposition(w, neg_states, neg_states), "kron")
 
 
 class TestProviders:

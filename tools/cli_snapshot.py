@@ -8,8 +8,9 @@ and a one-point 12-party ``activation``, ``claims-demo`` for both
 axis presets at four visibilities, and ``nlhs --realize --model-out`` on
 the bundled fixtures, the benchmark's Werner fixture and twelve extra
 fixtures written into OUTDIR).  Each command runs twice, once per output
-format.  For each command it writes the JSON report with sorted keys and
-without ``wall_time`` and ``inputs.fixture``, the CSV report as written
+format.  For each command it writes the JSON report as written, key order
+and layout included, with the value of ``wall_time`` and of
+``inputs.fixture`` each replaced by ``null`` on its line (``_blanked``), the CSV report as written
 (``<name>.csv``), the ``--model-out`` file where there is one, that file
 reloaded with ``nlhs_io.load_model`` and written again with
 ``model_to_json`` (``<name>.model.reloaded.json``, so the JSON reader is
@@ -161,6 +162,23 @@ def library_lines() -> dict:
     return out
 
 
+# the lines of an indent-1 report that hold ``wall_time`` and
+# ``inputs.fixture``: a string's own quotes are escaped, so only a key
+# starts a line with a quote followed by ``": ``
+BLANKED = (' "wall_time": ', '  "fixture": ')
+
+
+def _blanked(text: str) -> str:
+    """A JSON report's text with the value on each ``BLANKED`` line replaced
+    by ``null``, its trailing comma kept; every other byte as written."""
+    lines = text.split("\n")
+    for i, line in enumerate(lines):
+        if line.startswith(BLANKED):
+            key = line[:line.index('": ') + 3]
+            lines[i] = key + "null" + ("," if line.endswith(",") else "")
+    return "\n".join(lines)
+
+
 def run(outdir: Path) -> None:
     outdir.mkdir(parents=True, exist_ok=True)
     for name, argv in commands(outdir):
@@ -173,10 +191,7 @@ def run(outdir: Path) -> None:
         (outdir / f"{name}.exit").write_text("".join(status))
         report = outdir / f"{name}.json"
         if report.exists():
-            doc = json.loads(report.read_text())
-            doc.pop("wall_time", None)
-            doc.get("inputs", {}).pop("fixture", None)
-            report.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+            report.write_text(_blanked(report.read_text()))
         model_out = outdir / f"{name}.model.json"
         if model_out.exists():
             reloaded = json.dumps(model_to_json(load_model(model_out)), indent=1)
