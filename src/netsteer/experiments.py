@@ -33,7 +33,7 @@ class SpecError(ValueError):
     """Raised on an out-of-range experiment parameter."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
     eta_range: tuple[float, float, int] = (0.0, 1.0, 21)
     omega_range: tuple[float, float, int] = (0.0, 1.0, 21)

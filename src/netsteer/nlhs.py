@@ -1,8 +1,8 @@
 """Explicit network-local-hidden-state models: constructors, reconstruction,
-providers, and the separable-realisation transforms.
+the LHS and LHV searches, and the separable-realisation transforms.
 
-Hidden variables are finite and explicitly enumerated throughout.  Provider
-failure is always reported as "model not found" and never as a steering
+Hidden variables are finite and explicitly enumerated throughout.  A failed
+search is always reported as "model not found" and never as a steering
 verdict: absence of a found model is not evidence of network steering.
 """
 
@@ -46,7 +46,7 @@ MAX_SYSTEM_ENTRIES = 2 ** 25
 
 
 class ModelNotFoundError(RuntimeError):
-    """A provider could not exhibit the required local model.
+    """A search could not exhibit the required local model.
 
     This is not a steering claim; it only means this toolkit's finite
     search failed.
@@ -154,7 +154,7 @@ def reconstruct(model: NLHSModel) -> NetworkAssemblage:
 
 
 # --------------------------------------------------------------------------
-# separable decompositions and providers
+# separable decompositions and the LHS and LHV searches
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -249,16 +249,6 @@ def werner_separable_decomposition(omega: float) -> SeparableDecomposition:
                           _square_stack(lefts, "left states"), _square_stack(rights, "right states"))
 
 
-@dataclass(frozen=True)
-class LHSData:
-    """A concrete LHS model: sigma_{b|x} = sum_l p(l) resp[b, x, l] states[l]."""
-
-    dist: np.ndarray
-    response: np.ndarray          # shape (n_outcomes, n_inputs, n_lambda)
-    states: np.ndarray            # read-only (n_lambda, d, d) stack
-    inputs_distinct: Optional[int] = None   # inputs the search solved for; None without a search
-
-
 def _strategies(n_out: int, n_in: int) -> np.ndarray:
     """0/1 table d[s, b, x] = [s(x) == b] of the deterministic strategies
     s: inputs -> outcomes, in ``itertools.product(range(n_out), repeat=n_in)``
@@ -294,14 +284,6 @@ def _born(effects: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.trace(effects @ states, axis1=-2, axis2=-1).real
 
 
-def _measured_factor(direction: str) -> int:
-    """The factor an LHS search measures with its (inputs, outcomes, d, d)
-    stack of effects: 0 for hidden states sent "right", 1 for "left"."""
-    if direction not in ("left", "right"):
-        raise ValueError(f"direction must be 'left' or 'right', got {direction!r}")
-    return 0 if direction == "right" else 1
-
-
 def _real_rows(mats: np.ndarray) -> np.ndarray:
     """Each complex matrix of a stack as one real row: real part, then
     imaginary part, both row-major."""
@@ -309,20 +291,14 @@ def _real_rows(mats: np.ndarray) -> np.ndarray:
     return np.concatenate([flat.real, flat.imag], axis=-1)
 
 
-class SeparableLHSProvider:
-    """Trivial provider for sources handed over with an explicit separable
-    decomposition: the decomposition index is the hidden variable."""
-
-    def __init__(self, decomposition: SeparableDecomposition):
-        self.decomposition = decomposition
-
-    def find(self, rho: QOperator, effects: np.ndarray, direction: str) -> LHSData:
-        dec, measured = self.decomposition, _measured_factor(direction)
-        stacks = (dec.left_states, dec.right_states)
-        if not _reproduces(dec, rho):
-            raise ModelNotFoundError("decomposition does not reproduce the source")
-        resp = _born(effects[:, :, None], stacks[measured])
-        return LHSData(dec.weights, resp.transpose(1, 0, 2), stacks[1 - measured])
+def _read_off(dec: SeparableDecomposition, effects: np.ndarray, measured: int):
+    """The LHS model a decomposition of the source gives, the term index as
+    the hidden variable: its weights, the Born responses resp[b, x, g] of
+    factor ``measured`` to the (inputs, outcomes, d, d) ``effects``, and the
+    other factor's states."""
+    stacks = (dec.left_states, dec.right_states)
+    resp = _born(effects[:, :, None], stacks[measured]).transpose(1, 0, 2)
+    return dec.weights, resp, stacks[1 - measured]
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -334,8 +310,13 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
 
 
-class BruteForceLHSProvider:
-    """Finite-behaviour search: deterministic response functions paired with
+def _lhs_search(rho: QOperator, effects: np.ndarray, measured: int):
+    """LHS model of the states that factor ``measured`` of ``rho``, measured
+    with the (inputs, outcomes, d, d) ``effects``, steers on the other
+    factor: (weights, responses resp[b, x, l], read-only hidden states, the
+    number of distinct inputs solved for).
+
+    A finite-behaviour search: deterministic response functions paired with
     hidden states drawn from the normalised steered states plus, for a qubit,
     a fixed grid of ``N_BLOCH`` = 26 Fibonacci-sphere Bloch vectors; weights
     solved by nonnegative least squares.  Only reconstructions within
@@ -347,42 +328,39 @@ class BruteForceLHSProvider:
     ``ModelNotFoundError`` before any of it is enumerated.  The limit bounds
     the system's size (256 MiB), not its solve time, which can run to
     seconds below it (see ``MAX_SYSTEM_ENTRIES``)."""
-
-    def find(self, rho: QOperator, effects: np.ndarray, direction: str) -> LHSData:
-        measured = _measured_factor(direction)
-        n_out = effects.shape[1]
-        steered, rep = _distinct(_apply_and_trace(rho.matrix[None], rho.dims, effects, measured)[0])
-        n_in = len(steered)
-        rep = np.arange(n_in) if rep is None else rep
-        sigma = _real_rows(steered)
-        # the normalised steered states of the distinct inputs, then the qubit grid
-        mats = steered.reshape((-1,) + steered.shape[2:])
-        traces = np.trace(mats, axis1=1, axis2=2).real
-        cands = list(mats[traces > TOL_CHECK] / traces[traces > TOL_CHECK, None, None])
-        if rho.dims[1 - measured] == 2:
-            cands += [(np.eye(2) + sum(c * s for c, s in zip(u, PAULIS))) / 2
-                      for u in fibonacci_sphere(N_BLOCH)]
-        cands = np.array(cands)
-        n_cand = len(cands)
-        _check_size(sigma.size, n_out ** n_in * n_cand)
-        # unknowns: c[s, j] >= 0 with
-        #   sum_{s: s(x)=b} sum_j c[s, j] tau_j = sigma_{b|x}
-        # rows [x, b, entry of sigma_{b|x}], columns [s, j], x over the distinct inputs
-        strat = _strategies(n_out, n_in)
-        tau = _real_rows(cands).T
-        a_mat = np.zeros((n_in, n_out, len(tau), len(strat), n_cand))
-        for x in range(n_in):
-            for b in range(n_out):
-                a_mat[x, b][:, strat[:, b, x] > 0] = tau[:, None, :]
-        c = _nnls_weights(a_mat.reshape(sigma.size, -1), sigma.ravel(), "NNLS")
-        weights = c.reshape(len(strat), n_cand)
-        keep_s, keep_j = np.nonzero(weights > 1e-14)
-        dist = weights[keep_s, keep_j]
-        total = dist.sum()
-        if abs(total - 1.0) > TOL_NORM:
-            raise ModelNotFoundError(f"weights sum to {total}, expected 1")
-        resp = strat[keep_s][:, :, rep].transpose(1, 2, 0)
-        return LHSData(dist / total, resp, _square_stack(cands[keep_j], "hidden states"), n_in)
+    n_out = effects.shape[1]
+    steered, rep = _distinct(_apply_and_trace(rho.matrix[None], rho.dims, effects, measured)[0])
+    n_in = len(steered)
+    rep = np.arange(n_in) if rep is None else rep
+    sigma = _real_rows(steered)
+    # the normalised steered states of the distinct inputs, then the qubit grid
+    mats = steered.reshape((-1,) + steered.shape[2:])
+    traces = np.trace(mats, axis1=1, axis2=2).real
+    cands = list(mats[traces > TOL_CHECK] / traces[traces > TOL_CHECK, None, None])
+    if rho.dims[1 - measured] == 2:
+        cands += [(np.eye(2) + sum(c * s for c, s in zip(u, PAULIS))) / 2
+                  for u in fibonacci_sphere(N_BLOCH)]
+    cands = np.array(cands)
+    n_cand = len(cands)
+    _check_size(sigma.size, n_out ** n_in * n_cand)
+    # unknowns: c[s, j] >= 0 with
+    #   sum_{s: s(x)=b} sum_j c[s, j] tau_j = sigma_{b|x}
+    # rows [x, b, entry of sigma_{b|x}], columns [s, j], x over the distinct inputs
+    strat = _strategies(n_out, n_in)
+    tau = _real_rows(cands).T
+    a_mat = np.zeros((n_in, n_out, len(tau), len(strat), n_cand))
+    for x in range(n_in):
+        for b in range(n_out):
+            a_mat[x, b][:, strat[:, b, x] > 0] = tau[:, None, :]
+    c = _nnls_weights(a_mat.reshape(sigma.size, -1), sigma.ravel(), "NNLS")
+    weights = c.reshape(len(strat), n_cand)
+    keep_s, keep_j = np.nonzero(weights > 1e-14)
+    dist = weights[keep_s, keep_j]
+    total = dist.sum()
+    if abs(total - 1.0) > TOL_NORM:
+        raise ModelNotFoundError(f"weights sum to {total}, expected 1")
+    resp = strat[keep_s][:, :, rep].transpose(1, 2, 0)
+    return dist / total, resp, _square_stack(cands[keep_j], "hidden states"), n_in
 
 
 def solve_lhv(behavior: np.ndarray):
@@ -390,9 +368,10 @@ def solve_lhv(behavior: np.ndarray):
 
     ``behavior`` has shape (n_b, n_c, n_x, n_y).  Returns (dist over
     deterministic strategy pairs, left responses resp_b[b, x, l],
-    right responses resp_c[c, y, l]).  x-inputs whose slices p(., . | x, .)
-    are equal byte for byte, and then likewise y-inputs, are solved once, as
-    one input (``network._distinct``, the contraction's merge).
+    right responses resp_c[c, y, l], the numbers of distinct x- and
+    y-inputs solved for).  x-inputs whose slices p(., . | x, .) are equal
+    byte for byte, and then likewise y-inputs, are solved once, as one input
+    (``network._distinct``, the contraction's merge).
     Deterministic-vertex weights are found by nonnegative least squares;
     first-feasible tie-break is the lowest lexicographic strategy index
     (nnls is deterministic).  A system over ``MAX_SYSTEM_ENTRIES`` after
@@ -419,7 +398,7 @@ def solve_lhv(behavior: np.ndarray):
     dist = dist / dist.sum()
     resp_b = left[keep // len(right)][:, :, rep_x].transpose(1, 2, 0)
     resp_c = right[keep % len(right)][:, :, rep_y].transpose(1, 2, 0)
-    return dist, resp_b, resp_c
+    return dist, resp_b, resp_c, len(xs), len(ys)
 
 
 # --------------------------------------------------------------------------
@@ -433,14 +412,14 @@ LOC = "LOC"
 SLOT_KINDS = (SEP, UNS_RIGHT, UNS_LEFT, LOC)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceSlot:
     """A source tagged with the structural assumption used to resolve it.
 
-    SEP slots require an explicit decomposition.  UNS slots use the trivial
-    separable LHS provider when a decomposition is supplied and the
-    brute-force one otherwise.  LOC slots are resolved through the
-    deterministic-strategy LHV solver.
+    SEP slots require an explicit decomposition.  UNS slots read their LHS
+    model off a decomposition when one is supplied and search for one
+    otherwise.  LOC slots are resolved through the deterministic-strategy
+    LHV solver.
     """
 
     kind: str
@@ -453,14 +432,6 @@ class SourceSlot:
         if self.kind == SEP and self.decomposition is None:
             raise PatternError("SEP slot needs a SeparableDecomposition")
 
-    @property
-    def provider(self):
-        """LHS provider of an UNS slot (``None`` for other kinds)."""
-        if self.kind not in (UNS_RIGHT, UNS_LEFT):
-            return None
-        dec = self.decomposition
-        return BruteForceLHSProvider() if dec is None else SeparableLHSProvider(dec)
-
 
 def _lhv_behavior(rho: QOperator, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """p(b, c | x, y) = Tr[(E_{b|x} (x) F_{c|y}) rho] of product measurements,
@@ -471,13 +442,17 @@ def _lhv_behavior(rho: QOperator, left: np.ndarray, right: np.ndarray) -> np.nda
 def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
     """Resolve a tagged line of arbitrary length into an NLHS model.
 
-    Separable slots resolve immediately and feed effective inputs to their
-    neighbours; unsteerable slots consume the measurement on their input
-    side and pass hidden states onward; local slots consume both adjacent
-    measurements.  The order is fixed: SEP slots ascending, UNS_LEFT slots
-    right to left, UNS_RIGHT and LOC slots left to right, then a direct
-    response for each measurement no slot consumed.  Returns the model and
-    the resolution transcript.
+    Separable slots resolve immediately from their decompositions and feed
+    effective inputs to their neighbours; unsteerable slots consume the
+    measurement on their input side and pass hidden states onward, read off
+    their decomposition when they have one and found by ``_lhs_search``
+    otherwise; local slots consume both adjacent measurements through
+    ``solve_lhv``.  Every decomposition a SEP or UNS slot supplies is checked
+    against the slot's state before anything is solved.  The order is fixed:
+    SEP slots ascending, UNS_LEFT slots right to left, UNS_RIGHT and LOC
+    slots left to right, then a direct response for each measurement no slot
+    consumed.  Returns the model and the resolution transcript, whose search
+    lines give the inputs each search solved for.
     """
     slots = list(slots)
     measurements = list(measurements)
@@ -489,8 +464,10 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
     if slots[-1].kind not in (SEP, UNS_RIGHT):
         raise PatternError("rightmost slot must be SEP or UNS_RIGHT (endpoint states)")
     for i, slot in enumerate(slots):
-        if slot.kind == SEP and not _reproduces(slot.decomposition, slot.state):
-            raise PatternError(f"slot {i}: SEP decomposition does not reproduce the slot's state")
+        if (slot.kind != LOC and slot.decomposition is not None
+                and not _reproduces(slot.decomposition, slot.state)):
+            raise PatternError(f"slot {i}: {slot.kind} decomposition does not reproduce "
+                               "the slot's state")
     for j, m in enumerate(measurements):
         want = (slots[j].state.dims[1], slots[j + 1].state.dims[0])
         if m.dims != want:
@@ -534,19 +511,19 @@ def build_percolation_line(slots, measurements) -> tuple[NLHSModel, list[str]]:
         distinct = ""
         try:
             if slot.kind == LOC:
-                behavior = _lhv_behavior(slot.state, lp, rp)
-                dists[i], resp_b, resp_c = solve_lhv(behavior)
-                xs, ys = (_distinct(np.moveaxis(behavior, axis, 0))[0] for axis in (2, 3))
-                distinct = (f" ({len(xs)} of {len(lp)} x-inputs and "
-                            f"{len(ys)} of {len(rp)} y-inputs distinct)")
+                dists[i], resp_b, resp_c, n_x, n_y = solve_lhv(_lhv_behavior(slot.state, lp, rp))
+                distinct = (f" ({n_x} of {len(lp)} x-inputs and "
+                            f"{n_y} of {len(rp)} y-inputs distinct)")
             else:
-                direction = "right" if takes_left else "left"
-                inputs = lp if takes_left else rp
-                data = slot.provider.find(slot.state, inputs, direction)
-                dists[i], resp_b, resp_c = data.dist, data.response, data.response
-                (right_states if takes_left else left_states)[i] = data.states
-                if data.inputs_distinct is not None:
-                    distinct = f" ({data.inputs_distinct} of {len(inputs)} inputs distinct)"
+                # an UNS slot measures factor 0 when it passes hidden states right
+                measured, effects = (0, lp) if takes_left else (1, rp)
+                if slot.decomposition is None:
+                    dists[i], resp_b, states, n_in = _lhs_search(slot.state, effects, measured)
+                    distinct = f" ({n_in} of {len(effects)} inputs distinct)"
+                else:
+                    dists[i], resp_b, states = _read_off(slot.decomposition, effects, measured)
+                resp_c = resp_b
+                (right_states if takes_left else left_states)[i] = states
         except ModelNotFoundError as exc:
             raise ModelNotFoundError(f"{slot.kind.split('_')[0]} slot {i}: {exc}") from exc
         if takes_left:

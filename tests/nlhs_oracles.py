@@ -1,7 +1,7 @@
 """Hand-derived NLHS constructors kept as test oracles.
 
 Each constructor follows its own derivation chain (induced measurements,
-then provider extraction, then assembly) for one fixed pattern,
+then the LHS or LHV model of each slot, then assembly) for one fixed pattern,
 independently of the generic percolation constructor
 ``netsteer.nlhs.build_percolation_line`` that the tests check against them.
 
@@ -32,6 +32,8 @@ from netsteer.nlhs import (
     NLHSModel,
     PatternError,
     SeparableDecomposition,
+    _lhs_search,
+    _read_off,
     solve_lhv,
 )
 from netsteer.operators import DimensionError, QOperator
@@ -58,7 +60,7 @@ def induced_measurement(m: POVM, hidden_state: np.ndarray, side: str) -> POVM:
 
 def effect_stack(povms) -> np.ndarray:
     """The effects of ``povms`` as the (inputs, outcomes, d, d) stack that
-    the LHS providers and ``nlhs._lhv_behavior`` take."""
+    the LHS searches and ``nlhs._lhv_behavior`` take."""
     return np.array([povm.matrices for povm in povms])
 
 
@@ -145,21 +147,28 @@ def lhv_behavior(rho, left_povms, right_povms):
     return out
 
 
-def build_sep_unsteer_bilocal(
-    sep: SeparableDecomposition, rho_bc: QOperator, m: POVM, lhs
-) -> NLHSModel:
+def uns_model(slot, povms, measured: int):
+    """(weights, responses, hidden states) of an UNS slot whose factor
+    ``measured`` is measured with ``povms``: read off the slot's
+    decomposition, or searched for without one."""
+    if slot.decomposition is not None:
+        return _read_off(slot.decomposition, effect_stack(povms), measured)
+    return _lhs_search(slot.state, effect_stack(povms), measured)[:3]
+
+
+def build_sep_unsteer_bilocal(sep: SeparableDecomposition, rho_bc: QOperator, m: POVM) -> NLHSModel:
     """NLHS model for a separable first source and a second source that is
     unsteerable toward the trusted right endpoint, for any fixed central
     measurement."""
     if sep.state().dims[1] != m.dims[0] or rho_bc.dims[0] != m.dims[1]:
         raise DimensionError("measurement dims do not match the two sources")
     povms = [induced_measurement(m, g, side="left") for g in sep.right_states]
-    data = lhs.find(rho_bc, effect_stack(povms), direction="right")
+    dist, resp, states, _ = _lhs_search(rho_bc, effect_stack(povms), 0)
     return NLHSModel(
-        source_dists=[sep.weights, data.dist],
-        responses=[data.response],          # resp[b, gamma, lambda]
+        source_dists=[sep.weights, dist],
+        responses=[resp],                   # resp[b, gamma, lambda]
         left_states=sep.left_states,
-        right_states=data.states,
+        right_states=states,
         outcome_labels=[m.outcome_labels],
     )
 
@@ -169,7 +178,7 @@ def build_triangle_patterns(pattern: str, slots, measurements) -> NLHSModel:
     triangle): SEP-LOC-SEP, UNS-SEP-UNS, SEP-UNS-UNS, UNS-UNS-SEP.
 
     Each branch follows its own derivation chain (induced measurements,
-    then provider extraction, then assembly); the generic percolation
+    then each slot's LHS or LHV model, then assembly); the generic percolation
     constructor provides an independent route for cross-checks.
     """
     slots = list(slots)
@@ -187,7 +196,7 @@ def build_triangle_patterns(pattern: str, slots, measurements) -> NLHSModel:
         right_povms = [induced_measurement(m1, l, "right") for l in d2.left_states]
         behavior = lhv_behavior(s1.state, left_povms, right_povms)
         try:
-            dist, resp_b, resp_c = solve_lhv(behavior)
+            dist, resp_b, resp_c, _, _ = solve_lhv(behavior)
         except ModelNotFoundError as exc:
             raise ModelNotFoundError(f"LOC slot 1: {exc}") from exc
         return NLHSModel(
@@ -206,19 +215,19 @@ def build_triangle_patterns(pattern: str, slots, measurements) -> NLHSModel:
         povms_left = [induced_measurement(m0, l, "right") for l in d1.left_states]
         povms_right = [induced_measurement(m1, r, "left") for r in d1.right_states]
         try:
-            data0 = s0.provider.find(s0.state, effect_stack(povms_left), direction="left")
+            dist0, resp0, states0 = uns_model(s0, povms_left, 1)
         except ModelNotFoundError as exc:
             raise ModelNotFoundError(f"UNS slot 0: {exc}") from exc
         try:
-            data2 = s2.provider.find(s2.state, effect_stack(povms_right), direction="right")
+            dist2, resp2, states2 = uns_model(s2, povms_right, 0)
         except ModelNotFoundError as exc:
             raise ModelNotFoundError(f"UNS slot 2: {exc}") from exc
         return NLHSModel(
-            [data0.dist, d1.weights, data2.dist],
-            [np.transpose(data0.response, (0, 2, 1)),      # [b, alpha, gamma]
-             data2.response],                              # [c, gamma, beta]
-            data0.states,
-            data2.states,
+            [dist0, d1.weights, dist2],
+            [np.transpose(resp0, (0, 2, 1)),               # [b, alpha, gamma]
+             resp2],                                       # [c, gamma, beta]
+            states0,
+            states2,
             outcome_labels=[m0.outcome_labels, m1.outcome_labels],
         )
 
@@ -228,19 +237,19 @@ def build_triangle_patterns(pattern: str, slots, measurements) -> NLHSModel:
             raise PatternError("first slot needs a separable decomposition")
         povms0 = [induced_measurement(m0, r, "left") for r in d0.right_states]
         try:
-            data1 = s1.provider.find(s1.state, effect_stack(povms0), direction="right")
+            dist1, resp1, states1 = uns_model(s1, povms0, 0)
         except ModelNotFoundError as exc:
             raise ModelNotFoundError(f"UNS slot 1: {exc}") from exc
-        povms1 = [induced_measurement(m1, g, "left") for g in data1.states]
+        povms1 = [induced_measurement(m1, g, "left") for g in states1]
         try:
-            data2 = s2.provider.find(s2.state, effect_stack(povms1), direction="right")
+            dist2, resp2, states2 = uns_model(s2, povms1, 0)
         except ModelNotFoundError as exc:
             raise ModelNotFoundError(f"UNS slot 2: {exc}") from exc
         return NLHSModel(
-            [d0.weights, data1.dist, data2.dist],
-            [data1.response, data2.response],
+            [d0.weights, dist1, dist2],
+            [resp1, resp2],
             d0.left_states,
-            data2.states,
+            states2,
             outcome_labels=[m0.outcome_labels, m1.outcome_labels],
         )
 
@@ -250,19 +259,19 @@ def build_triangle_patterns(pattern: str, slots, measurements) -> NLHSModel:
             raise PatternError("last slot needs a separable decomposition")
         povms1 = [induced_measurement(m1, l, "right") for l in d2.left_states]
         try:
-            data1 = s1.provider.find(s1.state, effect_stack(povms1), direction="left")
+            dist1, resp1, states1 = uns_model(s1, povms1, 1)
         except ModelNotFoundError as exc:
             raise ModelNotFoundError(f"UNS slot 1: {exc}") from exc
-        povms0 = [induced_measurement(m0, g, "right") for g in data1.states]
+        povms0 = [induced_measurement(m0, g, "right") for g in states1]
         try:
-            data0 = s0.provider.find(s0.state, effect_stack(povms0), direction="left")
+            dist0, resp0, states0 = uns_model(s0, povms0, 1)
         except ModelNotFoundError as exc:
             raise ModelNotFoundError(f"UNS slot 0: {exc}") from exc
         return NLHSModel(
-            [data0.dist, data1.dist, d2.weights],
-            [np.transpose(data0.response, (0, 2, 1)),
-             np.transpose(data1.response, (0, 2, 1))],
-            data0.states,
+            [dist0, dist1, d2.weights],
+            [np.transpose(resp0, (0, 2, 1)),
+             np.transpose(resp1, (0, 2, 1))],
+            states0,
             d2.right_states,
             outcome_labels=[m0.outcome_labels, m1.outcome_labels],
         )

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import functools
 import operator
 import importlib.resources
@@ -277,6 +278,24 @@ class TestCSVWriter:
     def test_refuses_empty_report(self, tmp_path):
         with pytest.raises(ValueError, match="nothing to write"):
             write_csv(ExperimentReport("csv", {}, {"x": []}, True), tmp_path / "r.csv")
+
+
+class TestCheckedRecordsAreFrozen:
+    """A fixture's slots and a sweep's spec are checked when they are built;
+    assigning to a field afterwards raises, so no change can skip the checks
+    (a SEP slot without its decomposition, a kind no resolver knows, a
+    2-party activation, a sweep of no steps)."""
+
+    @pytest.mark.parametrize("field,value", [("decomposition", None), ("kind", "BOGUS")])
+    def test_source_slot(self, field, value):
+        slot = load_fixture(fixture_path("sep_loc_sep"))[1][0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(slot, field, value)
+
+    @pytest.mark.parametrize("field,value", [("n_parties", 2), ("omega_range", (0, 1, 0))])
+    def test_sweep_spec(self, field, value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(SweepSpec(), field, value)
 
 
 class TestFixtures:

@@ -2,6 +2,7 @@ import importlib.resources
 import importlib.util
 import itertools
 import json
+import re
 from collections import Counter
 import time
 from pathlib import Path
@@ -17,7 +18,6 @@ from netsteer.experiments import run_nlhs
 from netsteer.network import (LinearNetwork, NetworkAssemblage, _distinct, line_assemblage,
                               standard_assemblage)
 from netsteer.nlhs import (
-    BruteForceLHSProvider,
     LOC,
     RECONSTRUCTION_TOL,
     ModelNotFoundError,
@@ -25,7 +25,6 @@ from netsteer.nlhs import (
     PatternError,
     SEP,
     SeparableDecomposition,
-    SeparableLHSProvider,
     SourceSlot,
     UNS_LEFT,
     UNS_RIGHT,
@@ -50,6 +49,7 @@ from netsteer.operators import (
 from netsteer.states import classical_correlated, werner
 
 from conftest import (
+    apply_and_trace,
     max_entry_distance,
     negativity,
     rand_density,
@@ -515,110 +515,90 @@ class TestKronOracles:
             self._check_state(SeparableDecomposition(w, neg_states, neg_states), "kron")
 
 
-class TestProviders:
-    def _check_lhs(self, data, rho, povms, direction):
-        side = "left" if direction == "right" else "right"
-        asm = standard_assemblage(rho, povms, side=side)
-        assert asm.shape[:2] == data.response.shape[:2]
+class TestLHSModels:
+    """The two LHS models of an UNS slot: read off its decomposition, or
+    found by the search.  Factor ``measured`` of the source is measured; the
+    hidden states live on the other factor."""
+
+    @staticmethod
+    def _check_lhs(model, rho, povms, measured):
+        dist, resp, states = model[:3]
+        asm = standard_assemblage(rho, povms, side=("left", "right")[measured])
+        assert asm.shape[:2] == resp.shape[:2]
         for b, x in np.ndindex(asm.shape[:2]):
-            rebuilt = sum(
-                data.dist[l] * data.response[b, x, l] * data.states[l]
-                for l in range(len(data.dist))
-            )
+            rebuilt = sum(dist[l] * resp[b, x, l] * states[l] for l in range(len(dist)))
             assert np.max(np.abs(rebuilt - asm[b, x])) < 1e-9
 
-    def test_separable_provider(self):
+    @pytest.mark.parametrize("measured", [0, 1])
+    def test_read_off_decomposition(self, measured):
         dec = werner_separable_decomposition(0.3)
         povms = [pauli_projective(Z), pauli_projective(X)]
-        data = SeparableLHSProvider(dec).find(werner(0.3), effect_stack(povms), "right")
-        self._check_lhs(data, werner(0.3), povms, "right")
+        model = nlhs._read_off(dec, effect_stack(povms), measured)
+        assert model[0] is dec.weights
+        assert model[2] is (dec.right_states, dec.left_states)[measured]
+        self._check_lhs(model, werner(0.3), povms, measured)
 
-    def test_separable_provider_rejects_wrong_state(self):
-        dec = werner_separable_decomposition(0.3)
-        with pytest.raises(ModelNotFoundError):
-            SeparableLHSProvider(dec).find(werner(0.2), effect_stack([pauli_projective(Z)]),
-                                           "right")
-
-    def test_brute_force_finds_unsteerable_model(self):
+    def test_search_finds_unsteerable_model(self):
         povms = [pauli_projective(Z), pauli_projective(X)]
-        data = BruteForceLHSProvider().find(werner(0.5), effect_stack(povms), "right")
-        self._check_lhs(data, werner(0.5), povms, "right")
+        model = nlhs._lhs_search(werner(0.5), effect_stack(povms), 0)
+        self._check_lhs(model, werner(0.5), povms, 0)
 
-    def test_brute_force_fails_on_steerable_behaviour(self):
+    def test_search_fails_on_steerable_behaviour(self):
         # omega = 0.9 violates the two-axis witness, so no LHS model exists
         povms = [pauli_projective(Z), pauli_projective(X)]
         with pytest.raises(ModelNotFoundError):
-            BruteForceLHSProvider().find(werner(0.9), effect_stack(povms), "right")
+            nlhs._lhs_search(werner(0.9), effect_stack(povms), 0)
 
-    @pytest.mark.parametrize("direction", ["right", "left"])
+    @pytest.mark.parametrize("measured", [0, 1])
     @pytest.mark.parametrize("axes", [(Z, X), (Z, X, Y)], ids=["zx", "zxy"])
-    def test_brute_force_both_directions(self, axes, direction):
+    def test_search_both_directions(self, axes, measured):
         povms = [pauli_projective(a) for a in axes]
-        data = BruteForceLHSProvider().find(werner(0.4), effect_stack(povms), direction)
-        self._check_lhs(data, werner(0.4), povms, direction)
+        model = nlhs._lhs_search(werner(0.4), effect_stack(povms), measured)
+        self._check_lhs(model, werner(0.4), povms, measured)
 
-    def test_brute_force_refuses_oversized_search(self):
+    def test_search_refuses_oversized_search(self):
         # 24 distinct axes stay 24 inputs after the merge of equal inputs:
         # 2^24 strategies x 74 candidates x 384 rows, refused before it is built
         povms = [pauli_projective(u) for u in fibonacci_sphere(24)]
         start = time.perf_counter()
         with pytest.raises(ModelNotFoundError, match="search limit"):
-            BruteForceLHSProvider().find(werner(0.4), effect_stack(povms), "right")
+            nlhs._lhs_search(werner(0.4), effect_stack(povms), 0)
         assert time.perf_counter() - start < 1.0
-
 
     @pytest.mark.parametrize(
         "axes,reps",
         [((Z, Z, X), (0, 0, 1)), ((Z, X, X), (0, 1, 1)), ((Z, X, Z, Y, X, Z), (0, 1, 0, 2, 1, 0))],
         ids=["first", "last", "interleaved"],
     )
-    @pytest.mark.parametrize("direction", ["right", "left"])
-    def test_brute_force_merges_repeated_inputs(self, axes, reps, direction):
+    @pytest.mark.parametrize("measured", [0, 1])
+    def test_search_merges_repeated_inputs(self, axes, reps, measured):
         rho = werner(0.4)
         povms = [pauli_projective(a) for a in axes]
-        data = BruteForceLHSProvider().find(rho, effect_stack(povms), direction)
-        assert data.inputs_distinct == max(reps) + 1
-        assert data.response.shape[:2] == (2, len(axes))
+        dist, resp, states, n_in = nlhs._lhs_search(rho, effect_stack(povms), measured)
+        assert n_in == max(reps) + 1
+        assert resp.shape[:2] == (2, len(axes))
         for x, r in enumerate(reps):
             # a duplicate answers exactly as its representative, the first occurrence
-            assert np.array_equal(data.response[:, x], data.response[:, reps.index(r)])
-        side = "left" if direction == "right" else "right"
-        asm = standard_assemblage(rho, povms, side=side)
-        rebuilt = np.einsum("l,bxl,lij->bxij", data.dist, data.response, data.states)
+            assert np.array_equal(resp[:, x], resp[:, reps.index(r)])
+        asm = standard_assemblage(rho, povms, side=("left", "right")[measured])
+        rebuilt = np.einsum("l,bxl,lij->bxij", dist, resp, states)
         assert np.max(np.abs(rebuilt - asm)) <= RECONSTRUCTION_TOL
 
-    def test_brute_force_keeps_inputs_one_ulp_apart(self):
+    def test_search_keeps_inputs_one_ulp_apart(self):
         # Tr_A[(E (x) 1) 1/4] = Tr(E)/4 exactly, so the steered states of the
         # two inputs differ in one entry by one ulp
         bumped = np.diag([np.nextafter(1.0, 2.0), 0.0])
         z_bumped = POVM([QOperator(bumped, [2]), QOperator(pauli_projective(Z).matrices[1], [2])])
         mixed = QOperator(np.eye(4) / 4, [2, 2])
         effects = effect_stack([pauli_projective(Z), z_bumped])
-        data = BruteForceLHSProvider().find(mixed, effects, "right")
-        assert data.inputs_distinct == 2
-
-    @pytest.mark.parametrize("direction", ["rihgt", "Right", "", None])
-    @pytest.mark.parametrize("provider", ["separable", "brute-force"])
-    def test_rejects_unknown_direction(self, provider, direction):
-        finder = (SeparableLHSProvider(werner_separable_decomposition(0.3))
-                  if provider == "separable" else BruteForceLHSProvider())
-        with pytest.raises(ValueError, match="direction must be 'left' or 'right'"):
-            finder.find(werner(0.3), effect_stack([pauli_projective(Z), pauli_projective(X)]),
-                        direction)
-
-    def test_slot_provider_follows_decomposition(self):
-        dec = werner_separable_decomposition(0.3)
-        assert isinstance(SourceSlot(UNS_RIGHT, werner(0.3), dec).provider, SeparableLHSProvider)
-        assert isinstance(SourceSlot(UNS_LEFT, werner(0.4)).provider, BruteForceLHSProvider)
-        assert SourceSlot(SEP, werner(0.3), dec).provider is None
-        assert SourceSlot(LOC, werner(0.5)).provider is None
+        assert nlhs._lhs_search(mixed, effects, 0)[3] == 2
 
 
 class TestSolveLHV:
     def test_local_behaviour_decomposes(self):
         povms = [pauli_projective(Z), pauli_projective(X)]
         behavior = lhv_behavior(werner(0.5), povms, povms)
-        dist, resp_b, resp_c = solve_lhv(behavior)
+        dist, resp_b, resp_c, _, _ = solve_lhv(behavior)
         rebuilt = np.einsum("l,bxl,cyl->bcxy", dist, resp_b, resp_c)
         assert np.max(np.abs(rebuilt - behavior)) < 1e-10
         assert abs(dist.sum() - 1.0) < 1e-10
@@ -646,7 +626,7 @@ class TestSolveLHV:
             for x in range(3):
                 for y in range(2):
                     behavior[b_of_x[x], c_of_y[y], x, y] += w
-        dist, resp_b, resp_c = solve_lhv(behavior)
+        dist, resp_b, resp_c, _, _ = solve_lhv(behavior)
         assert resp_b.shape == (2, 3, len(dist))
         assert resp_c.shape == (3, 2, len(dist))
         rebuilt = np.einsum("l,bxl,cyl->bcxy", dist, resp_b, resp_c)
@@ -671,7 +651,8 @@ class TestSolveLHV:
     def test_merges_repeated_inputs(self, x_axes, y_axes):
         behavior = lhv_behavior(werner(0.5), [pauli_projective(a) for a in x_axes],
                                 [pauli_projective(a) for a in y_axes])
-        dist, resp_b, resp_c = solve_lhv(behavior)
+        dist, resp_b, resp_c, n_x, n_y = solve_lhv(behavior)
+        assert (n_x, n_y) == (len(set(x_axes)), len(set(y_axes)))
         assert resp_b.shape[1] == len(x_axes) and resp_c.shape[1] == len(y_axes)
         for axes, resp in ((x_axes, resp_b), (y_axes, resp_c)):
             for x, a in enumerate(axes):
@@ -752,9 +733,7 @@ class TestConstructors:
     def test_sep_unsteer_bilocal(self):
         cc = classical_correlated_decomposition(2)
         m = bell_swap_povm(2)
-        model = build_sep_unsteer_bilocal(
-            cc, werner(0.3), m, BruteForceLHSProvider()
-        )
+        model = build_sep_unsteer_bilocal(cc, werner(0.3), m)
         net = LinearNetwork([cc.state(), werner(0.3)], [m])
         assert _assemblage_deviation(model, net) < 1e-10
 
@@ -855,6 +834,24 @@ class TestConstructors:
                                                "reproduce the slot's state"):
             build_percolation_line(slots, [bell_swap_povm(2)])
 
+    @pytest.mark.parametrize("kinds,bad", [((UNS_LEFT, UNS_LEFT, SEP), 0),
+                                           ((UNS_LEFT, SEP, UNS_RIGHT), 2)],
+                             ids=["UNS_LEFT", "UNS_RIGHT"])
+    def test_percolation_rejects_uns_decomposition_of_another_state(self, monkeypatch, kinds, bad):
+        # a Werner(0.3) decomposition handed over for a Werner(0.4) source, on
+        # a line whose other UNS slot has no decomposition and is resolved
+        # first: the check runs before any search
+        cc, w = classical_correlated_decomposition(2), werner_separable_decomposition(0.3)
+        slots = [SourceSlot(SEP, cc.state(), cc) if k == SEP
+                 else SourceSlot(k, werner(0.4), w if i == bad else None)
+                 for i, k in enumerate(kinds)]
+        searches = []
+        monkeypatch.setattr(nlhs, "_lhs_search", lambda *args: searches.append(args))
+        with pytest.raises(PatternError, match=f"slot {bad}: {kinds[bad]} decomposition does "
+                                               "not reproduce the slot's state"):
+            build_percolation_line(slots, [bell_swap_povm(2)] * 2)
+        assert searches == []
+
     def test_percolation_rejects_bad_endpoints(self):
         with pytest.raises(PatternError):
             build_percolation_line(
@@ -926,6 +923,20 @@ class TestResolutionSchedule:
             "slot 1: UNS_LEFT resolved via measurement 1",
             "slot 0: UNS_LEFT resolved via measurement 0",
             "slot 3: UNS_RIGHT resolved via measurement 2",
+        ]
+
+    def test_only_searched_uns_slots_print_a_count(self):
+        # the same Werner(0.3) source, once with its decomposition and once
+        # without; slot 1 passes on the decomposition's ten right states, six
+        # Pauli eigenprojectors and four flags equal to Z's, so six inputs
+        cc, w = classical_correlated_decomposition(2), werner_separable_decomposition(0.3)
+        slots = [SourceSlot(SEP, cc.state(), cc), SourceSlot(UNS_RIGHT, werner(0.3), w),
+                 SourceSlot(UNS_RIGHT, werner(0.3))]
+        _, transcript = build_percolation_line(slots, [bell_swap_povm(2)] * 2)
+        assert transcript == [
+            "slot 0: SEP resolved from decomposition",
+            "slot 1: UNS_RIGHT resolved via measurement 0",
+            "slot 2: UNS_RIGHT resolved via measurement 1 (6 of 10 inputs distinct)",
         ]
 
     def test_every_pattern_of_two_to_five_sources(self):
@@ -1103,6 +1114,48 @@ def _through_public_constructor(obj):
     if isinstance(obj, SeparableMeasurement):
         return SeparableMeasurement(obj.terms, obj.outcome_labels)
     return POVM([QOperator(m, obj.dims) for m in obj.matrices], obj.outcome_labels)
+
+
+class TestTranscriptCounts:
+    """Every count of inputs the transcript prints is the ``distinct_inputs``
+    recount of what its search was handed: the steered states of each input
+    of an UNS search, each formed by the single-matrix ``apply_and_trace``
+    oracle, and the x- and y-slices of a LOC search's full behaviour.  Each
+    search prints one line of counts and nothing else prints one."""
+
+    @staticmethod
+    def _recount(name, args):
+        if name == "solve_lhv":
+            (behavior,) = args
+            return [(len(distinct_inputs(np.moveaxis(behavior, axis, 0))[0]), behavior.shape[axis])
+                    for axis in (2, 3)]
+        rho, effects, measured = args
+        dim = rho.dims[measured]
+        steered = np.array([[apply_and_trace(rho, QOperator(e, [dim]), measured).matrix
+                             for e in povm] for povm in effects])
+        return [(len(distinct_inputs(steered)[0]), len(effects))]
+
+    def _check(self, monkeypatch, paths):
+        searches = []
+        for fn in (nlhs._lhs_search, nlhs.solve_lhv):
+            def spy(*args, fn=fn):
+                searches.append((fn.__name__, args))
+                return fn(*args)
+            monkeypatch.setattr(nlhs, fn.__name__, spy)
+        for path in paths:
+            searches.clear()
+            _, slots, net = load_fixture(path)
+            _, transcript = build_percolation_line(slots, net.central_measurements)
+            printed = [[tuple(map(int, pair)) for pair in re.findall(r"(\d+) of (\d+)", line)]
+                       for line in transcript if " of " in line]
+            assert printed == [self._recount(*search) for search in searches], path
+
+    @pytest.mark.parametrize("path", FIXTURES.values(), ids=FIXTURES.keys())
+    def test_fixture(self, monkeypatch, path):
+        self._check(monkeypatch, [path])
+
+    def test_snapshot_fixtures(self, monkeypatch, tmp_path):
+        self._check(monkeypatch, _snapshot_fixtures(tmp_path).values())
 
 
 class TestUncheckedPartsPassTheChecks:
