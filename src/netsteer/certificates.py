@@ -95,8 +95,7 @@ def certify_network_steering(asm: NetworkAssemblage) -> Verdict:
     negative answer is Inconclusive.
     """
     values, entangled = _row_negativities(asm)
-    if asm._index is not None:
-        values, entangled = values[asm._index], entangled[asm._index]
+    values, entangled = values[asm._index], entangled[asm._index]
     if entangled.any():
         best = int(np.argmax(values))
         return Verdict(CERTIFIED, {"negativity": float(values[best]),

@@ -97,7 +97,7 @@ def _swap_deviations(etas: np.ndarray, omegas: np.ndarray) -> np.ndarray:
     element of two erased Werner sources and (eta^2/4) times the
     squared-visibility state."""
     src, _ = _sources(etas, omegas)
-    element = _contract([src, src], [_SUCCESS])
+    element, _ = _contract([src, src], [_SUCCESS])
     expected = (etas * etas / 4.0)[:, None, None] * _dew_stack(etas, omegas * omegas)
     return np.max(np.abs(element - expected), axis=(1, 2))
 
@@ -124,7 +124,7 @@ def _activation_columns(n_parties: int, etas: np.ndarray, omegas: np.ndarray) ->
     each point's line."""
     n_src = n_parties - 1
     src, src_extremes = _sources(etas, omegas)
-    sigma0 = _contract([src] * n_src, [_SUCCESS] * (n_src - 1))
+    sigma0, _ = _contract([src] * n_src, [_SUCCESS] * (n_src - 1))
     g = len(etas)
     mats = np.concatenate([src.reshape(g, 9, 9), sigma0])
     # sigma0's extremes for the negativity precondition alone: no tolerance
@@ -221,9 +221,9 @@ def run_nlhs(fixture_path, realize: bool = False) -> ExperimentReport:
     if realize:
         # the realised line, outcome tuples in the order of ``rebuilt`` by construction
         realization = nlhs_to_separable_realization(model)
-        realized = _contract(_tensors([dec.state() for dec in realization.source_decompositions]),
-                             [cert.matrices for cert in realization.measurement_certificates])
-        rdev = float(np.max(np.abs(realized - rebuilt.matrices)))
+        rows, index = _contract(_tensors([dec.state() for dec in realization.source_decompositions]),
+                                [cert.matrices for cert in realization.measurement_certificates])
+        rdev = float(np.max(np.abs(rows[index] - rebuilt.matrices)))
         extra["realization_deviation"] = rdev
         ok = ok and rdev <= RECONSTRUCTION_TOL
         dev = max(dev, rdev)

@@ -15,15 +15,16 @@ branches.
 
 Many branches of a line carry the same bytes (a 13-party line of
 doubly-erased Werner sources has 2,048 branches but only 759 to 825
-distinct elements).  ``_contract`` contracts each distinct prefix once,
-and the assemblage checks, and the verdicts partial-transpose, each
-distinct element once; every per-element result is gathered back through
-an index from outcome tuple to distinct row.  One screen serves both
-checks (``operators._psd_cleared``): a Cholesky factorisation shifted by
-half the negativity cutoff proves a block's elements PSD, and their partial
-transposes PPT, and only the rows it cannot clear are eigendecomposed.
-A step computes each row alone, whatever the block it sits in, so the
-merged stack equals the unmerged one byte for byte.
+distinct elements).  ``_contract`` merges the repeated rows after every
+step, the last included, and hands the assemblage its distinct rows and an
+index from outcome tuple to distinct row; the assemblage checks, and the
+verdicts partial-transpose, each distinct element once, and every
+per-element result is gathered back through that index.  One screen
+serves both checks (``operators._psd_cleared``): a Cholesky factorisation
+shifted by half the negativity cutoff proves a block's elements PSD, and
+their partial transposes PPT, and only the rows it cannot clear are
+eigendecomposed.  A step computes each row alone, whatever the block it
+sits in, so the merged stack equals the unmerged one byte for byte.
 """
 
 from __future__ import annotations
@@ -89,12 +90,15 @@ class NetworkAssemblage:
     element of ``outcomes[k]`` on the endpoint factors ``dims``.
 
     Byte-identical elements are checked once: ``_rows`` holds the distinct
-    elements in order of first occurrence (``_distinct``), and ``_index[k]``
-    the row of element k, or None when no two elements are equal, and then
-    ``_rows`` is ``matrices``.  The PSD check eigendecomposes only the rows
-    the Cholesky screen does not prove PSD (``_psd_screened``):
-    ``_row_extremes`` holds their smallest and largest eigenvalue, for the
-    negativity precondition, and NaN for the proven rows."""
+    elements in order of first occurrence and ``_index[k]`` the row of
+    element k.  The constructor finds them with ``_distinct``, and
+    ``line_assemblage`` takes them from the contraction; either way
+    ``_hold`` checks the rows and gathers ``matrices`` once.  Without
+    repeats ``_index`` is the identity and ``_rows`` is ``matrices``.  The
+    PSD check eigendecomposes only the rows the Cholesky screen does not
+    prove PSD (``_psd_screened``): ``_row_extremes`` holds their smallest
+    and largest eigenvalue, for the negativity precondition, and NaN for
+    the proven rows."""
 
     matrices: np.ndarray
     outcomes: tuple
@@ -113,22 +117,29 @@ class NetworkAssemblage:
         if len(set(outcomes)) != len(outcomes):
             raise ValueError("outcome keys must be distinct")
         rows, index = _distinct(stack)
-        # the assemblage's own copy: the gather of the distinct rows, or a copy
-        # of a stack without repeats, so that a caller's array is never held
-        # nor made read-only
-        rows = rows.copy() if index is None else rows
-        traces = np.trace(rows, axis1=1, axis2=2).real
-        total = float((traces if index is None else traces[index]).sum())
+        # the assemblage's own copy: the distinct rows, or a copy of a stack
+        # without repeats, so that a caller's array is never held nor made
+        # read-only
+        self._hold(rows.copy() if rows is stack else rows, index, outcomes, dims)
+
+    def _hold(self, rows: np.ndarray, index: np.ndarray, outcomes: tuple,
+              dims: tuple[int, int]) -> NetworkAssemblage:
+        """Check the distinct ``rows`` of the elements, element k being row
+        ``index[k]``, and hold them: their traces sum to 1 through the
+        index, and one screened PSD check covers every row.  Takes
+        ownership of ``rows`` and ``index``, which become read-only."""
+        total = float(np.trace(rows, axis1=1, axis2=2).real[index].sum())
         if abs(total - 1.0) > TOL_NORM:
             raise ValueError(f"element traces sum to {total}, expected 1")
         row_extremes = _psd_screened(rows, TOL_CHECK)
         if row_extremes is None:
             raise ValueError("assemblage element is not PSD")
-        matrices = rows if index is None else rows[index]
-        for held in (rows, row_extremes, matrices):
+        # as many rows as elements: the index is the identity
+        matrices = rows if len(rows) == len(index) else rows[index]
+        for held in (rows, index, row_extremes, matrices):
             held.flags.writeable = False
-        _set_fields(self, matrices=matrices, outcomes=outcomes, dims=dims, _rows=rows,
-                    _row_extremes=row_extremes, _index=index)
+        return _set_fields(self, matrices=matrices, outcomes=outcomes, dims=dims, _rows=rows,
+                           _row_extremes=row_extremes, _index=index)
 
     @property
     def elements(self) -> dict:
@@ -186,10 +197,11 @@ def _key_weights(n: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The distinct rows of a (p, ...) stack, equal meaning equal bytes, in
-    order of first occurrence, and the index of each row's distinct row;
-    ``(stack, None)`` when no two rows are equal.
+    order of first occurrence, and the index of each row's distinct row.
+    When no two rows are equal the rows are ``stack`` itself and the index
+    is ``arange(p)``.
 
     Rows whose first 64-bit words differ are distinct, so a stack without
     repeats mostly costs one sort of p words.  Otherwise each row is keyed
@@ -200,14 +212,14 @@ def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     sign of a zero, are never merged.
     """
     p = len(stack)
+    first = np.arange(p)            # the first row equal to each row
     if p < 2:
-        return stack, None
+        return stack, first
     words = np.ascontiguousarray(stack).reshape(p, -1).view(np.uint64)
     leading = np.sort(words[:, 0])
     if (leading[1:] != leading[:-1]).all():
-        return stack, None
+        return stack, first
     keys = np.einsum("ij,j->i", words, _key_weights(words.shape[1]))
-    first = np.arange(p)            # the first row equal to each row
     todo = np.arange(p)
     while len(todo) > 1:
         order = todo[np.argsort(keys[todo], kind="stable")]
@@ -223,45 +235,43 @@ def _distinct(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         todo = np.sort(rows[~equal])
     keep = first == np.arange(p)
     if keep.all():
-        return stack, None
+        return stack, first
     return stack[keep], (np.cumsum(keep) - 1)[first]
 
 
-def _contract(sources: Sequence[np.ndarray], choices: Sequence[np.ndarray]) -> np.ndarray:
+def _contract(sources: Sequence[np.ndarray],
+              choices: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Elements for every combination of ``choices[j]``, a stack of effects
-    of central measurement j, of the line whose source i is the (c, d, c, d) tensor
-    ``sources[i]``, as an (n, a d, a d) stack in ``itertools.product`` order.
+    of central measurement j, of the line whose source i is the (c, d, c, d)
+    tensor ``sources[i]``: the distinct elements as an (r, a d, a d) stack,
+    and the index of each element's row, in ``itertools.product`` order.
 
-    Each distinct branch is contracted once: after every step but the last
-    the byte-identical prefix rows are merged (``_distinct``), and an index
-    from each outcome tuple so far to its distinct row is carried through
-    the next step, which turns row r and effect e into row r k + e.  Equal
-    prefixes absorbing the same source through the same effects give equal
-    children, and the last step's rows are gathered back through the index.
-    Per-row data of a step, such as a scale taken out of each prefix row,
-    would travel through the same index.
+    Each distinct branch is contracted once: after every step, the last
+    included, the byte-identical rows are merged (``_distinct``), and the
+    index from each outcome tuple so far to its distinct row is carried
+    through the step, which turns row r and effect e into row r k + e.
+    Equal prefixes absorbing the same source through the same effects give
+    equal children.  Nothing is gathered: the rows keep the order of first
+    occurrence among the outcome tuples, as ``_distinct`` of the gathered
+    stack would give them.  Per-row data of a step, such as a scale taken
+    out of each prefix row, would travel through the same index.
 
     Grid form: every source may instead be a (G, c, d, c, d) stack, row g
     the source of line g; with one effect per choice, row g of the result
     is then the element of line g.  A grid step absorbs one source per row,
     so equal prefix rows need not give equal children, and with one effect
     per measurement no branch of a line repeats another: the grid form is
-    not merged.
+    not merged, and its index is the identity.
     """
     t = sources[0].reshape((-1,) + sources[0].shape[-4:])
-    index = None
-    for j, (effects, source) in enumerate(zip(choices, sources[1:])):
-        if j and source.ndim == 4:
-            t, merged = _distinct(t)
-            if merged is not None:
-                index = merged if index is None else merged[index]
-        if index is not None:
-            k = len(effects)
-            index = (index[:, None] * k + np.arange(k)).ravel()
+    index = np.arange(len(t))
+    for effects, source in zip(choices, sources[1:]):
         t = _step(t, effects, source)
+        if source.ndim == 4:
+            t, merged = _distinct(t)
+            index = merged.reshape(-1, len(effects))[index].ravel()
     side = t.shape[1] * t.shape[2]
-    t = t.reshape(-1, side, side)
-    return t if index is None else t[index]
+    return t.reshape(-1, side, side), index
 
 
 def _tensors(sources: Sequence[QOperator]) -> list[np.ndarray]:
@@ -272,13 +282,13 @@ def _tensors(sources: Sequence[QOperator]) -> list[np.ndarray]:
 def line_assemblage(net: LinearNetwork) -> NetworkAssemblage:
     """Network assemblage of a linear network with trusted endpoints,
     contracted left to right, all outcomes of a measurement in one step,
-    each distinct prefix once."""
+    each distinct prefix once; the assemblage holds the contraction's
+    distinct rows and index without merging them again."""
     central = net.central_measurements
-    return NetworkAssemblage(
-        _contract(_tensors(net.sources), [m.matrices for m in central]),
-        itertools.product(*(m.outcome_labels for m in central)),
-        net.endpoint_dims,
-    )
+    rows, index = _contract(_tensors(net.sources), [m.matrices for m in central])
+    return object.__new__(NetworkAssemblage)._hold(
+        rows, index, tuple(itertools.product(*(m.outcome_labels for m in central))),
+        net.endpoint_dims)
 
 
 def standard_assemblage(rho: QOperator, measurements: Sequence[POVM],

@@ -36,6 +36,9 @@ from .network import NetworkAssemblage, _distinct, standard_assemblage
 
 RECONSTRUCTION_TOL = 1e-10
 N_BLOCH = 26              # Fibonacci-grid qubit states added to the LHS candidates
+# The largest Werner visibility given a separable decomposition: the
+# separability bound 1/3, with room for the rounding of a visibility read as 1/3.
+WERNER_SEPARABLE_MAX = 1.0 / 3.0 + 1e-12
 # Rows x columns of the largest NNLS system built: 2**25 float64 entries,
 # 256 MiB.  It bounds the system's size, not its solve time: a LOC slot on a
 # maximally mixed (4, 2) source between classical_correlated d=4 and d=2
@@ -238,7 +241,7 @@ def werner_separable_decomposition(omega: float) -> SeparableDecomposition:
     ``SeparableDecomposition``'s checks and the states are projectors, so
     neither is checked.
     """
-    if not 0.0 <= omega <= 1.0 / 3.0 + 1e-12:
+    if not 0.0 <= omega <= WERNER_SEPARABLE_MAX:
         raise ValueError(f"Werner state has no separable form for omega = {omega!r}")
     eye = np.eye(2, dtype=complex)
     # (P+, P-) and (P-, P+) for the eigenprojectors of each Pauli, then |i><i| (x) |j><j|
@@ -322,8 +325,9 @@ def _lhs_search(rho: QOperator, effects: np.ndarray, measured: int):
     solved by nonnegative least squares.  Only reconstructions within
     ``RECONSTRUCTION_TOL`` are accepted.  Inputs whose steered states
     sigma_{.|x} are equal byte for byte are solved once, as one input, and
-    answered as their first occurrence: the merge is ``network._distinct``,
-    the one the contraction uses.  A search whose system, after that merge,
+    answered as their first occurrence through the index of
+    ``network._distinct``, the contraction's merge (the identity when no
+    input repeats).  A search whose system, after that merge,
     would exceed ``MAX_SYSTEM_ENTRIES`` = 2**25 entries raises
     ``ModelNotFoundError`` before any of it is enumerated.  The limit bounds
     the system's size (256 MiB), not its solve time, which can run to
@@ -331,7 +335,6 @@ def _lhs_search(rho: QOperator, effects: np.ndarray, measured: int):
     n_out = effects.shape[1]
     steered, rep = _distinct(_apply_and_trace(rho.matrix[None], rho.dims, effects, measured)[0])
     n_in = len(steered)
-    rep = np.arange(n_in) if rep is None else rep
     sigma = _real_rows(steered)
     # the normalised steered states of the distinct inputs, then the qubit grid
     mats = steered.reshape((-1,) + steered.shape[2:])
@@ -370,8 +373,9 @@ def solve_lhv(behavior: np.ndarray):
     deterministic strategy pairs, left responses resp_b[b, x, l],
     right responses resp_c[c, y, l], the numbers of distinct x- and
     y-inputs solved for).  x-inputs whose slices p(., . | x, .) are equal
-    byte for byte, and then likewise y-inputs, are solved once, as one input
-    (``network._distinct``, the contraction's merge).
+    byte for byte, and then likewise y-inputs, are solved once, as one input,
+    and answered through the index of ``network._distinct``, the
+    contraction's merge (the identity when no input repeats).
     Deterministic-vertex weights are found by nonnegative least squares;
     first-feasible tie-break is the lowest lexicographic strategy index
     (nnls is deterministic).  A system over ``MAX_SYSTEM_ENTRIES`` after
@@ -379,17 +383,15 @@ def solve_lhv(behavior: np.ndarray):
     not the solve time: the 128 x 131,072 system of the example at
     ``MAX_SYSTEM_ENTRIES`` passes it and takes seconds to solve.
     """
-    n_b, n_c, n_x, n_y = behavior.shape
+    n_b, n_c = behavior.shape[:2]
     # the distinct x-slices [x, b, c, y], then the distinct y-slices of those [y, x, b, c]
     xs, rep_x = _distinct(np.moveaxis(behavior, 2, 0))
     ys, rep_y = _distinct(np.moveaxis(xs, 3, 0))
-    rep_x = np.arange(n_x) if rep_x is None else rep_x
-    rep_y = np.arange(n_y) if rep_y is None else rep_y
     behavior = ys.transpose(2, 3, 1, 0)
     _check_size(behavior.size, n_b ** len(xs) * n_c ** len(ys))
     left = _strategies(n_b, len(xs))
     right = _strategies(n_c, len(ys))
-    # rows ((b * n_c + c) * n_x + x) * n_y + y over the distinct x and y,
+    # rows ((b * n_c + c) * len(xs) + x) * len(ys) + y over the distinct x and y,
     # columns l * len(right) + r
     a_mat = np.einsum("lbx,rcy->bcxylr", left, right).reshape(behavior.size, -1)
     q = _nnls_weights(a_mat, behavior.reshape(-1), "LHV")

@@ -18,7 +18,8 @@ families), and one central measurement per adjacent pair:
     }
 
 Separable decompositions are attached automatically where the family
-provides one (classical_correlated always, werner for omega <= 1/3).
+provides one (classical_correlated always, werner for omega up to
+``nlhs.WERNER_SEPARABLE_MAX``, the bound 1/3 with room for rounding).
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .nlhs import (
     NLHSModel,
     PatternError,
     SourceSlot,
+    WERNER_SEPARABLE_MAX,
     _flags,
     classical_correlated_decomposition,
     werner_separable_decomposition,
@@ -179,7 +181,7 @@ def _build_source(doc: dict):
     if kind == "werner":
         omega = _number(doc["omega"], "omega")
         state = werner(omega)
-        if omega <= 1.0 / 3.0 + 1e-12:
+        if omega <= WERNER_SEPARABLE_MAX:
             return state, werner_separable_decomposition(omega)
         return state, None
     if kind == "dew":

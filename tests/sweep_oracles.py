@@ -188,7 +188,8 @@ def assemblage_element(net, outcome):
         raise DimensionError("one outcome label per central measurement required")
     choices = [m.matrices[m.outcome_labels.index(label)][None]
                for m, label in zip(net.central_measurements, outcome)]
-    return QOperator(_contract(_tensors(net.sources), choices)[0], net.endpoint_dims)
+    rows, index = _contract(_tensors(net.sources), choices)
+    return QOperator(rows[index[0]], net.endpoint_dims)
 
 
 def dew_channels(eta, omega):

@@ -257,7 +257,7 @@ class TestOneSpectrumPerCheck:
         omegas = spec.omegas()
         sources = _dew_stack((2.0 / 3.0) * (1.0 - omegas), omegas)
         tensors = sources.reshape(-1, 3, 3, 3, 3)
-        sigma0 = _contract([tensors] * 4, [bell_swap_povm(3).matrices[:1]] * 3)
+        sigma0, _ = _contract([tensors] * 4, [bell_swap_povm(3).matrices[:1]] * 3)
         live = sigma0[np.trace(sigma0, axis1=1, axis2=2).real > NEG_CUTOFF]
         transposed = _transpose_factors(np.concatenate([sources, live]), (3, 3), [1])
         lowest = np.array([spectra(m)[0] for m in transposed])
@@ -300,8 +300,8 @@ class TestOneSpectrumPerCheck:
         columns = run_activation(spec).columns
         omegas = spec.omegas()
         sources = _dew_stack((2.0 / 3.0) * (1.0 - omegas), omegas)
-        sigma0 = _contract([sources.reshape(-1, 3, 3, 3, 3)] * (n - 1),
-                           [bell_swap_povm(3).matrices[:1]] * (n - 2))
+        sigma0, _ = _contract([sources.reshape(-1, 3, 3, 3, 3)] * (n - 1),
+                              [bell_swap_povm(3).matrices[:1]] * (n - 2))
         values = np.array(columns["source_negativity"] + columns["sigma0_negativity"])
         oracle = negativities_from_scratch(np.concatenate([sources, sigma0]), (3, 3))
         assert np.any(oracle > 0) and np.any(oracle <= 0)

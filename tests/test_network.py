@@ -1,3 +1,4 @@
+import importlib.resources
 import itertools
 
 import numpy as np
@@ -5,12 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netsteer import certificates, network
 from netsteer.certificates import (
     CERTIFIED,
     INCONCLUSIVE,
     _endpoint_negativities,
     certify_network_steering,
 )
+from netsteer.experiments import AXIS_PRESETS
 from netsteer.measurements import (
     POVM,
     bell_swap_povm,
@@ -30,6 +33,7 @@ from netsteer.network import (
     standard_assemblage,
     untrusted_input_to_outcome,
 )
+from netsteer.nlhs_io import load_fixture
 from netsteer.operators import (
     CHECK_BLOCK_BYTES,
     NEG_CUTOFF,
@@ -245,10 +249,12 @@ class TestGridContraction:
         choices = [rand_psd(rng, (d, d)).matrix[None] for d in dims[1:-1]]
         stacks = [np.stack([line[i].matrix for line in lines]).reshape((n_lines,) + pair * 2)
                   for i, pair in enumerate(pairs)]
-        grid = _contract(stacks, choices)
+        grid, index = _contract(stacks, choices)
         assert grid.shape == (n_lines, 6, 6)
+        assert index.tolist() == list(range(n_lines))
         for row, line in zip(grid, lines):
-            alone = _contract([s.matrix.reshape(s.dims * 2) for s in line], choices)
+            alone, index = _contract([s.matrix.reshape(s.dims * 2) for s in line], choices)
+            assert index.tolist() == [0]
             assert row.tobytes() == alone[0].tobytes()
 
 
@@ -388,8 +394,7 @@ class TestStoredExtremes:
     # 2,048 elements of 9 x 9, across blocks of CHECK_BLOCK_BYTES // 1296
     @pytest.mark.parametrize("omega", [0.95, 0.86])
     def test_dew_line(self, omega):
-        net = LinearNetwork([dew(DEWParams(0.9, omega))] * 12, [bell_swap_povm(3)] * 11)
-        _assert_extremes_of_rows(line_assemblage(net))
+        _assert_extremes_of_rows(line_assemblage(_dew_line(omega)))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_mixed_dimension_line(self, seed):
@@ -532,7 +537,7 @@ def _assert_equals_unmerged(net):
     mats, extremes, (status, value, outcome) = _unmerged_line(net)
     assert asm.matrices.tobytes() == mats.tobytes()
     # the PSD check's extremes: NaN where the screen proved a row PSD
-    checked = asm._row_extremes if asm._index is None else asm._row_extremes[asm._index]
+    checked = asm._row_extremes[asm._index]
     left = ~np.isnan(checked[:, 0])
     assert checked[left].tobytes() == extremes[left].tobytes()
     assert verdict.status == status
@@ -591,6 +596,82 @@ def _lines_with_repeats(draw):
     return LinearNetwork(sources, central)
 
 
+def _dew_line(omega):
+    """One of the benchmark's two 13-party lines of doubly-erased Werner sources."""
+    return LinearNetwork([dew(DEWParams(0.9, omega))] * 12, [bell_swap_povm(3)] * 11)
+
+
+def _assert_one_merge(net):
+    """The distinct rows and index that ``line_assemblage`` takes from the
+    contraction, and what its check makes of them, equal byte for byte what
+    the constructor finds in the gathered stack."""
+    asm = line_assemblage(net)
+    again = NetworkAssemblage(asm.matrices.copy(), asm.outcomes, asm.dims)
+    for name in ("_rows", "_index", "_row_extremes", "matrices"):
+        got, want = getattr(asm, name), getattr(again, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+    return asm
+
+
+FIXTURE_PATHS = sorted(path for path in (importlib.resources.files("netsteer") / "fixtures").iterdir()
+                       if path.name.endswith(".json"))
+
+
+def _claims_line(preset):
+    """The input-encoded line that ``claims_pipeline`` contracts, caught on its way in."""
+    lines = []
+
+    def catching(net, _line_assemblage=certificates.line_assemblage):
+        lines.append(net)
+        return _line_assemblage(net)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certificates, "line_assemblage", catching)
+        certificates.claims_pipeline(werner(0.9), AXIS_PRESETS[preset])
+    (net,) = lines
+    return net
+
+
+class TestOneMerge:
+    """``line_assemblage`` holds the contraction's distinct rows and index as
+    they are: the gathered stack is never merged again, and what it holds
+    equals the public constructor's merge byte for byte."""
+
+    @pytest.mark.parametrize("omega", [0.95, 0.86])
+    def test_dew_line(self, omega):
+        assert len(_assert_one_merge(_dew_line(omega))._rows) == {0.95: 825, 0.86: 759}[omega]
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_mixed_dimension_line(self, seed):
+        rng = np.random.default_rng(seed)
+        _assert_one_merge(random_linear_network(rng, int(rng.integers(3, 8)), max_dim=4))
+
+    @pytest.mark.parametrize("path", FIXTURE_PATHS, ids=lambda path: path.name)
+    def test_bundled_fixture_line(self, path):
+        _assert_one_merge(load_fixture(path)[2])
+
+    @pytest.mark.parametrize("preset", sorted(AXIS_PRESETS))
+    def test_claims_pipeline_line(self, preset):
+        _assert_one_merge(_claims_line(preset))
+
+    @pytest.mark.parametrize("omega,last", [(0.95, 1120), (0.86, 1026)])
+    def test_dew_line_merges_once_per_step(self, omega, last, monkeypatch):
+        # 11 steps, 11 merges: the last step's children of the distinct
+        # prefixes, and never the 2,048 gathered elements
+        sizes = []
+
+        def counting(stack, _distinct=network._distinct):
+            sizes.append(len(stack))
+            return _distinct(stack)
+
+        monkeypatch.setattr(network, "_distinct", counting)
+        asm = line_assemblage(_dew_line(omega))
+        assert len(sizes) == 11 and 2048 not in sizes
+        assert sizes[-1] == last
+        assert (len(asm.matrices), len(asm._rows)) == (2048, {0.95: 825, 0.86: 759}[omega])
+
+
 class TestMergedBranches:
     """``_contract`` merges byte-identical prefix rows and the assemblage and
     its verdict handle each distinct element once.  On every line the
@@ -600,8 +681,7 @@ class TestMergedBranches:
 
     @pytest.mark.parametrize("omega,distinct", [(0.95, 825), (0.86, 759)])
     def test_dew_lines_equal_unmerged_contraction(self, omega, distinct):
-        # the benchmark's two 13-party lines of doubly-erased Werner sources
-        net = LinearNetwork([dew(DEWParams(0.9, omega))] * 12, [bell_swap_povm(3)] * 11)
+        net = _dew_line(omega)
         asm = _assert_equals_unmerged(net)
         assert (len(asm.matrices), len(asm._rows)) == (2048, distinct)
         for k, row in enumerate(asm._index):
@@ -621,13 +701,15 @@ class TestMergedBranches:
         net = random_linear_network(np.random.default_rng(5), 9, max_dim=4)
         assert len(set(net.endpoint_dims + tuple(m.dims[0] for m in net.central_measurements))) > 1
         asm = _assert_equals_unmerged(net)
-        assert asm._index is None and asm._rows is asm.matrices     # no repeats here
+        # no repeats here: the identity index, and the rows are the matrices
+        assert asm._index.tolist() == list(range(len(asm.matrices)))
+        assert asm._rows is asm.matrices
 
     @settings(max_examples=40, deadline=None)
     @given(_lines_with_repeats())
     def test_lines_with_repeats_match_brute_force_oracle(self, net):
         asm = line_assemblage(net)
-        assert asm._index is not None
+        assert len(asm._rows) < len(asm.matrices)      # the coin repeats every branch
         assert asm._rows[asm._index].tobytes() == asm.matrices.tobytes()
         # the PSD check's extremes: NaN where the screen proved a row PSD
         checked = asm._row_extremes[asm._index]
@@ -635,6 +717,7 @@ class TestMergedBranches:
         assert np.isnan(checked[~left]).all()
         assert checked[left].tobytes() == spectral_extremes(asm.matrices)[left].tobytes()
         assert len({row.tobytes() for row in asm.matrices}) == len(asm._rows)
+        _assert_one_merge(net)
         unmerged = unmerged_contract(_tensors(net.sources),
                                      [m.matrices for m in net.central_measurements])
         assert asm.matrices.tobytes() == unmerged.tobytes()
@@ -659,7 +742,9 @@ class TestMergedBranches:
         rows, index = _distinct(stack)
         assert rows.tobytes() == stack[[0, 1, 3]].tobytes()
         assert index.tolist() == [0, 1, 0, 2, 1]
-        assert _distinct(stack[[0, 1, 3]])[1] is None
+        distinct = stack[[0, 1, 3]]
+        rows, index = _distinct(distinct)
+        assert rows is distinct and index.tolist() == [0, 1, 2]
 
     def test_key_collisions_are_compared_byte_for_byte(self, rng, monkeypatch):
         # every row gets the same key: the rows are told apart by bytes alone

@@ -37,7 +37,7 @@ from netsteer.nlhs import (
     solve_lhv,
     werner_separable_decomposition,
 )
-from netsteer.nlhs_io import _build_measurement, load_fixture
+from netsteer.nlhs_io import _build_measurement, _build_source, load_fixture
 from netsteer.operators import (
     NEG_CUTOFF,
     PAULIS,
@@ -280,14 +280,15 @@ class TestValidatedOnce:
 
     @pytest.mark.parametrize("path", FIXTURES.values(), ids=FIXTURES.keys())
     def test_one_network_two_assemblages(self, path, monkeypatch):
-        # the fixture's line, then its quantum assemblage and the model's
+        # the fixture's line, then its quantum assemblage and the model's,
+        # each through the assemblage's one check body
         built = []
-        for cls in (LinearNetwork, NetworkAssemblage):
-            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+        for cls, name in ((LinearNetwork, "__init__"), (NetworkAssemblage, "_hold")):
+            def counting(self, *args, _method=getattr(cls, name), _name=cls.__name__, **kwargs):
                 built.append(_name)
-                _init(self, *args, **kwargs)
+                return _method(self, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__init__", counting)
+            monkeypatch.setattr(cls, name, counting)
         report = run_nlhs(path, realize=True)
         assert report.ok and report.extra["realization_deviation"] <= RECONSTRUCTION_TOL
         assert built == ["LinearNetwork", "NetworkAssemblage", "NetworkAssemblage"]
@@ -342,6 +343,20 @@ class TestDecompositions:
     def test_werner_decomposition_refuses_omega_outside_separable_range(self, omega):
         with pytest.raises(ValueError, match=f"omega = {omega!r}$"):
             werner_separable_decomposition(omega)
+
+    # on both sides of the one bound, and at it
+    @pytest.mark.parametrize("omega", [0.3, nlhs.WERNER_SEPARABLE_MAX,
+                                       float(np.nextafter(nlhs.WERNER_SEPARABLE_MAX, 1.0)), 0.5])
+    def test_fixture_werner_gets_a_decomposition_where_one_is_built(self, omega):
+        accepted = omega <= 1 / 3 + 1e-12
+        if not accepted:
+            with pytest.raises(ValueError, match="no separable form"):
+                werner_separable_decomposition(omega)
+        state, dec = _build_source({"kind": "werner", "omega": omega})
+        assert state.matrix.tobytes() == werner(omega).matrix.tobytes()
+        assert (dec is not None) == accepted
+        if accepted:
+            assert max_entry_distance(dec.state(), state) < 1e-12
 
     @pytest.mark.parametrize("d", [0, -1])
     def test_classical_correlated_decomposition_refuses_d_below_one(self, d):
@@ -718,7 +733,8 @@ class TestDistinctInputs:
     def test_one_ulp_is_distinct(self):
         rows = np.zeros((2, 3, 3), dtype=complex)
         rows[1, 2, 0] = np.nextafter(0.0, 1.0) * 1j
-        assert _distinct(rows)[1] is None
+        distinct, rep = _distinct(rows)
+        assert distinct is rows and rep.tolist() == [0, 1]
 
     @settings(max_examples=300, deadline=None)
     @given(_input_stacks())
@@ -726,7 +742,8 @@ class TestDistinctInputs:
         first, rep = distinct_inputs(stack)
         rows, index = _distinct(stack)
         assert rows.tobytes() == stack[first].tobytes()
-        assert (np.arange(len(stack)) if index is None else index).tolist() == rep.tolist()
+        assert index.tolist() == rep.tolist()
+        assert (rows is stack) == (len(rows) == len(stack))
 
 
 class TestConstructors:

@@ -164,7 +164,8 @@ class TestExactOracles:
         exact = symbolic_swap_element().subs({ETA: eta, OMEGA: omega})
         assert exact == (eta**2 / 4 * dew_exact(eta, omega**2)).applyfunc(sp.expand)
         source = dew(DEWParams(float(eta), float(omega)))
-        got = _contract(_tensors([source, source]), [bell_swap_povm(3).matrices[:1]])[0]
+        rows, index = _contract(_tensors([source, source]), [bell_swap_povm(3).matrices[:1]])
+        got = rows[index[0]]
         assert np.max(np.abs(got - np.array(exact, dtype=float))) <= 1e-14
 
     @pytest.mark.parametrize("n", range(3, 9))

@@ -1,15 +1,23 @@
 """The counting rules of ``tools/code_size.py``, the size metric of the
-ROADMAP, on a small synthetic package."""
+ROADMAP, on a small synthetic package, and the report of
+``tools/bench_pairs.py`` on synthetic run records."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-spec = importlib.util.spec_from_file_location(
-    "code_size", Path(__file__).resolve().parent.parent / "tools" / "code_size.py")
-code_size = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(code_size)
+
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(
+        name, Path(__file__).resolve().parent.parent / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+code_size = _load_tool("code_size")
+bench_pairs = _load_tool("bench_pairs")
 
 # 10 code lines, each marked "# code"; every other line is blank, a comment
 # or a docstring
@@ -98,3 +106,20 @@ def test_main_prints_each_module_the_total_and_exports(package, capsys):
 def test_main_refuses_a_directory_without_modules(tmp_path, capsys):
     assert code_size.main([str(tmp_path)]) == 2
     assert "no modules" in capsys.readouterr().err
+
+
+def _record(items_per_s, cpu_items_per_s):
+    """A run record of the fields ``bench_pairs.report`` reads."""
+    return {"metrics": {"items_per_s": {"value": items_per_s}},
+            "detail": {"cpu": {"items_per_s": cpu_items_per_s}},
+            "failed_ratio": 0.0}
+
+
+def test_bench_pairs_prints_each_runs_calibration_ratio(capsys):
+    # the two calibration levels: cpu / scaled items_per_s of 1.53 and 1.9
+    records = {"parent": [_record(7400.0, 11322.0)], "change": [_record(6100.0, 11590.0)]}
+    bench_pairs.report([{"name": "items_per_s", "better": "higher"}], records)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["calibration parent: 1.53", "calibration change: 1.9"]
+    assert lines[1].split()[:2] == ["items_per_s", "7400"]
+    assert lines[2].split()[:2] == ["cpu.items_per_s", "11322"]

@@ -21,7 +21,11 @@ has one, and the pairs the change won (ties count for neither side).  The
 last column says whether the scaled and the unscaled medians moved the same
 way ("same"), opposite ways ("opposite"), or one of them did not move
 ("flat"); a scaled move whose unscaled CPU time moved the other way says
-more about the calibration than about the change.  Exits 2 when a step
+more about the calibration than about the change.  Last, per side, it
+prints each run's failed ratio and its calibration ratio, the unscaled
+``detail.cpu`` ``items_per_s`` over the scaled one: the calibration
+kernel's speed in that run, which takes one of two levels from one process
+to the next and moves every scaled metric with it.  Exits 2 when a step
 fails.
 """
 
@@ -91,6 +95,13 @@ def direction(parent: float, change: float, sign: int) -> int:
     return (sign * (change - parent) > 0) - (sign * (change - parent) < 0)
 
 
+def calibration(record: dict) -> float | None:
+    """Unscaled over scaled ``items_per_s`` of one run, or None where the
+    record has no unscaled value."""
+    cpu = record["detail"].get("cpu", {}).get("items_per_s")
+    return None if cpu is None else cpu / record["metrics"]["items_per_s"]["value"]
+
+
 def report(metrics: list[dict], records: dict) -> None:
     pairs = len(records["parent"])
     print(f"{'metric':22s} {'parent median [q1, q3]':>36s} {'change median [q1, q3]':>36s}  "
@@ -118,6 +129,10 @@ def report(metrics: list[dict], records: dict) -> None:
     for side in SIDES:
         ratios = [r["failed_ratio"] for r in records[side]]
         print(f"failed_ratio {side}: {', '.join(f'{x:.6g}' for x in ratios)}")
+    for side in SIDES:
+        ratios = [calibration(r) for r in records[side]]
+        print(f"calibration {side}: "
+              f"{', '.join('n/a' if x is None else f'{x:.4g}' for x in ratios)}")
 
 
 def main(argv=None) -> int:
