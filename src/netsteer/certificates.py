@@ -52,31 +52,33 @@ class Verdict:
         return self.status == CERTIFIED
 
 
-def _endpoint_negativities(mats: np.ndarray, dims: tuple,
+def _endpoint_negativities(h: np.ndarray, dims: tuple,
                            extremes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Negativity across the endpoints of each matrix of a (k, d, d) stack
-    on ``dims``, whose (k, 2) smallest and largest eigenvalues are
-    ``extremes`` as ``operators._psd_screened`` returns them (NaN for a
-    matrix its screen proved to have none below -NEG_CUTOFF), and whether
-    it certifies entanglement (exceeds ``NEG_CUTOFF``).  A
-    matrix of trace at most ``NEG_CUTOFF`` is skipped with +0.0; an
+    on ``dims``, given by its Hermitian parts ``h`` and (k, 2) smallest and
+    largest eigenvalues ``extremes`` as ``operators._psd_screened`` returns
+    them (NaN for a matrix its screen proved to have none below
+    -NEG_CUTOFF), and whether it certifies entanglement (exceeds
+    ``NEG_CUTOFF``).  A matrix of trace at most ``NEG_CUTOFF`` is skipped
+    with +0.0 (a Hermitian part has the real diagonal of its matrix); an
     evaluated one without negative eigenvalue reads -0.0.  The values come
-    from ``operators._negativities``, which eigendecomposes only the
-    partial transposes that its shifted Cholesky screen does not prove
-    free of eigenvalues below -NEG_CUTOFF; a proven one reads the -0.0 its
-    spectrum would give."""
-    live = np.trace(mats, axis1=1, axis2=2).real > NEG_CUTOFF
-    values = np.zeros(len(mats))
+    from ``operators._negativities``, which partial-transposes the parts
+    as they are and eigendecomposes only the transposes that its shifted
+    Cholesky screen does not prove free of eigenvalues below -NEG_CUTOFF;
+    a proven one reads the -0.0 its spectrum would give."""
+    live = np.trace(h, axis1=1, axis2=2).real > NEG_CUTOFF
+    values = np.zeros(len(h))
     if live.any():
         rows = slice(None) if live.all() else live      # a slice gathers nothing
-        values[rows] = _negativities(mats[rows], dims, extremes[rows])
+        values[rows] = _negativities(h[rows], dims, extremes[rows])
     return values, values > NEG_CUTOFF
 
 
 def _row_negativities(asm: NetworkAssemblage) -> tuple[np.ndarray, np.ndarray]:
-    """``_endpoint_negativities`` of the assemblage's distinct elements, with
-    the extremes it kept from its own PSD check: NaN for the rows that the
-    check's screen proved PSD, which the precondition then skips."""
+    """``_endpoint_negativities`` of the assemblage's distinct elements, from
+    the Hermitian parts and extremes it kept from its own PSD check: NaN
+    for the rows that the check's screen proved PSD, which the
+    precondition then skips."""
     return _endpoint_negativities(asm._rows, asm.dims, asm._row_extremes)
 
 
@@ -84,22 +86,23 @@ def certify_network_steering(asm: NetworkAssemblage) -> Verdict:
     """Entanglement of any single element rules out an NLHS model.
 
     The negativities of the distinct elements come from
-    ``_endpoint_negativities``.  Its positivity precondition reads the
-    eigenvalue extremes the assemblage kept from its own PSD check, for the
-    rows that check's Cholesky screen did not prove PSD; its partial
-    transposes are eigendecomposed only where a Cholesky factorisation
-    shifted by NEG_CUTOFF / 2 does not prove them PPT, which on most lines
-    is all but the entangled elements.  They are gathered back to every
-    element, and the first element of largest negativity is reported.
-    Negativity is sufficient but not necessary, so the only
-    negative answer is Inconclusive.
+    ``_endpoint_negativities``, which partial-transposes the Hermitian parts
+    the assemblage kept from its own PSD check.  Its positivity
+    precondition reads the eigenvalue extremes of that check, for the rows
+    its Cholesky screen did not prove PSD; its partial transposes are
+    eigendecomposed only where a Cholesky factorisation shifted by
+    NEG_CUTOFF / 2 does not prove them PPT, which on most lines is all but
+    the entangled elements.  The first element of largest negativity is
+    reported, found without gathering: the rows are in order of first
+    occurrence, so the first row of largest negativity holds it, and it is
+    that row's first element.  Negativity is sufficient but not necessary,
+    so the only negative answer is Inconclusive.
     """
     values, entangled = _row_negativities(asm)
-    values, entangled = values[asm._index], entangled[asm._index]
     if entangled.any():
         best = int(np.argmax(values))
         return Verdict(CERTIFIED, {"negativity": float(values[best]),
-                                   "outcome": asm.outcomes[best]})
+                                   "outcome": asm.outcomes[int(np.argmax(asm._index == best))]})
     return Verdict(INCONCLUSIVE)
 
 

@@ -135,18 +135,23 @@ def _check_writable(path: Path) -> None:
     raise OSError(code, os.strerror(code), str(path))
 
 
-def _write_error(exc: OSError) -> int:
+def _write_error(exc: OSError | RuntimeError) -> int:
     print(f"error: cannot write output: {exc}", file=sys.stderr)
     return 2
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    model_out = getattr(args, "model_out", None)
     try:
-        for path in (args.out, getattr(args, "model_out", None)):
+        # the report would overwrite the model file
+        if args.out is not None and model_out is not None and args.out.resolve() == model_out.resolve():
+            print(f"error: --out and --model-out name the same file: {args.out}", file=sys.stderr)
+            return 2
+        for path in (args.out, model_out):
             if path is not None:
                 _check_writable(path)
-    except OSError as exc:
+    except (OSError, RuntimeError) as exc:     # resolve() raises RuntimeError on a symlink loop
         return _write_error(exc)
     try:
         if args.command == "verify-swap":
@@ -174,10 +179,10 @@ def main(argv=None) -> int:
         print(f"error: numeric check failed: {exc}", file=sys.stderr)
         return 1
     try:
-        if getattr(args, "model_out", None) is not None:
+        if model_out is not None:
             # encoded once, for the model file and for the report's "model"
             report.extra["model"] = _JSONText(report.extra["model"])
-            save_model(report.extra["model"], args.model_out)
+            save_model(report.extra["model"], model_out)
         _emit(report, args)
     except OSError as exc:
         return _write_error(exc)

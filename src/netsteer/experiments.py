@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import TOL_CHECK, DimensionError, _blocks, _density_extremes, _psd_screened
+from .operators import TOL_CHECK, DimensionError, _blocks, _density_screened, _psd_screened
 from .measurements import bell_swap_povm
 from .network import NetworkAssemblage, _contract, _tensors, line_assemblage
 from .states import _dew_stack, werner
@@ -80,16 +80,18 @@ def _grid_blocks(n: int) -> list[slice]:
     return _blocks(n, 2 * 81 * 16)
 
 
-def _sources(etas: np.ndarray, omegas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sources(etas: np.ndarray,
+             omegas: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The DEW sources of a block of grid points as (G, 3, 3, 3, 3) tensors,
     checked to be density matrices as ``LinearNetwork`` checks a line's,
-    and the (G, 2) eigenvalue extremes of that check (``_density_extremes``:
-    NaN for the sources its screen proved PSD)."""
+    and the (G, 9, 9) Hermitian parts and (G, 2) eigenvalue extremes of
+    that check (``_density_screened``: NaN for the sources its screen
+    proved PSD)."""
     mats = _dew_stack(etas, omegas)
-    extremes = _density_extremes(mats, TOL_CHECK)
-    if extremes is None:
+    screened = _density_screened(mats, TOL_CHECK)
+    if screened is None:
         raise ValueError("every source must be a density matrix")
-    return mats.reshape(-1, 3, 3, 3, 3), extremes
+    return mats.reshape(-1, 3, 3, 3, 3), screened
 
 
 def _swap_deviations(etas: np.ndarray, omegas: np.ndarray) -> np.ndarray:
@@ -121,15 +123,17 @@ def _activation_columns(n_parties: int, etas: np.ndarray, omegas: np.ndarray) ->
     """The record fields of a block of activation grid points, one array
     per field in record order: source certificates plus the
     network-steering certificate on the all-successful-swaps element of
-    each point's line."""
+    each point's line.  Both negativities read the Hermitian parts and
+    extremes of the checks that already formed them: the sources' density
+    check, and sigma0's ``_psd_screened`` for the negativity precondition
+    alone (no tolerance)."""
     n_src = n_parties - 1
-    src, src_extremes = _sources(etas, omegas)
+    src, (src_h, src_extremes) = _sources(etas, omegas)
     sigma0, _ = _contract([src] * n_src, [_SUCCESS] * (n_src - 1))
     g = len(etas)
-    mats = np.concatenate([src.reshape(g, 9, 9), sigma0])
-    # sigma0's extremes for the negativity precondition alone: no tolerance
-    extremes = np.concatenate([src_extremes, _psd_screened(sigma0, np.inf)])
-    negs, entangled = _endpoint_negativities(mats, (3, 3), extremes)
+    sigma0_h, sigma0_extremes = _psd_screened(sigma0, np.inf)
+    negs, entangled = _endpoint_negativities(np.concatenate([src_h, sigma0_h]), (3, 3),
+                                             np.concatenate([src_extremes, sigma0_extremes]))
     return {
         "n": np.full(g, n_parties),
         "eta": etas,

@@ -11,20 +11,25 @@ the next source through one measurement for a whole stack of prefix
 elements and a stack of effects at once: two matrix products per prefix
 row, run over blocks of prefixes of bounded size (``CHECK_BLOCK_BYTES``) so
 that a step's intermediates do not grow with the number of outcome
-branches.
+branches.  Between steps the prefixes are held pair-grouped, each row's
+entries ordered as the first product reads them, so a step copies each row
+once, to put its effect axis in place, and the rows become matrices once,
+after the last step.
 
 Many branches of a line carry the same bytes (a 13-party line of
 doubly-erased Werner sources has 2,048 branches but only 759 to 825
 distinct elements).  ``_contract`` merges the repeated rows after every
 step, the last included, and hands the assemblage its distinct rows and an
-index from outcome tuple to distinct row; the assemblage checks, and the
-verdicts partial-transpose, each distinct element once, and every
-per-element result is gathered back through that index.  One screen
-serves both checks (``operators._psd_cleared``): a Cholesky factorisation
-shifted by half the negativity cutoff proves a block's elements PSD, and
-their partial transposes PPT, and only the rows it cannot clear are
-eigendecomposed.  A step computes each row alone, whatever the block it
-sits in, so the merged stack equals the unmerged one byte for byte.
+index from outcome tuple to distinct row.  The assemblage's PSD check
+forms the Hermitian part of each distinct element once and holds it; the
+verdicts partial-transpose those parts as they are, without forming them
+again, and every per-element result is read through that index.  One
+screen serves both checks (``operators._psd_cleared``): a Cholesky
+factorisation shifted by half the negativity cutoff proves a block's
+elements PSD, and their partial transposes PPT, and only the rows it
+cannot clear are eigendecomposed.  A step computes each row alone,
+whatever the block it sits in, so the merged stack equals the unmerged one
+byte for byte.
 """
 
 from __future__ import annotations
@@ -89,16 +94,18 @@ class NetworkAssemblage:
     central-outcome tuple b, held as one stack: ``matrices[k]`` is the
     element of ``outcomes[k]`` on the endpoint factors ``dims``.
 
-    Byte-identical elements are checked once: ``_rows`` holds the distinct
-    elements in order of first occurrence and ``_index[k]`` the row of
-    element k.  The constructor finds them with ``_distinct``, and
-    ``line_assemblage`` takes them from the contraction; either way
-    ``_hold`` checks the rows and gathers ``matrices`` once.  Without
-    repeats ``_index`` is the identity and ``_rows`` is ``matrices``.  The
+    Byte-identical elements are checked once.  The constructor finds the
+    distinct elements with ``_distinct``, and ``line_assemblage`` takes
+    them from the contraction; either way ``_hold`` checks them and gathers
+    ``matrices`` once, and ``_index[k]`` is the row of element k, rows in
+    order of first occurrence.  ``_rows`` holds what the verdicts read: the
+    Hermitian part (M + M^dagger) / 2 of each distinct element M, formed
+    once by the PSD check (``_psd_screened``).  Without repeats ``_index``
+    is the identity and ``matrices`` holds the checked stack itself.  The
     PSD check eigendecomposes only the rows the Cholesky screen does not
-    prove PSD (``_psd_screened``): ``_row_extremes`` holds their smallest
-    and largest eigenvalue, for the negativity precondition, and NaN for
-    the proven rows."""
+    prove PSD: ``_row_extremes`` holds their smallest and largest
+    eigenvalue, for the negativity precondition, and NaN for the proven
+    rows."""
 
     matrices: np.ndarray
     outcomes: tuple
@@ -125,20 +132,23 @@ class NetworkAssemblage:
     def _hold(self, rows: np.ndarray, index: np.ndarray, outcomes: tuple,
               dims: tuple[int, int]) -> NetworkAssemblage:
         """Check the distinct ``rows`` of the elements, element k being row
-        ``index[k]``, and hold them: their traces sum to 1 through the
-        index, and one screened PSD check covers every row.  Takes
-        ownership of ``rows`` and ``index``, which become read-only."""
+        ``index[k]``: their traces sum to 1 through the index, and one
+        screened PSD check covers every row.  Holds the elements gathered
+        through the index as ``matrices``, and as ``_rows`` the Hermitian
+        parts the check formed, which the verdicts read.  Takes ownership
+        of ``rows`` and ``index``; everything held is read-only."""
         total = float(np.trace(rows, axis1=1, axis2=2).real[index].sum())
         if abs(total - 1.0) > TOL_NORM:
             raise ValueError(f"element traces sum to {total}, expected 1")
-        row_extremes = _psd_screened(rows, TOL_CHECK)
-        if row_extremes is None:
+        screened = _psd_screened(rows, TOL_CHECK)
+        if screened is None:
             raise ValueError("assemblage element is not PSD")
+        parts, row_extremes = screened
         # as many rows as elements: the index is the identity
         matrices = rows if len(rows) == len(index) else rows[index]
-        for held in (rows, index, row_extremes, matrices):
+        for held in (parts, index, row_extremes, matrices):
             held.flags.writeable = False
-        return _set_fields(self, matrices=matrices, outcomes=outcomes, dims=dims, _rows=rows,
+        return _set_fields(self, matrices=matrices, outcomes=outcomes, dims=dims, _rows=parts,
                            _row_extremes=row_extremes, _index=index)
 
     @property
@@ -152,38 +162,42 @@ class NetworkAssemblage:
 def _step(prefixes: np.ndarray, effects: np.ndarray, source: np.ndarray) -> np.ndarray:
     """Absorb the next source through each of a (k, b c, b c) stack of ``effects``.
 
-    ``prefixes`` is a (p, a, b, a, b) stack of elements with dims [left
-    endpoint, open right factor]; each effect acts on [open right factor,
-    left factor of the source].  ``source`` is one (c, d, c, d) source
-    tensor absorbed into every prefix, or a (p, c, d, c, d) stack whose row
-    i is absorbed into prefix i (a grid of lines, one per row).  Returns
-    the (p * k, a, d, a, d) stack with dims [left endpoint, right factor of
-    the source], prefix-major and effect-minor:
+    ``prefixes`` is a pair-grouped (p, a, a, b, b) stack of elements with
+    dims [left endpoint, open right factor]: entry [a, x, b, u] of a row is
+    the matrix entry [a b, x u], so that a row reads as the (a x, b u)
+    matrix its first product takes.  Each effect acts on [open right
+    factor, left factor of the source].  ``source`` is one (c, d, c, d)
+    source tensor absorbed into every prefix, or a (p, c, d, c, d) stack
+    whose row i is absorbed into prefix i (a grid of lines, one per row).
+    Returns the pair-grouped (p * k, a, a, d, d) stack with dims [left
+    endpoint, right factor of the source], prefix-major and effect-minor:
 
         R[a d, x y] = sum_{u v b c} E[u v, b c] t[a b, x u] s[c d, v y]
 
     as two matrix products per prefix row, t[(a x), (b u)] @ E[(b u), (k v
-    c)] and then, regrouped as [(a x k), (v c)], @ s[(v c), (d y)].  Each
-    row is its own pair of products, so it does not depend on the other
-    rows of its block; blocks of prefixes bound the intermediates, which
-    stay quadratic in the factor dimensions even for the large flag
-    dimensions of a separable realisation.
+    c)] and then, regrouped as [(a x k), (v c)], @ s[(v c), (d y)].  The
+    prefix is read as it is held; the one copy per row moves the effect
+    axis of the products' (a x k, d y) ahead of the row.  Each row is its
+    own pair of products, so it does not depend on the other rows of its
+    block; blocks of prefixes bound the intermediates, which stay
+    quadratic in the factor dimensions even for the large flag dimensions
+    of a separable realisation.
     """
-    p, a, b = prefixes.shape[:3]
+    p, a, _, b = prefixes.shape[:4]
     c, d = source.shape[-4:-2]
     k = len(effects)
     em = effects.reshape(k, b, c, b, c).transpose(3, 1, 0, 2, 4).reshape(b * b, k * c * c)
     sm = np.moveaxis(source, -2, -4).reshape(source.shape[:-4] + (c * c, d * d))
     per_prefix = source.ndim == 5
-    out = np.empty((p, k, a, d, a, d), dtype=complex)
-    # per prefix: its transpose, a^2 b^2 entries, and the products, a^2 k (c^2 + d^2)
-    for block in _blocks(p, out.itemsize * a * a * (b * b + k * (c * c + d * d))):
+    out = np.empty((p, k, a, a, d, d), dtype=complex)
+    # per prefix: the products, a^2 k (c^2 + d^2) entries
+    for block in _blocks(p, out.itemsize * a * a * k * (c * c + d * d)):
         t = prefixes[block]
         m = len(t)
-        products = t.transpose(0, 1, 3, 2, 4).reshape(m, a * a, b * b) @ em
+        products = t.reshape(m, a * a, b * b) @ em
         products = products.reshape(m, a * a * k, c * c) @ (sm[block] if per_prefix else sm)
-        out[block] = products.reshape(m, a, a, k, d, d).transpose(0, 3, 1, 4, 2, 5)
-    return out.reshape(p * k, a, d, a, d)
+        out[block] = products.reshape(m, a, a, k, d, d).transpose(0, 3, 1, 2, 4, 5)
+    return out.reshape(p * k, a, a, d, d)
 
 
 @functools.lru_cache(maxsize=None)
@@ -245,6 +259,9 @@ def _contract(sources: Sequence[np.ndarray],
     of central measurement j, of the line whose source i is the (c, d, c, d)
     tensor ``sources[i]``: the distinct elements as an (r, a d, a d) stack,
     and the index of each element's row, in ``itertools.product`` order.
+    Between steps the prefixes are held pair-grouped, as ``_step`` reads
+    and writes them; the first source is regrouped once before the first
+    step and the distinct rows once after the last.
 
     Each distinct branch is contracted once: after every step, the last
     included, the byte-identical rows are merged (``_distinct``), and the
@@ -263,15 +280,15 @@ def _contract(sources: Sequence[np.ndarray],
     per measurement no branch of a line repeats another: the grid form is
     not merged, and its index is the identity.
     """
-    t = sources[0].reshape((-1,) + sources[0].shape[-4:])
+    t = np.ascontiguousarray(sources[0].reshape((-1,) + sources[0].shape[-4:]).swapaxes(2, 3))
     index = np.arange(len(t))
     for effects, source in zip(choices, sources[1:]):
         t = _step(t, effects, source)
         if source.ndim == 4:
             t, merged = _distinct(t)
             index = merged.reshape(-1, len(effects))[index].ravel()
-    side = t.shape[1] * t.shape[2]
-    return t.reshape(-1, side, side), index
+    side = t.shape[1] * t.shape[3]
+    return t.swapaxes(2, 3).reshape(-1, side, side), index
 
 
 def _tensors(sources: Sequence[QOperator]) -> list[np.ndarray]:

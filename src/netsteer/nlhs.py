@@ -22,7 +22,7 @@ from .operators import (
     TOL_EQ,
     TOL_NORM,
     _apply_and_trace,
-    _density_extremes,
+    _density_screened,
     _kron,
     _set_fields,
     _square_stack,
@@ -136,7 +136,7 @@ def _is_flags(stack: np.ndarray) -> bool:
 
 def _densities(*stacks: np.ndarray) -> bool:
     """True iff every matrix of every non-empty stack is a density to ``TOL_NORM``."""
-    return all(_density_extremes(s, TOL_NORM) is not None for s in stacks)
+    return all(_density_screened(s, TOL_NORM) is not None for s in stacks)
 
 
 def reconstruct(model: NLHSModel) -> NetworkAssemblage:

@@ -138,13 +138,15 @@ def _transpose_factors(mats: np.ndarray, dims: tuple[int, ...], factors: list[in
     return mats.reshape(lead + dims + dims).transpose(axes).reshape(mats.shape)
 
 
-def _hermitian(mats: np.ndarray) -> np.ndarray:
+def _hermitian(mats: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """A matrix, or a (k, d, d) stack, checked Hermitian to ``TOL_HERM`` and
     then explicitly symmetrised, which stabilises the solvers without
     masking real errors.  The defect is the largest |M - M^dagger| entry,
     the diagonal included (an imaginary diagonal entry is a defect), and
-    (M + M^dagger) / 2 is written into the one buffer of the adjoint."""
-    out = np.conjugate(mats.swapaxes(-1, -2), order="C")
+    (M + M^dagger) / 2 is written into the one buffer of the adjoint: a new
+    array, or ``out``, a C-contiguous array of the shape and dtype of
+    ``mats``."""
+    out = np.conjugate(mats.swapaxes(-1, -2), out=out, order="C")
     defect = np.abs(mats - out).max()
     if not defect <= TOL_HERM:      # so a non-finite matrix is not Hermitian
         raise NotHermitianError(f"Hermiticity defect {defect:.3e} exceeds {TOL_HERM:.1e}")
@@ -164,6 +166,9 @@ def _psd_cleared(h: np.ndarray) -> np.ndarray:
     find none either, without eigendecomposing them.  It screens the
     matrices of every PSD check (``_psd_screened``) and the partial
     transposes of the negativity verdict (``_negativities``) alike.
+    It squares |h| in place, forms the minor bounds with one einsum, and
+    factorises ``h`` itself, not a gather of it, when every matrix passes
+    the pre-tests.
 
     One Cholesky factorisation of the stack of h + s I, s = NEG_CUTOFF / 2,
     clears every matrix it takes, or none if it fails.  It takes the
@@ -178,13 +183,14 @@ def _psd_cleared(h: np.ndarray) -> np.ndarray:
     of the cutoff.  The shift is tied to the cutoff: a change of the
     cutoff moves both."""
     k, d = h.shape[:2]
-    square = np.abs(h) ** 2
+    square = np.abs(h)
+    square *= square
     diag = h.diagonal(axis1=1, axis2=2).real + NEG_CUTOFF / 2
     # written so that a non-finite entry fails both tests
     cleared = ((square.reshape(k, -1).sum(1) <= (NEG_CUTOFF / (8 * d * d * np.finfo(float).eps)) ** 2)
-               & (square <= diag[:, :, None] * diag[:, None, :]).reshape(k, -1).all(1))
+               & (square <= np.einsum("ki,kj->kij", diag, diag)).reshape(k, -1).all(1))
     try:
-        np.linalg.cholesky(h[cleared] + NEG_CUTOFF / 2 * np.eye(d))
+        np.linalg.cholesky((h if cleared.all() else h[cleared]) + NEG_CUTOFF / 2 * np.eye(d))
     except np.linalg.LinAlgError:
         cleared[:] = False
     return cleared
@@ -204,26 +210,31 @@ def _screened_spectra(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.linalg.eigvalsh(h if len(rows) == len(h) else h[rows])
 
 
-def _negativities(mats: np.ndarray, dims: tuple[int, ...], extremes: np.ndarray) -> np.ndarray:
+def _negativities(h: np.ndarray, dims: tuple[int, ...], extremes: np.ndarray) -> np.ndarray:
     """Negativity of each matrix of a non-empty (k, d, d) stack with factor
     dims ``dims``: the sum of |eigenvalues below -NEG_CUTOFF| of its partial
-    transpose over factor 1, one ``_blocks`` block at a time.  ``extremes``
-    holds the (k, 2) smallest and largest eigenvalue of each matrix, or NaN
-    for a matrix proven to have none below -NEG_CUTOFF, as ``_psd_screened``
-    returns them; raises NotPositiveError for the first matrix with an
-    eigenvalue below -NEG_CUTOFF * max(1, |largest|).
+    transpose over factor 1, one ``_blocks`` block at a time.  ``h`` and
+    ``extremes`` are the Hermitian parts of the matrices and their (k, 2)
+    smallest and largest eigenvalues, or NaN for a matrix proven to have
+    none below -NEG_CUTOFF, as ``_psd_screened`` returns them; raises
+    NotPositiveError for the first matrix with an eigenvalue below
+    -NEG_CUTOFF * max(1, |largest|).
 
-    Each block's partial transposes are checked Hermitian and symmetrised
-    (``_hermitian``), and only those that ``_psd_cleared`` does not clear
-    are eigendecomposed (``_screened_spectra``).  A cleared one reads
-    -0.0, the value its spectrum would give, so every value is the one of
-    eigendecomposing each matrix on its own."""
+    The partial transpose of a Hermitian part is the Hermitian part of the
+    partial transpose, byte for byte: each entry adds the same two
+    operands, and the Hermiticity defect is the same number, which
+    ``_psd_screened`` has checked.  So each block's partial transposes are
+    taken of ``h`` and not symmetrised again, and only those that
+    ``_psd_cleared`` does not clear are eigendecomposed
+    (``_screened_spectra``).  A cleared one reads -0.0, the value its
+    spectrum would give, so every value is the one of eigendecomposing each
+    matrix on its own."""
     bad = extremes[:, 0] < -NEG_CUTOFF * np.maximum(1.0, np.abs(extremes[:, 1]))
     if bad.any():
         raise NotPositiveError(f"input has negative eigenvalue {extremes[np.argmax(bad), 0]:.3e}")
-    out = np.full(len(mats), -0.0)
-    for block in _blocks(len(mats), mats[0].nbytes):
-        rows, pt = _screened_spectra(_hermitian(_transpose_factors(mats[block], dims, [1])))
+    out = np.full(len(h), -0.0)
+    for block in _blocks(len(h), h[0].nbytes):
+        rows, pt = _screened_spectra(_transpose_factors(h[block], dims, [1]))
         # Summed row by row over the negative eigenvalues alone, as a single
         # matrix would be, so the value does not depend on the stack; a row
         # without any reads -0.0, the negated empty sum.
@@ -242,35 +253,41 @@ def _blocks(n: int, item_bytes: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
-def _psd_screened(mats: np.ndarray, tol: float) -> np.ndarray | None:
-    """The (k, 2) smallest and largest eigenvalue of each matrix of a
-    non-empty (k, d, d) stack ``mats`` if every matrix is Hermitian with no
+def _psd_screened(mats: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """The Hermitian parts (M + M^dagger) / 2 of the matrices M of a
+    non-empty (k, d, d) stack ``mats``, a new stack, and their (k, 2)
+    smallest and largest eigenvalues, if every matrix is Hermitian with no
     eigenvalue below -tol, else None: the one PSD decision of the package,
     which every construction-time check makes.  ``tol`` is at least
-    NEG_CUTOFF; ``np.inf`` asks for the extremes alone.
+    NEG_CUTOFF; ``np.inf`` asks for the parts and extremes alone.  The
+    negativity verdict (``_negativities``) takes both as they are, and so
+    forms no Hermitian part of its own.
 
     Each ``_blocks`` block is checked Hermitian and symmetrised
-    (``_hermitian``), and only the matrices that ``_psd_cleared`` does not
-    prove free of eigenvalues below -NEG_CUTOFF are eigendecomposed
-    (``_screened_spectra``).  The proven ones read NaN: they pass the check,
-    which is why ``tol`` may not be smaller, and the negativity
-    precondition skips them.  Every other row holds the ends of its
-    ``eigvalsh`` spectrum, which does not depend on the stack or block the
-    row sits in, so every accept and reject is the one of eigendecomposing
-    each matrix on its own."""
-    extremes = np.full((len(mats), 2), np.nan)
-    for block in _blocks(len(mats), mats[0].nbytes):
+    (``_hermitian``) into its rows of the one output stack, so the check's
+    temporaries stay bounded whatever the stack's size, and only the
+    matrices that ``_psd_cleared`` does not prove free of eigenvalues below
+    -NEG_CUTOFF are eigendecomposed (``_screened_spectra``).  The proven
+    ones read NaN: they pass the check, which is why ``tol`` may not be
+    smaller, and the negativity precondition skips them.  Every other row
+    holds the ends of its ``eigvalsh`` spectrum, which does not depend on
+    the stack or block the row sits in, so every accept and reject is the
+    one of eigendecomposing each matrix on its own."""
+    h = np.empty(mats.shape, mats.dtype)
+    extremes = np.full((len(h), 2), np.nan)
+    for block in _blocks(len(h), h[0].nbytes):
         try:
-            rows, spectra = _screened_spectra(_hermitian(mats[block]))
+            _hermitian(mats[block], out=h[block])
         except NotHermitianError:
             return None
+        rows, spectra = _screened_spectra(h[block])
         if not (spectra[:, 0] >= -tol).all():
             return None
         extremes[block.start + rows] = spectra[:, [0, -1]]
-    return extremes
+    return h, extremes
 
 
-def _density_extremes(mats, tol: float) -> np.ndarray | None:
+def _density_screened(mats, tol: float) -> tuple[np.ndarray, np.ndarray] | None:
     """``_psd_screened`` of ``mats``, a non-empty (k, d, d) array or list of
     equal-shape matrices, if every matrix has unit trace to ``tol``, else
     None."""
@@ -291,8 +308,8 @@ def is_density(*ops: QOperator, tol: float = TOL_EQ) -> bool:
     """True iff every operator is Hermitian with no eigenvalue below -tol
     and has unit trace to ``tol`` (true for none).  The matrices of
     operators with equal dims are checked as stacks
-    (``_density_extremes``), not one by one.  A ``tol`` below NEG_CUTOFF
+    (``_density_screened``), not one by one.  A ``tol`` below NEG_CUTOFF
     is refused: the screen proves nothing finer."""
     if not tol >= NEG_CUTOFF:
         raise ValueError(f"tol must be at least NEG_CUTOFF = {NEG_CUTOFF:.0e}, got {tol!r}")
-    return all(_density_extremes(mats, tol) is not None for mats in _by_dims(ops))
+    return all(_density_screened(mats, tol) is not None for mats in _by_dims(ops))

@@ -188,40 +188,55 @@ def brute_force_assemblage(net):
 
 # trace over the measured pair (b, c):
 #   R[a d, a' d'] = sum_{b c b' c'} E[b c, b' c'] t[a b', a' b] s[c' d, c d']
-_STEP = "uvbc,abxu,cdvy->adxy"
+# with t and R held pair-grouped, t[a, a', b', b] and R[a, a', d, d'], as
+# ``network._step`` holds them
+_STEP = "uvbc,axbu,cdvy->axdy"
 # the same for k effects E and a stack of prefixes t, output in (prefix,
 # effect) order; s is one source for every prefix or a stack of one per prefix
-_BATCHED_STEP = "kuvbc,...abxu,...cdvy->...kadxy"
+_BATCHED_STEP = "kuvbc,...axbu,...cdvy->...kaxdy"
 
 
 @functools.lru_cache(maxsize=None)
 def _step_path(a, b, c, d):
     """The einsum path of ``_STEP`` for one element of these factor dims."""
-    ops = (np.empty((b, c, b, c)), np.empty((a, b, a, b)), np.empty((c, d, c, d)))
+    ops = (np.empty((b, c, b, c)), np.empty((a, a, b, b)), np.empty((c, d, c, d)))
     return tuple(np.einsum_path(_STEP, *ops, optimize=True)[0])
 
 
 def einsum_step(prefixes, effects, source):
-    """``network._step`` as one einsum over all prefixes, contracted index
-    by index on the path planned for a single element: the oracle of the
-    per-row matrix products, equal to them up to rounding."""
-    p, a, b = prefixes.shape[:3]
+    """``network._step`` as one einsum over all pair-grouped prefixes,
+    contracted index by index on the path planned for a single element: the
+    oracle of the per-row matrix products, equal to them up to rounding."""
+    p, a, _, b = prefixes.shape[:4]
     c, d = source.shape[-4:-2]
     k = len(effects)
     out = np.einsum(_BATCHED_STEP, effects.reshape(k, b, c, b, c), prefixes, source,
                     optimize=_step_path(a, b, c, d))
-    return out.reshape(p * k, a, d, a, d)
+    return out.reshape(p * k, a, a, d, d)
+
+
+def pair_grouped(tensors):
+    """A (p, c, d, c, d) stack of matrices as tensors, held pair-grouped
+    (p, c, c, d, d) as ``network._step`` reads its prefixes, and back."""
+    return np.ascontiguousarray(tensors.swapaxes(2, 3))
 
 
 def unmerged_contract(sources, choices):
     """``network._contract`` of a line without merging repeated branches:
     every branch of every step goes through ``network._step``, the
     contraction the merged one must equal byte for byte."""
-    t = sources[0].reshape((1,) + sources[0].shape)
+    t = pair_grouped(sources[0][None])
     for effects, source in zip(choices, sources[1:]):
         t = _step(t, effects, source)
-    side = t.shape[1] * t.shape[2]
-    return t.reshape(-1, side, side)
+    side = t.shape[1] * t.shape[3]
+    return pair_grouped(t).reshape(-1, side, side)
+
+
+def distinct_elements(asm):
+    """The element of each distinct row of an assemblage, in row order: the
+    first element with that row, as the contraction gave it, before the
+    PSD check formed its Hermitian part."""
+    return asm.matrices[np.unique(asm._index, return_index=True)[1]]
 
 
 def random_linear_network(

@@ -25,7 +25,8 @@ import numpy as np
 from netsteer.certificates import TOL_OPT, _endpoint_negativities
 from netsteer.measurements import bell_swap_povm
 from netsteer.network import LinearNetwork, _contract, _tensors
-from netsteer.operators import PAULIS, TOL_CHECK, TOL_EQ, DimensionError, QOperator, basis_ket
+from netsteer.operators import (PAULIS, TOL_CHECK, TOL_EQ, DimensionError, QOperator, _hermitian,
+                                basis_ket)
 from netsteer.states import _werner_mix, werner
 
 from conftest import max_entry_distance, spectral_extremes
@@ -218,7 +219,7 @@ def activation_point(n_parties, eta, omega):
     net = LinearNetwork([src] * n_src, [SWAP] * (n_src - 1))
     sigma0 = assemblage_element(net, (0,) * (n_src - 1))
     mats = np.stack([src.matrix, sigma0.matrix])
-    negs, entangled = _endpoint_negativities(mats, src.dims, spectral_extremes(mats))
+    negs, entangled = _endpoint_negativities(_hermitian(mats), src.dims, spectral_extremes(mats))
     return {
         "n": n_parties,
         "eta": eta,

@@ -31,9 +31,9 @@ from netsteer.operators import (
 )
 from netsteer.states import DEWParams, _dew_stack, classical_correlated, dew, psi_minus, werner
 
-from conftest import (assemblage_of, haar_unitary, negativities_from_scratch, negativity,
-                      rand_density, random_linear_network, spectra, spectral_extremes,
-                      unmerged_contract)
+from conftest import (assemblage_of, distinct_elements, haar_unitary, negativities_from_scratch,
+                      negativity, rand_density, random_linear_network, spectra,
+                      spectral_extremes, unmerged_contract)
 from sweep_oracles import BlochData, bloch_data, erased_unsteerable
 
 Z = (0.0, 0.0, 1.0)
@@ -283,10 +283,11 @@ class TestOneSpectrumPerCheck:
         rng = np.random.default_rng(31)
         asms = [line_assemblage(_noisy_line(rng, noise)) for noise in (0.3, 0.6, 0.7, 0.85, 0.9, 0.95)]
         rows = np.concatenate([asm._rows for asm in asms])
+        elements = np.concatenate([distinct_elements(asm) for asm in asms])
         extremes = np.concatenate([asm._row_extremes for asm in asms])
         order = rng.permutation(len(rows))
-        rows, extremes = rows[order], extremes[order]
-        oracle = negativities_from_scratch(rows, (3, 3))
+        rows, elements, extremes = rows[order], elements[order], extremes[order]
+        oracle = negativities_from_scratch(elements, (3, 3))
         blocks = _blocks(len(rows), rows[0].nbytes)
         assert len(blocks) == 3
         assert all(np.any(oracle[b] > 0) and np.any(oracle[b] == 0) for b in blocks)
@@ -311,7 +312,8 @@ class TestOneSpectrumPerCheck:
         asm = line_assemblage(untrusted_input_to_outcome(
             werner(0.9), [pauli_projective(Z), pauli_projective(X)]))
         values, entangled = _row_negativities(asm)
-        assert values.tobytes() == negativities_from_scratch(asm._rows, asm.dims).tobytes()
+        oracle = negativities_from_scratch(distinct_elements(asm), asm.dims)
+        assert values.tobytes() == oracle.tobytes()
         assert not entangled.any()
 
 

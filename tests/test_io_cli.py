@@ -549,6 +549,34 @@ class TestCLI:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    # the same file, spelled alike or not, relative to the working directory
+    # or not
+    @pytest.mark.parametrize("model_out", ["x.json", "./x.json", "absolute"])
+    def test_out_and_model_out_naming_one_file_are_refused(self, tmp_path, capsys, monkeypatch,
+                                                             model_out):
+        monkeypatch.setattr("netsteer.cli.run_nlhs", lambda *a, **k: pytest.fail("ran"))
+        monkeypatch.chdir(tmp_path)
+        if model_out == "absolute":
+            model_out = str(tmp_path / "x.json")
+        argv = ["nlhs", "--fixture", "sep_loc_sep", "--model-out", model_out, "--out", "x.json"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --out and --model-out name the same file") \
+            and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_and_model_out_through_a_symlink_loop_are_refused(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        monkeypatch.setattr("netsteer.cli.run_nlhs", lambda *a, **k: pytest.fail("ran"))
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "a").symlink_to("b")
+        (tmp_path / "b").symlink_to("a")
+        argv = ["nlhs", "--fixture", "sep_loc_sep", "--model-out", "a/x.json", "--out", "x.json"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
+
     def test_no_report_written_when_model_out_unwritable(self, tmp_path, monkeypatch):
         monkeypatch.setattr("netsteer.cli.run_nlhs", lambda *a, **k: pytest.fail("ran"))
         report = tmp_path / "report.json"

@@ -40,6 +40,7 @@ from netsteer.operators import (
     PAULI_Z,
     DimensionError,
     QOperator,
+    _hermitian,
     basis_ket,
     projector,
 )
@@ -49,8 +50,10 @@ from conftest import (
     apply_and_trace,
     assemblage_of,
     brute_force_assemblage,
+    distinct_elements,
     einsum_step,
     max_entry_distance,
+    pair_grouped,
     partial_trace,
     rand_density,
     rand_psd,
@@ -187,13 +190,14 @@ class TestLineAssemblage:
 def _random_steps(rng):
     """A step's operands for every factor dims (a, b, c, d) in 1..4 and 1, 2
     or 4 effects, in the shared-source and the per-row (grid) form: 16
-    random complex prefixes, the effects and the source or 16 sources."""
+    random complex pair-grouped prefixes, the effects and the source or 16
+    sources."""
     def normal(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     for a, b, c, d in itertools.product(range(1, 5), repeat=4):
         for k in (1, 2, 4):
-            prefixes, effects = normal(16, a, b, a, b), normal(k, b * c, b * c)
+            prefixes, effects = normal(16, a, a, b, b), normal(k, b * c, b * c)
             yield prefixes, effects, normal(c, d, c, d)
             yield prefixes, effects, normal(16, c, d, c, d)
 
@@ -228,7 +232,7 @@ class TestStep:
     def test_matches_einsum_oracle_along_random_lines(self, seed):
         net = random_linear_network(np.random.default_rng(seed), 7, max_dim=4, n_out=3)
         sources = _tensors(net.sources)
-        t = sources[0][None]
+        t = pair_grouped(sources[0][None])
         for m, source in zip(net.central_measurements, sources[1:]):
             got = _step(t, m.matrices, source)
             assert _relative_distance(got, einsum_step(t, m.matrices, source)) <= 1e-15
@@ -376,14 +380,17 @@ def _assert_extremes_of_rows(asm):
     """The extremes the PSD check stored are read-only, one pair per
     distinct row and, row by row, the ends of the spectrum of that element
     alone, or NaN for a row the screen proved free of eigenvalues below
-    -NEG_CUTOFF."""
+    -NEG_CUTOFF.  The rows held are the Hermitian parts of the distinct
+    elements, each the ``_hermitian`` of the first element of its row."""
     stored = asm._row_extremes
     assert stored.shape == (len(asm._rows), 2)
     assert not stored.flags.writeable
     with pytest.raises(ValueError):
         stored[0, 0] = 1.0
-    for row, extremes in zip(asm._rows, stored):
-        spectrum = spectra(row)
+    elements = distinct_elements(asm)
+    assert asm._rows.tobytes() == _hermitian(elements).tobytes()
+    for element, extremes in zip(elements, stored):
+        spectrum = spectra(element)
         if np.isnan(extremes).all():
             assert spectrum[0] >= -NEG_CUTOFF
         else:
@@ -523,7 +530,7 @@ def _unmerged_line(net):
     partial transpose eigendecomposed, repeats included."""
     mats = unmerged_contract(_tensors(net.sources), [m.matrices for m in net.central_measurements])
     extremes = spectral_extremes(mats)
-    values, entangled = _endpoint_negativities(mats, net.endpoint_dims, extremes)
+    values, entangled = _endpoint_negativities(_hermitian(mats), net.endpoint_dims, extremes)
     if not entangled.any():
         return mats, extremes, (INCONCLUSIVE, None, None)
     best = int(np.argmax(values))
@@ -684,8 +691,9 @@ class TestMergedBranches:
         net = _dew_line(omega)
         asm = _assert_equals_unmerged(net)
         assert (len(asm.matrices), len(asm._rows)) == (2048, distinct)
+        parts = _hermitian(asm.matrices)
         for k, row in enumerate(asm._index):
-            assert asm._rows[row].tobytes() == asm.matrices[k].tobytes()
+            assert asm._rows[row].tobytes() == parts[k].tobytes()
 
     def test_verdict_names_the_first_outcome_of_the_best_row(self):
         # the swap's complement split into two equal halves ahead of the
@@ -701,16 +709,17 @@ class TestMergedBranches:
         net = random_linear_network(np.random.default_rng(5), 9, max_dim=4)
         assert len(set(net.endpoint_dims + tuple(m.dims[0] for m in net.central_measurements))) > 1
         asm = _assert_equals_unmerged(net)
-        # no repeats here: the identity index, and the rows are the matrices
+        # no repeats here: the identity index, and the rows are the
+        # matrices' Hermitian parts
         assert asm._index.tolist() == list(range(len(asm.matrices)))
-        assert asm._rows is asm.matrices
+        assert asm._rows.tobytes() == _hermitian(asm.matrices).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(_lines_with_repeats())
     def test_lines_with_repeats_match_brute_force_oracle(self, net):
         asm = line_assemblage(net)
         assert len(asm._rows) < len(asm.matrices)      # the coin repeats every branch
-        assert asm._rows[asm._index].tobytes() == asm.matrices.tobytes()
+        assert asm._rows[asm._index].tobytes() == _hermitian(asm.matrices).tobytes()
         # the PSD check's extremes: NaN where the screen proved a row PSD
         checked = asm._row_extremes[asm._index]
         left = ~np.isnan(checked[:, 0])

@@ -28,6 +28,7 @@ from netsteer.operators import (
     _transpose_factors,
 )
 from netsteer.measurements import POVM
+from netsteer.network import NetworkAssemblage
 from netsteer.nlhs import NLHSModel, SeparableDecomposition
 from netsteer.states import werner
 
@@ -37,10 +38,10 @@ from conftest import (apply_and_trace, haar_unitary, hermitian_eigenvalues, iden
 
 
 def _negativity(op):
-    """``_negativities`` of one operator over factor 1, its precondition
-    read from the operator's own extremes."""
+    """``_negativities`` of one operator over factor 1, from its Hermitian
+    part, its precondition read from the operator's own extremes."""
     mats = op.matrix[None]
-    return _negativities(mats, op.dims, spectral_extremes(mats))[0]
+    return _negativities(_hermitian(mats), op.dims, spectral_extremes(mats))[0]
 
 
 class TestQOperator:
@@ -208,11 +209,13 @@ class TestSpectra:
             _negativity(op)
 
     def test_non_finite_is_not_hermitian(self):
-        # a NaN defect fails every comparison, so it must not pass as Hermitian;
-        # NaN extremes pass the precondition, so the partial transpose's check fires
+        # a NaN defect fails every comparison, so it must not pass as Hermitian:
+        # the PSD check refuses the stack even without a tolerance, so no
+        # Hermitian part of it reaches ``_negativities``
+        mats = np.full((1, 4, 4), np.nan, dtype=complex)
         with pytest.raises(NotHermitianError, match="nan"):
-            _negativities(np.full((1, 4, 4), np.nan, dtype=complex), (2, 2),
-                          np.full((1, 2), np.nan))
+            _hermitian(mats)
+        assert _psd_screened(mats, np.inf) is None
 
     def test_symmetrised_as_the_halved_sum(self, rng):
         # (M + M^dagger) / 2 byte for byte, the sign of every zero included:
@@ -239,6 +242,87 @@ class TestSpectra:
         a = rand_density(rng, [2])
         b = rand_density(rng, [2])
         assert _negativity(tensor(a, b)) <= NEG_CUTOFF
+
+
+class TestOneHermitianPart:
+    """The negativity verdict partial-transposes the Hermitian parts the PSD
+    check formed instead of symmetrising the partial transposes again.  That
+    is exact: the partial transpose of ``_hermitian(M)`` is
+    ``_hermitian`` of the partial transpose of M, byte for byte, and the two
+    Hermiticity defects are one number, so the check of M is the check of
+    its partial transpose."""
+
+    # signed zeros, subnormals, huge and plain values
+    VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, 0.75, -1.5]
+    # non-Hermitian noise within TOL_HERM, subnormal noise included
+    NOISE = [0.0, -0.0, 5e-324, 1e-12, -3e-11, 4e-10]
+
+    def _stack(self, rng, d, n=40):
+        """n near-Hermitian complex d x d matrices: Hermitian entries drawn
+        from VALUES (a signed zero on the imaginary diagonal), the signs of
+        the zeros of each pair (ij, ji) drawn apart, and NOISE added to
+        every entry's real and imaginary part."""
+        mats = np.empty((n, d, d), dtype=complex)
+        mats.real = rng.choice(self.VALUES, mats.shape)
+        mats.imag = rng.choice(self.VALUES, mats.shape)
+        upper = np.triu_indices(d, 1)
+        mats[:, upper[0], upper[1]] = mats[:, upper[1], upper[0]].conj()
+        mats.imag[:, range(d), range(d)] = 0.0
+        for part in (mats.real, mats.imag):
+            part[(part == 0) & (rng.random(mats.shape) < 0.5)] *= -1.0
+            part += rng.choice(self.NOISE, mats.shape) * rng.choice([1.0, -1.0], mats.shape)
+        return mats
+
+    @staticmethod
+    def _defects(mats):
+        return np.abs(mats - mats.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 2)])
+    def test_partial_transpose_commutes_with_the_hermitian_part(self, dims):
+        rng = np.random.default_rng(10 * dims[0] + dims[1])
+        mats = self._stack(rng, dims[0] * dims[1])
+        pt = _transpose_factors(mats, dims, [1])
+        assert (self._defects(mats) > 0).any()          # the noise is not Hermitian
+        assert self._defects(mats).tobytes() == self._defects(pt).tobytes()
+        assert _transpose_factors(_hermitian(mats), dims, [1]).tobytes() == _hermitian(pt).tobytes()
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("defect", [1e-6, 1e-6j, np.nan, np.inf])
+    def test_a_defect_past_the_tolerance_is_the_same_for_both(self, dims, defect):
+        rng = np.random.default_rng(10 * dims[0] + dims[1])
+        mats = self._stack(rng, dims[0] * dims[1], n=8)
+        mats[3, 0, 1], mats[3, 1, 0] = 0.5, 0.5 + defect
+        messages = []
+        for stack in (mats, _transpose_factors(mats, dims, [1])):
+            with pytest.raises(NotHermitianError) as exc:
+                _hermitian(stack)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    # a stack of three blocks of 4 x 4 matrices; a NaN defect must not be
+    # lost behind the finite defects of the other blocks
+    @pytest.mark.parametrize("defect", [1e-6, np.nan])
+    @pytest.mark.parametrize("position", ["first", "block end", "block start", "last"])
+    def test_every_block_is_checked(self, defect, position):
+        step = CHECK_BLOCK_BYTES // 256
+        mats = self._stack(np.random.default_rng(5), 4, n=3 * step)
+        at = {"first": 0, "block end": step - 1, "block start": step,
+              "last": len(mats) - 1}[position]
+        mats[at, 0, 1], mats[at, 1, 0] = 0.5, 0.5 + defect
+        with pytest.raises(NotHermitianError, match="nan" if np.isnan(defect) else "1.000e-06"):
+            _hermitian(mats)
+        with np.errstate(over="ignore"):    # the blocks before the defect square 1e300
+            assert _psd_screened(mats, np.inf) is None
+
+    def test_parts_filled_block_by_block_are_the_hermitian_part(self):
+        step = CHECK_BLOCK_BYTES // 256
+        rng = np.random.default_rng(6)
+        mats = rng.normal(size=(3 * step, 4, 4)) + 1j * rng.normal(size=(3 * step, 4, 4))
+        mats += mats.conj().swapaxes(-1, -2)
+        mats += 1e-12 * rng.normal(size=mats.shape)     # not Hermitian to the last bit
+        parts, _ = _psd_screened(mats, np.inf)
+        assert parts.tobytes() != mats.tobytes()
+        assert parts.tobytes() == _hermitian(mats).tobytes()
 
 
 def _pt_family(rng, dims, lam, norm, rotate=True):
@@ -307,7 +391,8 @@ class TestPPTScreen:
         mats = np.array([_pt_family(rng, dims, lam, norm / np.sqrt(1 + (d - 1) / 9))
                          for norm in norms for lam in self.LAMBDAS])
         extremes = spectral_extremes(mats)
-        h = _hermitian(_transpose_factors(mats, dims, [1]))
+        parts = _hermitian(mats)
+        h = _transpose_factors(parts, dims, [1])
         past = np.linalg.norm(h, axis=(1, 2)) > guard
         assert past.sum() == 2 * len(self.LAMBDAS)
 
@@ -321,13 +406,13 @@ class TestPPTScreen:
         assert np.any(oracle > 0) and np.any(oracle == 0)
         # shuffled, so that cleared and uncleared rows share blocks
         order = rng.permutation(len(mats))
-        assert _negativities(mats[order], dims, extremes[order]).tobytes() \
+        assert _negativities(parts[order], dims, extremes[order]).tobytes() \
             == oracle[order].tobytes()
         # the cleared rows and the rows past the guard: only the latter are
         # eigendecomposed
         keep = rng.permutation(np.flatnonzero(cleared | past))
         linalg_calls["eigvalsh"] = 0
-        values = _negativities(mats[keep], dims, extremes[keep])
+        values = _negativities(parts[keep], dims, extremes[keep])
         assert values.tobytes() == oracle[keep].tobytes()
         assert linalg_calls["eigvalsh"] == past.sum()
 
@@ -340,7 +425,7 @@ class TestPPTScreen:
     def test_clearable_stack_is_cleared(self, linalg_calls):
         mats, extremes = self._clearable()
         linalg_calls["eigvalsh"] = 0
-        values = _negativities(mats, (3, 3), extremes)
+        values = _negativities(_hermitian(mats), (3, 3), extremes)
         assert values.tobytes() == np.full(len(mats), -0.0).tobytes()
         assert linalg_calls == {"eigvalsh": 0, "cholesky": 1}
 
@@ -354,38 +439,44 @@ class TestPPTScreen:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-        extremes = _psd_screened(mats, TOL_CHECK)
-        values = _negativities(mats, (3, 3), extremes)
+        parts, extremes = _psd_screened(mats, TOL_CHECK)
+        values = _negativities(parts, (3, 3), extremes)
         assert shapes == []
         # the values of an eigendecomposition of the empty stack of uncleared rows
         assert extremes.tobytes() == np.full((len(mats), 2), np.nan).tobytes()
         assert values.tobytes() == np.full(len(mats), -0.0).tobytes()
 
+    # refused by the PSD check that forms the Hermitian parts
+    # ``_negativities`` reads, even without a tolerance, and by the
+    # assemblage, whose check it is
     @pytest.mark.parametrize("defect", [1e-6, np.nan, np.inf])
     def test_non_hermitian_or_non_finite_raises(self, defect):
-        mats, extremes = self._clearable()
+        mats, _ = self._clearable()
+        mats /= np.trace(mats, axis1=1, axis2=2).real.sum()
         mats[5, 0, 1] += defect
         with pytest.raises(NotHermitianError):
-            _negativities(mats, (3, 3), extremes)
+            _hermitian(mats)
+        assert _psd_screened(mats, np.inf) is None
+        with pytest.raises(ValueError, match="not PSD"):
+            NetworkAssemblage(mats, [(k,) for k in range(len(mats))], (3, 3))
 
-    # an imaginary diagonal entry is a Hermiticity defect, as is NaN there,
-    # for the elements' screen and for their partial transposes'
+    # an imaginary diagonal entry is a Hermiticity defect, as is NaN there:
+    # no Hermitian part is formed, so no partial transpose of one is screened
     @pytest.mark.parametrize("defect", [1e-6j, np.nan])
     def test_diagonal_defect_raises(self, defect):
-        mats, extremes = self._clearable()
+        mats, _ = self._clearable()
         mats[5, 4, 4] += defect
         with pytest.raises(NotHermitianError):
             _hermitian(mats)
-        with pytest.raises(NotHermitianError):
-            _negativities(mats, (3, 3), extremes)
         assert _psd_screened(mats, 1e-9) is None
+        assert _psd_screened(mats, np.inf) is None
 
     def test_precondition_fires_before_the_screen(self, linalg_calls):
         mats, extremes = self._clearable()
         extremes[-1, 0] = -1e-10
         linalg_calls["eigvalsh"] = 0
         with pytest.raises(NotPositiveError, match="-1.000e-10"):
-            _negativities(mats, (3, 3), extremes)
+            _negativities(_hermitian(mats), (3, 3), extremes)
         assert linalg_calls == {"eigvalsh": 0, "cholesky": 0}
 
     # with a negative 2 x 2 minor the row skips the factorisation, which
@@ -401,7 +492,7 @@ class TestPPTScreen:
         diag = shifted.diagonal().real
         assert (np.abs(shifted) ** 2 <= np.outer(diag, diag)).all() == rotate
         linalg_calls["eigvalsh"] = 0
-        values = _negativities(mats, (3, 3), extremes)
+        values = _negativities(_hermitian(mats), (3, 3), extremes)
         assert linalg_calls["eigvalsh"] == eigendecomposed
         oracle = _negativities_one_by_one(mats, (3, 3))
         assert values.tobytes() == oracle.tobytes()
@@ -451,7 +542,7 @@ class TestPredicates:
     def test_psd_screened_checks_every_block(self, position, d, rotate):
         step = max(1, CHECK_BLOCK_BYTES // identity([d]).matrix.nbytes)
         mats = np.array([identity([d]).matrix / d] * (2 * step + 8))
-        assert np.isnan(_psd_screened(mats, TOL_EQ)).all() == (step >= 8)
+        assert np.isnan(_psd_screened(mats, TOL_EQ)[1]).all() == (step >= 8)
         index = {"first": 0, "block end": step - 1, "block start": step, "last": len(mats) - 1}
         u = haar_unitary(np.random.default_rng(d), d) if rotate else np.eye(d)
         mats[index[position]] = (u * ([1.0] * (d - 1) + [-1e-3])) @ u.conj().T / d

@@ -123,3 +123,19 @@ def test_bench_pairs_prints_each_runs_calibration_ratio(capsys):
     assert lines[-2:] == ["calibration parent: 1.53", "calibration change: 1.9"]
     assert lines[1].split()[:2] == ["items_per_s", "7400"]
     assert lines[2].split()[:2] == ["cpu.items_per_s", "11322"]
+
+
+def test_bench_pairs_prints_each_sides_median_per_kind(capsys):
+    # two runs a side; "random" is missing from one parent run
+    runs = {"parent": [{"dew-below": 0.020, "random": 0.004}, {"dew-below": 0.022}],
+            "change": [{"dew-below": 0.018, "random": 0.003},
+                       {"dew-below": 0.019, "random": 0.005}]}
+    records = {side: [dict(_record(7400.0, 11322.0), detail={"cpu": {"items_per_s": 11322.0},
+                                                             "scaled_median_by_kind": kinds})
+                      for kinds in runs[side]]
+               for side in runs}
+    bench_pairs.report([{"name": "items_per_s", "better": "higher"}], records)
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("kind ")] == [
+        "kind dew-below: median s parent 0.021  change 0.0185",
+        "kind random: median s parent 0.004  change 0.004"]

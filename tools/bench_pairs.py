@@ -21,7 +21,11 @@ has one, and the pairs the change won (ties count for neither side).  The
 last column says whether the scaled and the unscaled medians moved the same
 way ("same"), opposite ways ("opposite"), or one of them did not move
 ("flat"); a scaled move whose unscaled CPU time moved the other way says
-more about the calibration than about the change.  Last, per side, it
+more about the calibration than about the change.  Then, for each kind
+of operation in ``detail.scaled_median_by_kind``, it prints each side's
+median over its runs of that kind's scaled median operation time, so that
+a workload of several kinds (line-contraction's DEW and random lines)
+shows them apart.  Last, per side, it
 prints each run's failed ratio and its calibration ratio, the unscaled
 ``detail.cpu`` ``items_per_s`` over the scaled one: the calibration
 kernel's speed in that run, which takes one of two levels from one process
@@ -126,6 +130,14 @@ def report(metrics: list[dict], records: dict) -> None:
         if len(moved) == 2:
             rows[0] += "  " + ("flat" if 0 in moved else "same" if moved[0] == moved[1] else "opposite")
         print("\n".join(rows))
+    by_kind = {side: [r["detail"].get("scaled_median_by_kind", {}) for r in records[side]]
+               for side in SIDES}
+    for kind in sorted({kind for side in SIDES for run in by_kind[side] for kind in run}):
+        cells = []
+        for side in SIDES:
+            values = [run[kind] for run in by_kind[side] if kind in run]
+            cells.append(f"{statistics.median(values):.6g}" if values else "n/a")
+        print(f"kind {kind}: median s parent {cells[0]}  change {cells[1]}")
     for side in SIDES:
         ratios = [r["failed_ratio"] for r in records[side]]
         print(f"failed_ratio {side}: {', '.join(f'{x:.6g}' for x in ratios)}")
